@@ -82,8 +82,8 @@ fn families() -> Vec<(&'static str, ProblemInstance)> {
 fn decode_table() {
     println!("== ingest: request decode, JSON line vs packed frame (n={N}, m={M}, K={K}) ==");
     println!(
-        "{:<20} {:>12} {:>12} {:>12} {:>9}",
-        "family", "json-bytes", "packed-bytes", "json/packed", "speedup"
+        "{:<20} {:>12} {:>12} {:>12} {:>10} {:>10} {:>9}",
+        "family", "json-bytes", "packed-bytes", "json/packed", "json-us", "packed-us", "speedup"
     );
     for (name, instance) in families() {
         let req = Request { id: 1, instance, budget_ms: Some(50), top_k: Some(3), seed: Some(1) };
@@ -103,11 +103,13 @@ fn decode_table() {
         });
         let speedup = json_us / packed_us;
         println!(
-            "{:<20} {:>12} {:>12} {:>11.1}x {:>8.1}x",
+            "{:<20} {:>12} {:>12} {:>11.1}x {:>10.1} {:>10.1} {:>8.1}x",
             name,
             line.len(),
             frame.len(),
             line.len() as f64 / frame.len() as f64,
+            json_us / DECODES_PER_RUN as f64,
+            packed_us / DECODES_PER_RUN as f64,
             speedup,
         );
         // CI gate: the packed decode must never lose to JSON. The measured

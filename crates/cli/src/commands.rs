@@ -64,37 +64,29 @@ pub enum AnyInstance {
 /// (`instance.kind: "splittable"`).
 pub fn load_instance(path: &str) -> Result<AnyInstance, CliError> {
     let bytes = std::fs::read(path)?;
-    if bytes.first() == Some(&wire::MAGIC[0]) {
-        return match wire::instance_from_container(&bytes)
-            .map_err(|e| CliError(format!("{path}: {e}")))?
-        {
-            wire::PackedInstance::Uniform(u) => Ok(AnyInstance::Uniform(u)),
-            wire::PackedInstance::Unrelated(u) | wire::PackedInstance::Splittable(u) => {
-                Ok(AnyInstance::Unrelated(u))
-            }
-        };
-    }
-    let text = String::from_utf8(bytes).map_err(|e| CliError(format!("{path}: {e}")))?;
-    if text.contains("\"kind\": \"uniform\"") || text.contains("\"kind\":\"uniform\"") {
-        Ok(AnyInstance::Uniform(io::uniform_from_json(&text)?))
-    } else if text.contains("\"kind\": \"splittable\"") || text.contains("\"kind\":\"splittable\"")
-    {
-        Ok(AnyInstance::Unrelated(io::splittable_from_json(&text)?))
+    let packed = if bytes.first() == Some(&wire::MAGIC[0]) {
+        wire::instance_from_container(&bytes).map_err(|e| CliError(format!("{path}: {e}")))?
     } else {
-        Ok(AnyInstance::Unrelated(io::unrelated_from_json(&text)?))
-    }
+        packed_from_json(&String::from_utf8(bytes).map_err(|e| CliError(format!("{path}: {e}")))?)?
+    };
+    Ok(match packed {
+        wire::PackedInstance::Uniform(u) => AnyInstance::Uniform(u),
+        wire::PackedInstance::Unrelated(u) | wire::PackedInstance::Splittable(u) => {
+            AnyInstance::Unrelated(u)
+        }
+    })
 }
 
-/// Parses JSON instance text into a kind-preserving [`wire::PackedInstance`].
+/// Parses JSON instance text into a kind-preserving [`wire::PackedInstance`],
+/// dispatching on its `kind` tag (a document without a known tag is read
+/// as unrelated, whose decoder then names the mismatch).
 fn packed_from_json(text: &str) -> Result<wire::PackedInstance, CliError> {
-    if text.contains("\"kind\": \"uniform\"") || text.contains("\"kind\":\"uniform\"") {
-        Ok(wire::PackedInstance::Uniform(io::uniform_from_json(text)?))
-    } else if text.contains("\"kind\": \"splittable\"") || text.contains("\"kind\":\"splittable\"")
-    {
-        Ok(wire::PackedInstance::Splittable(io::splittable_from_json(text)?))
-    } else {
-        Ok(wire::PackedInstance::Unrelated(io::unrelated_from_json(text)?))
-    }
+    let doc = io::InstanceDoc::parse(text)?;
+    Ok(match doc.kind().as_deref() {
+        Some("uniform") => wire::PackedInstance::Uniform(doc.uniform()?),
+        Some("splittable") => wire::PackedInstance::Splittable(doc.unrelated("splittable")?),
+        _ => wire::PackedInstance::Unrelated(doc.unrelated("unrelated")?),
+    })
 }
 
 /// `sst pack <in.json> <out.sst>` — converts a JSON instance file to the
@@ -1401,7 +1393,10 @@ mod tests {
         let JsonValue::Object(map) = json::parse(&text).unwrap() else { panic!("{text}") };
         assert_eq!(map.get("kind"), Some(&JsonValue::Str("dynamic-queue".into())));
         // The base instance and every trace delta parse back and replay.
-        let mut inst = io::unrelated_from_value(map.get("base").unwrap()).unwrap();
+        let mut p = json::Parser::new(&text);
+        let [base] = p.fields(["base"]).unwrap().unwrap();
+        let base = io::InstanceDoc::scan(&mut p.at(base.unwrap())).unwrap().unwrap();
+        let mut inst = base.unrelated("unrelated").unwrap();
         let JsonValue::Array(steps) = map.get("trace").unwrap() else { panic!("{text}") };
         assert_eq!(steps.len(), 5);
         for step in steps {

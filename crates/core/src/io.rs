@@ -47,10 +47,16 @@ impl std::fmt::Display for IoError {
 impl std::error::Error for IoError {}
 
 pub mod json {
-    //! Minimal JSON value model, parser and writer — just enough for the
+    //! Minimal JSON tokenizer, value model and writer — just enough for the
     //! instance/schedule format: objects, arrays, `u64` numbers (including
     //! `u64::MAX`, the `∞` sentinel) and strings.
+    //!
+    //! [`Parser`] is the one tokenizer. Its typed reads ([`Parser::fields`],
+    //! [`Parser::u64`], [`Parser::skip_value`], …) decode straight into
+    //! caller buffers without building values; [`parse`] builds a
+    //! [`JsonValue`] tree on the same reads.
 
+    use std::borrow::Cow;
     use std::collections::BTreeMap;
     use std::fmt::Write as _;
 
@@ -73,29 +79,70 @@ pub mod json {
         Object(BTreeMap<String, JsonValue>),
     }
 
-    /// Maximum nesting depth accepted by [`parse`] (matches serde_json's
+    /// Maximum nesting depth accepted by the parser (matches serde_json's
     /// default); deeper input is a parse error, not a stack overflow.
     const MAX_DEPTH: u32 = 128;
 
     /// Parses `text` into a [`JsonValue`].
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
-        p.skip_ws();
+        let mut p = Parser::new(text);
         let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
+        p.finish()?;
         Ok(v)
     }
 
-    struct Parser<'a> {
+    /// A cursor over JSON text. Every read skips the whitespace before the
+    /// value it reads.
+    ///
+    /// Typed decoding reports a syntax error anywhere in a document ahead
+    /// of a type error in any member, and lets a duplicate key's last
+    /// occurrence win. Two ways keep that: [`Parser::fields`] checks a
+    /// whole object in one pass and records where each wanted member's
+    /// value starts, for typed reads at those offsets ([`Parser::at`]) in
+    /// whatever order the schema checks them; or a member is read during
+    /// the scan itself and, when it has another shape, the parser rewinds
+    /// (it is `Copy`) and skips it (`InstanceDoc` reads the instance
+    /// matrices this way).
+    #[derive(Clone, Copy)]
+    pub struct Parser<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         pos: usize,
         depth: u32,
     }
 
-    impl Parser<'_> {
+    impl<'a> Parser<'a> {
+        /// A parser at the start of `text`.
+        pub fn new(text: &'a str) -> Self {
+            Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 }
+        }
+
+        /// A parser over the same text positioned at byte `pos` — an
+        /// offset [`Parser::fields`] recorded.
+        pub fn at(&self, pos: usize) -> Self {
+            Parser { pos, depth: 0, ..*self }
+        }
+
+        /// The byte offset of the next token (pass it to [`Parser::at`]).
+        pub fn pos(&self) -> usize {
+            self.pos
+        }
+
+        /// Whether the next value is an object.
+        pub fn at_object(&mut self) -> bool {
+            self.skip_ws();
+            self.peek() == Some(b'{')
+        }
+
+        /// Requires nothing but whitespace after the last value read.
+        pub fn finish(&mut self) -> Result<(), String> {
+            self.skip_ws();
+            if self.pos != self.bytes.len() {
+                return Err(format!("trailing data at byte {}", self.pos));
+            }
+            Ok(())
+        }
+
         fn skip_ws(&mut self) {
             while let Some(&b) = self.bytes.get(self.pos) {
                 if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -133,12 +180,58 @@ pub mod json {
             }
         }
 
-        fn value(&mut self) -> Result<JsonValue, String> {
+        /// Reads one value into a tree.
+        pub fn value(&mut self) -> Result<JsonValue, String> {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'{') => {
+                    let mut map = BTreeMap::new();
+                    self.object(|p, key| {
+                        map.insert(key.to_string(), p.value()?);
+                        Ok(())
+                    })?;
+                    Ok(JsonValue::Object(map))
+                }
+                Some(b'[') => {
+                    let mut items = Vec::new();
+                    self.array(|p| {
+                        items.push(p.value()?);
+                        Ok(())
+                    })?;
+                    Ok(JsonValue::Array(items))
+                }
+                Some(b'"') => Ok(JsonValue::Str(self.string_cow()?.into_owned())),
+                _ => self.scalar(),
+            }
+        }
+
+        /// Skips one value, checking its syntax without building it (only
+        /// an object key holding escapes is copied).
+        pub fn skip_value(&mut self) -> Result<(), String> {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'{') => self.object(|p, _| p.skip_value()),
+                Some(b'[') => self.array(|p| p.skip_value()),
+                Some(b'"') => self.skip_string(),
+                Some(b'0'..=b'9') => {
+                    // Unsigned integers (every cell of an instance matrix)
+                    // skip without a parse; other numbers take the full
+                    // number grammar.
+                    let start = *self;
+                    if self.u64().is_none() {
+                        *self = start;
+                        self.number()?;
+                    }
+                    Ok(())
+                }
+                _ => self.scalar().map(drop),
+            }
+        }
+
+        /// A number or literal (the values that own no heap memory).
+        fn scalar(&mut self) -> Result<JsonValue, String> {
             match self.peek() {
                 None => Err("unexpected end of input".to_string()),
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(JsonValue::Str(self.string()?)),
                 Some(b't') => self.literal("true", JsonValue::Bool(true)),
                 Some(b'f') => self.literal("false", JsonValue::Bool(false)),
                 Some(b'n') => self.literal("null", JsonValue::Null),
@@ -157,109 +250,212 @@ pub mod json {
             Ok(())
         }
 
-        fn object(&mut self) -> Result<JsonValue, String> {
+        /// Walks an object, calling `member` with each key and the parser
+        /// on that member's value, which `member` must consume.
+        pub fn object(
+            &mut self,
+            mut member: impl FnMut(&mut Self, &str) -> Result<(), String>,
+        ) -> Result<(), String> {
+            self.skip_ws();
             self.enter()?;
             self.expect(b'{')?;
-            let mut map = BTreeMap::new();
             self.skip_ws();
             if self.peek() == Some(b'}') {
                 self.pos += 1;
                 self.depth -= 1;
-                return Ok(JsonValue::Object(map));
+                return Ok(());
             }
             loop {
                 self.skip_ws();
-                let key = self.string()?;
+                let key = self.string_cow()?;
                 self.skip_ws();
                 self.expect(b':')?;
                 self.skip_ws();
-                let val = self.value()?;
-                map.insert(key, val);
+                member(self, &key)?;
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => self.pos += 1,
                     Some(b'}') => {
                         self.pos += 1;
                         self.depth -= 1;
-                        return Ok(JsonValue::Object(map));
+                        return Ok(());
                     }
                     _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
                 }
             }
         }
 
-        fn array(&mut self) -> Result<JsonValue, String> {
+        /// Walks an array, calling `item` with the parser on each element,
+        /// which `item` must consume.
+        pub(crate) fn array(
+            &mut self,
+            mut item: impl FnMut(&mut Self) -> Result<(), String>,
+        ) -> Result<(), String> {
+            self.skip_ws();
             self.enter()?;
             self.expect(b'[')?;
-            let mut items = Vec::new();
             self.skip_ws();
             if self.peek() == Some(b']') {
                 self.pos += 1;
                 self.depth -= 1;
-                return Ok(JsonValue::Array(items));
+                return Ok(());
             }
             loop {
                 self.skip_ws();
-                items.push(self.value()?);
+                item(self)?;
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => self.pos += 1,
                     Some(b']') => {
                         self.pos += 1;
                         self.depth -= 1;
-                        return Ok(JsonValue::Array(items));
+                        return Ok(());
                     }
                     _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
                 }
             }
         }
 
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut s = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(s);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.peek() {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b'u') => {
-                                if self.pos + 4 >= self.bytes.len() {
-                                    return Err("truncated \\u escape".to_string());
-                                }
-                                let hex =
-                                    std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                        .map_err(|_| "bad \\u escape".to_string())?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                                self.pos += 4;
-                            }
-                            _ => return Err("bad escape".to_string()),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 code point.
-                        let rest = &self.bytes[self.pos..];
-                        let text = std::str::from_utf8(rest)
-                            .map_err(|_| "invalid utf-8 in string".to_string())?;
-                        let c = text.chars().next().unwrap();
-                        s.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
+        /// Scans the object at the parser in one syntax-checking pass and
+        /// returns, per entry of `keys`, where that member's value starts
+        /// (the last duplicate wins). Every member is skipped without
+        /// building values. `Ok(None)` when the value is not an object; it
+        /// is skipped all the same.
+        pub fn fields<const N: usize>(
+            &mut self,
+            keys: [&str; N],
+        ) -> Result<Option<[Option<usize>; N]>, String> {
+            if !self.at_object() {
+                self.skip_value()?;
+                return Ok(None);
             }
+            let mut at = [None; N];
+            self.object(|p, key| {
+                if let Some(i) = keys.iter().position(|k| *k == key) {
+                    at[i] = Some(p.pos);
+                }
+                p.skip_value()
+            })?;
+            Ok(Some(at))
+        }
+
+        /// Reads an unsigned integer; `None` when the value is anything
+        /// else (a negative, fractional or out-of-range number included).
+        pub fn u64(&mut self) -> Option<u64> {
+            self.skip_ws();
+            let start = self.pos;
+            let mut v: u64 = 0;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if !b.is_ascii_digit() {
+                    break;
+                }
+                v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+                self.pos += 1;
+            }
+            if self.pos == start || matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+                return None;
+            }
+            Some(v)
+        }
+
+        /// Reads a string; `None` for any other value.
+        pub(crate) fn string(&mut self) -> Option<String> {
+            self.skip_ws();
+            if self.peek() != Some(b'"') {
+                return None;
+            }
+            self.string_cow().ok().map(Cow::into_owned)
+        }
+
+        /// Appends the array of unsigned integers at the parser to `out`
+        /// and returns how many it held; `None` when the value is not such
+        /// an array (what was appended before the mismatch stays).
+        pub(crate) fn u64_array_into(&mut self, out: &mut Vec<u64>) -> Option<usize> {
+            let before = out.len();
+            self.array(|p| {
+                out.push(p.u64().ok_or_else(String::new)?);
+                Ok(())
+            })
+            .ok()?;
+            Some(out.len() - before)
+        }
+
+        /// Consumes a string, borrowing its text when it holds no escapes.
+        /// Unescaped runs are copied whole: one pass over the string.
+        fn string_cow(&mut self) -> Result<Cow<'a, str>, String> {
+            self.expect(b'"')?;
+            let start = self.pos;
+            let mut owned: Option<String> = None;
+            loop {
+                let run_start = self.pos;
+                self.skip_run()?;
+                let run = &self.text[run_start..self.pos];
+                if self.peek() == Some(b'"') {
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(&self.text[start..self.pos - 1]),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    });
+                }
+                let c = self.escape()?;
+                let s = owned.get_or_insert_with(String::new);
+                s.push_str(run);
+                s.push(c);
+            }
+        }
+
+        fn skip_string(&mut self) -> Result<(), String> {
+            self.expect(b'"')?;
+            loop {
+                self.skip_run()?;
+                if self.peek() == Some(b'"') {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                self.escape()?;
+            }
+        }
+
+        /// Advances to the next `"` or `\` of the current string. Both are
+        /// ASCII, so the run ends on a UTF-8 boundary of the text.
+        fn skip_run(&mut self) -> Result<(), String> {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| "unterminated string".to_string())?;
+            self.pos += run;
+            Ok(())
+        }
+
+        /// Decodes the escape sequence at the parser (on its `\`).
+        fn escape(&mut self) -> Result<char, String> {
+            self.pos += 1;
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b't') => '\t',
+                Some(b'r') => '\r',
+                Some(b'u') => {
+                    if self.pos + 4 >= self.bytes.len() {
+                        return Err("truncated \\u escape".to_string());
+                    }
+                    let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
+                        .map_err(|_| "bad \\u escape".to_string())?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+                    self.pos += 4;
+                    char::from_u32(code).unwrap_or('\u{FFFD}')
+                }
+                _ => return Err("bad escape".to_string()),
+            };
+            self.pos += 1;
+            Ok(c)
         }
 
         fn number(&mut self) -> Result<JsonValue, String> {
@@ -288,7 +484,7 @@ pub mod json {
                     self.pos += 1;
                 }
             }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ascii");
+            let text = &self.text[start..self.pos];
             if !is_float && !text.starts_with('-') {
                 if let Ok(u) = text.parse::<u64>() {
                     return Ok(JsonValue::Uint(u));
@@ -325,80 +521,255 @@ pub mod json {
     }
 }
 
-/// Extraction helpers shared by the `*_from_json` parsers.
+/// Extraction helpers for the tree-based schedule reader.
 mod extract {
     use super::json::JsonValue;
     use super::IoError;
 
-    pub fn object(
-        v: &JsonValue,
-    ) -> Result<&std::collections::BTreeMap<String, JsonValue>, IoError> {
-        match v {
-            JsonValue::Object(map) => Ok(map),
-            _ => Err(IoError::Json("expected a JSON object".to_string())),
-        }
-    }
-
-    pub fn field<'a>(
-        map: &'a std::collections::BTreeMap<String, JsonValue>,
-        name: &str,
-    ) -> Result<&'a JsonValue, IoError> {
-        map.get(name).ok_or_else(|| IoError::Json(format!("missing field '{name}'")))
-    }
-
-    pub fn uint(v: &JsonValue, what: &str) -> Result<u64, IoError> {
-        match v {
-            JsonValue::Uint(u) => Ok(*u),
-            _ => Err(IoError::Json(format!("field '{what}' must be an unsigned integer"))),
-        }
-    }
-
-    pub fn string(v: &JsonValue, what: &str) -> Result<String, IoError> {
-        match v {
-            JsonValue::Str(s) => Ok(s.clone()),
-            _ => Err(IoError::Json(format!("field '{what}' must be a string"))),
-        }
-    }
-
-    pub fn array<'a>(v: &'a JsonValue, what: &str) -> Result<&'a [JsonValue], IoError> {
-        match v {
-            JsonValue::Array(items) => Ok(items),
-            _ => Err(IoError::Json(format!("field '{what}' must be an array"))),
-        }
-    }
-
-    pub fn u64_vec(v: &JsonValue, what: &str) -> Result<Vec<u64>, IoError> {
-        array(v, what)?.iter().map(|x| uint(x, what)).collect()
-    }
-
     pub fn usize_vec(v: &JsonValue, what: &str) -> Result<Vec<usize>, IoError> {
-        u64_vec(v, what)?
-            .into_iter()
-            .map(|u| {
-                usize::try_from(u)
-                    .map_err(|_| IoError::Json(format!("field '{what}' entry out of range")))
+        let JsonValue::Array(items) = v else {
+            return Err(IoError::Json(format!("field '{what}' must be an array")));
+        };
+        items
+            .iter()
+            .map(|x| match x {
+                JsonValue::Uint(u) => usize::try_from(*u)
+                    .map_err(|_| IoError::Json(format!("field '{what}' entry out of range"))),
+                _ => Err(IoError::Json(format!("field '{what}' must be an unsigned integer"))),
             })
             .collect()
     }
+}
 
-    pub fn u64_matrix(v: &JsonValue, what: &str) -> Result<Vec<Vec<u64>>, IoError> {
-        array(v, what)?.iter().map(|row| u64_vec(row, what)).collect()
+/// The schema fields an instance document may carry (both schemas).
+const INSTANCE_FIELDS: [&str; 8] =
+    ["version", "kind", "speeds", "setups", "jobs", "m", "job_class", "ptimes"];
+
+/// One instance object located in its text by a single syntax-checking
+/// scan: where each schema field's value starts (the last duplicate key
+/// wins; unknown keys are skipped). The `p_ij` / `s_ik` matrices are read
+/// into flat row-major buffers during that scan, so their digits are
+/// visited once. The kind decoders then check the fields in schema order —
+/// header first, so a wrong `version` or `kind` is a format error even when
+/// later fields are malformed — and end in one constructor validation.
+pub struct InstanceDoc<'a> {
+    text: json::Parser<'a>,
+    at: [Option<usize>; INSTANCE_FIELDS.len()],
+    ptimes: Option<Rows>,
+    setups: Option<Rows>,
+    jobs: Option<Vec<Job>>,
+}
+
+/// A matrix field read during the scan: its cells row-major, the row
+/// count, and the shortest and longest row.
+struct Rows {
+    flat: Vec<u64>,
+    rows: usize,
+    min_len: usize,
+    max_len: usize,
+}
+
+impl Rows {
+    /// Reads an array of unsigned-integer rows.
+    fn read(p: &mut json::Parser<'_>) -> Result<Rows, String> {
+        let mut m = Rows { flat: Vec::new(), rows: 0, min_len: usize::MAX, max_len: 0 };
+        p.array(|p| {
+            let len = p.u64_array_into(&mut m.flat).ok_or_else(String::new)?;
+            m.rows += 1;
+            m.min_len = m.min_len.min(len);
+            m.max_len = m.max_len.max(len);
+            Ok(())
+        })?;
+        Ok(m)
+    }
+
+    /// The length of a row that is not `width` long, if any.
+    fn ragged(&self, width: usize) -> Option<usize> {
+        if self.rows == 0 || (self.min_len == width && self.max_len == width) {
+            None
+        } else if self.min_len != width {
+            Some(self.min_len)
+        } else {
+            Some(self.max_len)
+        }
     }
 }
 
-fn check_header(
-    map: &std::collections::BTreeMap<String, JsonValue>,
-    expected_kind: &str,
-) -> Result<(), IoError> {
-    let version = extract::uint(extract::field(map, "version")?, "version")?;
-    if version != u64::from(FORMAT_VERSION) {
-        return Err(IoError::Format(format!("unsupported version {version}")));
+/// Reads the uniform `jobs` array of `{"class", "size"}` objects (the last
+/// duplicate key wins, unknown keys are skipped).
+fn read_jobs(p: &mut json::Parser<'_>) -> Result<Vec<Job>, String> {
+    let mut jobs = Vec::new();
+    p.array(|p| {
+        let (mut class, mut size) = (None, None);
+        p.object(|p, key| {
+            let slot = match key {
+                "class" => &mut class,
+                "size" => &mut size,
+                _ => return p.skip_value(),
+            };
+            *slot = read_or_skip(p, |p| p.u64().ok_or_else(String::new))?;
+            Ok(())
+        })?;
+        let class = class.and_then(|c| usize::try_from(c).ok());
+        jobs.push(Job::new(class.ok_or_else(String::new)?, size.ok_or_else(String::new)?));
+        Ok(())
+    })?;
+    Ok(jobs)
+}
+
+/// Reads the value at `p` with `read`. When `read` fails — a value of
+/// another shape, or a syntax error `skip_value` then reports — the parser
+/// rewinds and skips the value instead, and the answer is `None`.
+fn read_or_skip<'a, T>(
+    p: &mut json::Parser<'a>,
+    read: impl FnOnce(&mut json::Parser<'a>) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let start = *p;
+    match read(p) {
+        Ok(value) => Ok(Some(value)),
+        Err(_) => {
+            *p = start;
+            p.skip_value()?;
+            Ok(None)
+        }
     }
-    let kind = extract::string(extract::field(map, "kind")?, "kind")?;
-    if kind != expected_kind {
-        return Err(IoError::Format(format!("expected kind '{expected_kind}', got '{kind}'")));
+}
+
+impl<'a> InstanceDoc<'a> {
+    /// Scans the value at `p` (consuming it). `Ok(None)` when the value is
+    /// not an object; `Err` carries a syntax error.
+    pub fn scan(p: &mut json::Parser<'a>) -> Result<Option<Self>, String> {
+        if !p.at_object() {
+            p.skip_value()?;
+            return Ok(None);
+        }
+        let mut doc = InstanceDoc {
+            text: *p,
+            at: [None; INSTANCE_FIELDS.len()],
+            ptimes: None,
+            setups: None,
+            jobs: None,
+        };
+        p.object(|p, key| {
+            let Some(i) = INSTANCE_FIELDS.iter().position(|f| *f == key) else {
+                return p.skip_value();
+            };
+            doc.at[i] = Some(p.pos());
+            match key {
+                "ptimes" => doc.ptimes = read_or_skip(p, Rows::read)?,
+                "setups" => doc.setups = read_or_skip(p, Rows::read)?,
+                "jobs" => doc.jobs = read_or_skip(p, read_jobs)?,
+                _ => p.skip_value()?,
+            }
+            Ok(())
+        })?;
+        Ok(Some(doc))
     }
-    Ok(())
+
+    /// Scans a whole text holding one instance object and nothing else.
+    pub fn parse(text: &'a str) -> Result<Self, IoError> {
+        let mut p = json::Parser::new(text);
+        let doc = Self::scan(&mut p).map_err(IoError::Json)?;
+        p.finish().map_err(IoError::Json)?;
+        doc.ok_or_else(|| IoError::Json("expected a JSON object".to_string()))
+    }
+
+    fn field(&self, name: &str) -> Result<json::Parser<'a>, IoError> {
+        let i = INSTANCE_FIELDS.iter().position(|f| *f == name).expect("a schema field");
+        self.at[i]
+            .map(|pos| self.text.at(pos))
+            .ok_or_else(|| IoError::Json(format!("missing field '{name}'")))
+    }
+
+    fn uint(&self, name: &str) -> Result<u64, IoError> {
+        self.field(name)?
+            .u64()
+            .ok_or_else(|| IoError::Json(format!("field '{name}' must be an unsigned integer")))
+    }
+
+    fn u64_vec(&self, name: &str) -> Result<Vec<u64>, IoError> {
+        let mut out = Vec::new();
+        self.field(name)?.u64_array_into(&mut out).ok_or_else(|| {
+            IoError::Json(format!("field '{name}' must be an array of unsigned integers"))
+        })?;
+        Ok(out)
+    }
+
+    /// The matrix field `name` as the scan read it.
+    fn matrix(&self, name: &str, rows: Option<Rows>) -> Result<Rows, IoError> {
+        self.field(name)?;
+        rows.ok_or_else(|| {
+            IoError::Json(format!("field '{name}' must be an array of unsigned-integer rows"))
+        })
+    }
+
+    /// The `kind` tag, when present and a string.
+    pub fn kind(&self) -> Option<String> {
+        self.field("kind").ok()?.string()
+    }
+
+    fn check_header(&self, expected_kind: &str) -> Result<(), IoError> {
+        let version = self.uint("version")?;
+        if version != u64::from(FORMAT_VERSION) {
+            return Err(IoError::Format(format!("unsupported version {version}")));
+        }
+        let kind = self
+            .field("kind")?
+            .string()
+            .ok_or_else(|| IoError::Json("field 'kind' must be a string".to_string()))?;
+        if kind != expected_kind {
+            return Err(IoError::Format(format!("expected kind '{expected_kind}', got '{kind}'")));
+        }
+        Ok(())
+    }
+
+    /// Decodes and validates a uniform instance.
+    pub fn uniform(mut self) -> Result<UniformInstance, IoError> {
+        self.check_header("uniform")?;
+        let speeds = self.u64_vec("speeds")?;
+        let setups = self.u64_vec("setups")?;
+        self.field("jobs")?;
+        let jobs = self.jobs.take().ok_or_else(|| {
+            IoError::Json("field 'jobs' must be an array of {class, size} objects".to_string())
+        })?;
+        UniformInstance::new(speeds, setups, jobs).map_err(IoError::Invalid)
+    }
+
+    /// Decodes and validates an unrelated-schema payload tagged `kind`
+    /// (`"unrelated"` or `"splittable"`): the `p_ij` and `s_ik` matrices
+    /// go straight into the flat row-major buffers of
+    /// [`UnrelatedInstance::from_flat`].
+    pub fn unrelated(mut self, kind: &str) -> Result<UnrelatedInstance, IoError> {
+        self.check_header(kind)?;
+        let m = usize::try_from(self.uint("m")?)
+            .map_err(|_| IoError::Json("m out of range".to_string()))?;
+        let job_class = self
+            .u64_vec("job_class")?
+            .into_iter()
+            .map(usize::try_from)
+            .collect::<Result<Vec<usize>, _>>()
+            .map_err(|_| IoError::Json("field 'job_class' entry out of range".to_string()))?;
+        let (ptimes, setups) = (self.ptimes.take(), self.setups.take());
+        let ptimes = self.matrix("ptimes", ptimes)?;
+        let setups = self.matrix("setups", setups)?;
+        let mismatch = |what, expected, got| {
+            IoError::Invalid(InstanceError::DimensionMismatch { what, expected, got })
+        };
+        if m == 0 {
+            return Err(IoError::Invalid(InstanceError::NoMachines));
+        }
+        if ptimes.rows != job_class.len() {
+            return Err(mismatch("ptimes rows", job_class.len(), ptimes.rows));
+        }
+        if let Some(len) = ptimes.ragged(m) {
+            return Err(mismatch("ptimes columns", m, len));
+        }
+        if let Some(len) = setups.ragged(m) {
+            return Err(mismatch("setup columns", m, len));
+        }
+        UnrelatedInstance::from_flat(m, job_class, ptimes.flat, setups.flat)
+            .map_err(IoError::Invalid)
+    }
 }
 
 /// Shared field-by-field writer behind the pretty and NDJSON encodings —
@@ -448,29 +819,7 @@ pub fn uniform_to_json_line(inst: &UniformInstance) -> String {
 
 /// Parses and validates a uniform instance from JSON.
 pub fn uniform_from_json(text: &str) -> Result<UniformInstance, IoError> {
-    let value = json::parse(text).map_err(IoError::Json)?;
-    uniform_from_value(&value)
-}
-
-/// Parses and validates a uniform instance from an already-parsed
-/// [`JsonValue`] (e.g. a sub-object of a larger request envelope).
-pub fn uniform_from_value(value: &JsonValue) -> Result<UniformInstance, IoError> {
-    let map = extract::object(value)?;
-    check_header(map, "uniform")?;
-    let speeds = extract::u64_vec(extract::field(map, "speeds")?, "speeds")?;
-    let setups = extract::u64_vec(extract::field(map, "setups")?, "setups")?;
-    let jobs = extract::array(extract::field(map, "jobs")?, "jobs")?
-        .iter()
-        .map(|j| {
-            let obj = extract::object(j)?;
-            let class = extract::uint(extract::field(obj, "class")?, "class")?;
-            let size = extract::uint(extract::field(obj, "size")?, "size")?;
-            let class = usize::try_from(class)
-                .map_err(|_| IoError::Json("job class out of range".to_string()))?;
-            Ok(Job::new(class, size))
-        })
-        .collect::<Result<Vec<Job>, IoError>>()?;
-    UniformInstance::new(speeds, setups, jobs).map_err(IoError::Invalid)
+    InstanceDoc::parse(text)?.uniform()
 }
 
 /// Shared writer behind the unrelated-payload encodings (see
@@ -539,41 +888,12 @@ pub fn splittable_to_json_line(inst: &UnrelatedInstance) -> String {
 
 /// Parses and validates an unrelated instance from JSON.
 pub fn unrelated_from_json(text: &str) -> Result<UnrelatedInstance, IoError> {
-    let value = json::parse(text).map_err(IoError::Json)?;
-    unrelated_from_value(&value)
+    InstanceDoc::parse(text)?.unrelated("unrelated")
 }
 
 /// Parses and validates a splittable-model instance from JSON.
 pub fn splittable_from_json(text: &str) -> Result<UnrelatedInstance, IoError> {
-    let value = json::parse(text).map_err(IoError::Json)?;
-    splittable_from_value(&value)
-}
-
-fn unrelated_payload_from_value(
-    value: &JsonValue,
-    kind: &str,
-) -> Result<UnrelatedInstance, IoError> {
-    let map = extract::object(value)?;
-    check_header(map, kind)?;
-    let m = extract::uint(extract::field(map, "m")?, "m")?;
-    let m = usize::try_from(m).map_err(|_| IoError::Json("m out of range".to_string()))?;
-    let job_class = extract::usize_vec(extract::field(map, "job_class")?, "job_class")?;
-    let ptimes = extract::u64_matrix(extract::field(map, "ptimes")?, "ptimes")?;
-    let setups = extract::u64_matrix(extract::field(map, "setups")?, "setups")?;
-    UnrelatedInstance::new(m, job_class, ptimes, setups).map_err(IoError::Invalid)
-}
-
-/// Parses and validates an unrelated instance from an already-parsed
-/// [`JsonValue`].
-pub fn unrelated_from_value(value: &JsonValue) -> Result<UnrelatedInstance, IoError> {
-    unrelated_payload_from_value(value, "unrelated")
-}
-
-/// Parses and validates a splittable-model instance (`"kind":
-/// "splittable"`, unrelated payload schema) from an already-parsed
-/// [`JsonValue`].
-pub fn splittable_from_value(value: &JsonValue) -> Result<UnrelatedInstance, IoError> {
-    unrelated_payload_from_value(value, "splittable")
+    InstanceDoc::parse(text)?.unrelated("splittable")
 }
 
 /// Serializes a schedule (assignment vector) to JSON.
@@ -694,6 +1014,34 @@ mod tests {
         // At the limit boundary: 127 wrappers around a number still parse.
         let ok = format!("{}7{}", "[".repeat(127), "]".repeat(127));
         assert!(json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A string's unescaped runs are copied whole. Re-validating the
+        // whole remaining input per character made a 2 MB string take
+        // minutes.
+        let body = "é".repeat(1 << 20);
+        let line = format!("{{\"note\": \"{body}\\n\", \"id\": 1}}");
+        let started = std::time::Instant::now();
+        let value = json::parse(&line).unwrap();
+        let mut p = json::Parser::new(&line);
+        let [id] = p.fields(["id"]).unwrap().unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(10), "{:?}", started.elapsed());
+        assert_eq!(p.at(id.unwrap()).u64(), Some(1));
+        let json::JsonValue::Object(map) = value else { panic!("object expected") };
+        assert_eq!(map["note"], json::JsonValue::Str(format!("{body}\n")));
+    }
+
+    #[test]
+    fn escapes_decode_in_values_and_keys() {
+        let v = json::parse(r#"{"a\u0062": "x\"y\\z\/\u00e9\n"}"#).unwrap();
+        let json::JsonValue::Object(map) = v else { panic!("object expected") };
+        assert_eq!(map["ab"], json::JsonValue::Str("x\"y\\z/é\n".into()));
+        for bad in [r#""\q""#, r#""\u12""#, r#""abc"#, r#""\"#] {
+            assert!(json::parse(bad).is_err(), "{bad}");
+            assert!(json::Parser::new(bad).skip_value().is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -553,7 +553,7 @@ pub fn write_instance(out: &mut Vec<u8>, inst: &PackedInstance) {
 ///
 /// Model-level feasibility beyond instance validation (the splittable
 /// "every class hostable somewhere" gate) is the caller's contract, as it
-/// is for [`crate::io::splittable_from_value`] — the portfolio wire layer
+/// is for [`crate::io::splittable_from_json`] — the portfolio wire layer
 /// applies it when building a `ProblemInstance`.
 pub fn read_instance(cur: &mut Cursor<'_>) -> Result<PackedInstance, WireError> {
     match cur.u8()? {

@@ -1,6 +1,9 @@
 //! Property tests for the JSON layer: arbitrary valid instances must
 //! survive serialize→parse round trips bit-exactly, and parsing always
 //! re-validates (no malformed instance can be smuggled in through disk).
+//! The shared decode corpus (`corpus/instances.rs`) pins every kind's
+//! decoder to the outcomes recorded for the tree-based decoder it
+//! replaced, under any key order, whitespace and unknown keys.
 
 #![cfg(feature = "serde")]
 
@@ -8,10 +11,87 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};
 use sst_core::io::{
-    schedule_from_json, schedule_to_json, uniform_from_json, uniform_to_json, unrelated_from_json,
-    unrelated_to_json,
+    schedule_from_json, schedule_to_json, splittable_from_json, splittable_to_json_line,
+    uniform_from_json, uniform_to_json, uniform_to_json_line, unrelated_from_json,
+    unrelated_to_json, unrelated_to_json_line, IoError,
 };
 use sst_core::schedule::Schedule;
+
+include!("corpus/instances.rs");
+
+/// What decoding `doc` as `kind` gives, in the corpus's outcome notation.
+fn outcome(kind: &str, doc: &str) -> String {
+    let decoded = match kind {
+        "uniform" => uniform_from_json(doc).map(|u| uniform_to_json_line(&u)),
+        "unrelated" => unrelated_from_json(doc).map(|u| unrelated_to_json_line(&u)),
+        _ => splittable_from_json(doc).map(|u| splittable_to_json_line(&u)),
+    };
+    match decoded {
+        Ok(line) => format!("ok:{line}"),
+        Err(IoError::Json(_)) => "Json".into(),
+        Err(IoError::Format(_)) => "Format".into(),
+        Err(IoError::Invalid(_)) => "Invalid".into(),
+    }
+}
+
+/// The instance as corpus fields, so it can be scrambled like a case.
+fn as_case(kind: &'static str, fields: Vec<(&str, String)>) -> corpus::Case {
+    let mut all =
+        vec![("version".to_string(), "1".to_string()), ("kind".into(), format!("\"{kind}\""))];
+    all.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    corpus::Case { name: String::new(), kind, fields: all, raw: None }
+}
+
+fn uniform_case(inst: &UniformInstance) -> corpus::Case {
+    let jobs: Vec<String> = inst
+        .jobs()
+        .iter()
+        .map(|j| format!("{{\"size\": {}, \"class\": {}}}", j.size, j.class))
+        .collect();
+    as_case(
+        "uniform",
+        vec![
+            ("speeds", format!("{:?}", inst.speeds())),
+            ("setups", format!("{:?}", inst.setups())),
+            ("jobs", format!("[{}]", jobs.join(", "))),
+        ],
+    )
+}
+
+fn unrelated_case(kind: &'static str, inst: &UnrelatedInstance) -> corpus::Case {
+    let ptimes: Vec<&[u64]> = (0..inst.n()).map(|j| inst.ptimes_row(j)).collect();
+    let setups: Vec<&[u64]> = (0..inst.num_classes()).map(|k| inst.setups_row(k)).collect();
+    as_case(
+        kind,
+        vec![
+            ("m", inst.m().to_string()),
+            ("job_class", format!("{:?}", inst.job_classes())),
+            ("ptimes", format!("{ptimes:?}")),
+            ("setups", format!("{setups:?}")),
+        ],
+    )
+}
+
+#[test]
+fn every_corpus_case_decodes_as_recorded() {
+    let cases = corpus::cases();
+    assert_eq!(cases.len(), corpus::EXPECTED.len(), "corpus and recorded table out of step");
+    for case in &cases {
+        let (want, ..) = corpus::expected(&case.name);
+        assert_eq!(outcome(case.kind, &case.render()), want, "{}", case.name);
+    }
+}
+
+#[test]
+fn corpus_outcomes_ignore_key_order_whitespace_and_unknown_keys() {
+    for case in corpus::cases() {
+        let (want, ..) = corpus::expected(&case.name);
+        for seed in 0..24 {
+            let doc = case.render_scrambled(seed);
+            assert_eq!(outcome(case.kind, &doc), want, "{} (seed {seed}): {doc}", case.name);
+        }
+    }
+}
 
 fn uniform_instance() -> impl Strategy<Value = UniformInstance> {
     (vec(1u64..=1000, 1..=6), vec(0u64..=1000, 1..=5), vec((0usize..5, 0u64..=10_000), 0..=20))
@@ -73,6 +153,20 @@ proptest! {
         let back = schedule_from_json(&schedule_to_json(&s))
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(s, back);
+    }
+
+    #[test]
+    fn scrambled_documents_decode_to_the_same_instance(
+        u in uniform_instance(),
+        r in unrelated_instance(),
+        seed in any::<u64>(),
+    ) {
+        let doc = uniform_case(&u).render_scrambled(seed);
+        prop_assert_eq!(uniform_from_json(&doc).map_err(|e| TestCaseError::fail(e.to_string()))?, u);
+        let doc = unrelated_case("unrelated", &r).render_scrambled(seed);
+        prop_assert_eq!(&unrelated_from_json(&doc).map_err(|e| TestCaseError::fail(e.to_string()))?, &r);
+        let doc = unrelated_case("splittable", &r).render_scrambled(seed);
+        prop_assert_eq!(splittable_from_json(&doc).map_err(|e| TestCaseError::fail(e.to_string()))?, r);
     }
 
     #[test]

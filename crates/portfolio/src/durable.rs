@@ -68,15 +68,14 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use sst_core::delta::{delta_to_json, deltas_from_value, InstanceDelta};
-use sst_core::io::json::{self, JsonValue};
+use sst_core::io::json::{self, Parser};
 use sst_core::io::{self as core_io, IoError};
 use sst_core::telemetry::{stage, Telemetry, TraceEvent};
 use sst_core::wire::{self, fnv1a64, Cursor};
 
 use crate::model::Solution;
 use crate::protocol::{
-    cost_from_value, instance_from_value, instance_to_json, shares_from_value, write_cost,
-    write_solution,
+    cost_from_value, instance_at, instance_to_json, shares_from_value, write_cost, write_solution,
 };
 use crate::session::SessionEntry;
 
@@ -216,13 +215,6 @@ pub fn encode_journal_line(seq: u64, rec: &JournalRecord) -> String {
     format!("{:016x} {payload}", fnv1a64(payload.as_bytes()))
 }
 
-fn uint_of(map: &BTreeMap<String, JsonValue>, k: &str) -> Result<u64, String> {
-    match map.get(k) {
-        Some(JsonValue::Uint(v)) => Ok(*v),
-        _ => Err(format!("journal record missing uint '{k}'")),
-    }
-}
-
 /// Parses one journal line back into `(seq, record)`. Errors on a short
 /// line, a checksum mismatch, or a malformed record — the conditions that
 /// stop replay at a torn tail.
@@ -236,33 +228,37 @@ pub fn parse_journal_line(line: &str) -> Result<(u64, JournalRecord), String> {
     if fnv1a64(payload.as_bytes()) != sum {
         return Err("journal checksum mismatch".into());
     }
-    let value = json::parse(payload)?;
-    let JsonValue::Object(map) = &value else {
-        return Err("journal record must be a JSON object".into());
+    let mut p = Parser::new(payload);
+    let fields = p.fields(["seq", "create", "delta", "close"])?;
+    p.finish()?;
+    let [seq, create, delta, close] = fields.ok_or("journal record must be a JSON object")?;
+    let uint = |at: Option<usize>, k: &str| {
+        at.and_then(|pos| p.at(pos).u64())
+            .ok_or_else(|| format!("journal record missing uint '{k}'"))
     };
-    let seq = uint_of(map, "seq")?;
-    let verb_map = |key: &str| -> Result<&BTreeMap<String, JsonValue>, String> {
-        match map.get(key) {
-            Some(JsonValue::Object(m)) => Ok(m),
-            _ => Err(format!("journal '{key}' must be an object")),
-        }
+    let verb = |at: usize, key: &str| {
+        p.at(at)
+            .fields(["sid", "instance", "deltas"])?
+            .ok_or_else(|| format!("journal '{key}' must be an object"))
     };
-    let rec = if map.contains_key("create") {
-        let m = verb_map("create")?;
-        let inst = m.get("instance").ok_or_else(|| "create missing 'instance'".to_string())?;
+    let seq = uint(seq, "seq")?;
+    let rec = if let Some(at) = create {
+        let [sid, instance, _] = verb(at, "create")?;
+        let instance = instance.ok_or("create missing 'instance'")?;
         JournalRecord::Create {
-            sid: uint_of(m, "sid")?,
-            instance: instance_from_value(inst).map_err(|e| e.to_string())?,
+            sid: uint(sid, "sid")?,
+            instance: instance_at(p.at(instance)).map_err(|e| e.to_string())?,
         }
-    } else if map.contains_key("delta") {
-        let m = verb_map("delta")?;
-        let deltas = m.get("deltas").ok_or_else(|| "delta missing 'deltas'".to_string())?;
+    } else if let Some(at) = delta {
+        let [sid, _, deltas] = verb(at, "delta")?;
+        let deltas = deltas.ok_or("delta missing 'deltas'")?;
         JournalRecord::Delta {
-            sid: uint_of(m, "sid")?,
-            deltas: deltas_from_value(deltas).map_err(|e| e.to_string())?,
+            sid: uint(sid, "sid")?,
+            deltas: deltas_from_value(&p.at(deltas).value()?).map_err(|e| e.to_string())?,
         }
-    } else if map.contains_key("close") {
-        JournalRecord::Close { sid: uint_of(verb_map("close")?, "sid")? }
+    } else if let Some(at) = close {
+        let [sid, ..] = verb(at, "close")?;
+        JournalRecord::Close { sid: uint(sid, "sid")? }
     } else {
         return Err("journal record has no create/delta/close verb".into());
     };
@@ -399,44 +395,41 @@ pub fn parse_snapshot_bytes(bytes: &[u8]) -> Result<(u64, u64, SessionEntry), Io
 
 /// Parses a snapshot file back into `(sid, seq, entry)`.
 pub fn parse_snapshot(text: &str) -> Result<(u64, u64, SessionEntry), IoError> {
-    let value = json::parse(text).map_err(IoError::Json)?;
-    let JsonValue::Object(map) = &value else {
-        return Err(IoError::Json("snapshot must be a JSON object".into()));
+    let mut p = Parser::new(text);
+    let fields = p
+        .fields(["v", "sid", "seq", "instance", "cost", "assignment", "shares", "proxy"])
+        .map_err(IoError::Json)?;
+    p.finish().map_err(IoError::Json)?;
+    let [v, sid, seq, instance, cost, assignment, shares, proxy] =
+        fields.ok_or_else(|| IoError::Json("snapshot must be a JSON object".into()))?;
+    let uint = |at: Option<usize>, k: &str| {
+        at.and_then(|pos| p.at(pos).u64())
+            .ok_or_else(|| IoError::Json(format!("snapshot missing uint '{k}'")))
     };
-    let uint = |k: &str| -> Result<u64, IoError> {
-        match map.get(k) {
-            Some(JsonValue::Uint(v)) => Ok(*v),
-            _ => Err(IoError::Json(format!("snapshot missing uint '{k}'"))),
-        }
+    let tree = |at: usize| p.at(at).value().map_err(IoError::Json);
+    let schedule = |at: usize, what: &str| {
+        core_io::schedule_from_value(&tree(at)?)
+            .map_err(|_| IoError::Json(format!("bad snapshot '{what}'")))
     };
-    if uint("v")? != 1 {
+    if uint(v, "v")? != 1 {
         return Err(IoError::Format("unknown snapshot version".into()));
     }
-    let sid = uint("sid")?;
-    let seq = uint("seq")?;
-    let instance = instance_from_value(
-        map.get("instance").ok_or_else(|| IoError::Json("snapshot missing 'instance'".into()))?,
+    let sid = uint(sid, "sid")?;
+    let seq = uint(seq, "seq")?;
+    let instance = instance_at(
+        p.at(instance.ok_or_else(|| IoError::Json("snapshot missing 'instance'".into()))?),
     )?;
-    let cost = cost_from_value(
-        map.get("cost").ok_or_else(|| IoError::Json("snapshot missing 'cost'".into()))?,
-    )?;
-    let incumbent = if let Some(v) = map.get("assignment") {
-        Solution::Assignment(
-            core_io::schedule_from_value(v)
-                .map_err(|_| IoError::Json("bad snapshot 'assignment'".into()))?,
-        )
-    } else if let Some(v) = map.get("shares") {
-        Solution::Split(shares_from_value(v)?)
+    let cost = cost_from_value(&tree(
+        cost.ok_or_else(|| IoError::Json("snapshot missing 'cost'".into()))?,
+    )?)?;
+    let incumbent = if let Some(at) = assignment {
+        Solution::Assignment(schedule(at, "assignment")?)
+    } else if let Some(at) = shares {
+        Solution::Split(shares_from_value(&tree(at)?)?)
     } else {
         return Err(IoError::Json("snapshot missing 'assignment' or 'shares'".into()));
     };
-    let proxy = match map.get("proxy") {
-        None => None,
-        Some(v) => Some(
-            core_io::schedule_from_value(v)
-                .map_err(|_| IoError::Json("bad snapshot 'proxy'".into()))?,
-        ),
-    };
+    let proxy = proxy.map(|at| schedule(at, "proxy")).transpose()?;
     Ok((sid, seq, SessionEntry { instance: Arc::new(instance), incumbent, cost, proxy }))
 }
 

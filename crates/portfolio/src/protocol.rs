@@ -50,8 +50,8 @@ use std::fmt::Write as _;
 
 use sst_algos::splittable::{splittable_feasible, SplitSchedule, SplitShare};
 use sst_core::delta::{delta_to_json, deltas_from_value, InstanceDelta};
-use sst_core::io::json::{self, JsonValue};
-use sst_core::io::{self, IoError};
+use sst_core::io::json::{self, JsonValue, Parser};
+use sst_core::io::{self, InstanceDoc, IoError};
 use sst_core::ratio::Ratio;
 
 use crate::model::{Solution, SplittableInstance};
@@ -412,22 +412,36 @@ fn opt_uint(
     }
 }
 
-/// Parses an instance envelope (`{"kind": .., ..}`) into the right model,
-/// enforcing the splittable feasibility gate. Shared by the one-shot and
-/// session request paths.
-pub(crate) fn instance_from_value(inst_value: &JsonValue) -> Result<ProblemInstance, IoError> {
-    let kind = match inst_value {
-        JsonValue::Object(m) => match m.get("kind") {
-            Some(JsonValue::Str(s)) => s.clone(),
-            _ => return Err(IoError::Json("instance.kind must be a string".into())),
-        },
-        _ => return Err(IoError::Json("field 'instance' must be an object".into())),
-    };
+/// Reads the optional unsigned integer whose value starts at `at` (an
+/// offset [`Parser::fields`] recorded).
+fn uint_at(p: &Parser<'_>, at: Option<usize>, k: &str) -> Result<Option<u64>, IoError> {
+    match at {
+        None => Ok(None),
+        Some(pos) => p
+            .at(pos)
+            .u64()
+            .map(Some)
+            .ok_or_else(|| IoError::Json(format!("field '{k}' must be an unsigned integer"))),
+    }
+}
+
+/// Decodes the instance envelope (`{"kind": .., ..}`) at `p` into the
+/// right model (see [`instance_from_doc`]). Shared by the session,
+/// journal and snapshot paths.
+pub(crate) fn instance_at(mut p: Parser<'_>) -> Result<ProblemInstance, IoError> {
+    instance_from_doc(InstanceDoc::scan(&mut p).map_err(IoError::Json)?)
+}
+
+/// Builds the right model from a scanned instance envelope (`None`: the
+/// value was not an object), enforcing the splittable feasibility gate.
+fn instance_from_doc(doc: Option<InstanceDoc<'_>>) -> Result<ProblemInstance, IoError> {
+    let doc = doc.ok_or_else(|| IoError::Json("field 'instance' must be an object".into()))?;
+    let kind = doc.kind().ok_or_else(|| IoError::Json("instance.kind must be a string".into()))?;
     match kind.as_str() {
-        "uniform" => Ok(ProblemInstance::Uniform(io::uniform_from_value(inst_value)?)),
-        "unrelated" => Ok(ProblemInstance::Unrelated(io::unrelated_from_value(inst_value)?)),
+        "uniform" => Ok(ProblemInstance::Uniform(doc.uniform()?)),
+        "unrelated" => Ok(ProblemInstance::Unrelated(doc.unrelated("unrelated")?)),
         "splittable" => {
-            let inner = io::splittable_from_value(inst_value)?;
+            let inner = doc.unrelated("splittable")?;
             // The split model needs every nonempty class hostable *whole*
             // somewhere (a positive share pays the full setup); per-job
             // schedulability is not enough.
@@ -442,40 +456,43 @@ pub(crate) fn instance_from_value(inst_value: &JsonValue) -> Result<ProblemInsta
     }
 }
 
-fn session_from_value(id: u64, v: &JsonValue) -> Result<SessionRequest, IoError> {
-    let JsonValue::Object(map) = v else {
-        return Err(IoError::Json("field 'session' must be an object".into()));
+/// Decodes the `session` member at `p` (verb precedence create, delta,
+/// solve, close when a payload names several).
+fn session_at(mut p: Parser<'_>, id: u64) -> Result<SessionRequest, IoError> {
+    let [create, delta, solve, close] = p
+        .fields(["create", "delta", "solve", "close"])
+        .map_err(IoError::Json)?
+        .ok_or_else(|| IoError::Json("field 'session' must be an object".into()))?;
+    let payload = |at: usize, key: &str| {
+        p.at(at)
+            .fields(["sid", "instance", "deltas", "budget_ms", "top_k", "seed"])
+            .map_err(IoError::Json)?
+            .ok_or_else(|| IoError::Json(format!("session.{key} must be an object")))
     };
-    let payload = |key: &str| -> Result<&std::collections::BTreeMap<String, JsonValue>, IoError> {
-        match map.get(key) {
-            Some(JsonValue::Object(inner)) => Ok(inner),
-            Some(_) => Err(IoError::Json(format!("session.{key} must be an object"))),
-            None => unreachable!("checked by caller"),
-        }
+    let sid_of = |at| {
+        uint_at(&p, at, "sid")?.ok_or_else(|| IoError::Json("session verb missing 'sid'".into()))
     };
-    let sid_of = |m: &std::collections::BTreeMap<String, JsonValue>| -> Result<u64, IoError> {
-        opt_uint(m, "sid")?.ok_or_else(|| IoError::Json("session verb missing 'sid'".into()))
-    };
-    let verb = if map.contains_key("create") {
-        let m = payload("create")?;
-        let inst_value =
-            m.get("instance").ok_or_else(|| IoError::Json("create missing 'instance'".into()))?;
-        SessionVerb::Create { sid: sid_of(m)?, instance: instance_from_value(inst_value)? }
-    } else if map.contains_key("delta") {
-        let m = payload("delta")?;
-        let deltas_value =
-            m.get("deltas").ok_or_else(|| IoError::Json("delta missing 'deltas'".into()))?;
-        SessionVerb::Delta { sid: sid_of(m)?, deltas: deltas_from_value(deltas_value)? }
-    } else if map.contains_key("solve") {
-        let m = payload("solve")?;
+    let verb = if let Some(at) = create {
+        let [sid, instance, ..] = payload(at, "create")?;
+        let instance = instance.ok_or_else(|| IoError::Json("create missing 'instance'".into()))?;
+        SessionVerb::Create { sid: sid_of(sid)?, instance: instance_at(p.at(instance))? }
+    } else if let Some(at) = delta {
+        let [sid, _, deltas, ..] = payload(at, "delta")?;
+        let deltas = deltas.ok_or_else(|| IoError::Json("delta missing 'deltas'".into()))?;
+        let sid = sid_of(sid)?;
+        let deltas = p.at(deltas).value().map_err(IoError::Json)?;
+        SessionVerb::Delta { sid, deltas: deltas_from_value(&deltas)? }
+    } else if let Some(at) = solve {
+        let [sid, _, _, budget_ms, top_k, seed] = payload(at, "solve")?;
         SessionVerb::Solve {
-            sid: sid_of(m)?,
-            budget_ms: opt_uint(m, "budget_ms")?,
-            top_k: opt_uint(m, "top_k")?.map(|k| k as usize),
-            seed: opt_uint(m, "seed")?,
+            sid: sid_of(sid)?,
+            budget_ms: uint_at(&p, budget_ms, "budget_ms")?,
+            top_k: uint_at(&p, top_k, "top_k")?.map(|k| k as usize),
+            seed: uint_at(&p, seed, "seed")?,
         }
-    } else if map.contains_key("close") {
-        SessionVerb::Close { sid: sid_of(payload("close")?)? }
+    } else if let Some(at) = close {
+        let [sid, ..] = payload(at, "close")?;
+        SessionVerb::Close { sid: sid_of(sid)? }
     } else {
         return Err(IoError::Json(
             "session verb must be one of create | delta | solve | close".into(),
@@ -485,35 +502,55 @@ fn session_from_value(id: u64, v: &JsonValue) -> Result<SessionRequest, IoError>
 }
 
 /// Parses one incoming NDJSON line (one-shot request, session request, or
-/// metrics probe).
+/// metrics probe). One syntax-checking pass locates the top-level members
+/// and reads the instance's matrices straight into their flat buffers.
 pub fn parse_incoming(line: &str) -> Result<Incoming, IoError> {
-    let value = json::parse(line).map_err(IoError::Json)?;
-    let map = match &value {
-        JsonValue::Object(map) => map,
-        _ => return Err(IoError::Json("request must be a JSON object".into())),
-    };
-    if let Some(JsonValue::Bool(true)) = map.get("metrics") {
+    const KEYS: [&str; 8] =
+        ["metrics", "kill_worker", "crash", "id", "session", "budget_ms", "top_k", "seed"];
+    let mut p = Parser::new(line);
+    let mut at = [None; KEYS.len()];
+    let mut instance = None;
+    if !p.at_object() {
+        p.skip_value().and_then(|()| p.finish()).map_err(IoError::Json)?;
+        return Err(IoError::Json("request must be a JSON object".into()));
+    }
+    p.object(|p, key| {
+        if key == "instance" {
+            instance = Some(InstanceDoc::scan(p)?);
+        } else {
+            if let Some(i) = KEYS.iter().position(|k| *k == key) {
+                at[i] = Some(p.pos());
+            }
+            p.skip_value()?;
+        }
+        Ok(())
+    })
+    .and_then(|()| p.finish())
+    .map_err(IoError::Json)?;
+    let [metrics, kill_worker, crash, id, session, budget_ms, top_k, seed] = at;
+    let is_true =
+        |at: Option<usize>| at.is_some_and(|pos| p.at(pos).value() == Ok(JsonValue::Bool(true)));
+    if is_true(metrics) {
         return Ok(Incoming::Metrics);
     }
-    if let Some(JsonValue::Bool(true)) = map.get("kill_worker") {
+    if is_true(kill_worker) {
         return Ok(Incoming::KillWorker);
     }
-    if let Some(JsonValue::Bool(true)) = map.get("crash") {
+    if is_true(crash) {
         return Ok(Incoming::Crash);
     }
-    let id = opt_uint(map, "id")?.ok_or_else(|| IoError::Json("missing field 'id'".into()))?;
-    if let Some(session) = map.get("session") {
-        return Ok(Incoming::Session(Box::new(session_from_value(id, session)?)));
+    let id = uint_at(&p, id, "id")?.ok_or_else(|| IoError::Json("missing field 'id'".into()))?;
+    if let Some(at) = session {
+        return Ok(Incoming::Session(Box::new(session_at(p.at(at), id)?)));
     }
-    let inst_value =
-        map.get("instance").ok_or_else(|| IoError::Json("missing field 'instance'".into()))?;
-    let instance = instance_from_value(inst_value)?;
+    let instance = instance.ok_or_else(|| IoError::Json("missing field 'instance'".into()))?;
+    let instance = instance_from_doc(instance)?;
     Ok(Incoming::Solve(Box::new(Request {
         id,
         instance,
-        budget_ms: opt_uint(map, "budget_ms")?,
-        top_k: opt_uint(map, "top_k")?.map(|k| k as usize),
-        seed: opt_uint(map, "seed")?,
+        budget_ms: uint_at(&p, budget_ms, "budget_ms")?,
+        top_k: uint_at(&p, top_k, "top_k")?.map(|k| k as usize),
+        seed: uint_at(&p, seed, "seed")?,
     })))
 }
 
@@ -563,14 +600,12 @@ pub fn session_request_to_json(req: &SessionRequest) -> String {
 /// (bad instance, missing fields, …): error responses echo the id when the
 /// line was at least a JSON object carrying one, so pipelined clients can
 /// correlate the failure. `None` for lines that never parsed that far.
+/// The line is syntax-checked by skipping, without building values.
 pub fn extract_request_id(line: &str) -> Option<u64> {
-    match json::parse(line).ok()? {
-        JsonValue::Object(map) => match map.get("id") {
-            Some(JsonValue::Uint(v)) => Some(*v),
-            _ => None,
-        },
-        _ => None,
-    }
+    let mut p = Parser::new(line);
+    let [id] = p.fields(["id"]).ok()??;
+    p.finish().ok()?;
+    p.at(id?).u64()
 }
 
 pub(crate) fn write_solution(out: &mut String, solution: &Solution) {

@@ -54,8 +54,10 @@
 //! `workers × top_k`. Responses can interleave across workers — clients
 //! correlate by `id`, which is why the protocol requires one.
 
+use std::cell::OnceCell;
+use std::io::BufReader;
 use std::io::Write;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -234,6 +236,9 @@ struct Job {
     /// Dispatch time: queue-wait (dequeue − enqueue) and total
     /// (enqueue → respond) latencies are measured from here.
     enqueued: Instant,
+    /// The request id, read from the payload at most once (trace events
+    /// and error responses all ask for it).
+    id: OnceCell<Option<u64>>,
 }
 
 impl Job {
@@ -244,13 +249,13 @@ impl Job {
         }
     }
 
-    /// The request id, pulled without a full decode: a substring scan on
-    /// JSON lines, a fixed-offset read on frames.
+    /// The request id, pulled without a full decode: a skipping scan of
+    /// the top-level object on JSON lines, a fixed-offset read on frames.
     fn request_id(&self) -> Option<u64> {
-        match &self.payload {
+        *self.id.get_or_init(|| match &self.payload {
             Payload::Line(line) => crate::protocol::extract_request_id(line.trim()),
             Payload::Frame { frame_type, payload } => crate::wire::request_id(*frame_type, payload),
-        }
+        })
     }
 }
 
@@ -963,19 +968,21 @@ impl Service {
     /// `let _ = sender.send(..)` bug left it hanging forever).
     pub fn dispatch(&self, line: String, out: SharedWriter) {
         let telemetry = &self.metrics.telemetry;
+        let id = OnceCell::new();
         if telemetry.trace().is_some() {
-            let id = crate::protocol::extract_request_id(line.trim()).unwrap_or(0);
-            telemetry.emit(TraceEvent::Enqueue { id });
+            let request_id = crate::protocol::extract_request_id(line.trim());
+            telemetry.emit(TraceEvent::Enqueue { id: request_id.unwrap_or(0) });
+            let _ = id.set(request_id);
         }
         let enqueued = Instant::now();
         if Self::is_session_line(&line) {
             let lane = Self::extract_sid(&line)
                 .map(|sid| Self::lane_of(sid, self.session_lanes.len()))
                 .unwrap_or(0);
-            self.dispatch_to_lane(lane, Job { payload: Payload::Line(line), out, enqueued });
+            self.dispatch_to_lane(lane, Job { payload: Payload::Line(line), out, enqueued, id });
             return;
         }
-        self.dispatch_to_pool(Job { payload: Payload::Line(line), out, enqueued });
+        self.dispatch_to_pool(Job { payload: Payload::Line(line), out, enqueued, id });
     }
 
     /// Enqueues one verified binary frame (header and checksum already
@@ -996,6 +1003,7 @@ impl Service {
                 payload: Payload::Frame { frame_type, payload: Vec::new() },
                 out,
                 enqueued: Instant::now(),
+                id: OnceCell::new(),
             });
         }
         let telemetry = &self.metrics.telemetry;
@@ -1010,7 +1018,12 @@ impl Service {
             let lane = crate::wire::session_sid(frame_type, &payload)
                 .map(|sid| Self::lane_of(sid, self.session_lanes.len()))
                 .unwrap_or(0);
-            let job = Job { payload: Payload::Frame { frame_type, payload }, out, enqueued };
+            let job = Job {
+                payload: Payload::Frame { frame_type, payload },
+                out,
+                enqueued,
+                id: OnceCell::new(),
+            };
             self.dispatch_to_lane(lane, job);
             return;
         }
@@ -1018,6 +1031,7 @@ impl Service {
             payload: Payload::Frame { frame_type, payload },
             out,
             enqueued,
+            id: OnceCell::new(),
         });
     }
 
@@ -1211,6 +1225,21 @@ pub fn serve_stdin(cfg: ServeConfig) -> std::io::Result<MetricsSummary> {
     Ok(svc.shutdown())
 }
 
+/// Prepares an accepted socket for serving: Nagle's algorithm off, then
+/// split into the buffered read half and the shared response writer.
+///
+/// Every response leaves in one `write_all` ([`write_line`] /
+/// [`write_frame`]), so disabling Nagle adds no segments. With it on, a
+/// client pipelining requests on the connection would see a finished
+/// response held back while the previous one is unacknowledged — until
+/// the client's next request happens to carry the ACK.
+fn accept_connection(stream: TcpStream) -> std::io::Result<(BufReader<TcpStream>, SharedWriter)> {
+    stream.set_nodelay(true)?;
+    let read_half = stream.try_clone()?;
+    let out: SharedWriter = Arc::new(Mutex::named("service.writer", Box::new(stream)));
+    Ok((BufReader::new(read_half), out))
+}
+
 /// Binds `addr` (e.g. `127.0.0.1:0`), announces
 /// `sst-serve listening on <addr>` on stdout, then serves every
 /// connection's NDJSON lines until the process is killed. All connections
@@ -1226,10 +1255,7 @@ pub fn serve_tcp(cfg: ServeConfig, addr: &str) -> std::io::Result<()> {
             Ok((stream, _)) => {
                 let svc = Arc::clone(&svc);
                 std::thread::spawn(move || {
-                    let Ok(read_half) = stream.try_clone() else { return };
-                    let out: SharedWriter =
-                        Arc::new(Mutex::named("service.writer", Box::new(stream)));
-                    let mut reader = std::io::BufReader::new(read_half);
+                    let Ok((mut reader, out)) = accept_connection(stream) else { return };
                     let _ = drive_connection(&svc, &mut reader, &out);
                 });
             }
@@ -1253,6 +1279,7 @@ mod tests {
     use crate::protocol::{parse_response, request_to_json, Request};
     use crate::solver::{Cost, ProblemInstance};
     use sst_core::instance::{Job as CoreJob, UniformInstance, UnrelatedInstance};
+    use sst_core::io::json::{self, JsonValue};
 
     /// A mixed bag cycling through all three machine models.
     fn requests() -> Vec<Request> {
@@ -1400,6 +1427,62 @@ mod tests {
             responses[1]
         );
         assert!(matches!(responses[2], Response::Metrics(_)));
+    }
+
+    #[test]
+    fn trace_events_and_errors_carry_the_top_level_request_id() {
+        let (sink, trace_buf) = TraceSink::to_shared_buffer();
+        let svc =
+            Service::start(ServeConfig { workers: 1, trace: Some(sink), ..Default::default() });
+        let (buffer, out) = buffer_writer();
+        // The id sits after an invalid instance that carries an "id" of its
+        // own: only the top-level member counts.
+        svc.dispatch(
+            "{\"instance\": {\"id\": 9, \"version\": 1, \"kind\": \"uniform\", \
+             \"speeds\": [0], \"setups\": [], \"jobs\": []}, \"id\": 41}"
+                .into(),
+            Arc::clone(&out),
+        );
+        svc.dispatch(request_to_json(&requests()[1]), out);
+        svc.shutdown();
+        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let responses: Vec<Response> = text.lines().map(|l| parse_response(l).unwrap()).collect();
+        assert!(
+            responses.iter().any(|r| matches!(r, Response::Error { id: Some(41), .. })),
+            "{text}"
+        );
+        assert!(responses.iter().any(|r| matches!(r, Response::Ok { id: 1, .. })), "{text}");
+        let trace = String::from_utf8(trace_buf.lock().clone()).unwrap();
+        let events: Vec<(String, u64)> = trace
+            .lines()
+            .filter_map(|l| {
+                let Ok(JsonValue::Object(map)) = json::parse(l) else { panic!("{l}") };
+                match (map.get("event"), map.get("id")) {
+                    (Some(JsonValue::Str(event)), Some(JsonValue::Uint(id))) => {
+                        Some((event.clone(), *id))
+                    }
+                    _ => None, // the closing `sink_close` event carries no id
+                }
+            })
+            .collect();
+        for id in [41, 1] {
+            for kind in ["enqueue", "dequeue", "decode", "respond"] {
+                assert!(
+                    events.iter().any(|(e, i)| e == kind && *i == id),
+                    "missing {kind} event for request {id}:\n{trace}"
+                );
+            }
+        }
+        assert!(events.iter().all(|(_, id)| [41, 1].contains(id)), "{trace}");
+    }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let (reader, _out) = accept_connection(stream).unwrap();
+        assert!(reader.get_ref().nodelay().unwrap(), "served sockets must set TCP_NODELAY");
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub(crate) fn write_problem_instance(out: &mut Vec<u8>, instance: &ProblemInstan
 }
 
 /// Reads a kind-tagged instance and applies the model-level gates the
-/// JSON path applies (`instance_from_value`): splittable instances must
+/// JSON path applies (`instance_at`): splittable instances must
 /// have every nonempty class hostable whole on some machine.
 pub(crate) fn read_problem_instance(cur: &mut Cursor<'_>) -> Result<ProblemInstance, WireError> {
     match read_instance(cur)? {

@@ -1,19 +1,154 @@
 //! Round-trip property tests for the NDJSON codec: arbitrary instances →
 //! serialize → parse → identical, for requests and responses alike. The
 //! codec reuses `sst_core::io`'s hand-rolled JSON layer, so this doubles
-//! as a fuzz of that parser on machine-generated input.
+//! as a fuzz of that parser on machine-generated input. The shared decode
+//! corpus (`sst-core`'s `tests/corpus/instances.rs`) pins the request and
+//! session-create paths to the outcomes recorded for the tree-based
+//! decoder they replaced.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sst_algos::splittable::{SplitSchedule, SplitShare};
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};
+use sst_core::io::{self, IoError};
 use sst_core::ratio::Ratio;
 use sst_core::schedule::Schedule;
 use sst_portfolio::protocol::{
-    parse_incoming, parse_response, request_to_json, response_to_json, Incoming, Request, Response,
-    SolverLine,
+    extract_request_id, parse_incoming, parse_response, request_to_json, response_to_json,
+    Incoming, Request, Response, SessionVerb, SolverLine,
 };
 use sst_portfolio::{Cost, ProblemInstance, Solution, SplittableInstance};
+
+include!("../../core/tests/corpus/instances.rs");
+
+fn instance_line(inst: &ProblemInstance) -> String {
+    match inst {
+        ProblemInstance::Uniform(u) => io::uniform_to_json_line(u),
+        ProblemInstance::Unrelated(r) => io::unrelated_to_json_line(r),
+        ProblemInstance::Splittable(s) => io::splittable_to_json_line(&s.0),
+    }
+}
+
+/// What `parse_incoming` makes of `line`, in the corpus's outcome notation
+/// (`ok:` plus the decoded instance for solve and session-create lines).
+fn outcome(line: &str) -> String {
+    match parse_incoming(line) {
+        Ok(Incoming::Solve(req)) => format!("ok:{}", instance_line(&req.instance)),
+        Ok(Incoming::Session(req)) => match req.verb {
+            SessionVerb::Create { instance, .. } => format!("ok:{}", instance_line(&instance)),
+            other => format!("{other:?}"),
+        },
+        Ok(other) => format!("{other:?}"),
+        Err(IoError::Json(_)) => "Json".into(),
+        Err(IoError::Format(_)) => "Format".into(),
+        Err(IoError::Invalid(_)) => "Invalid".into(),
+    }
+}
+
+fn request_line(doc: &str) -> String {
+    format!("{{\"id\": 7, \"budget_ms\": 5, \"instance\": {doc}}}")
+}
+
+fn create_line(doc: &str) -> String {
+    format!("{{\"id\": 7, \"session\": {{\"create\": {{\"sid\": 3, \"instance\": {doc}}}}}}}")
+}
+
+#[test]
+fn corpus_requests_and_session_creates_decode_as_recorded() {
+    for case in corpus::cases() {
+        let (_, want_request, want_create) = corpus::expected(&case.name);
+        for seed in 0..8 {
+            let doc = if seed == 0 { case.render() } else { case.render_scrambled(seed) };
+            assert_eq!(outcome(&request_line(&doc)), want_request, "{}: {doc}", case.name);
+            assert_eq!(outcome(&create_line(&doc)), want_create, "{}: {doc}", case.name);
+            // The envelope itself scrambled: key order, junk keys, spacing.
+            let envelope = corpus::Case {
+                name: String::new(),
+                kind: case.kind,
+                fields: vec![
+                    ("budget_ms".into(), "5".into()),
+                    ("instance".into(), doc.clone()),
+                    ("id".into(), "7".into()),
+                ],
+                raw: None,
+            };
+            let line = envelope.render_scrambled(seed);
+            assert_eq!(outcome(&line), want_request, "{}: {line}", case.name);
+        }
+    }
+}
+
+#[test]
+fn request_envelope_errors_keep_their_variants() {
+    let base = r#"{"version": 1, "kind": "uniform", "speeds": [2], "setups": [3], "jobs": []}"#;
+    let future = base.replace("\"version\": 1", "\"version\": 2");
+    let cases: Vec<(String, &str)> = vec![
+        (r#"{"id": 7, "instance": 5}"#.into(), "Json"),
+        (r#"{"id": 7}"#.into(), "Json"),
+        (format!(r#"{{"instance": {base}}}"#), "Json"),
+        (format!(r#"{{"id": -1, "instance": {base}}}"#), "Json"),
+        (format!(r#"{{"id": "7", "instance": {base}}}"#), "Json"),
+        (format!(r#"{{"id": 7, "instance": {base}, "budget_ms": "x"}}"#), "Json"),
+        (format!(r#"{{"id": 7, "instance": {base}, "top_k": 1.5}}"#), "Json"),
+        (format!(r#"{{"id": 7, "instance": {future}, "budget_ms": "x"}}"#), "Format"),
+        (format!(r#"{{"id": 7, "instance": {base}}} x"#), "Json"),
+        (format!(r#"[{{"id": 7, "instance": {base}}}]"#), "Json"),
+        (r#"{"id": 7, "session": 5}"#.into(), "Json"),
+        (r#"{"id": 7, "session": {}}"#.into(), "Json"),
+        (r#"{"id": 7, "session": {"create": 5}}"#.into(), "Json"),
+        (r#"{"id": 7, "session": {"create": {"sid": 3}}}"#.into(), "Json"),
+        (format!(r#"{{"id": 7, "session": {{"create": {{"instance": {future}}}}}}}"#), "Json"),
+        (
+            format!(r#"{{"id": 7, "session": {{"create": {{"sid": 3, "instance": {future}}}}}}}"#),
+            "Format",
+        ),
+        (r#"{"id": 7, "session": {"delta": {"sid": 3}}}"#.into(), "Json"),
+        (r#"{"id": 7, "session": {"solve": {"sid": 3, "seed": -1}}}"#.into(), "Json"),
+    ];
+    for (line, want) in cases {
+        assert_eq!(outcome(&line), want, "{line}");
+    }
+    let ok = format!("ok:{base}");
+    assert_eq!(outcome(&format!(r#"{{"id": 7, "instance": "x", "instance": {base}}}"#)), ok);
+    assert_eq!(outcome(&format!(r#"{{"id": "x", "instance": {base}, "id": 7}}"#)), ok);
+    assert_eq!(outcome(&format!(r#"{{"metrics": false, "id": 7, "instance": {base}}}"#)), ok);
+    assert_eq!(outcome(r#"{"id": "x", "metrics": true}"#), "Metrics");
+    assert_eq!(outcome(r#"{"crash": true, "kill_worker": true}"#), "KillWorker");
+    assert_eq!(
+        outcome(&format!(
+            r#"{{"id": 7, "instance": {base}, "session": {{"close": {{"sid": 1}}}}}}"#
+        )),
+        "Close { sid: 1 }"
+    );
+    assert_eq!(
+        outcome(r#"{"id": 7, "session": {"close": {"sid": 1}, "solve": {"sid": 2}}}"#),
+        "Solve { sid: 2, budget_ms: None, top_k: None, seed: None }"
+    );
+}
+
+#[test]
+fn request_id_is_read_from_the_top_level_object_only() {
+    let cases: &[(&str, Option<u64>)] = &[
+        (r#"{"id": 41, "instance": {"version": 1, "kind": "uniform", "speeds": [0]}}"#, Some(41)),
+        (r#"{"instance": {"id": 3, "speeds": [[1], "x"]}, "id": 41}"#, Some(41)),
+        (r#"{"id": 1, "id": 2}"#, Some(2)),
+        (r#"{"id": 1, "id": "x"}"#, None),
+        (r#"{"note": "\"id\": 3", "id": 4}"#, Some(4)),
+        (r#"{"nested": {"id": 9}}"#, None),
+        (r#"{"id": "x"}"#, None),
+        (r#"{"id": -3}"#, None),
+        (r#"{"id": 1.0}"#, None),
+        (r#"{"id": 5"#, None),
+        (r#"{"id": 5} trailing"#, None),
+        (r#"[{"id": 5}]"#, None),
+        (r#"{"id": 5, "junk": [1, 2"#, None),
+        ("not json", None),
+        ("", None),
+    ];
+    for &(line, want) in cases {
+        assert_eq!(extract_request_id(line), want, "{line}");
+    }
+}
 
 fn uniform_instance() -> impl Strategy<Value = ProblemInstance> {
     (vec(1u64..50, 1..5), vec(0u64..100, 1..5), vec((0usize..100, 1u64..500), 0..30)).prop_map(
