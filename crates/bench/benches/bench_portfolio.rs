@@ -34,9 +34,7 @@ use sst_core::cancel::CancelToken;
 use sst_portfolio::protocol::{request_to_json, Request};
 use sst_portfolio::race::Incumbent;
 use sst_portfolio::service::{ServeConfig, Service};
-use sst_portfolio::{
-    extract_features, race, select, PoolMode, ProblemInstance, RaceConfig, SolveContext,
-};
+use sst_portfolio::{extract_features, race, select, ProblemInstance, RaceConfig, SolveContext};
 
 const SEEDS: u64 = 10;
 const BUDGET: Duration = Duration::from_millis(60);
@@ -188,16 +186,14 @@ fn mixed_requests(count: u64) -> Vec<Request> {
         .collect()
 }
 
-/// Runs `reqs` through a fresh service in `mode` and returns requests/sec.
+/// Runs `reqs` through a fresh service and returns requests/sec.
 fn pool_throughput(
-    mode: PoolMode,
     workers: usize,
     reqs: &[Request],
     trace: Option<sst_core::telemetry::TraceSink>,
 ) -> f64 {
     let svc = Service::start(ServeConfig {
         workers,
-        mode,
         budget_ms: 25,
         max_queue: reqs.len().max(1),
         trace,
@@ -210,33 +206,9 @@ fn pool_throughput(
     }
     let summary = svc.shutdown();
     let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(summary.count, reqs.len() as u64, "{mode:?}: every request must be served");
-    assert_eq!(summary.errors, 0, "{mode:?}");
+    assert_eq!(summary.count, reqs.len() as u64, "every request must be served");
+    assert_eq!(summary.errors, 0);
     reqs.len() as f64 / elapsed
-}
-
-/// Work-stealing vs sharded round-robin at equal worker count on the PR 2
-/// mixed workload. Printed for the ROADMAP table; softly gated (stealing
-/// must reach 70% of sharded throughput) so a scheduling-path regression
-/// fails CI while CPU-contention noise on small runners does not — on
-/// multi-core hardware stealing should win or tie, since it does the same
-/// work with strictly better balancing.
-fn pool_throughput_table() {
-    const WORKERS: usize = 8;
-    let reqs = mixed_requests(96);
-    println!("\nserve pool throughput ({WORKERS} workers, {} mixed requests, 25 ms budget):", {
-        reqs.len()
-    });
-    let sharded = pool_throughput(PoolMode::Sharded, WORKERS, &reqs, None);
-    let stealing = pool_throughput(PoolMode::WorkStealing, WORKERS, &reqs, None);
-    println!("  sharded round-robin {sharded:>8.1} req/s");
-    println!("  work-stealing       {stealing:>8.1} req/s  ({:+.1}%)", {
-        (stealing / sharded - 1.0) * 100.0
-    });
-    assert!(
-        stealing >= 0.7 * sharded,
-        "work-stealing pool fell far behind the sharded baseline: {stealing:.1} vs {sharded:.1} req/s"
-    );
 }
 
 /// Trace-sink overhead on the same mixed workload: a file-backed NDJSON
@@ -250,10 +222,10 @@ fn trace_overhead_table() {
     let reqs = mixed_requests(96);
     let trace_path =
         std::env::temp_dir().join(format!("sst-bench-trace-{}.ndjson", std::process::id()));
-    let untraced = pool_throughput(PoolMode::WorkStealing, WORKERS, &reqs, None);
+    let untraced = pool_throughput(WORKERS, &reqs, None);
     let sink =
         sst_core::telemetry::TraceSink::to_file(&trace_path).expect("create bench trace file");
-    let traced = pool_throughput(PoolMode::WorkStealing, WORKERS, &reqs, Some(sink));
+    let traced = pool_throughput(WORKERS, &reqs, Some(sink));
     let overhead = (untraced / traced - 1.0) * 100.0;
     println!("\ntrace overhead ({WORKERS} workers, {} mixed requests, file sink):", reqs.len());
     println!("  untraced {untraced:>8.1} req/s");
@@ -284,7 +256,6 @@ fn bench(c: &mut Criterion) {
         "per-instance winner diversity vanished: on every family one fixed solver \
          dominates all seeds, so the racing portfolio adds nothing"
     );
-    pool_throughput_table();
     trace_overhead_table();
     let mut g = c.benchmark_group("portfolio_race");
     g.sample_size(10);

@@ -370,7 +370,7 @@ fn close_without_notify_hangs_the_drainer() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 5: group-commit journal handoff (durable.rs append_grouped /
+// Model 5: group-commit journal handoff (durable.rs append /
 // committer_loop). Appenders enqueue a record, wake the committer and wait
 // until their seq is durable; the committer drains a batch, writes it
 // outside the state lock, then publishes durable_seq and notifies. Two
@@ -500,5 +500,145 @@ fn committer_exit_without_drain_strands_appenders() {
             "an appender waits forever on its lost record: {failure}"
         ),
         other => panic!("expected a deadlock, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Model 5, failure path: the committer's first batch write fails. Property:
+// an appender is acknowledged only if its own record was written. The fixed
+// protocol is fail-stop — the failure poisons the store, every later batch
+// is refused unwritten, and waiters check coverage (`durable`) before the
+// poison, which is sound because a poisoned store never advances `durable`.
+// The broken variant is the earlier per-batch bookkeeping: remember the
+// failed batch's last seq and keep committing. A waiter that sleeps through
+// the failure then wakes to a later batch's `durable`, which covers its
+// seq, and is acknowledged for a record that never reached the file.
+// ---------------------------------------------------------------------------
+
+/// How the committer treats a failed batch write.
+#[derive(Clone, Copy)]
+enum OnFailure {
+    /// durable.rs: poison the store, refuse every later batch.
+    Poison,
+    /// Broken: record `failed_batch_seq` for the batch and carry on.
+    PerBatchSeq,
+}
+
+struct FailSt {
+    assigned: u64,
+    durable: u64,
+    pending: Vec<u64>,
+    /// Records that actually reached the file.
+    written: Vec<u64>,
+    poisoned: bool,
+    failed_batch_seq: u64,
+    shutdown: bool,
+}
+
+fn failing_commit_model(
+    strategy: Strategy,
+    on_failure: OnFailure,
+) -> Result<sst_check::sched::Stats, Box<sst_check::sched::Failure>> {
+    explore(strategy, move |run| {
+        let st = Arc::new(VMutex::new(FailSt {
+            assigned: 0,
+            durable: 0,
+            pending: Vec::new(),
+            written: Vec::new(),
+            poisoned: false,
+            failed_batch_seq: 0,
+            shutdown: false,
+        }));
+        let work = Arc::new(VCondvar::new());
+        let done = Arc::new(VCondvar::new());
+
+        for name in ["appender-a", "appender-b"] {
+            let (st, work, done) = (Arc::clone(&st), Arc::clone(&work), Arc::clone(&done));
+            run.spawn(name, move || {
+                let mut g = st.lock();
+                g.assigned += 1;
+                let seq = g.assigned;
+                g.pending.push(seq);
+                if seq == 2 {
+                    g.shutdown = true;
+                }
+                work.notify_all();
+                let acked = loop {
+                    if g.durable >= seq {
+                        break true;
+                    }
+                    let refused = match on_failure {
+                        OnFailure::Poison => g.poisoned,
+                        OnFailure::PerBatchSeq => g.failed_batch_seq >= seq,
+                    };
+                    if refused {
+                        break false;
+                    }
+                    done.wait(&mut g);
+                };
+                if acked {
+                    assert!(
+                        g.written.contains(&seq),
+                        "acknowledged record {seq} was never written"
+                    );
+                }
+            });
+        }
+        {
+            let (st, work, done) = (Arc::clone(&st), Arc::clone(&work), Arc::clone(&done));
+            run.spawn("committer", move || loop {
+                let seq = {
+                    let mut g = st.lock();
+                    while g.pending.is_empty() {
+                        if g.shutdown {
+                            return;
+                        }
+                        work.wait(&mut g);
+                    }
+                    if g.poisoned {
+                        // Fail-stop: refuse the batch without writing it.
+                        g.pending.clear();
+                        continue;
+                    }
+                    g.pending.remove(0)
+                };
+                yield_now(); // the write attempt, outside the lock
+                let mut g = st.lock();
+                if seq == 1 {
+                    // The first batch write fails.
+                    match on_failure {
+                        OnFailure::Poison => g.poisoned = true,
+                        OnFailure::PerBatchSeq => g.failed_batch_seq = seq,
+                    }
+                } else {
+                    g.written.push(seq);
+                    g.durable = seq;
+                }
+                done.notify_all();
+            });
+        }
+    })
+}
+
+#[test]
+fn failed_commit_is_never_acknowledged() {
+    let stats =
+        failing_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, OnFailure::Poison)
+            .expect("fail-stop acknowledges only written records in every schedule");
+    assert!(stats.complete, "exhaustive space must be fully enumerated");
+}
+
+#[test]
+fn per_batch_failure_mark_acknowledges_a_lost_record() {
+    let failure = failing_commit_model(
+        Strategy::Exhaustive { max_executions: 500_000 },
+        OnFailure::PerBatchSeq,
+    )
+    .expect_err("some schedule wakes the failed appender after a later commit");
+    match &failure.kind {
+        FailureKind::Panic { message, .. } => {
+            assert!(message.contains("never written"), "{failure}")
+        }
+        other => panic!("expected the acknowledgement assert, got {other:?}"),
     }
 }

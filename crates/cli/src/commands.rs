@@ -149,8 +149,8 @@ USAGE
             [--n-list 20,40,80] [--m M] [--k K] [--seeds S] [--setups W]
       prints one CSV row per (n, seed), computed in parallel
   sst serve [--tcp HOST:PORT] [--workers N] [--top-k K] [--budget-ms MS]
-            [--seed S] [--mode stealing|sharded] [--max-queue N]
-            [--max-sessions N] [--fault-injection true]
+            [--seed S] [--max-queue N] [--max-sessions N]
+            [--fault-injection true]
             [--data-dir DIR] [--durability none|flush|fsync]
             [--session-lanes N] [--journal-batch N] [--group-commit-us US]
             [--trace-out FILE|stderr] [--metrics-interval MS]
@@ -181,16 +181,15 @@ USAGE
       session store is sharded per lane with lock-free reads; journal
       appends from concurrent lanes coalesce into group commits — one
       write and one flush/fsync per batch of up to --journal-batch
-      records (default 64; 1 = synchronous appends), with an optional
+      records (default 64; 1 = one record per commit), with an optional
       --group-commit-us linger window to let a batch fill. Responses
       still wait for their own record to be durable.
       Requests flow through a work-stealing worker pool (adaptive top-k:
       a scored win-rate × recency ranking demotes members whose score
-      decays); --mode sharded keeps the round-robin baseline. Beyond
-      --max-queue pending requests the service answers with overload
-      errors instead of queueing. --fault-injection true honors
-      {\"kill_worker\": true} and process-aborting {\"crash\": true}
-      chaos probes. --shards N is accepted as an
+      decays). Beyond --max-queue pending requests the service answers
+      with overload errors instead of queueing. --fault-injection true
+      honors {\"kill_worker\": true} and process-aborting
+      {\"crash\": true} chaos probes. --shards N is accepted as an
       alias of --workers. Default reads stdin until EOF; --tcp serves
       every connection concurrently and prints the bound address first.
       --trace-out streams structured NDJSON trace events (enqueue,
@@ -236,7 +235,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         "top-k",
         "budget-ms",
         "seed",
-        "mode",
         "max-queue",
         "max-sessions",
         "fault-injection",
@@ -255,11 +253,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         }
         (None, Some(_)) => args.flag_parse("shards", 4usize)?,
         _ => args.flag_parse("workers", 4usize)?,
-    };
-    let mode = match args.flag("mode").unwrap_or("stealing") {
-        "stealing" => sst_portfolio::PoolMode::WorkStealing,
-        "sharded" => sst_portfolio::PoolMode::Sharded,
-        other => return Err(CliError(format!("unknown --mode '{other}' (stealing|sharded)"))),
     };
     let data_dir = args.flag("data-dir").map(std::path::PathBuf::from);
     let durability = match args.flag("durability") {
@@ -283,7 +276,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         top_k: args.flag_parse("top-k", 3usize)?.max(1),
         budget_ms: args.flag_parse("budget-ms", 200u64)?,
         seed: args.flag_parse("seed", 1u64)?,
-        mode,
         max_queue: args.flag_parse("max-queue", 1024usize)?.max(1),
         max_sessions: args.flag_parse("max-sessions", 64usize)?.max(1),
         fault_injection: args.flag_parse("fault-injection", false)?,
@@ -1584,8 +1576,8 @@ mod tests {
     #[test]
     fn serve_flag_validation_rejects_bad_combinations() {
         // Error paths only: a valid stdin serve would block on input.
-        let err = run(&parse(&toks(&["serve", "--mode", "nope"])).unwrap());
-        assert!(err.is_err(), "unknown mode must be rejected");
+        let err = run(&parse(&toks(&["serve", "--mode", "sharded"])).unwrap()).unwrap_err();
+        assert!(err.0.contains("unknown flag --mode"), "--mode is gone: {}", err.0);
         let err = run(&parse(&toks(&["serve", "--workers", "2", "--shards", "2"])).unwrap());
         assert!(err.is_err(), "--workers and --shards are aliases, not independent");
         let err = run(&parse(&toks(&["serve", "--fault-injection", "maybe"])).unwrap());

@@ -40,28 +40,34 @@
 //! kill-and-replay gate), `fsync` additionally syncs the file (survives
 //! power loss).
 //!
-//! **Group commit** ([`DurableStore::with_group_commit`], on by default):
-//! appending lanes do not write the file themselves — they encode their
-//! record, enqueue it on a bounded batch buffer with the next sequence
-//! number, and park until a dedicated *committer* thread has made it
-//! durable. The committer drains up to `--journal-batch` records at a
-//! time, appends them as **one** coalesced write, pays one flush/fsync
-//! for the whole batch, then wakes every waiting lane. The write-ahead
-//! contract is unchanged — an appender returns (and the service responds)
-//! only after its record is on storage at the configured durability — but
-//! the flush/fsync cost is amortized across every lane that joined the
-//! batch, which is what makes contended `fsync` traffic scale. Batches
-//! form naturally (records pile up while the committer is inside a
-//! flush); `--group-commit-us` optionally lets the committer linger for
-//! stragglers when a batch is not yet full. The on-disk format and the
-//! sequence numbering are byte-identical to the synchronous path
-//! (`--journal-batch 1`), so recovery is oblivious to batching — a
-//! property pinned by the differential proptests in `proptest_journal.rs`.
+//! **Group commit** ([`DurableStore::with_group_commit`]): appending lanes
+//! do not write the file themselves — they encode their record, enqueue
+//! it on a batch buffer with the next sequence number, and park until a
+//! dedicated *committer* thread has made it durable. The committer drains
+//! up to `--journal-batch` records at a time, appends them as **one**
+//! coalesced write, pays one flush/fsync for the whole batch, then wakes
+//! every waiting lane. An appender returns (and the service responds)
+//! only after its record is on storage at the configured durability; the
+//! flush/fsync cost is amortized across every lane that joined the batch,
+//! which is what makes contended `fsync` traffic scale. Batches form
+//! naturally (records pile up while the committer is inside a flush);
+//! `--group-commit-us` optionally lets the committer linger for
+//! stragglers when a batch is not yet full. `--journal-batch 1` is the
+//! same path with one record per commit. The on-disk bytes do not depend
+//! on the batch size, so recovery is oblivious to batching — a property
+//! pinned by the differential proptests in `proptest_journal.rs`.
+//!
+//! **Fail-stop.** The first failed journal write, flush or fsync poisons
+//! the store: the buffered bytes are discarded unwritten, every pending
+//! and later append is refused with that error, and the file is never
+//! touched again by this process. A failed fsync is not retried (the
+//! kernel may already have dropped the dirty pages it reported), and no
+//! record can land after a torn line, where replay would never reach it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -160,7 +166,7 @@ impl RecordRef<'_> {
 }
 
 impl JournalRecord {
-    /// The borrowed view the append path encodes from.
+    /// The borrowed view the encoder works from.
     fn as_ref(&self) -> RecordRef<'_> {
         match self {
             JournalRecord::Create { sid, instance } => RecordRef::Create { sid: *sid, instance },
@@ -206,12 +212,7 @@ fn record_payload(seq: u64, rec: &RecordRef<'_>) -> String {
 /// Encodes one journal line (no trailing newline):
 /// `<16-hex checksum> <json>`.
 pub fn encode_journal_line(seq: u64, rec: &JournalRecord) -> String {
-    let view = match rec {
-        JournalRecord::Create { sid, instance } => RecordRef::Create { sid: *sid, instance },
-        JournalRecord::Delta { sid, deltas } => RecordRef::Delta { sid: *sid, deltas },
-        JournalRecord::Close { sid } => RecordRef::Close { sid: *sid },
-    };
-    let payload = record_payload(seq, &view);
+    let payload = record_payload(seq, &rec.as_ref());
     format!("{:016x} {payload}", fnv1a64(payload.as_bytes()))
 }
 
@@ -489,31 +490,24 @@ pub struct DurabilityCounters {
     pub recovered: u64,
 }
 
-struct JournalWriter {
-    file: std::io::BufWriter<File>,
-    seq: u64,
-}
-
 /// An encoded record parked on the group-commit batch buffer.
 struct PendingRecord {
     seq: u64,
     line: String,
 }
 
-/// Sequence bookkeeping of the group-commit handoff. `durable_seq` and
-/// `failed_seq` partition assigned sequence numbers: an appender's record
-/// is acknowledged once `durable_seq` covers it and refused once
-/// `failed_seq` does (a failed batch write never advances `durable_seq`).
+/// Sequence bookkeeping of the group-commit handoff: the only sequence
+/// counter. An appender's record is acknowledged once `durable_seq` covers
+/// it and refused once the store is `poisoned` — after which `durable_seq`
+/// never advances again.
 struct CommitState {
     /// Last sequence number handed to an enqueued record.
     assigned_seq: u64,
     /// Last sequence number durably on storage (at the configured
     /// durability level).
     durable_seq: u64,
-    /// Highest sequence number covered by a failed batch write.
-    failed_seq: u64,
-    /// The failed batch's error, repeated to every appender it covers.
-    failure: String,
+    /// The first journal IO error; once set the journal is fail-stop.
+    poisoned: Option<String>,
     /// Set by `Drop`; the committer drains `pending` and exits.
     shutdown: bool,
     /// Encoded records awaiting the committer, in sequence order.
@@ -523,30 +517,57 @@ struct CommitState {
 /// State shared between appending lanes and the committer thread.
 struct CommitShared {
     /// Guards [`CommitState`]; never held across IO and never nested with
-    /// `writer` (the committer drops it before taking the writer lock).
+    /// `writer` (both are released before the other is taken).
     state: Mutex<CommitState>,
     /// Appenders → committer: records are pending (or shutdown was set).
     work: Condvar,
-    /// Committer → appenders: `durable_seq`/`failed_seq` advanced.
+    /// Committer → appenders: `durable_seq` advanced or the store was
+    /// poisoned.
     done: Condvar,
     /// The journal file itself. Held by the committer for the coalesced
-    /// batch write; by `flush_journal`/`truncate_journal` at quiescent
-    /// points; and by the synchronous path when batching is off.
-    writer: Mutex<JournalWriter>,
+    /// batch write and by `flush_journal`/`truncate_journal` at quiescent
+    /// points. `None` once poisoned: the writer and its buffered bytes
+    /// were discarded.
+    writer: Mutex<Option<BufWriter<File>>>,
 }
 
-/// On-disk encoding for per-session snapshot files. Reads always sniff
-/// the format byte ([`parse_snapshot_bytes`]), so stores of either
-/// setting recover each other's files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
-    /// Packed wire frame — the default: one bulk-copy decode on recovery
-    /// and spill-reload instead of a JSON parse of the whole instance.
-    #[default]
-    Packed,
-    /// The PR-6 JSON snapshot schema, kept writable for tooling that
-    /// inspects snapshots as text.
-    Json,
+impl CommitShared {
+    /// Runs `op` on the journal writer, poisoning the store on failure:
+    /// the writer is dropped with its buffer discarded (so neither a later
+    /// flush nor `Drop` can write those bytes), and every waiter is woken
+    /// to see the error. Fails without running `op` once poisoned.
+    fn with_writer(
+        &self,
+        op: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let cause = {
+            let mut slot = self.writer.lock();
+            match slot.as_mut().map(op) {
+                Some(Ok(())) => return Ok(()),
+                Some(Err(e)) => {
+                    let _ = slot.take().map(BufWriter::into_parts);
+                    format!("journal failed: {e}")
+                }
+                None => "journal closed by an earlier failure".to_string(),
+            }
+        };
+        let mut st = self.state.lock();
+        let poison = st.poisoned.get_or_insert(cause).clone();
+        self.done.notify_all();
+        Err(std::io::Error::other(poison))
+    }
+}
+
+/// Pushes the writer's bytes toward storage as far as `durability` asks.
+fn sync(file: &mut BufWriter<File>, durability: Durability) -> std::io::Result<()> {
+    match durability {
+        Durability::None => Ok(()),
+        Durability::Flush => file.flush(),
+        Durability::Fsync => {
+            file.flush()?;
+            file.get_ref().sync_data()
+        }
+    }
 }
 
 /// The on-disk half of the session tier: one append-only journal plus a
@@ -555,16 +576,14 @@ pub struct DurableStore {
     sessions_dir: PathBuf,
     journal_path: PathBuf,
     durability: Durability,
-    snapshot_format: SnapshotFormat,
     snapshot_every: u64,
-    /// Records per coalesced commit batch; `<= 1` keeps the synchronous
-    /// per-record append path (no committer thread).
+    /// Records per coalesced commit batch.
     journal_batch: usize,
     /// Extra time the committer may wait for stragglers on a non-full
     /// batch; 0 = natural batching only.
     group_commit_us: u64,
     commit: Arc<CommitShared>,
-    /// The committer thread, spawned lazily on the first batched append
+    /// The committer thread, spawned lazily on the first append
     /// (after `set_telemetry` and the builders have run) and joined by
     /// `Drop` once the batch buffer is drained.
     committer: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -591,7 +610,6 @@ impl DurableStore {
             sessions_dir,
             journal_path,
             durability,
-            snapshot_format: SnapshotFormat::default(),
             snapshot_every: 32,
             journal_batch: 64,
             group_commit_us: 0,
@@ -601,18 +619,14 @@ impl DurableStore {
                     CommitState {
                         assigned_seq: 0,
                         durable_seq: 0,
-                        failed_seq: 0,
-                        failure: String::new(),
+                        poisoned: None,
                         shutdown: false,
                         pending: Vec::new(),
                     },
                 ),
                 work: Condvar::new(),
                 done: Condvar::new(),
-                writer: Mutex::named(
-                    "durable.journal",
-                    JournalWriter { file: std::io::BufWriter::new(file), seq: 0 },
-                ),
+                writer: Mutex::named("durable.journal", Some(BufWriter::new(file))),
             }),
             committer: Mutex::named("durable.committer", None),
             committer_up: std::sync::atomic::AtomicBool::new(false),
@@ -627,9 +641,8 @@ impl DurableStore {
     /// Configures the group-commit journal writer (builder-style; call
     /// before the first append): lanes enqueue records into batches of at
     /// most `batch` and a committer thread pays one flush/fsync per
-    /// batch. `batch <= 1` disables batching — every append writes and
-    /// syncs its own record synchronously (the pre-group-commit path,
-    /// kept as the bench baseline). `window_us > 0` lets the committer
+    /// batch. `batch <= 1` commits every record on its own (one write and
+    /// one flush/fsync per record). `window_us > 0` lets the committer
     /// wait that long for stragglers when a batch is not yet full;
     /// 0 (the default) commits whatever piled up while the previous
     /// batch was being written.
@@ -639,22 +652,10 @@ impl DurableStore {
         self
     }
 
-    /// The configured records-per-batch bound (1 = synchronous appends).
-    pub fn journal_batch(&self) -> usize {
-        self.journal_batch
-    }
-
     /// Sets the periodic-snapshot threshold (journaled verbs per session
     /// between snapshots); builder-style, mainly for tests.
     pub fn with_snapshot_every(mut self, every: u64) -> DurableStore {
         self.snapshot_every = every.max(1);
-        self
-    }
-
-    /// Sets the snapshot file encoding; builder-style. Reads are always
-    /// format-sniffing, so this only affects new writes.
-    pub fn with_snapshot_format(mut self, format: SnapshotFormat) -> DurableStore {
-        self.snapshot_format = format;
         self
     }
 
@@ -680,62 +681,12 @@ impl DurableStore {
         self.sessions_dir.join(format!("{sid}.snap"))
     }
 
+    /// The one journal append path: encode and enqueue under the state
+    /// lock, wake the committer, park until `durable_seq` covers the
+    /// record. Returns — i.e. the verb gets acknowledged — only once the
+    /// record is on storage at the configured durability; a poisoned store
+    /// refuses it.
     fn append(&self, rec: RecordRef<'_>) -> std::io::Result<u64> {
-        if self.journal_batch <= 1 {
-            return self.append_direct(rec);
-        }
-        self.append_grouped(rec)
-    }
-
-    /// The synchronous path (`--journal-batch 1`): encode, write, flush
-    /// and sync one record under the writer lock.
-    fn append_direct(&self, rec: RecordRef<'_>) -> std::io::Result<u64> {
-        let sid = rec.sid();
-        let t0 = std::time::Instant::now();
-        let mut j = self.commit.writer.lock();
-        let seq = j.seq + 1;
-        let payload = record_payload(seq, &rec);
-        let line = format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()));
-        j.file.write_all(line.as_bytes())?;
-        // Time the push-to-storage portion separately from encode+write:
-        // under `fsync` it dominates, and the gap between the two
-        // histograms is exactly the price of the durability level.
-        let sync_t0 = std::time::Instant::now();
-        match self.durability {
-            Durability::None => {}
-            Durability::Flush => j.file.flush()?,
-            Durability::Fsync => {
-                j.file.flush()?;
-                j.file.get_ref().sync_data()?;
-            }
-        }
-        // The sequence number advances only once the record is written:
-        // a failed append is not acknowledged and must not leave a gap.
-        j.seq = seq;
-        drop(j);
-        let fsync = self.durability == Durability::Fsync;
-        let sync_us = sync_t0.elapsed().as_micros() as u64;
-        let micros = t0.elapsed().as_micros() as u64;
-        self.journal_appends.fetch_add(1, Ordering::Relaxed);
-        self.journal_bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
-        self.telemetry.record(stage::JOURNAL_APPEND_US, micros);
-        if fsync {
-            self.telemetry.record(stage::JOURNAL_FSYNC_US, sync_us);
-        }
-        self.telemetry.emit(TraceEvent::JournalAppend {
-            sid,
-            bytes: line.len() as u64,
-            micros,
-            fsync,
-        });
-        Ok(seq)
-    }
-
-    /// The group-commit path: encode + enqueue under the state lock, wake
-    /// the committer, park until `durable_seq` (or `failed_seq`) covers
-    /// our record. Returns — i.e. the verb gets acknowledged — only once
-    /// the record is on storage at the configured durability.
-    fn append_grouped(&self, rec: RecordRef<'_>) -> std::io::Result<u64> {
         let sid = rec.sid();
         let t0 = std::time::Instant::now();
         self.ensure_committer();
@@ -752,9 +703,11 @@ impl DurableStore {
             st.pending.push(PendingRecord { seq, line });
             self.commit.work.notify_one();
             let wait_t0 = std::time::Instant::now();
+            // Coverage first is sound only because poisoning freezes
+            // `durable_seq`: a covered record really is on storage.
             while st.durable_seq < seq {
-                if st.failed_seq >= seq {
-                    return Err(std::io::Error::other(st.failure.clone()));
+                if let Some(poison) = &st.poisoned {
+                    return Err(std::io::Error::other(poison.clone()));
                 }
                 self.commit.done.wait(&mut st);
             }
@@ -768,62 +721,6 @@ impl DurableStore {
         self.telemetry.record(stage::COMMIT_WAIT_US, wait_us);
         self.telemetry.emit(TraceEvent::JournalAppend { sid, bytes, micros, fsync });
         Ok(seq)
-    }
-
-    /// Appends several records as one enqueue operation: they receive
-    /// consecutive sequence numbers with no interleaved foreign record,
-    /// and the call returns once the whole run is durable. With batching
-    /// off this degrades to sequential synchronous appends — the journal
-    /// bytes are identical either way. Returns the last sequence number
-    /// (0 when `recs` is empty).
-    pub fn append_coalesced(&self, recs: &[JournalRecord]) -> std::io::Result<u64> {
-        let mut last = 0u64;
-        if self.journal_batch <= 1 {
-            for rec in recs {
-                last = self.append_direct(rec.as_ref())?;
-            }
-            return Ok(last);
-        }
-        if recs.is_empty() {
-            return Ok(0);
-        }
-        let t0 = std::time::Instant::now();
-        self.ensure_committer();
-        let mut total_bytes = 0u64;
-        let (wait_us, sids_bytes) = {
-            let mut st = self.commit.state.lock();
-            let mut sids_bytes = Vec::with_capacity(recs.len());
-            for rec in recs {
-                let rec = rec.as_ref();
-                let seq = st.assigned_seq + 1;
-                st.assigned_seq = seq;
-                let payload = record_payload(seq, &rec);
-                let line = format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()));
-                total_bytes += line.len() as u64;
-                sids_bytes.push((rec.sid(), line.len() as u64));
-                st.pending.push(PendingRecord { seq, line });
-                last = seq;
-            }
-            self.commit.work.notify_one();
-            let wait_t0 = std::time::Instant::now();
-            while st.durable_seq < last {
-                if st.failed_seq >= last {
-                    return Err(std::io::Error::other(st.failure.clone()));
-                }
-                self.commit.done.wait(&mut st);
-            }
-            (wait_t0.elapsed().as_micros() as u64, sids_bytes)
-        };
-        let fsync = self.durability == Durability::Fsync;
-        let micros = t0.elapsed().as_micros() as u64;
-        self.journal_appends.fetch_add(sids_bytes.len() as u64, Ordering::Relaxed);
-        self.journal_bytes.fetch_add(total_bytes, Ordering::Relaxed);
-        self.telemetry.record(stage::JOURNAL_APPEND_US, micros);
-        self.telemetry.record(stage::COMMIT_WAIT_US, wait_us);
-        for (sid, bytes) in sids_bytes {
-            self.telemetry.emit(TraceEvent::JournalAppend { sid, bytes, micros, fsync });
-        }
-        Ok(last)
     }
 
     /// Spawns the committer thread on first use. Lazy so the builders and
@@ -850,17 +747,18 @@ impl DurableStore {
         }
     }
 
-    /// Blocks until every enqueued record is resolved (durable or
-    /// failed). The flush/truncate/recover quiescent points call this so
-    /// the writer lock they take next covers a fully-drained journal.
+    /// Blocks until every enqueued record is resolved (durable, or
+    /// refused by a poisoned store). The flush/truncate/recover quiescent
+    /// points call this so the writer lock they take next covers a
+    /// fully-drained journal.
     fn drain_commits(&self) {
         // ordering: Acquire pairs with the Release in `ensure_committer`;
         // no committer means nothing was ever enqueued.
-        if self.journal_batch <= 1 || !self.committer_up.load(Ordering::Acquire) {
+        if !self.committer_up.load(Ordering::Acquire) {
             return;
         }
         let mut st = self.commit.state.lock();
-        while st.durable_seq.max(st.failed_seq) < st.assigned_seq {
+        while st.durable_seq < st.assigned_seq && st.poisoned.is_none() {
             self.commit.work.notify_one();
             self.commit.done.wait(&mut st);
         }
@@ -886,13 +784,11 @@ impl DurableStore {
         self.append(RecordRef::Close { sid })
     }
 
-    /// Writes session `sid`'s snapshot atomically (temp file + rename).
+    /// Writes session `sid`'s packed snapshot atomically (temp file +
+    /// rename).
     pub fn write_snapshot(&self, sid: u64, seq: u64, entry: &SessionEntry) -> std::io::Result<()> {
         let t0 = std::time::Instant::now();
-        let bytes = match self.snapshot_format {
-            SnapshotFormat::Packed => encode_snapshot_packed(sid, seq, entry),
-            SnapshotFormat::Json => encode_snapshot(sid, seq, entry).into_bytes(),
-        };
+        let bytes = encode_snapshot_packed(sid, seq, entry);
         let tmp = self.sessions_dir.join(format!("{sid}.snap.tmp"));
         {
             let mut f = File::create(&tmp)?;
@@ -928,15 +824,15 @@ impl DurableStore {
     /// Flushes the journal to the OS (and syncs under `fsync`) — the
     /// graceful-shutdown path for `--durability none`. Drains the commit
     /// batch first: an in-flight batch must reach the file before the
-    /// final snapshots and the trace `sink_close` are written.
+    /// final snapshots and the trace `sink_close` are written. Fails with
+    /// the poison error once the journal has failed.
     pub fn flush_journal(&self) -> std::io::Result<()> {
         self.drain_commits();
-        let mut j = self.commit.writer.lock();
-        j.file.flush()?;
-        if self.durability == Durability::Fsync {
-            j.file.get_ref().sync_data()?;
-        }
-        Ok(())
+        let durability = match self.durability {
+            Durability::None => Durability::Flush,
+            d => d,
+        };
+        self.commit.with_writer(|file| sync(file, durability))
     }
 
     /// Truncates the journal file. Only sound at quiescent points (after
@@ -944,15 +840,16 @@ impl DurableStore {
     /// snapshot at least as new as every journal record. Drains the
     /// commit batch first so no enqueued record straddles the
     /// truncation. The sequence counter keeps running — snapshot stamps
-    /// stay comparable.
+    /// stay comparable. Fails with the poison error once the journal has
+    /// failed.
     pub fn truncate_journal(&self) -> std::io::Result<()> {
         self.drain_commits();
-        let mut j = self.commit.writer.lock();
-        j.file.flush()?;
-        OpenOptions::new().write(true).truncate(true).open(&self.journal_path)?;
-        let file = OpenOptions::new().append(true).open(&self.journal_path)?;
-        j.file = std::io::BufWriter::new(file);
-        Ok(())
+        self.commit.with_writer(|file| {
+            file.flush()?;
+            OpenOptions::new().write(true).truncate(true).open(&self.journal_path)?;
+            *file = BufWriter::new(OpenOptions::new().append(true).open(&self.journal_path)?);
+            Ok(())
+        })
     }
 
     /// The cumulative counters (for the metrics probe).
@@ -1076,17 +973,13 @@ impl DurableStore {
         }
         self.truncate_journal()?;
         {
-            // Never lower the counter: snapshots can carry seqs older than
-            // records already appended this run.
-            let mut writer = self.commit.writer.lock();
-            writer.seq = writer.seq.max(max_seq);
-            let resumed = writer.seq;
-            drop(writer);
-            // Keep the group-commit numbering in step with the writer's:
-            // the next enqueued record continues past everything seen.
+            // The next record continues past everything seen. Never lower
+            // the counter: snapshots can carry seqs older than records
+            // already appended this run. The batch buffer is drained, so
+            // both horizons move together.
             let mut st = self.commit.state.lock();
-            st.assigned_seq = st.assigned_seq.max(resumed);
-            st.durable_seq = st.durable_seq.max(resumed);
+            st.assigned_seq = st.assigned_seq.max(max_seq);
+            st.durable_seq = st.assigned_seq;
         }
         self.recovered.store(live.len() as u64, Ordering::Relaxed);
         Ok(Recovery {
@@ -1119,7 +1012,8 @@ impl Drop for DurableStore {
 
 /// The committer thread: drain a batch from the buffer, append it as one
 /// coalesced write with one flush/fsync, publish the new durable horizon,
-/// wake every waiting lane; repeat. On shutdown the buffer is drained
+/// wake every waiting lane; repeat. Once the store is poisoned every batch
+/// is refused without touching the file. On shutdown the buffer is drained
 /// before exiting. The `state` lock is never held across the file IO and
 /// never nested with the `writer` lock.
 fn committer_loop(
@@ -1138,6 +1032,12 @@ fn committer_loop(
                 }
                 shared.work.wait(&mut st);
             }
+            if st.poisoned.is_some() {
+                // Fail-stop: refuse the records unwritten. Their appenders
+                // see the poison before they would wait.
+                st.pending.clear();
+                continue;
+            }
             if !window.is_zero() && st.pending.len() < batch_cap && !st.shutdown {
                 // One bounded linger for stragglers; a spurious or early
                 // wakeup just commits a smaller batch.
@@ -1154,42 +1054,24 @@ fn committer_loop(
             buf.push_str(&rec.line);
         }
         let mut sync_us = 0u64;
-        let result: std::io::Result<()> = {
-            let mut writer = shared.writer.lock();
-            let wrote = (|| {
-                writer.file.write_all(buf.as_bytes())?;
-                let sync_t0 = std::time::Instant::now();
-                match durability {
-                    Durability::None => {}
-                    Durability::Flush => writer.file.flush()?,
-                    Durability::Fsync => {
-                        writer.file.flush()?;
-                        writer.file.get_ref().sync_data()?;
-                    }
-                }
-                sync_us = sync_t0.elapsed().as_micros() as u64;
-                Ok(())
-            })();
-            if wrote.is_ok() {
-                // As in the synchronous path: the writer's counter only
-                // advances past records actually on storage.
-                writer.seq = last_seq;
-            }
-            wrote
-        };
-        let micros = t0.elapsed().as_micros() as u64;
-        let fsync = durability == Durability::Fsync;
+        let wrote = shared.with_writer(|file| {
+            file.write_all(buf.as_bytes())?;
+            let sync_t0 = std::time::Instant::now();
+            sync(file, durability)?;
+            sync_us = sync_t0.elapsed().as_micros() as u64;
+            Ok(())
+        });
+        if wrote.is_err() {
+            // `with_writer` poisoned the store and woke the waiters.
+            continue;
+        }
         {
             let mut st = shared.state.lock();
-            match &result {
-                Ok(()) => st.durable_seq = last_seq,
-                Err(e) => {
-                    st.failed_seq = last_seq;
-                    st.failure = format!("group commit: {e}");
-                }
-            }
+            st.durable_seq = last_seq;
             shared.done.notify_all();
         }
+        let micros = t0.elapsed().as_micros() as u64;
+        let fsync = durability == Durability::Fsync;
         telemetry.record(stage::JOURNAL_BATCH_LEN, batch.len() as u64);
         if fsync {
             telemetry.record(stage::JOURNAL_FSYNC_US, sync_us);
@@ -1361,16 +1243,14 @@ mod tests {
     #[test]
     fn recover_reads_snapshots_of_either_format() {
         let dir = tmp_dir("mixed-format");
-        // Write one packed (default) and one JSON snapshot, then recover
-        // with a fresh store: both must come back.
+        // One packed snapshot written by the store, and one JSON snapshot
+        // as a data dir from before packed snapshots holds it; a fresh
+        // store must recover both.
         let store = DurableStore::open(&dir, Durability::Flush).unwrap();
         store.write_snapshot(1, 0, &entry_of(uniform_instance(0))).unwrap();
         drop(store);
-        let store = DurableStore::open(&dir, Durability::Flush)
-            .unwrap()
-            .with_snapshot_format(SnapshotFormat::Json);
-        store.write_snapshot(2, 0, &entry_of(uniform_instance(1))).unwrap();
-        drop(store);
+        let json = encode_snapshot(2, 0, &entry_of(uniform_instance(1)));
+        fs::write(dir.join("sessions").join("2.snap"), json).unwrap();
 
         let store = DurableStore::open(&dir, Durability::Flush).unwrap();
         let rec = store.recover().unwrap();
@@ -1454,6 +1334,28 @@ mod tests {
         let store2 = DurableStore::open(&dir, Durability::Flush).unwrap();
         let rec = store2.recover().unwrap();
         assert_eq!(rec.sessions.len(), 1, "stale close must not drop the newer snapshot");
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_commit_poisons_the_journal() {
+        let dir = tmp_dir("poison");
+        fs::create_dir_all(&dir).unwrap();
+        // Every write to /dev/full fails with ENOSPC.
+        std::os::unix::fs::symlink("/dev/full", dir.join("journal.log")).unwrap();
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
+        let first = store.append_create(1, &uniform_instance(0)).unwrap_err().to_string();
+        assert!(first.contains("journal failed"), "{first}");
+        // Fail-stop: later appends and flushes are refused with the same
+        // error, never retried against the file.
+        let second = store.append_close(1).unwrap_err().to_string();
+        assert_eq!(second, first);
+        assert_eq!(store.flush_journal().unwrap_err().to_string(), first);
+        assert_eq!(store.truncate_journal().unwrap_err().to_string(), first);
+        assert_eq!(store.counters().journal_appends, 0, "nothing was acknowledged");
+        // The discarded buffer must not be written (or panic) on drop.
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -63,10 +63,10 @@ pub mod session;
 pub mod solver;
 pub mod wire;
 
-pub use durable::{Durability, DurableStore, JournalRecord, Recovery, SnapshotFormat};
+pub use durable::{Durability, DurableStore, JournalRecord, Recovery};
 pub use features::{extract_features, Features, ModelKind};
 pub use model::{EvalError, ModelOps, Repaired, Solution, SplittableInstance};
-pub use pool::{Pool, PoolConfig, PoolMode};
+pub use pool::{Pool, PoolConfig};
 pub use race::{
     race, race_adaptive, race_observed, race_with_floor, Incumbent, RaceConfig, RaceObserver,
     RaceResult, SolverReport, WARM_INCUMBENT,

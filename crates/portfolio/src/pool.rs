@@ -20,11 +20,6 @@
 //!   every queued job to the orphan callback so no client ever hangs on a
 //!   request the pool has already accepted.
 //!
-//! [`PoolMode::Sharded`] keeps the PR 2 round-robin shape (per-worker
-//! queues, no stealing) behind the same API — it exists as the measured
-//! baseline for the work-stealing claim and as the head-of-line-blocking
-//! control in tests.
-//!
 //! FIFO order is exact per worker queue and approximate globally: a steal
 //! moves the *back* half of a peer's deque, so stolen jobs keep their
 //! relative order but may finish before older jobs still in flight
@@ -37,16 +32,6 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-/// How jobs reach workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
-    /// PR 2 baseline: round-robin onto per-worker queues, no stealing.
-    /// Retained for benchmarks and as the head-of-line-blocking control.
-    Sharded,
-    /// Shared injector, per-worker deques, idle workers steal (default).
-    WorkStealing,
-}
-
 /// What the handler tells its worker after one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Directive {
@@ -57,20 +42,18 @@ pub enum Directive {
     Die,
 }
 
-/// Pool sizing and mode.
+/// Pool sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Worker thread count (clamped to ≥ 1).
     pub workers: usize,
-    /// Dispatch/stealing shape.
-    pub mode: PoolMode,
     /// Accepted-but-unstarted job cap; `dispatch` rejects beyond it.
     pub max_queue: usize,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig { workers: 4, mode: PoolMode::WorkStealing, max_queue: 1024 }
+        PoolConfig { workers: 4, max_queue: 1024 }
     }
 }
 
@@ -112,24 +95,16 @@ struct Shared<J> {
     cv: Condvar,
     closed: AtomicBool,
     alive: AtomicUsize,
-    /// Per-worker liveness; sharded round-robin skips dead workers (their
-    /// queues have no other consumer). Written only under `sleep`.
-    worker_alive: Vec<AtomicBool>,
     queued: AtomicUsize,
-    mode: PoolMode,
     max_queue: usize,
-    /// Round-robin cursor (sharded mode).
-    next: AtomicUsize,
     /// Receives jobs no worker will ever run (all workers dead, or left
     /// over at shutdown); the service answers their clients with an error.
     orphan: Box<dyn Fn(J) + Send + Sync>,
 }
 
 impl<J: Send + 'static> Shared<J> {
-    /// Work worker `w` could actually claim — own deque and injector
-    /// always, peers' deques only when stealing is on. (Counting peer
-    /// queues in sharded mode would make an idle worker busy-spin on work
-    /// it can never take.)
+    /// Work worker `w` could claim: its own deque, the injector, or a
+    /// peer's deque to steal from.
     fn has_claimable_work(&self, w: usize) -> bool {
         // One queue lock at a time (a `||` chain would hold the first
         // guard while acquiring the next).
@@ -141,12 +116,11 @@ impl<J: Send + 'static> Shared<J> {
         if injector {
             return true;
         }
-        self.mode == PoolMode::WorkStealing
-            && self.locals.iter().enumerate().any(|(p, q)| p != w && !q.lock().is_empty())
+        self.locals.iter().enumerate().any(|(p, q)| p != w && !q.lock().is_empty())
     }
 
     /// Claims the next job for worker `w`: own deque, then injector
-    /// (+ batch), then — in stealing mode — the back half of a peer's deque.
+    /// (+ batch), then the back half of a peer's deque.
     fn next_job(&self, w: usize) -> Option<J> {
         if let Some(job) = self.locals[w].lock().pop_front() {
             return Some(job);
@@ -163,18 +137,16 @@ impl<J: Send + 'static> Shared<J> {
                 return Some(job);
             }
         }
-        if self.mode == PoolMode::WorkStealing {
-            for p in (0..self.locals.len()).filter(|&p| p != w) {
-                let stolen: Vec<J> = {
-                    let mut peer = self.locals[p].lock();
-                    let keep = peer.len() / 2;
-                    peer.split_off(keep).into()
-                };
-                if !stolen.is_empty() {
-                    let mut local = self.locals[w].lock();
-                    local.extend(stolen);
-                    return local.pop_front();
-                }
+        for p in (0..self.locals.len()).filter(|&p| p != w) {
+            let stolen: Vec<J> = {
+                let mut peer = self.locals[p].lock();
+                let keep = peer.len() / 2;
+                peer.split_off(keep).into()
+            };
+            if !stolen.is_empty() {
+                let mut local = self.locals[w].lock();
+                local.extend(stolen);
+                return local.pop_front();
             }
         }
         None
@@ -191,10 +163,6 @@ impl<J: Send + 'static> Shared<J> {
     fn on_worker_death(&self, w: usize) {
         let orphans: Vec<J> = {
             let _g = self.sleep.lock();
-            // ordering: Release pairs with the Acquire load in sharded
-            // dispatch — a dispatcher that sees the flag down also sees this
-            // worker's queue already drained back to the injector.
-            self.worker_alive[w].store(false, Ordering::Release);
             let leftovers: Vec<J> = {
                 let mut local = self.locals[w].lock();
                 local.drain(..).collect()
@@ -264,11 +232,8 @@ impl<J: Send + 'static> Pool<J> {
             cv: Condvar::new(),
             closed: AtomicBool::new(false),
             alive: AtomicUsize::new(workers),
-            worker_alive: (0..workers).map(|_| AtomicBool::new(true)).collect(),
             queued: AtomicUsize::new(0),
-            mode: cfg.mode,
             max_queue: cfg.max_queue.max(1),
-            next: AtomicUsize::new(0),
             orphan: Box::new(orphan),
         });
         let handler = Arc::new(handler);
@@ -310,40 +275,12 @@ impl<J: Send + 'static> Pool<J> {
             let queued = s.queued.load(Ordering::Relaxed);
             return Err(Rejected { job, reason: RejectReason::QueueFull, queued });
         }
-        match s.mode {
-            PoolMode::WorkStealing => {
-                s.injector.lock().push_back(job);
-                s.queued.fetch_add(1, Ordering::Relaxed);
-                // One new claimable-by-anyone job: waking one parked
-                // worker suffices, and avoids a thundering herd of N
-                // workers re-taking this mutex per dispatch.
-                s.cv.notify_one();
-            }
-            PoolMode::Sharded => {
-                // Round-robin over *live* workers only: a dead worker's
-                // queue has no other consumer in sharded mode. Liveness
-                // flips only under the sleep lock we hold, and the alive
-                // re-check above guarantees at least one flag is set.
-                let n = s.locals.len();
-                let target = (0..n)
-                    .map(|_| s.next.fetch_add(1, Ordering::Relaxed) % n)
-                    // ordering: Acquire on `worker_alive` pairs with the
-                    // Release store in `on_worker_death` (see there); both
-                    // run under the sleep lock, so the flag is also current.
-                    .find(|&w| s.worker_alive[w].load(Ordering::Acquire));
-                match target {
-                    Some(w) => s.locals[w].lock().push_back(job),
-                    // Unreachable given the re-check; the injector is
-                    // still drained by every worker, so never wrong.
-                    None => s.injector.lock().push_back(job),
-                }
-                s.queued.fetch_add(1, Ordering::Relaxed);
-                // The job targets one specific worker's queue; notify_one
-                // could wake a different worker that finds nothing
-                // claimable and parks again, losing the wakeup.
-                s.cv.notify_all();
-            }
-        }
+        s.injector.lock().push_back(job);
+        s.queued.fetch_add(1, Ordering::Relaxed);
+        // One new claimable-by-anyone job: waking one parked worker
+        // suffices, and avoids a thundering herd of N workers re-taking
+        // this mutex per dispatch.
+        s.cv.notify_one();
         Ok(())
     }
 
@@ -468,18 +405,15 @@ mod tests {
     }
 
     #[test]
-    fn runs_every_job_in_both_modes() {
-        for mode in [PoolMode::WorkStealing, PoolMode::Sharded] {
-            let (pool, done, _orphans) =
-                record_pool(PoolConfig { workers: 3, mode, ..Default::default() });
-            for i in 0..50 {
-                pool.dispatch(TestJob::Run(i)).unwrap();
-            }
-            pool.shutdown();
-            let mut got: Vec<usize> = done.try_iter().collect();
-            got.sort_unstable();
-            assert_eq!(got, (0..50).collect::<Vec<_>>(), "{mode:?}");
+    fn runs_every_job() {
+        let (pool, done, _orphans) = record_pool(PoolConfig { workers: 3, ..Default::default() });
+        for i in 0..50 {
+            pool.dispatch(TestJob::Run(i)).unwrap();
         }
+        pool.shutdown();
+        let mut got: Vec<usize> = done.try_iter().collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -519,32 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_round_robin_skips_dead_workers() {
-        // Regression: sharded dispatch used to keep round-robining onto a
-        // dead worker's queue, where nothing would ever drain it.
-        let (pool, done, _orphans) =
-            record_pool(PoolConfig { workers: 3, mode: PoolMode::Sharded, ..Default::default() });
-        pool.dispatch(TestJob::Kill).unwrap();
-        for _ in 0..1000 {
-            if pool.alive() == 2 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(pool.alive(), 2);
-        for i in 0..30 {
-            pool.dispatch(TestJob::Run(i)).unwrap();
-        }
-        let mut got = Vec::new();
-        for _ in 0..30 {
-            got.push(done.recv_timeout(Duration::from_secs(10)).expect("no job may strand"));
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..30).collect::<Vec<_>>());
-        pool.shutdown();
-    }
-
-    #[test]
     fn all_workers_dead_orphans_queue_and_rejects_dispatch() {
         let (pool, done, orphans) = record_pool(PoolConfig { workers: 1, ..Default::default() });
         let (release_tx, release_rx) = mpsc::channel();
@@ -577,8 +485,7 @@ mod tests {
 
     #[test]
     fn queue_full_rejects_with_backpressure() {
-        let (pool, _done, _orphans) =
-            record_pool(PoolConfig { workers: 1, max_queue: 3, ..Default::default() });
+        let (pool, _done, _orphans) = record_pool(PoolConfig { workers: 1, max_queue: 3 });
         let (release_tx, release_rx) = mpsc::channel();
         pool.dispatch(TestJob::Block(release_rx)).unwrap();
         // The worker may or may not have claimed the blocker yet; fill

@@ -4,11 +4,10 @@
 //! Requests flow through the [`crate::pool`] work-stealing pool: dispatch
 //! pushes onto one shared injector queue, workers pull from it and steal
 //! from each other when idle, so a slow request can no longer head-of-line
-//! block the requests queued behind it while other workers sit idle (the
-//! PR 2 per-shard round-robin failure mode — still available as
-//! [`PoolMode::Sharded`] for benchmarking). Each worker parses, races the
-//! portfolio ([`crate::race`]), and writes the response line to the
-//! request's origin (stdout, or the originating TCP connection).
+//! block the requests queued behind it while other workers sit idle.
+//! Each worker parses, races the portfolio ([`crate::race`]), and writes
+//! the response line to the request's origin (stdout, or the originating
+//! TCP connection).
 //!
 //! **No request is ever silently dropped.** When the backlog hits
 //! [`ServeConfig::max_queue`] or every worker has died, [`Service::dispatch`]
@@ -67,7 +66,7 @@ use sst_core::stats::LatencyHistogram;
 use sst_core::telemetry::{stage, RegistrySnapshot, Telemetry, TraceEvent, TraceSink};
 
 use crate::durable::{Durability, DurableStore};
-use crate::pool::{Directive, Pool, PoolConfig, PoolMode, RejectReason, Rejected};
+use crate::pool::{Directive, Pool, PoolConfig, RejectReason, Rejected};
 use crate::protocol::{
     parse_incoming, response_to_json, Incoming, MetricsSummary, Response, SessionRequest,
     SessionVerb, SolverLatencyLine, SolverLine, StageLine, StandingLine,
@@ -96,9 +95,6 @@ pub struct ServeConfig {
     pub budget_ms: u64,
     /// Default seed for the randomized solvers.
     pub seed: u64,
-    /// Dispatch shape: work-stealing (default) or the sharded round-robin
-    /// baseline.
-    pub mode: PoolMode,
     /// Accepted-but-unstarted request cap; beyond it `dispatch` answers
     /// with an overload error line instead of queueing.
     pub max_queue: usize,
@@ -123,7 +119,7 @@ pub struct ServeConfig {
     pub session_lanes: usize,
     /// Group-commit batch bound (`--journal-batch`): journal records from
     /// all lanes coalesce into batches of at most this many records, one
-    /// flush/fsync per batch. `1` restores synchronous per-record appends.
+    /// flush/fsync per batch. `1` commits one record per batch.
     pub journal_batch: usize,
     /// Group-commit linger (`--group-commit-us`): extra time the committer
     /// waits for stragglers on a non-full batch. `0` = natural batching.
@@ -146,7 +142,6 @@ impl Default for ServeConfig {
             top_k: 3,
             budget_ms: 200,
             seed: 1,
-            mode: PoolMode::WorkStealing,
             max_queue: 1024,
             max_sessions: 64,
             fault_injection: false,
@@ -816,11 +811,7 @@ impl Service {
                 Arc::new(sessions)
             }
         };
-        let pool_cfg = PoolConfig {
-            workers: cfg.workers.max(1),
-            mode: cfg.mode,
-            max_queue: cfg.max_queue.max(1),
-        };
+        let pool_cfg = PoolConfig { workers: cfg.workers.max(1), max_queue: cfg.max_queue.max(1) };
         let handler = {
             let cfg = cfg.clone();
             let metrics = Arc::clone(&metrics);
@@ -1321,36 +1312,34 @@ mod tests {
 
     #[test]
     fn service_answers_every_request_with_a_valid_schedule() {
-        for mode in [PoolMode::WorkStealing, PoolMode::Sharded] {
-            let svc = Service::start(ServeConfig { workers: 3, mode, ..Default::default() });
-            let (buffer, _) = buffer_writer();
-            let reqs = requests();
-            for req in &reqs {
-                let out = writer_to(&buffer);
-                svc.dispatch(request_to_json(req), out);
-            }
-            let summary = svc.shutdown();
-            assert_eq!(summary.count, reqs.len() as u64);
-            assert_eq!(summary.errors, 0);
-            let text = String::from_utf8(buffer.lock().clone()).unwrap();
-            let mut seen = vec![false; reqs.len()];
-            for line in text.lines() {
-                let resp = parse_response(line).expect("every line parses");
-                let Response::Ok { id, kind, makespan, solution, .. } = resp else {
-                    panic!("unexpected response: {line}");
-                };
-                let req = &reqs[id as usize];
-                assert_eq!(kind, req.instance.kind(), "request {id}");
-                let cost = req.instance.evaluate(&solution).expect("valid solution");
-                assert_eq!(cost, makespan, "reported makespan must match the solution");
-                // Quality floor: never worse than greedy (split-greedy for
-                // the splittable model).
-                let greedy = req.instance.greedy();
-                assert!(!greedy.cost.better_than(&cost));
-                seen[id as usize] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "every request answered ({mode:?}): {seen:?}");
+        let svc = Service::start(ServeConfig { workers: 3, ..Default::default() });
+        let (buffer, _) = buffer_writer();
+        let reqs = requests();
+        for req in &reqs {
+            let out = writer_to(&buffer);
+            svc.dispatch(request_to_json(req), out);
         }
+        let summary = svc.shutdown();
+        assert_eq!(summary.count, reqs.len() as u64);
+        assert_eq!(summary.errors, 0);
+        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let mut seen = vec![false; reqs.len()];
+        for line in text.lines() {
+            let resp = parse_response(line).expect("every line parses");
+            let Response::Ok { id, kind, makespan, solution, .. } = resp else {
+                panic!("unexpected response: {line}");
+            };
+            let req = &reqs[id as usize];
+            assert_eq!(kind, req.instance.kind(), "request {id}");
+            let cost = req.instance.evaluate(&solution).expect("valid solution");
+            assert_eq!(cost, makespan, "reported makespan must match the solution");
+            // Quality floor: never worse than greedy (split-greedy for
+            // the splittable model).
+            let greedy = req.instance.greedy();
+            assert!(!greedy.cost.better_than(&cost));
+            seen[id as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every request answered: {seen:?}");
     }
 
     #[test]

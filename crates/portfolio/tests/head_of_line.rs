@@ -1,20 +1,20 @@
 //! Head-of-line blocking regression test (the PR 2 failure mode the
 //! work-stealing pool exists to fix): one long request followed by ten
-//! short ones, two workers.
+//! short ones.
 //!
-//! * **Work-stealing** (the default): the long race occupies one worker,
-//!   the other drains every short request from the shared injector — all
-//!   ten short responses must arrive before the long one.
-//! * **Sharded round-robin** (the retained PR 2 baseline): half the short
-//!   requests land on the long request's queue and must wait behind it —
-//!   demonstrating the blocking the injector removes.
+//! * **Two workers**: the long race occupies one worker, the other drains
+//!   every short request from the shared injector — all ten short
+//!   responses must arrive before the long one.
+//! * **One worker** (the control): FIFO forces every short request to
+//!   finish behind the long race, which proves the workload really blocks
+//!   a worker — so the two-worker assertion cannot pass vacuously.
 
 use parking_lot::Mutex;
 use sst_core::instance::{Job as CoreJob, UniformInstance};
 use sst_portfolio::protocol::{parse_response, request_to_json, Request, Response};
 use sst_portfolio::service::testing::writer_to;
 use sst_portfolio::service::{ServeConfig, Service};
-use sst_portfolio::{PoolMode, ProblemInstance};
+use sst_portfolio::ProblemInstance;
 
 const LONG_ID: u64 = 999;
 const SHORTS: u64 = 10;
@@ -59,8 +59,8 @@ fn short_request(i: u64) -> Request {
 }
 
 /// Runs the workload and returns response ids in completion order.
-fn completion_order(mode: PoolMode) -> Vec<u64> {
-    let svc = Service::start(ServeConfig { workers: 2, mode, ..Default::default() });
+fn completion_order(workers: usize) -> Vec<u64> {
+    let svc = Service::start(ServeConfig { workers, ..Default::default() });
     let buffer = std::sync::Arc::new(Mutex::new(Vec::new()));
     let dispatch = |req: &Request| {
         svc.dispatch(request_to_json(req), writer_to(&buffer));
@@ -70,26 +70,26 @@ fn completion_order(mode: PoolMode) -> Vec<u64> {
         dispatch(&short_request(i));
     }
     let summary = svc.shutdown();
-    assert_eq!(summary.count, SHORTS + 1, "every request answered ({mode:?})");
-    assert_eq!(summary.errors, 0, "({mode:?})");
+    assert_eq!(summary.count, SHORTS + 1, "every request answered ({workers} workers)");
+    assert_eq!(summary.errors, 0, "({workers} workers)");
     let text = String::from_utf8(buffer.lock().clone()).unwrap();
     text.lines()
         .map(|line| match parse_response(line).expect("parses") {
             Response::Ok { id, .. } => id,
-            other => panic!("unexpected response ({mode:?}): {other:?}"),
+            other => panic!("unexpected response ({workers} workers): {other:?}"),
         })
         .collect()
 }
 
 #[test]
 fn work_stealing_serves_short_requests_past_a_long_one() {
-    let order = completion_order(PoolMode::WorkStealing);
+    let order = completion_order(2);
     let long_pos = order.iter().position(|&id| id == LONG_ID).expect("long answered");
     // `long_pos` equals the number of short requests that finished first.
     // Normally all 10 do; the margin of 2 absorbs scheduling noise on a
     // contended single-core CI runner (10 shorts × ~10-20 ms must fit in
-    // the long race's 250 ms) without weakening the claim — the sharded
-    // control below parks ~half the shorts behind the long request.
+    // the long race's 250 ms) without weakening the claim — the one-worker
+    // control below finishes every short behind the long request.
     assert!(
         long_pos >= SHORTS as usize - 2,
         "short requests must not be blocked behind the 250 ms one: {order:?}"
@@ -97,14 +97,9 @@ fn work_stealing_serves_short_requests_past_a_long_one() {
 }
 
 #[test]
-fn sharded_round_robin_blocks_shorts_behind_the_long_request() {
-    let order = completion_order(PoolMode::Sharded);
-    let long_pos = order.iter().position(|&id| id == LONG_ID).expect("long answered");
-    // Round-robin parks half the shorts on the long request's queue; they
-    // cannot complete until it does. (This is the baseline failure mode,
-    // kept as a control so the work-stealing assertion above stays honest.)
-    assert!(
-        long_pos < order.len() - 1,
-        "expected some short request stuck behind the long one: {order:?}"
-    );
+fn one_worker_finishes_shorts_behind_the_long_request() {
+    let order = completion_order(1);
+    // The long request is dispatched first and the lone worker runs the
+    // queue in order, so every short waits out the full race.
+    assert_eq!(order.first(), Some(&LONG_ID), "FIFO must run the long race first: {order:?}");
 }

@@ -1,7 +1,9 @@
 //! Property tests of the write-ahead journal codec (`sst_portfolio::durable`):
 //! arbitrary verb records → encode → parse → identical, and — the recovery
 //! contract — any torn or corrupted suffix of a journal stops the scan at
-//! the damage while every record before it survives intact.
+//! the damage while every record before it survives intact. The store
+//! tests pin that batching never changes the journal bytes and that
+//! concurrent appenders each land exactly once.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -164,9 +166,8 @@ proptest! {
 
     /// The group-commit contract: batching changes *when* bytes reach the
     /// file, never *which* bytes. The same verb sequence through a
-    /// synchronous store (batch 1) and a grouped store (batch 4, so real
-    /// multi-record batches form) must leave byte-identical journals and
-    /// recover to identical state.
+    /// one-record-per-commit store (batch 1) and a grouped store (batch 4)
+    /// must leave byte-identical journals and recover to identical state.
     #[test]
     fn grouped_journal_is_byte_identical_to_synchronous_appends(
         records in vec(any_record(), 1..7),
@@ -191,43 +192,48 @@ proptest! {
         let _ = std::fs::remove_dir_all(&d2);
     }
 
-    /// Arbitrary interleavings modeled as an arbitrary partition of the
-    /// verb sequence into coalesced chunks: however lanes happen to gang
-    /// their records into batches, the journal is the one a per-verb
-    /// appender would have written.
+    /// Concurrent lanes: threads released together by a barrier append
+    /// to one batch-64 store, so the committer sees multi-record batches.
+    /// Every acknowledged record is in the journal exactly once, under the
+    /// seq its appender was given, and the seqs are exactly `1..=N`.
     #[test]
-    fn coalesced_chunks_match_per_verb_appends(
-        records in vec(any_record(), 1..8),
-        sizes in vec(1usize..4, 1..8),
+    fn concurrent_appends_land_once_each_with_contiguous_seqs(
+        records in vec(any_record(), 2..12),
     ) {
-        let (d1, d2) = (scratch("perverb"), scratch("chunks"));
-        let per_verb = DurableStore::open(&d1, Durability::Flush).unwrap().with_group_commit(64, 0);
-        let chunked = DurableStore::open(&d2, Durability::Flush).unwrap().with_group_commit(64, 0);
-        for rec in &records {
-            append_record(&per_verb, rec).unwrap();
+        let dir = scratch("concurrent");
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap().with_group_commit(64, 0);
+        let barrier = std::sync::Barrier::new(records.len());
+        let seqs: Vec<u64> = std::thread::scope(|scope| {
+            let lanes: Vec<_> = records
+                .iter()
+                .map(|rec| {
+                    let (store, barrier) = (&store, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        append_record(store, rec).expect("append acknowledged")
+                    })
+                })
+                .collect();
+            lanes.into_iter().map(|lane| lane.join().unwrap()).collect()
+        });
+        store.flush_journal().unwrap();
+        let text = std::fs::read_to_string(dir.join("journal.log")).unwrap();
+        let (kept, tail) = scan_journal(&text);
+        prop_assert!(tail.is_none(), "concurrent batches must stay line-framed");
+        let on_disk: Vec<u64> = kept.iter().map(|(seq, _)| *seq).collect();
+        prop_assert_eq!(on_disk, (1..=records.len() as u64).collect::<Vec<_>>());
+        for (rec, seq) in records.iter().zip(&seqs) {
+            prop_assert_eq!(&kept[*seq as usize - 1].1, rec, "seq {} holds another record", seq);
         }
-        let mut rest: &[JournalRecord] = &records;
-        let mut size_iter = sizes.iter().cycle();
-        while !rest.is_empty() {
-            let take = (*size_iter.next().unwrap()).min(rest.len());
-            chunked.append_coalesced(&rest[..take]).unwrap();
-            rest = &rest[take..];
-        }
-        per_verb.flush_journal().unwrap();
-        chunked.flush_journal().unwrap();
-        let j1 = std::fs::read(d1.join("journal.log")).unwrap();
-        let j2 = std::fs::read(d2.join("journal.log")).unwrap();
-        prop_assert_eq!(j1, j2, "chunking must not change the journal bytes");
-        prop_assert_eq!(recovered_state(&per_verb), recovered_state(&chunked));
-        drop(per_verb);
-        drop(chunked);
-        let _ = std::fs::remove_dir_all(&d1);
-        let _ = std::fs::remove_dir_all(&d2);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A torn tail *inside* one coalesced write behaves exactly like a torn
     /// single-record journal: the batch stays line-framed on disk, so the
-    /// scan keeps precisely the records whose lines survived.
+    /// scan keeps precisely the records whose lines survived. The journal is
+    /// built by per-record appends; the byte-identity property above makes
+    /// it the file any batching of the same records would have written.
     #[test]
     fn torn_tail_inside_a_coalesced_batch_keeps_the_intact_record_prefix(
         records in vec(any_record(), 1..6),
@@ -235,8 +241,9 @@ proptest! {
     ) {
         let dir = scratch("torn");
         let store = DurableStore::open(&dir, Durability::Flush).unwrap().with_group_commit(64, 0);
-        // One append_coalesced call → one batch → one write_all on disk.
-        store.append_coalesced(&records).unwrap();
+        for rec in &records {
+            append_record(&store, rec).unwrap();
+        }
         store.flush_journal().unwrap();
         drop(store);
         let text = std::fs::read_to_string(dir.join("journal.log")).unwrap();
