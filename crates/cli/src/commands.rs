@@ -298,16 +298,17 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
                 .map_err(|e| CliError(format!("serve: {e}")))?;
             // Responses stream to stdout as NDJSON; the human-readable
             // summary goes to stderr so stdout stays machine-parseable.
+            let race = m.stage("race_us").cloned().unwrap_or_default();
             eprintln!(
-                "served {} requests ({} errors) in {} ms — {:.1} req/s, latency µs p50/p90/p99 = {}/{}/{} (mean {})",
+                "served {} requests ({} errors) in {} ms — {:.1} req/s, race µs p50/p90/p99 = {}/{}/{} (max {})",
                 m.count,
                 m.errors,
                 m.uptime_ms,
                 m.rps_x1000 as f64 / 1000.0,
-                m.p50_us,
-                m.p90_us,
-                m.p99_us,
-                m.mean_us,
+                race.p50_us,
+                race.p90_us,
+                race.p99_us,
+                race.max_us,
             );
             Ok(String::new())
         }
@@ -1360,7 +1361,7 @@ mod tests {
 
     #[test]
     fn generate_dynamic_queue_writes_base_and_replayable_trace() {
-        use sst_core::io::json::{self, JsonValue};
+        use sst_core::io::json;
         use sst_core::model::{MachineModel, Unrelated};
 
         let path = tmp("dq.json");
@@ -1382,19 +1383,18 @@ mod tests {
         .unwrap();
         assert!(g.contains("dynamic-queue"), "{g}");
         let text = std::fs::read_to_string(&path).unwrap();
-        let JsonValue::Object(map) = json::parse(&text).unwrap() else { panic!("{text}") };
-        assert_eq!(map.get("kind"), Some(&JsonValue::Str("dynamic-queue".into())));
-        // The base instance and every trace delta parse back and replay.
         let mut p = json::Parser::new(&text);
-        let [base] = p.fields(["base"]).unwrap().unwrap();
-        let base = io::InstanceDoc::scan(&mut p.at(base.unwrap())).unwrap().unwrap();
+        let [kind, base, trace] = p.fields(["kind", "base", "trace"]).unwrap().unwrap();
+        assert_eq!(kind.unwrap().string().as_deref(), Some("dynamic-queue"));
+        // The base instance and every trace delta parse back and replay.
+        let base = io::InstanceDoc::scan(&mut base.unwrap()).unwrap().unwrap();
         let mut inst = base.unrelated("unrelated").unwrap();
-        let JsonValue::Array(steps) = map.get("trace").unwrap() else { panic!("{text}") };
+        let steps = trace.unwrap().items().unwrap().unwrap();
         assert_eq!(steps.len(), 5);
-        for step in steps {
-            let JsonValue::Object(s) = step else { panic!("{text}") };
-            assert!(matches!(s.get("at_ms"), Some(JsonValue::Uint(_))));
-            let deltas = sst_core::delta::deltas_from_value(s.get("deltas").unwrap()).unwrap();
+        for mut step in steps {
+            let [at_ms, deltas] = step.fields(["at_ms", "deltas"]).unwrap().unwrap();
+            assert!(at_ms.unwrap().u64().is_some(), "{text}");
+            let deltas = sst_core::delta::deltas_at(deltas.unwrap()).unwrap();
             for d in &deltas {
                 inst = Unrelated::apply_delta(&inst, d).expect("trace replays cleanly");
             }

@@ -29,6 +29,8 @@
 
 use crate::error::InstanceError;
 use crate::instance::{ClassId, Job, JobId, UniformInstance, UnrelatedInstance};
+use crate::io::json::{self, Parser};
+use crate::io::IoError;
 
 /// One structural edit to an instance. `times` payloads are
 /// machine-independent singletons (`len == 1`) for uniform instances and
@@ -283,150 +285,116 @@ pub fn apply_unrelated_all(
     UnrelatedInstance::from_flat(m, job_class, ptimes, setups).map_err(DeltaError::Invalid)
 }
 
-#[cfg(feature = "serde")]
-mod codec {
-    //! JSON codec for deltas — the wire format of the session protocol's
-    //! `delta` verb and the `dynamic-queue` trace files of `sst-gen`:
-    //! `{"add_job": {"class": K, "times": [..]}}`, `{"remove_job": J}`,
-    //! `{"resize_job": {"job": J, "times": [..]}}`,
-    //! `{"resize_setup": {"class": K, "times": [..]}}`,
-    //! `{"add_class": {"times": [..]}}`.
+// The JSON codec for deltas — the wire format of the session protocol's
+// `delta` verb and the `dynamic-queue` trace files of `sst-gen`:
+// `{"add_job": {"class": K, "times": [..]}}`, `{"remove_job": J}`,
+// `{"resize_job": {"job": J, "times": [..]}}`,
+// `{"resize_setup": {"class": K, "times": [..]}}`,
+// `{"add_class": {"times": [..]}}`.
 
-    use super::InstanceDelta;
-    use crate::io::json::{self, JsonValue};
-    use crate::io::IoError;
-
-    /// Serializes one delta to a compact JSON object.
-    pub fn delta_to_json(delta: &InstanceDelta) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let with_times = |out: &mut String, head: String, times: &[u64]| {
-            out.push_str(&head);
-            json::write_u64_array(out, times);
-            out.push_str("}}");
-        };
-        match delta {
-            InstanceDelta::AddJob { class, times } => {
-                with_times(
-                    &mut out,
-                    format!("{{\"add_job\": {{\"class\": {class}, \"times\": "),
-                    times,
-                );
-            }
-            InstanceDelta::RemoveJob { job } => {
-                let _ = write!(out, "{{\"remove_job\": {job}}}");
-            }
-            InstanceDelta::ResizeJob { job, times } => {
-                with_times(
-                    &mut out,
-                    format!("{{\"resize_job\": {{\"job\": {job}, \"times\": "),
-                    times,
-                );
-            }
-            InstanceDelta::ResizeSetup { class, times } => with_times(
+/// Serializes one delta to a compact JSON object.
+pub fn delta_to_json(delta: &InstanceDelta) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let with_times = |out: &mut String, head: String, times: &[u64]| {
+        out.push_str(&head);
+        json::write_u64_array(out, times);
+        out.push_str("}}");
+    };
+    match delta {
+        InstanceDelta::AddJob { class, times } => {
+            with_times(
                 &mut out,
-                format!("{{\"resize_setup\": {{\"class\": {class}, \"times\": "),
+                format!("{{\"add_job\": {{\"class\": {class}, \"times\": "),
                 times,
-            ),
-            InstanceDelta::AddClass { times } => {
-                with_times(&mut out, "{\"add_class\": {\"times\": ".to_string(), times);
-            }
+            );
         }
-        out
-    }
-
-    /// Serializes a delta sequence to a compact JSON array.
-    pub fn deltas_to_json(deltas: &[InstanceDelta]) -> String {
-        let mut out = String::from("[");
-        for (i, d) in deltas.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&delta_to_json(d));
+        InstanceDelta::RemoveJob { job } => {
+            let _ = write!(out, "{{\"remove_job\": {job}}}");
         }
-        out.push(']');
-        out
-    }
-
-    fn uint(v: &JsonValue, what: &str) -> Result<u64, IoError> {
-        match v {
-            JsonValue::Uint(u) => Ok(*u),
-            _ => Err(IoError::Json(format!("delta field '{what}' must be an unsigned integer"))),
+        InstanceDelta::ResizeJob { job, times } => {
+            with_times(&mut out, format!("{{\"resize_job\": {{\"job\": {job}, \"times\": "), times);
+        }
+        InstanceDelta::ResizeSetup { class, times } => with_times(
+            &mut out,
+            format!("{{\"resize_setup\": {{\"class\": {class}, \"times\": "),
+            times,
+        ),
+        InstanceDelta::AddClass { times } => {
+            with_times(&mut out, "{\"add_class\": {\"times\": ".to_string(), times);
         }
     }
-
-    fn usize_field(
-        map: &std::collections::BTreeMap<String, JsonValue>,
-        what: &str,
-    ) -> Result<usize, IoError> {
-        let v = map.get(what).ok_or_else(|| IoError::Json(format!("delta missing '{what}'")))?;
-        usize::try_from(uint(v, what)?)
-            .map_err(|_| IoError::Json(format!("delta field '{what}' out of range")))
-    }
-
-    fn times_field(
-        map: &std::collections::BTreeMap<String, JsonValue>,
-    ) -> Result<Vec<u64>, IoError> {
-        match map.get("times") {
-            Some(JsonValue::Array(items)) => items.iter().map(|x| uint(x, "times")).collect(),
-            _ => Err(IoError::Json("delta missing 'times' array".into())),
-        }
-    }
-
-    /// Parses one delta from an already-parsed [`JsonValue`].
-    pub fn delta_from_value(v: &JsonValue) -> Result<InstanceDelta, IoError> {
-        let JsonValue::Object(map) = v else {
-            return Err(IoError::Json("delta must be a JSON object".into()));
-        };
-        if let Some(v) = map.get("remove_job") {
-            let job = usize::try_from(uint(v, "remove_job")?)
-                .map_err(|_| IoError::Json("remove_job out of range".into()))?;
-            return Ok(InstanceDelta::RemoveJob { job });
-        }
-        let payload = |key: &str| -> Option<&std::collections::BTreeMap<String, JsonValue>> {
-            match map.get(key) {
-                Some(JsonValue::Object(inner)) => Some(inner),
-                _ => None,
-            }
-        };
-        if let Some(inner) = payload("add_job") {
-            return Ok(InstanceDelta::AddJob {
-                class: usize_field(inner, "class")?,
-                times: times_field(inner)?,
-            });
-        }
-        if let Some(inner) = payload("resize_job") {
-            return Ok(InstanceDelta::ResizeJob {
-                job: usize_field(inner, "job")?,
-                times: times_field(inner)?,
-            });
-        }
-        if let Some(inner) = payload("resize_setup") {
-            return Ok(InstanceDelta::ResizeSetup {
-                class: usize_field(inner, "class")?,
-                times: times_field(inner)?,
-            });
-        }
-        if let Some(inner) = payload("add_class") {
-            return Ok(InstanceDelta::AddClass { times: times_field(inner)? });
-        }
-        Err(IoError::Json(
-            "delta must be one of add_job | remove_job | resize_job | resize_setup | add_class"
-                .into(),
-        ))
-    }
-
-    /// Parses a delta array from an already-parsed [`JsonValue`].
-    pub fn deltas_from_value(v: &JsonValue) -> Result<Vec<InstanceDelta>, IoError> {
-        match v {
-            JsonValue::Array(items) => items.iter().map(delta_from_value).collect(),
-            _ => Err(IoError::Json("'deltas' must be an array".into())),
-        }
-    }
+    out
 }
 
-#[cfg(feature = "serde")]
-pub use codec::{delta_from_value, delta_to_json, deltas_from_value, deltas_to_json};
+/// Serializes a delta sequence to a compact JSON array.
+pub fn deltas_to_json(deltas: &[InstanceDelta]) -> String {
+    let mut out = String::from("[");
+    for (i, d) in deltas.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&delta_to_json(d));
+    }
+    out.push(']');
+    out
+}
+
+fn id_at(v: Option<Parser<'_>>, what: &str) -> Result<usize, IoError> {
+    let mut p = v.ok_or_else(|| IoError::Json(format!("delta missing '{what}'")))?;
+    let id = p.u64().ok_or_else(|| {
+        IoError::Json(format!("delta field '{what}' must be an unsigned integer"))
+    })?;
+    usize::try_from(id).map_err(|_| IoError::Json(format!("delta field '{what}' out of range")))
+}
+
+fn times_at(v: Option<Parser<'_>>) -> Result<Vec<u64>, IoError> {
+    let mut times = Vec::new();
+    v.and_then(|mut p| p.u64_array_into(&mut times)).ok_or_else(|| {
+        IoError::Json("delta 'times' must be an array of unsigned integers".into())
+    })?;
+    Ok(times)
+}
+
+/// Reads the delta at `p`. An object naming several edits decodes as the
+/// first of `remove_job`, `add_job`, `resize_job`, `resize_setup`,
+/// `add_class`; an edit other than `remove_job` whose payload is not an
+/// object is passed over.
+pub fn delta_at<'a>(mut p: Parser<'a>) -> Result<InstanceDelta, IoError> {
+    let [remove_job, add_job, resize_job, resize_setup, add_class] = p
+        .fields(["remove_job", "add_job", "resize_job", "resize_setup", "add_class"])
+        .map_err(IoError::Json)?
+        .ok_or_else(|| IoError::Json("delta must be a JSON object".into()))?;
+    if remove_job.is_some() {
+        return Ok(InstanceDelta::RemoveJob { job: id_at(remove_job, "remove_job")? });
+    }
+    let payload =
+        |v: Option<Parser<'a>>| v.and_then(|mut p| p.fields(["class", "job", "times"]).ok()?);
+    Ok(if let Some([class, _, times]) = payload(add_job) {
+        InstanceDelta::AddJob { class: id_at(class, "class")?, times: times_at(times)? }
+    } else if let Some([_, job, times]) = payload(resize_job) {
+        InstanceDelta::ResizeJob { job: id_at(job, "job")?, times: times_at(times)? }
+    } else if let Some([class, _, times]) = payload(resize_setup) {
+        InstanceDelta::ResizeSetup { class: id_at(class, "class")?, times: times_at(times)? }
+    } else if let Some([.., times]) = payload(add_class) {
+        InstanceDelta::AddClass { times: times_at(times)? }
+    } else {
+        return Err(IoError::Json(
+            "delta must be one of add_job | remove_job | resize_job | resize_setup | add_class"
+                .into(),
+        ));
+    })
+}
+
+/// Reads the delta array at `p`.
+pub fn deltas_at(mut p: Parser<'_>) -> Result<Vec<InstanceDelta>, IoError> {
+    let items = p.items().map_err(IoError::Json)?;
+    items
+        .ok_or_else(|| IoError::Json("'deltas' must be an array".into()))?
+        .into_iter()
+        .map(delta_at)
+        .collect()
+}
 
 #[cfg(test)]
 mod tests {
@@ -534,10 +502,8 @@ mod tests {
         ));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn delta_json_roundtrip() {
-        use crate::io::json;
         let deltas = vec![
             InstanceDelta::AddJob { class: 2, times: vec![3, 4, 5] },
             InstanceDelta::RemoveJob { job: 7 },
@@ -547,8 +513,7 @@ mod tests {
         ];
         let text = deltas_to_json(&deltas);
         assert!(!text.contains('\n'));
-        let value = json::parse(&text).unwrap();
-        assert_eq!(deltas_from_value(&value).unwrap(), deltas);
-        assert!(delta_from_value(&json::parse("{\"nope\": 1}").unwrap()).is_err());
+        assert_eq!(deltas_at(Parser::new(&text)).unwrap(), deltas);
+        assert!(delta_at(Parser::new("{\"nope\": 1}")).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! JSON import/export of instances and schedules (feature `serde`).
+//! JSON import/export of instances and schedules.
 //!
 //! Deserialization re-validates through the normal constructors, so a
 //! hand-edited or corrupted file can never produce an invalid in-memory
@@ -17,8 +17,6 @@
 use crate::error::InstanceError;
 use crate::instance::{Job, UniformInstance, UnrelatedInstance};
 use crate::schedule::Schedule;
-
-use self::json::JsonValue;
 
 /// Current on-disk format version.
 pub const FORMAT_VERSION: u32 = 1;
@@ -52,9 +50,10 @@ pub mod json {
     //! `u64::MAX`, the `∞` sentinel) and strings.
     //!
     //! [`Parser`] is the one tokenizer. Its typed reads ([`Parser::fields`],
-    //! [`Parser::u64`], [`Parser::skip_value`], …) decode straight into
-    //! caller buffers without building values; [`parse`] builds a
-    //! [`JsonValue`] tree on the same reads.
+    //! [`Parser::items`], [`Parser::u64`], [`Parser::skip_value`], …) decode
+    //! straight into caller buffers without building values; every reader
+    //! of the serve tier is built on them. [`parse`] builds a [`JsonValue`]
+    //! tree on the same reads, for generic inspection (tests, trace files).
 
     use std::borrow::Cow;
     use std::collections::BTreeMap;
@@ -96,13 +95,12 @@ pub mod json {
     ///
     /// Typed decoding reports a syntax error anywhere in a document ahead
     /// of a type error in any member, and lets a duplicate key's last
-    /// occurrence win. Two ways keep that: [`Parser::fields`] checks a
-    /// whole object in one pass and records where each wanted member's
-    /// value starts, for typed reads at those offsets ([`Parser::at`]) in
-    /// whatever order the schema checks them; or a member is read during
-    /// the scan itself and, when it has another shape, the parser rewinds
-    /// (it is `Copy`) and skips it (`InstanceDoc` reads the instance
-    /// matrices this way).
+    /// occurrence win. Two ways keep that: [`Parser::fields`] (for arrays,
+    /// [`Parser::items`]) checks a whole value in one pass and returns a
+    /// parser at each wanted member, for typed reads in whatever order the
+    /// schema checks them; or a member is read during the scan itself and,
+    /// when it has another shape, the parser rewinds (it is `Copy`) and
+    /// skips it (`InstanceDoc` reads the instance matrices this way).
     #[derive(Clone, Copy)]
     pub struct Parser<'a> {
         text: &'a str,
@@ -118,7 +116,7 @@ pub mod json {
         }
 
         /// A parser over the same text positioned at byte `pos` — an
-        /// offset [`Parser::fields`] recorded.
+        /// offset [`Parser::pos`] reported.
         pub fn at(&self, pos: usize) -> Self {
             Parser { pos, depth: 0, ..*self }
         }
@@ -181,7 +179,7 @@ pub mod json {
         }
 
         /// Reads one value into a tree.
-        pub fn value(&mut self) -> Result<JsonValue, String> {
+        fn value(&mut self) -> Result<JsonValue, String> {
             self.skip_ws();
             match self.peek() {
                 Some(b'{') => {
@@ -317,14 +315,14 @@ pub mod json {
         }
 
         /// Scans the object at the parser in one syntax-checking pass and
-        /// returns, per entry of `keys`, where that member's value starts
+        /// returns, per entry of `keys`, a parser at that member's value
         /// (the last duplicate wins). Every member is skipped without
         /// building values. `Ok(None)` when the value is not an object; it
         /// is skipped all the same.
         pub fn fields<const N: usize>(
             &mut self,
             keys: [&str; N],
-        ) -> Result<Option<[Option<usize>; N]>, String> {
+        ) -> Result<Option<[Option<Parser<'a>>; N]>, String> {
             if !self.at_object() {
                 self.skip_value()?;
                 return Ok(None);
@@ -332,11 +330,28 @@ pub mod json {
             let mut at = [None; N];
             self.object(|p, key| {
                 if let Some(i) = keys.iter().position(|k| *k == key) {
-                    at[i] = Some(p.pos);
+                    at[i] = Some(*p);
                 }
                 p.skip_value()
             })?;
             Ok(Some(at))
+        }
+
+        /// Scans the array at the parser in one syntax-checking pass and
+        /// returns a parser at each element. `Ok(None)` when the value is
+        /// not an array; it is skipped all the same.
+        pub fn items(&mut self) -> Result<Option<Vec<Parser<'a>>>, String> {
+            self.skip_ws();
+            if self.peek() != Some(b'[') {
+                self.skip_value()?;
+                return Ok(None);
+            }
+            let mut items = Vec::new();
+            self.array(|p| {
+                items.push(*p);
+                p.skip_value()
+            })?;
+            Ok(Some(items))
         }
 
         /// Reads an unsigned integer; `None` when the value is anything
@@ -358,8 +373,38 @@ pub mod json {
             Some(v)
         }
 
+        /// Reads any number as an `f64` (an integer too large for `u64`
+        /// included); `None` for any other value.
+        pub fn f64(&mut self) -> Option<f64> {
+            self.skip_ws();
+            if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+                return None;
+            }
+            match self.number() {
+                Ok(JsonValue::Uint(u)) => Some(u as f64),
+                Ok(JsonValue::Float(x)) => Some(x),
+                _ => None,
+            }
+        }
+
+        /// Reads `true` or `false`; `None` for any other value.
+        pub fn bool(&mut self) -> Option<bool> {
+            self.skip_ws();
+            match self.scalar() {
+                Ok(JsonValue::Bool(b)) => Some(b),
+                _ => None,
+            }
+        }
+
+        /// Whether the value at the parser is `null` (nothing is consumed).
+        pub fn is_null(&self) -> bool {
+            let mut p = *self;
+            p.skip_ws();
+            p.scalar() == Ok(JsonValue::Null)
+        }
+
         /// Reads a string; `None` for any other value.
-        pub(crate) fn string(&mut self) -> Option<String> {
+        pub fn string(&mut self) -> Option<String> {
             self.skip_ws();
             if self.peek() != Some(b'"') {
                 return None;
@@ -370,7 +415,7 @@ pub mod json {
         /// Appends the array of unsigned integers at the parser to `out`
         /// and returns how many it held; `None` when the value is not such
         /// an array (what was appended before the mismatch stays).
-        pub(crate) fn u64_array_into(&mut self, out: &mut Vec<u64>) -> Option<usize> {
+        pub fn u64_array_into(&mut self, out: &mut Vec<u64>) -> Option<usize> {
             let before = out.len();
             self.array(|p| {
                 out.push(p.u64().ok_or_else(String::new)?);
@@ -496,6 +541,27 @@ pub mod json {
         }
     }
 
+    /// Displays a string with its JSON escapes, without the quotes: the
+    /// one string escaper of every JSON writer.
+    pub struct Escaped<'s>(pub &'s str);
+
+    impl std::fmt::Display for Escaped<'_> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            for c in self.0.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\t' => f.write_str("\\t")?,
+                    '\r' => f.write_str("\\r")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => f.write_char(c)?,
+                }
+            }
+            Ok(())
+        }
+    }
+
     /// Serializes a `u64` array on one line: `[1, 2, 3]`.
     pub fn write_u64_array(out: &mut String, xs: &[u64]) {
         out.push('[');
@@ -518,26 +584,6 @@ pub mod json {
             let _ = write!(out, "{x}");
         }
         out.push(']');
-    }
-}
-
-/// Extraction helpers for the tree-based schedule reader.
-mod extract {
-    use super::json::JsonValue;
-    use super::IoError;
-
-    pub fn usize_vec(v: &JsonValue, what: &str) -> Result<Vec<usize>, IoError> {
-        let JsonValue::Array(items) = v else {
-            return Err(IoError::Json(format!("field '{what}' must be an array")));
-        };
-        items
-            .iter()
-            .map(|x| match x {
-                JsonValue::Uint(u) => usize::try_from(*u)
-                    .map_err(|_| IoError::Json(format!("field '{what}' entry out of range"))),
-                _ => Err(IoError::Json(format!("field '{what}' must be an unsigned integer"))),
-            })
-            .collect()
     }
 }
 
@@ -906,14 +952,19 @@ pub fn schedule_to_json(sched: &Schedule) -> String {
 /// Parses a schedule from JSON. Validation against an instance happens at
 /// evaluation time ([`crate::schedule::uniform_loads`] etc.).
 pub fn schedule_from_json(text: &str) -> Result<Schedule, IoError> {
-    let value = json::parse(text).map_err(IoError::Json)?;
-    schedule_from_value(&value)
+    let mut p = json::Parser::new(text);
+    p.skip_value().and_then(|()| p.finish()).map_err(IoError::Json)?;
+    schedule_at(json::Parser::new(text))
 }
 
-/// Parses a schedule from an already-parsed [`JsonValue`].
-pub fn schedule_from_value(value: &JsonValue) -> Result<Schedule, IoError> {
-    let v = extract::usize_vec(value, "schedule")?;
-    Ok(Schedule::new(v))
+/// Reads the schedule (an array of machine ids) at `p`.
+pub fn schedule_at(mut p: json::Parser<'_>) -> Result<Schedule, IoError> {
+    let mut ids = Vec::new();
+    p.u64_array_into(&mut ids).ok_or_else(|| {
+        IoError::Json("a schedule must be an array of unsigned integers".to_string())
+    })?;
+    let ids = ids.into_iter().map(usize::try_from).collect::<Result<_, _>>();
+    ids.map(Schedule::new).map_err(|_| IoError::Json("schedule entry out of range".to_string()))
 }
 
 #[cfg(test)]
@@ -1028,7 +1079,7 @@ mod tests {
         let mut p = json::Parser::new(&line);
         let [id] = p.fields(["id"]).unwrap().unwrap();
         assert!(started.elapsed() < std::time::Duration::from_secs(10), "{:?}", started.elapsed());
-        assert_eq!(p.at(id.unwrap()).u64(), Some(1));
+        assert_eq!(id.unwrap().u64(), Some(1));
         let json::JsonValue::Object(map) = value else { panic!("object expected") };
         assert_eq!(map["note"], json::JsonValue::Str(format!("{body}\n")));
     }

@@ -48,7 +48,6 @@ pub mod dual;
 pub mod error;
 pub mod groups;
 pub mod instance;
-#[cfg(feature = "serde")]
 pub mod io;
 pub mod model;
 pub mod ratio;

@@ -42,6 +42,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::io::json::Escaped;
 use crate::stats::LatencyHistogram;
 
 /// A monotonically increasing counter (events since start).
@@ -419,22 +420,6 @@ pub enum TraceEvent {
     },
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn write_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
@@ -476,9 +461,7 @@ impl TraceEvent {
     pub fn write_json(&self, ts_us: u64, out: &mut String) {
         let _ = write!(out, "{{\"ts_us\": {ts_us}, \"event\": \"{}\"", self.kind());
         let solver_field = |out: &mut String, solver: &str| {
-            out.push_str(", \"solver\": \"");
-            escape_into(out, solver);
-            out.push('"');
+            let _ = write!(out, ", \"solver\": \"{}\"", Escaped(solver));
         };
         match self {
             TraceEvent::Enqueue { id } => {
@@ -491,9 +474,11 @@ impl TraceEvent {
                 );
             }
             TraceEvent::Decode { id, codec, micros } => {
-                let _ = write!(out, ", \"id\": {id}, \"codec\": \"");
-                escape_into(out, codec);
-                let _ = write!(out, "\", \"micros\": {micros}");
+                let _ = write!(
+                    out,
+                    ", \"id\": {id}, \"codec\": \"{}\", \"micros\": {micros}",
+                    Escaped(codec)
+                );
             }
             TraceEvent::RaceStart { id, members } => {
                 let _ = write!(out, ", \"id\": {id}, \"members\": {members}");
@@ -505,9 +490,8 @@ impl TraceEvent {
             TraceEvent::SolverEnd { id, solver, outcome, micros, makespan } => {
                 let _ = write!(out, ", \"id\": {id}");
                 solver_field(out, solver);
-                out.push_str(", \"outcome\": \"");
-                escape_into(out, outcome);
-                let _ = write!(out, "\", \"micros\": {micros}");
+                let _ =
+                    write!(out, ", \"outcome\": \"{}\", \"micros\": {micros}", Escaped(outcome));
                 if let Some(ms) = makespan {
                     out.push_str(", \"makespan\": ");
                     write_f64(out, *ms);

@@ -3,13 +3,14 @@
 //! re-validates (no malformed instance can be smuggled in through disk).
 //! The shared decode corpus (`corpus/instances.rs`) pins every kind's
 //! decoder to the outcomes recorded for the tree-based decoder it
-//! replaced, under any key order, whitespace and unknown keys.
-
-#![cfg(feature = "serde")]
+//! replaced, under any key order, whitespace and unknown keys;
+//! `corpus/values.rs` does the same for the delta and schedule readers.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use sst_core::delta::{delta_at, delta_to_json, deltas_at, deltas_to_json};
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};
+use sst_core::io::json::Parser;
 use sst_core::io::{
     schedule_from_json, schedule_to_json, splittable_from_json, splittable_to_json_line,
     uniform_from_json, uniform_to_json, uniform_to_json_line, unrelated_from_json,
@@ -18,19 +19,41 @@ use sst_core::io::{
 use sst_core::schedule::Schedule;
 
 include!("corpus/instances.rs");
+include!("corpus/values.rs");
 
-/// What decoding `doc` as `kind` gives, in the corpus's outcome notation.
-fn outcome(kind: &str, doc: &str) -> String {
-    let decoded = match kind {
-        "uniform" => uniform_from_json(doc).map(|u| uniform_to_json_line(&u)),
-        "unrelated" => unrelated_from_json(doc).map(|u| unrelated_to_json_line(&u)),
-        _ => splittable_from_json(doc).map(|u| splittable_to_json_line(&u)),
-    };
+/// A decode result in the corpus's outcome notation: `ok:` plus the value
+/// re-encoded, or the error variant.
+fn notation(decoded: Result<String, IoError>) -> String {
     match decoded {
         Ok(line) => format!("ok:{line}"),
         Err(IoError::Json(_)) => "Json".into(),
         Err(IoError::Format(_)) => "Format".into(),
         Err(IoError::Invalid(_)) => "Invalid".into(),
+    }
+}
+
+/// What decoding `doc` as `kind` gives, in the corpus's outcome notation.
+fn outcome(kind: &str, doc: &str) -> String {
+    notation(match kind {
+        "uniform" => uniform_from_json(doc).map(|u| uniform_to_json_line(&u)),
+        "unrelated" => unrelated_from_json(doc).map(|u| unrelated_to_json_line(&u)),
+        _ => splittable_from_json(doc).map(|u| splittable_to_json_line(&u)),
+    })
+}
+
+#[test]
+fn delta_and_schedule_readers_keep_the_recorded_outcomes() {
+    for &(text, want) in recorded::DELTAS {
+        let got = notation(delta_at(Parser::new(text)).map(|d| delta_to_json(&d)));
+        assert_eq!(got, want, "{text}");
+    }
+    for &(text, want) in recorded::DELTA_ARRAYS {
+        let got = notation(deltas_at(Parser::new(text)).map(|d| deltas_to_json(&d)));
+        assert_eq!(got, want, "{text}");
+    }
+    for &(text, want) in recorded::SCHEDULES {
+        let got = notation(schedule_from_json(text).map(|s| schedule_to_json(&s)));
+        assert_eq!(got, want, "{text}");
     }
 }
 

@@ -73,7 +73,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
-use sst_core::delta::{delta_to_json, deltas_from_value, InstanceDelta};
+use sst_core::delta::InstanceDelta;
 use sst_core::io::json::{self, Parser};
 use sst_core::io::{self as core_io, IoError};
 use sst_core::telemetry::{stage, Telemetry, TraceEvent};
@@ -81,7 +81,8 @@ use sst_core::wire::{self, fnv1a64, Cursor};
 
 use crate::model::Solution;
 use crate::protocol::{
-    cost_from_value, instance_at, instance_to_json, shares_from_value, write_cost, write_solution,
+    cost_at, instance_at, instance_to_json, req_uint, shares_at, verb_at, write_cost,
+    write_solution, write_verb, SessionVerb, VerbRef,
 };
 use crate::session::SessionEntry;
 
@@ -148,30 +149,13 @@ pub enum JournalRecord {
     },
 }
 
-/// Borrowed view of a record for zero-copy encoding on the append path.
-enum RecordRef<'a> {
-    Create { sid: u64, instance: &'a crate::solver::ProblemInstance },
-    Delta { sid: u64, deltas: &'a [InstanceDelta] },
-    Close { sid: u64 },
-}
-
-impl RecordRef<'_> {
-    fn sid(&self) -> u64 {
-        match self {
-            RecordRef::Create { sid, .. }
-            | RecordRef::Delta { sid, .. }
-            | RecordRef::Close { sid } => *sid,
-        }
-    }
-}
-
 impl JournalRecord {
-    /// The borrowed view the encoder works from.
-    fn as_ref(&self) -> RecordRef<'_> {
+    /// The verb body the record is journaled as.
+    fn as_verb(&self) -> VerbRef<'_> {
         match self {
-            JournalRecord::Create { sid, instance } => RecordRef::Create { sid: *sid, instance },
-            JournalRecord::Delta { sid, deltas } => RecordRef::Delta { sid: *sid, deltas },
-            JournalRecord::Close { sid } => RecordRef::Close { sid: *sid },
+            JournalRecord::Create { sid, instance } => VerbRef::Create { sid: *sid, instance },
+            JournalRecord::Delta { sid, deltas } => VerbRef::Delta { sid: *sid, deltas },
+            &JournalRecord::Close { sid } => VerbRef::Close { sid },
         }
     }
 }
@@ -182,37 +166,17 @@ impl JournalRecord {
 // checksum discipline guards journal lines, wire frames and packed
 // snapshots.
 
-fn record_payload(seq: u64, rec: &RecordRef<'_>) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"seq\": {seq}, ");
-    match rec {
-        RecordRef::Create { sid, instance } => {
-            let _ = write!(out, "\"create\": {{\"sid\": {sid}, \"instance\": ");
-            out.push_str(&instance_to_json(instance));
-            out.push('}');
-        }
-        RecordRef::Delta { sid, deltas } => {
-            let _ = write!(out, "\"delta\": {{\"sid\": {sid}, \"deltas\": [");
-            for (i, d) in deltas.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&delta_to_json(d));
-            }
-            out.push_str("]}");
-        }
-        RecordRef::Close { sid } => {
-            let _ = write!(out, "\"close\": {{\"sid\": {sid}}}");
-        }
-    }
-    out.push('}');
-    out
+/// Encodes one journal line (no trailing newline):
+/// `<16-hex checksum> {"seq": N, <verb body>}`, the verb body being the
+/// one session request lines carry.
+pub fn encode_journal_line(seq: u64, rec: &JournalRecord) -> String {
+    journal_line(seq, rec.as_verb())
 }
 
-/// Encodes one journal line (no trailing newline):
-/// `<16-hex checksum> <json>`.
-pub fn encode_journal_line(seq: u64, rec: &JournalRecord) -> String {
-    let payload = record_payload(seq, &rec.as_ref());
+fn journal_line(seq: u64, verb: VerbRef<'_>) -> String {
+    let mut payload = format!("{{\"seq\": {seq}, ");
+    write_verb(&mut payload, verb);
+    payload.push('}');
     format!("{:016x} {payload}", fnv1a64(payload.as_bytes()))
 }
 
@@ -233,35 +197,13 @@ pub fn parse_journal_line(line: &str) -> Result<(u64, JournalRecord), String> {
     let fields = p.fields(["seq", "create", "delta", "close"])?;
     p.finish()?;
     let [seq, create, delta, close] = fields.ok_or("journal record must be a JSON object")?;
-    let uint = |at: Option<usize>, k: &str| {
-        at.and_then(|pos| p.at(pos).u64())
-            .ok_or_else(|| format!("journal record missing uint '{k}'"))
-    };
-    let verb = |at: usize, key: &str| {
-        p.at(at)
-            .fields(["sid", "instance", "deltas"])?
-            .ok_or_else(|| format!("journal '{key}' must be an object"))
-    };
-    let seq = uint(seq, "seq")?;
-    let rec = if let Some(at) = create {
-        let [sid, instance, _] = verb(at, "create")?;
-        let instance = instance.ok_or("create missing 'instance'")?;
-        JournalRecord::Create {
-            sid: uint(sid, "sid")?,
-            instance: instance_at(p.at(instance)).map_err(|e| e.to_string())?,
-        }
-    } else if let Some(at) = delta {
-        let [sid, _, deltas] = verb(at, "delta")?;
-        let deltas = deltas.ok_or("delta missing 'deltas'")?;
-        JournalRecord::Delta {
-            sid: uint(sid, "sid")?,
-            deltas: deltas_from_value(&p.at(deltas).value()?).map_err(|e| e.to_string())?,
-        }
-    } else if let Some(at) = close {
-        let [sid, ..] = verb(at, "close")?;
-        JournalRecord::Close { sid: uint(sid, "sid")? }
-    } else {
-        return Err("journal record has no create/delta/close verb".into());
+    let seq = req_uint(seq, "seq").map_err(|e| e.to_string())?;
+    // `solve` is never journaled: a record naming one reads as if it did not.
+    let rec = match verb_at([create, delta, None, close]).map_err(|e| e.to_string())? {
+        SessionVerb::Create { sid, instance } => JournalRecord::Create { sid, instance },
+        SessionVerb::Delta { sid, deltas } => JournalRecord::Delta { sid, deltas },
+        SessionVerb::Close { sid } => JournalRecord::Close { sid },
+        SessionVerb::Solve { .. } => return Err("journal records never hold a solve".into()),
     };
     Ok((seq, rec))
 }
@@ -403,34 +345,25 @@ pub fn parse_snapshot(text: &str) -> Result<(u64, u64, SessionEntry), IoError> {
     p.finish().map_err(IoError::Json)?;
     let [v, sid, seq, instance, cost, assignment, shares, proxy] =
         fields.ok_or_else(|| IoError::Json("snapshot must be a JSON object".into()))?;
-    let uint = |at: Option<usize>, k: &str| {
-        at.and_then(|pos| p.at(pos).u64())
-            .ok_or_else(|| IoError::Json(format!("snapshot missing uint '{k}'")))
+    let schedule = |p, what: &str| {
+        core_io::schedule_at(p).map_err(|_| IoError::Json(format!("bad snapshot '{what}'")))
     };
-    let tree = |at: usize| p.at(at).value().map_err(IoError::Json);
-    let schedule = |at: usize, what: &str| {
-        core_io::schedule_from_value(&tree(at)?)
-            .map_err(|_| IoError::Json(format!("bad snapshot '{what}'")))
-    };
-    if uint(v, "v")? != 1 {
+    if req_uint(v, "v")? != 1 {
         return Err(IoError::Format("unknown snapshot version".into()));
     }
-    let sid = uint(sid, "sid")?;
-    let seq = uint(seq, "seq")?;
-    let instance = instance_at(
-        p.at(instance.ok_or_else(|| IoError::Json("snapshot missing 'instance'".into()))?),
-    )?;
-    let cost = cost_from_value(&tree(
-        cost.ok_or_else(|| IoError::Json("snapshot missing 'cost'".into()))?,
-    )?)?;
-    let incumbent = if let Some(at) = assignment {
-        Solution::Assignment(schedule(at, "assignment")?)
-    } else if let Some(at) = shares {
-        Solution::Split(shares_from_value(&tree(at)?)?)
+    let sid = req_uint(sid, "sid")?;
+    let seq = req_uint(seq, "seq")?;
+    let instance =
+        instance_at(instance.ok_or_else(|| IoError::Json("snapshot missing 'instance'".into()))?)?;
+    let cost = cost_at(cost.ok_or_else(|| IoError::Json("snapshot missing 'cost'".into()))?)?;
+    let incumbent = if let Some(p) = assignment {
+        Solution::Assignment(schedule(p, "assignment")?)
+    } else if let Some(p) = shares {
+        Solution::Split(shares_at(p)?)
     } else {
         return Err(IoError::Json("snapshot missing 'assignment' or 'shares'".into()));
     };
-    let proxy = proxy.map(|at| schedule(at, "proxy")).transpose()?;
+    let proxy = proxy.map(|p| schedule(p, "proxy")).transpose()?;
     Ok((sid, seq, SessionEntry { instance: Arc::new(instance), incumbent, cost, proxy }))
 }
 
@@ -686,8 +619,7 @@ impl DurableStore {
     /// record. Returns — i.e. the verb gets acknowledged — only once the
     /// record is on storage at the configured durability; a poisoned store
     /// refuses it.
-    fn append(&self, rec: RecordRef<'_>) -> std::io::Result<u64> {
-        let sid = rec.sid();
+    fn append(&self, sid: u64, verb: VerbRef<'_>) -> std::io::Result<u64> {
         let t0 = std::time::Instant::now();
         self.ensure_committer();
         let (seq, bytes, wait_us) = {
@@ -697,8 +629,8 @@ impl DurableStore {
             // Encoding under the state lock keeps `pending` in sequence
             // order — the invariant that lets the committer write any
             // prefix of the buffer as one contiguous byte range.
-            let payload = record_payload(seq, &rec);
-            let line = format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()));
+            let mut line = journal_line(seq, verb);
+            line.push('\n');
             let bytes = line.len() as u64;
             st.pending.push(PendingRecord { seq, line });
             self.commit.work.notify_one();
@@ -770,18 +702,18 @@ impl DurableStore {
         sid: u64,
         instance: &crate::solver::ProblemInstance,
     ) -> std::io::Result<u64> {
-        self.append(RecordRef::Create { sid, instance })
+        self.append(sid, VerbRef::Create { sid, instance })
     }
 
     /// Journals an accepted `delta` batch (call only after the repair
     /// succeeded: a rejected batch is not part of the session's history).
     pub fn append_delta(&self, sid: u64, deltas: &[InstanceDelta]) -> std::io::Result<u64> {
-        self.append(RecordRef::Delta { sid, deltas })
+        self.append(sid, VerbRef::Delta { sid, deltas })
     }
 
     /// Journals an accepted `close`.
     pub fn append_close(&self, sid: u64) -> std::io::Result<u64> {
-        self.append(RecordRef::Close { sid })
+        self.append(sid, VerbRef::Close { sid })
     }
 
     /// Writes session `sid`'s packed snapshot atomically (temp file +

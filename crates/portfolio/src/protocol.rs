@@ -49,8 +49,8 @@
 use std::fmt::Write as _;
 
 use sst_algos::splittable::{splittable_feasible, SplitSchedule, SplitShare};
-use sst_core::delta::{delta_to_json, deltas_from_value, InstanceDelta};
-use sst_core::io::json::{self, JsonValue, Parser};
+use sst_core::delta::{deltas_at, deltas_to_json, InstanceDelta};
+use sst_core::io::json::{self, Escaped, Parser};
 use sst_core::io::{self, InstanceDoc, IoError};
 use sst_core::ratio::Ratio;
 
@@ -235,18 +235,10 @@ pub struct MetricsSummary {
     pub uptime_ms: u64,
     /// Throughput in requests per second, scaled by 1000.
     pub rps_x1000: u64,
-    /// Latency percentiles/mean in microseconds (log₂-bucket upper bounds).
-    pub p50_us: u64,
-    /// 90th percentile latency (µs).
-    pub p90_us: u64,
-    /// 99th percentile latency (µs).
-    pub p99_us: u64,
-    /// Mean latency (µs, rounded).
-    pub mean_us: u64,
     /// Session-store counters (live/evicted/warm-start hit rate).
     pub sessions: SessionStats,
     /// Group-commit batches flushed by the journal committer (0 when the
-    /// store is non-durable or batching is off).
+    /// store is non-durable).
     pub journal_batches: u64,
     /// Median records per committed batch.
     pub journal_batch_p50: u64,
@@ -263,6 +255,13 @@ pub struct MetricsSummary {
     /// Trace events dropped by the ring-buffered sink (0 when tracing is
     /// off or keeping up).
     pub trace_dropped: u64,
+}
+
+impl MetricsSummary {
+    /// The latency row of `stage` (e.g. `race_us`), when recorded.
+    pub fn stage(&self, stage: &str) -> Option<&StageLine> {
+        self.stages.iter().find(|row| row.stage == stage)
+    }
 }
 
 /// A response line.
@@ -312,24 +311,6 @@ pub enum Response {
     Metrics(MetricsSummary),
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Writes an `f64` so it parses back as a float, never as an integer:
 /// integral values get a trailing `.0`. Rust's shortest-roundtrip float
 /// formatting guarantees `parse::<f64>` returns the identical bits.
@@ -353,23 +334,29 @@ pub(crate) fn write_cost(out: &mut String, cost: &Cost) {
     }
 }
 
-pub(crate) fn cost_from_value(v: &JsonValue) -> Result<Cost, IoError> {
-    match v {
-        JsonValue::Uint(t) => Ok(Cost::Time(*t)),
-        JsonValue::Float(x) => Ok(Cost::Real(*x)),
-        JsonValue::Object(map) => {
-            let num = match map.get("num") {
-                Some(JsonValue::Uint(n)) => *n,
-                _ => return Err(IoError::Json("makespan.num must be an integer".into())),
-            };
-            let den = match map.get("den") {
-                Some(JsonValue::Uint(d)) if *d > 0 => *d,
-                _ => return Err(IoError::Json("makespan.den must be a positive integer".into())),
-            };
-            Ok(Cost::Frac(Ratio::new(num, den)))
-        }
-        _ => Err(IoError::Json("makespan must be a number or {num, den}".into())),
+/// Reads the cost at `p`: an unsigned integer is a [`Cost::Time`], any
+/// other number a [`Cost::Real`], `{"num": N, "den": D}` a [`Cost::Frac`].
+pub(crate) fn cost_at(p: Parser<'_>) -> Result<Cost, IoError> {
+    // Each shape is tried on its own copy of the parser.
+    let (mut int, mut real, mut frac) = (p, p, p);
+    if let Some(t) = int.u64() {
+        return Ok(Cost::Time(t));
     }
+    if let Some(x) = real.f64() {
+        return Ok(Cost::Real(x));
+    }
+    let [num, den] = frac
+        .fields(["num", "den"])
+        .map_err(IoError::Json)?
+        .ok_or_else(|| IoError::Json("makespan must be a number or {num, den}".into()))?;
+    let num = num
+        .and_then(|mut p| p.u64())
+        .ok_or_else(|| IoError::Json("makespan.num must be an integer".into()))?;
+    let den = den
+        .and_then(|mut p| p.u64())
+        .filter(|&d| d > 0)
+        .ok_or_else(|| IoError::Json("makespan.den must be a positive integer".into()))?;
+    Ok(Cost::Frac(Ratio::new(num, den)))
 }
 
 /// Serializes an instance envelope to one JSON line (the shared encoder
@@ -401,28 +388,43 @@ pub fn request_to_json(req: &Request) -> String {
     out
 }
 
-fn opt_uint(
-    map: &std::collections::BTreeMap<String, JsonValue>,
-    k: &str,
-) -> Result<Option<u64>, IoError> {
-    match map.get(k) {
-        None => Ok(None),
-        Some(JsonValue::Uint(v)) => Ok(Some(*v)),
-        Some(_) => Err(IoError::Json(format!("field '{k}' must be an unsigned integer"))),
-    }
+/// The unsigned integer member `v` (`None` when absent).
+fn uint(v: Option<Parser<'_>>, k: &str) -> Result<Option<u64>, IoError> {
+    v.map(|mut p| {
+        p.u64().ok_or_else(|| IoError::Json(format!("field '{k}' must be an unsigned integer")))
+    })
+    .transpose()
 }
 
-/// Reads the optional unsigned integer whose value starts at `at` (an
-/// offset [`Parser::fields`] recorded).
-fn uint_at(p: &Parser<'_>, at: Option<usize>, k: &str) -> Result<Option<u64>, IoError> {
-    match at {
-        None => Ok(None),
-        Some(pos) => p
-            .at(pos)
-            .u64()
-            .map(Some)
-            .ok_or_else(|| IoError::Json(format!("field '{k}' must be an unsigned integer"))),
-    }
+/// The unsigned integer member `v`, required.
+pub(crate) fn req_uint(v: Option<Parser<'_>>, k: &str) -> Result<u64, IoError> {
+    uint(v, k)?.ok_or_else(|| IoError::Json(format!("missing field '{k}'")))
+}
+
+/// The string member `v`, required.
+fn string(v: Option<Parser<'_>>, k: &str) -> Result<String, IoError> {
+    v.and_then(|mut p| p.string())
+        .ok_or_else(|| IoError::Json(format!("missing string field '{k}'")))
+}
+
+/// The members `keys` of the object at `p` (see [`Parser::fields`]);
+/// `what` names the value in the error when it is not an object.
+fn object<'a, const N: usize>(
+    mut p: Parser<'a>,
+    keys: [&str; N],
+    what: &str,
+) -> Result<[Option<Parser<'a>>; N], IoError> {
+    p.fields(keys)
+        .map_err(IoError::Json)?
+        .ok_or_else(|| IoError::Json(format!("{what} must be an object")))
+}
+
+/// The elements of the array at `p`; `what` names the value in the error
+/// when it is not an array.
+fn array<'a>(mut p: Parser<'a>, what: &str) -> Result<Vec<Parser<'a>>, IoError> {
+    p.items()
+        .map_err(IoError::Json)?
+        .ok_or_else(|| IoError::Json(format!("{what} must be an array")))
 }
 
 /// Decodes the instance envelope (`{"kind": .., ..}`) at `p` into the
@@ -456,49 +458,48 @@ fn instance_from_doc(doc: Option<InstanceDoc<'_>>) -> Result<ProblemInstance, Io
     }
 }
 
-/// Decodes the `session` member at `p` (verb precedence create, delta,
-/// solve, close when a payload names several).
-fn session_at(mut p: Parser<'_>, id: u64) -> Result<SessionRequest, IoError> {
-    let [create, delta, solve, close] = p
-        .fields(["create", "delta", "solve", "close"])
-        .map_err(IoError::Json)?
-        .ok_or_else(|| IoError::Json("field 'session' must be an object".into()))?;
-    let payload = |at: usize, key: &str| {
-        p.at(at)
-            .fields(["sid", "instance", "deltas", "budget_ms", "top_k", "seed"])
-            .map_err(IoError::Json)?
-            .ok_or_else(|| IoError::Json(format!("session.{key} must be an object")))
+/// The session verbs in reading precedence: a body naming several decodes
+/// as the first one present.
+pub(crate) const VERBS: [&str; 4] = ["create", "delta", "solve", "close"];
+
+/// Decodes a session verb from the members of its body, given in
+/// [`VERBS`] order. Session request lines and journal records share it.
+pub(crate) fn verb_at(
+    [create, delta, solve, close]: [Option<Parser<'_>>; 4],
+) -> Result<SessionVerb, IoError> {
+    let payload = |p, key: &str| {
+        object(
+            p,
+            ["sid", "instance", "deltas", "budget_ms", "top_k", "seed"],
+            &format!("session.{key}"),
+        )
     };
-    let sid_of = |at| {
-        uint_at(&p, at, "sid")?.ok_or_else(|| IoError::Json("session verb missing 'sid'".into()))
-    };
-    let verb = if let Some(at) = create {
-        let [sid, instance, ..] = payload(at, "create")?;
+    let sid_of =
+        |v| uint(v, "sid")?.ok_or_else(|| IoError::Json("session verb missing 'sid'".into()));
+    Ok(if let Some(p) = create {
+        let [sid, instance, ..] = payload(p, "create")?;
         let instance = instance.ok_or_else(|| IoError::Json("create missing 'instance'".into()))?;
-        SessionVerb::Create { sid: sid_of(sid)?, instance: instance_at(p.at(instance))? }
-    } else if let Some(at) = delta {
-        let [sid, _, deltas, ..] = payload(at, "delta")?;
+        SessionVerb::Create { sid: sid_of(sid)?, instance: instance_at(instance)? }
+    } else if let Some(p) = delta {
+        let [sid, _, deltas, ..] = payload(p, "delta")?;
         let deltas = deltas.ok_or_else(|| IoError::Json("delta missing 'deltas'".into()))?;
-        let sid = sid_of(sid)?;
-        let deltas = p.at(deltas).value().map_err(IoError::Json)?;
-        SessionVerb::Delta { sid, deltas: deltas_from_value(&deltas)? }
-    } else if let Some(at) = solve {
-        let [sid, _, _, budget_ms, top_k, seed] = payload(at, "solve")?;
+        SessionVerb::Delta { sid: sid_of(sid)?, deltas: deltas_at(deltas)? }
+    } else if let Some(p) = solve {
+        let [sid, _, _, budget_ms, top_k, seed] = payload(p, "solve")?;
         SessionVerb::Solve {
             sid: sid_of(sid)?,
-            budget_ms: uint_at(&p, budget_ms, "budget_ms")?,
-            top_k: uint_at(&p, top_k, "top_k")?.map(|k| k as usize),
-            seed: uint_at(&p, seed, "seed")?,
+            budget_ms: uint(budget_ms, "budget_ms")?,
+            top_k: uint(top_k, "top_k")?.map(|k| k as usize),
+            seed: uint(seed, "seed")?,
         }
-    } else if let Some(at) = close {
-        let [sid, ..] = payload(at, "close")?;
+    } else if let Some(p) = close {
+        let [sid, ..] = payload(p, "close")?;
         SessionVerb::Close { sid: sid_of(sid)? }
     } else {
         return Err(IoError::Json(
             "session verb must be one of create | delta | solve | close".into(),
         ));
-    };
-    Ok(SessionRequest { id, verb })
+    })
 }
 
 /// Parses one incoming NDJSON line (one-shot request, session request, or
@@ -519,7 +520,7 @@ pub fn parse_incoming(line: &str) -> Result<Incoming, IoError> {
             instance = Some(InstanceDoc::scan(p)?);
         } else {
             if let Some(i) = KEYS.iter().position(|k| *k == key) {
-                at[i] = Some(p.pos());
+                at[i] = Some(*p);
             }
             p.skip_value()?;
         }
@@ -528,8 +529,7 @@ pub fn parse_incoming(line: &str) -> Result<Incoming, IoError> {
     .and_then(|()| p.finish())
     .map_err(IoError::Json)?;
     let [metrics, kill_worker, crash, id, session, budget_ms, top_k, seed] = at;
-    let is_true =
-        |at: Option<usize>| at.is_some_and(|pos| p.at(pos).value() == Ok(JsonValue::Bool(true)));
+    let is_true = |v: Option<Parser<'_>>| v.and_then(|mut p| p.bool()) == Some(true);
     if is_true(metrics) {
         return Ok(Incoming::Metrics);
     }
@@ -539,44 +539,62 @@ pub fn parse_incoming(line: &str) -> Result<Incoming, IoError> {
     if is_true(crash) {
         return Ok(Incoming::Crash);
     }
-    let id = uint_at(&p, id, "id")?.ok_or_else(|| IoError::Json("missing field 'id'".into()))?;
-    if let Some(at) = session {
-        return Ok(Incoming::Session(Box::new(session_at(p.at(at), id)?)));
+    let id = req_uint(id, "id")?;
+    if let Some(session) = session {
+        let verbs = object(session, VERBS, "field 'session'")?;
+        return Ok(Incoming::Session(Box::new(SessionRequest { id, verb: verb_at(verbs)? })));
     }
     let instance = instance.ok_or_else(|| IoError::Json("missing field 'instance'".into()))?;
     let instance = instance_from_doc(instance)?;
     Ok(Incoming::Solve(Box::new(Request {
         id,
         instance,
-        budget_ms: uint_at(&p, budget_ms, "budget_ms")?,
-        top_k: uint_at(&p, top_k, "top_k")?.map(|k| k as usize),
-        seed: uint_at(&p, seed, "seed")?,
+        budget_ms: uint(budget_ms, "budget_ms")?,
+        top_k: uint(top_k, "top_k")?.map(|k| k as usize),
+        seed: uint(seed, "seed")?,
     })))
 }
 
-/// Serializes a session request to one NDJSON line (the client half; see
-/// [`SessionRequest`] for the shape).
-pub fn session_request_to_json(req: &SessionRequest) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"id\": {}, \"session\": ", req.id);
-    match &req.verb {
-        SessionVerb::Create { sid, instance } => {
-            let _ = write!(out, "{{\"create\": {{\"sid\": {sid}, \"instance\": ");
-            out.push_str(&instance_to_json(instance));
-            out.push_str("}}");
-        }
-        SessionVerb::Delta { sid, deltas } => {
-            let _ = write!(out, "{{\"delta\": {{\"sid\": {sid}, \"deltas\": [");
-            for (i, d) in deltas.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&delta_to_json(d));
+/// A session verb by reference: what [`write_verb`] encodes.
+pub(crate) enum VerbRef<'a> {
+    Create { sid: u64, instance: &'a ProblemInstance },
+    Delta { sid: u64, deltas: &'a [InstanceDelta] },
+    Solve { sid: u64, budget_ms: Option<u64>, top_k: Option<usize>, seed: Option<u64> },
+    Close { sid: u64 },
+}
+
+impl SessionVerb {
+    fn as_ref(&self) -> VerbRef<'_> {
+        match self {
+            SessionVerb::Create { sid, instance } => VerbRef::Create { sid: *sid, instance },
+            SessionVerb::Delta { sid, deltas } => VerbRef::Delta { sid: *sid, deltas },
+            &SessionVerb::Solve { sid, budget_ms, top_k, seed } => {
+                VerbRef::Solve { sid, budget_ms, top_k, seed }
             }
-            out.push_str("]}}");
+            &SessionVerb::Close { sid } => VerbRef::Close { sid },
         }
-        SessionVerb::Solve { sid, budget_ms, top_k, seed } => {
-            let _ = write!(out, "{{\"solve\": {{\"sid\": {sid}");
+    }
+}
+
+/// Writes a session verb body, `"<verb>": {"sid": .., ..}`, as one member
+/// of an enclosing object. Session request lines and journal records share
+/// it.
+pub(crate) fn write_verb(out: &mut String, verb: VerbRef<'_>) {
+    match verb {
+        VerbRef::Create { sid, instance } => {
+            let _ = write!(out, "\"create\": {{\"sid\": {sid}, \"instance\": ");
+            out.push_str(&instance_to_json(instance));
+            out.push('}');
+        }
+        VerbRef::Delta { sid, deltas } => {
+            let _ = write!(
+                out,
+                "\"delta\": {{\"sid\": {sid}, \"deltas\": {}}}",
+                deltas_to_json(deltas)
+            );
+        }
+        VerbRef::Solve { sid, budget_ms, top_k, seed } => {
+            let _ = write!(out, "\"solve\": {{\"sid\": {sid}");
             if let Some(b) = budget_ms {
                 let _ = write!(out, ", \"budget_ms\": {b}");
             }
@@ -586,13 +604,20 @@ pub fn session_request_to_json(req: &SessionRequest) -> String {
             if let Some(s) = seed {
                 let _ = write!(out, ", \"seed\": {s}");
             }
-            out.push_str("}}");
+            out.push('}');
         }
-        SessionVerb::Close { sid } => {
-            let _ = write!(out, "{{\"close\": {{\"sid\": {sid}}}}}");
+        VerbRef::Close { sid } => {
+            let _ = write!(out, "\"close\": {{\"sid\": {sid}}}");
         }
     }
-    out.push('}');
+}
+
+/// Serializes a session request to one NDJSON line (the client half; see
+/// [`SessionRequest`] for the shape).
+pub fn session_request_to_json(req: &SessionRequest) -> String {
+    let mut out = format!("{{\"id\": {}, \"session\": {{", req.id);
+    write_verb(&mut out, req.verb.as_ref());
+    out.push_str("}}");
     out
 }
 
@@ -605,7 +630,7 @@ pub fn extract_request_id(line: &str) -> Option<u64> {
     let mut p = Parser::new(line);
     let [id] = p.fields(["id"]).ok()??;
     p.finish().ok()?;
-    p.at(id?).u64()
+    id?.u64()
 }
 
 pub(crate) fn write_solution(out: &mut String, solution: &Solution) {
@@ -636,35 +661,23 @@ pub(crate) fn write_solution(out: &mut String, solution: &Solution) {
     }
 }
 
-pub(crate) fn shares_from_value(v: &JsonValue) -> Result<SplitSchedule, IoError> {
-    let JsonValue::Array(rows) = v else {
-        return Err(IoError::Json("'shares' must be an array of share rows".into()));
+/// Reads the `shares` table of a split schedule at `p`.
+pub(crate) fn shares_at(p: Parser<'_>) -> Result<SplitSchedule, IoError> {
+    let share = |p| {
+        let [machine, fraction] = object(p, ["machine", "fraction"], "shares[][]")?;
+        let machine = machine
+            .and_then(|mut p| p.u64())
+            .and_then(|i| usize::try_from(i).ok())
+            .ok_or_else(|| IoError::Json("share.machine must be an integer".into()))?;
+        let fraction = fraction
+            .and_then(|mut p| p.f64())
+            .ok_or_else(|| IoError::Json("share.fraction must be a number".into()))?;
+        Ok(SplitShare { machine, fraction })
     };
-    let mut shares = Vec::with_capacity(rows.len());
-    for row in rows {
-        let JsonValue::Array(items) = row else {
-            return Err(IoError::Json("shares[] rows must be arrays".into()));
-        };
-        let mut parsed = Vec::with_capacity(items.len());
-        for item in items {
-            let JsonValue::Object(m) = item else {
-                return Err(IoError::Json("shares[][] must be objects".into()));
-            };
-            let machine = match m.get("machine") {
-                Some(JsonValue::Uint(i)) => usize::try_from(*i)
-                    .map_err(|_| IoError::Json("share machine out of range".into()))?,
-                _ => return Err(IoError::Json("share.machine must be an integer".into())),
-            };
-            let fraction = match m.get("fraction") {
-                Some(JsonValue::Float(f)) => *f,
-                Some(JsonValue::Uint(u)) => *u as f64,
-                _ => return Err(IoError::Json("share.fraction must be a number".into())),
-            };
-            parsed.push(SplitShare { machine, fraction });
-        }
-        shares.push(parsed);
-    }
-    Ok(SplitSchedule::new(shares))
+    let rows = array(p, "'shares'")?.into_iter().map(|row| {
+        array(row, "shares[] row")?.into_iter().map(share).collect::<Result<Vec<_>, IoError>>()
+    });
+    Ok(SplitSchedule::new(rows.collect::<Result<_, _>>()?))
 }
 
 /// Serializes a response to one NDJSON line.
@@ -675,7 +688,7 @@ pub fn response_to_json(resp: &Response) -> String {
             let _ = write!(
                 out,
                 "{{\"id\": {id}, \"status\": \"ok\", \"kind\": \"{kind}\", \"solver\": \"{}\", \"micros\": {micros}, \"makespan\": ",
-                escape_json(solver)
+                Escaped(solver)
             );
             write_cost(&mut out, makespan);
             out.push_str(", ");
@@ -685,7 +698,7 @@ pub fn response_to_json(resp: &Response) -> String {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{{\"name\": \"{}\", \"makespan\": ", escape_json(&s.name));
+                let _ = write!(out, "{{\"name\": \"{}\", \"makespan\": ", Escaped(&s.name));
                 match &s.makespan {
                     Some(c) => write_cost(&mut out, c),
                     None => out.push_str("null"),
@@ -699,14 +712,13 @@ pub fn response_to_json(resp: &Response) -> String {
             if let Some(id) = id {
                 let _ = write!(out, "\"id\": {id}, ");
             }
-            let _ =
-                write!(out, "\"status\": \"error\", \"message\": \"{}\"}}", escape_json(message));
+            let _ = write!(out, "\"status\": \"error\", \"message\": \"{}\"}}", Escaped(message));
         }
         Response::Session { id, sid, verb, live, makespan } => {
             let _ = write!(
                 out,
                 "{{\"id\": {id}, \"status\": \"session\", \"sid\": {sid}, \"verb\": \"{}\", \"live\": {live}",
-                escape_json(verb)
+                Escaped(verb)
             );
             if let Some(cost) = makespan {
                 out.push_str(", \"makespan\": ");
@@ -717,8 +729,8 @@ pub fn response_to_json(resp: &Response) -> String {
         Response::Metrics(m) => {
             let _ = write!(
                 out,
-                "{{\"status\": \"metrics\", \"count\": {}, \"errors\": {}, \"uptime_ms\": {}, \"rps_x1000\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"mean_us\": {}",
-                m.count, m.errors, m.uptime_ms, m.rps_x1000, m.p50_us, m.p90_us, m.p99_us, m.mean_us
+                "{{\"status\": \"metrics\", \"count\": {}, \"errors\": {}, \"uptime_ms\": {}, \"rps_x1000\": {}",
+                m.count, m.errors, m.uptime_ms, m.rps_x1000
             );
             let s = &m.sessions;
             let _ = write!(
@@ -740,8 +752,8 @@ pub fn response_to_json(resp: &Response) -> String {
                 let _ = write!(
                     out,
                     "{{\"family\": \"{}\", \"solver\": \"{}\", \"races\": {}, \"wins\": {}, \"score_x1000\": {}}}",
-                    escape_json(&s.family),
-                    escape_json(&s.solver),
+                    Escaped(&s.family),
+                    Escaped(&s.solver),
                     s.races,
                     s.wins,
                     s.score_x1000
@@ -756,7 +768,7 @@ pub fn response_to_json(resp: &Response) -> String {
                 let _ = write!(
                     out,
                     "{{\"stage\": \"{}\", \"count\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-                    escape_json(&st.stage),
+                    Escaped(&st.stage),
                     st.count,
                     st.p50_us,
                     st.p90_us,
@@ -773,7 +785,7 @@ pub fn response_to_json(resp: &Response) -> String {
                 let _ = write!(
                     out,
                     "{{\"solver\": \"{}\", \"improvements\": {}, \"wins\": {}, \"first_p50_us\": {}, \"first_p99_us\": {}}}",
-                    escape_json(&sl.solver),
+                    Escaped(&sl.solver),
                     sl.improvements,
                     sl.wins,
                     sl.first_p50_us,
@@ -790,211 +802,168 @@ pub fn response_to_json(resp: &Response) -> String {
 /// Parses one response line (the client half of the codec; the integration
 /// tests and any Rust client use this).
 pub fn parse_response(line: &str) -> Result<Response, IoError> {
-    let value = json::parse(line).map_err(IoError::Json)?;
-    let map = match &value {
-        JsonValue::Object(map) => map,
-        _ => return Err(IoError::Json("response must be a JSON object".into())),
-    };
-    let status = match map.get("status") {
-        Some(JsonValue::Str(s)) => s.as_str(),
-        _ => return Err(IoError::Json("missing field 'status'".into())),
-    };
-    match status {
+    let mut p = Parser::new(line);
+    let fields = p.fields(["status"]).and_then(|f| p.finish().map(|()| f));
+    let [status] = fields
+        .map_err(IoError::Json)?
+        .ok_or_else(|| IoError::Json("response must be a JSON object".into()))?;
+    let status = status.and_then(|mut p| p.string());
+    let status = status.ok_or_else(|| IoError::Json("missing field 'status'".into()))?;
+    let p = Parser::new(line);
+    match status.as_str() {
         "ok" => {
-            let id = opt_uint(map, "id")?.ok_or_else(|| IoError::Json("missing 'id'".into()))?;
-            let get_str = |k: &str| -> Result<String, IoError> {
-                match map.get(k) {
-                    Some(JsonValue::Str(s)) => Ok(s.clone()),
-                    _ => Err(IoError::Json(format!("missing string field '{k}'"))),
-                }
-            };
-            let kind = get_str("kind")?;
-            let solver = get_str("solver")?;
-            let micros =
-                opt_uint(map, "micros")?.ok_or_else(|| IoError::Json("missing 'micros'".into()))?;
-            let makespan = cost_from_value(
-                map.get("makespan").ok_or_else(|| IoError::Json("missing 'makespan'".into()))?,
-            )?;
-            let solution = if let Some(v) = map.get("assignment") {
-                Solution::Assignment(
-                    io::schedule_from_value(v)
-                        .map_err(|_| IoError::Json("bad 'assignment'".into()))?,
-                )
-            } else if let Some(v) = map.get("shares") {
-                Solution::Split(shares_from_value(v)?)
+            const KEYS: [&str; 8] =
+                ["id", "kind", "solver", "micros", "makespan", "assignment", "shares", "solvers"];
+            let [id, kind, solver, micros, makespan, assignment, shares, solvers] =
+                object(p, KEYS, "response")?;
+            let id = req_uint(id, "id")?;
+            let kind = string(kind, "kind")?;
+            let solver = string(solver, "solver")?;
+            let micros = req_uint(micros, "micros")?;
+            let makespan =
+                cost_at(makespan.ok_or_else(|| IoError::Json("missing 'makespan'".into()))?)?;
+            let solution = if let Some(p) = assignment {
+                let bad = |_| IoError::Json("bad 'assignment'".into());
+                Solution::Assignment(io::schedule_at(p).map_err(bad)?)
+            } else if let Some(p) = shares {
+                Solution::Split(shares_at(p)?)
             } else {
                 return Err(IoError::Json("missing 'assignment' or 'shares'".into()));
             };
-            let mut solvers = Vec::new();
-            if let Some(JsonValue::Array(items)) = map.get("solvers") {
-                for item in items {
-                    let m = match item {
-                        JsonValue::Object(m) => m,
-                        _ => return Err(IoError::Json("solvers[] must be objects".into())),
-                    };
-                    let name = match m.get("name") {
-                        Some(JsonValue::Str(s)) => s.clone(),
-                        _ => return Err(IoError::Json("solvers[].name missing".into())),
-                    };
-                    let makespan = match m.get("makespan") {
-                        None | Some(JsonValue::Null) => None,
-                        Some(v) => Some(cost_from_value(v)?),
-                    };
-                    let micros = opt_uint(m, "micros")?.unwrap_or(0);
-                    let completed = matches!(m.get("completed"), Some(JsonValue::Bool(true)));
-                    solvers.push(SolverLine { name, makespan, micros, completed });
-                }
-            }
+            // A `solvers` member that is not an array reads as empty.
+            let solvers = solvers.and_then(|mut p| p.items().ok()?).unwrap_or_default();
+            let solvers = solvers.into_iter().map(|p| {
+                let [name, makespan, micros, completed] =
+                    object(p, ["name", "makespan", "micros", "completed"], "solvers[]")?;
+                Ok(SolverLine {
+                    name: string(name, "solvers[].name")?,
+                    makespan: makespan.filter(|p| !p.is_null()).map(cost_at).transpose()?,
+                    micros: uint(micros, "micros")?.unwrap_or(0),
+                    completed: completed.and_then(|mut p| p.bool()) == Some(true),
+                })
+            });
+            let solvers = solvers.collect::<Result<_, IoError>>()?;
             Ok(Response::Ok { id, kind, solver, micros, makespan, solution, solvers })
         }
         "error" => {
-            let message = match map.get("message") {
-                Some(JsonValue::Str(s)) => s.clone(),
-                _ => return Err(IoError::Json("missing 'message'".into())),
-            };
-            Ok(Response::Error { id: opt_uint(map, "id")?, message })
+            let [id, message] = object(p, ["id", "message"], "response")?;
+            let message = string(message, "message")?;
+            Ok(Response::Error { id: uint(id, "id")?, message })
         }
         "session" => {
-            let id = opt_uint(map, "id")?.ok_or_else(|| IoError::Json("missing 'id'".into()))?;
-            let sid = opt_uint(map, "sid")?.ok_or_else(|| IoError::Json("missing 'sid'".into()))?;
-            let verb = match map.get("verb") {
-                Some(JsonValue::Str(s)) => s.clone(),
-                _ => return Err(IoError::Json("missing string field 'verb'".into())),
-            };
-            let live =
-                opt_uint(map, "live")?.ok_or_else(|| IoError::Json("missing 'live'".into()))?;
-            let makespan = match map.get("makespan") {
-                None => None,
-                Some(v) => Some(cost_from_value(v)?),
-            };
-            Ok(Response::Session { id, sid, verb, live, makespan })
+            let [id, sid, verb, live, makespan] =
+                object(p, ["id", "sid", "verb", "live", "makespan"], "response")?;
+            Ok(Response::Session {
+                id: req_uint(id, "id")?,
+                sid: req_uint(sid, "sid")?,
+                verb: string(verb, "verb")?,
+                live: req_uint(live, "live")?,
+                makespan: makespan.map(cost_at).transpose()?,
+            })
         }
-        "metrics" => {
-            let g = |k: &str| -> Result<u64, IoError> {
-                opt_uint(map, k)?.ok_or_else(|| IoError::Json(format!("missing '{k}'")))
-            };
-            let sessions = match map.get("sessions") {
-                Some(JsonValue::Object(s)) => {
-                    let sg = |k: &str| -> Result<u64, IoError> {
-                        opt_uint(s, k)?.ok_or_else(|| IoError::Json(format!("missing '{k}'")))
-                    };
-                    SessionStats {
-                        live: sg("live")?,
-                        evicted: sg("evicted")?,
-                        warm_hits: sg("warm_hits")?,
-                        warm_misses: sg("warm_misses")?,
-                        // Durability counters: absent on lines from
-                        // pre-durability servers, so default rather than
-                        // error.
-                        spills: opt_uint(s, "spills")?.unwrap_or(0),
-                        cold_reloads: opt_uint(s, "cold_reloads")?.unwrap_or(0),
-                        recovered: opt_uint(s, "recovered")?.unwrap_or(0),
-                        journal_appends: opt_uint(s, "journal_appends")?.unwrap_or(0),
-                        journal_bytes: opt_uint(s, "journal_bytes")?.unwrap_or(0),
-                        snapshots: opt_uint(s, "snapshots")?.unwrap_or(0),
-                    }
-                }
-                // Absent on lines from pre-session servers.
-                _ => SessionStats::default(),
-            };
-            // Group-commit counters: absent on lines from pre-batching
-            // servers, so default rather than error.
-            let (journal_batches, journal_batch_p50, journal_batch_max) =
-                match map.get("journal_batch") {
-                    Some(JsonValue::Object(b)) => (
-                        opt_uint(b, "batches")?.unwrap_or(0),
-                        opt_uint(b, "p50")?.unwrap_or(0),
-                        opt_uint(b, "max")?.unwrap_or(0),
-                    ),
-                    _ => (0, 0, 0),
-                };
-            let mut standings = Vec::new();
-            if let Some(JsonValue::Array(items)) = map.get("standings") {
-                for item in items {
-                    let JsonValue::Object(s) = item else {
-                        return Err(IoError::Json("standings[] must be objects".into()));
-                    };
-                    let str_of = |k: &str| -> Result<String, IoError> {
-                        match s.get(k) {
-                            Some(JsonValue::Str(v)) => Ok(v.clone()),
-                            _ => Err(IoError::Json(format!("standings[].{k} missing"))),
-                        }
-                    };
-                    let sg = |k: &str| -> Result<u64, IoError> {
-                        opt_uint(s, k)?
-                            .ok_or_else(|| IoError::Json(format!("standings[].{k} missing")))
-                    };
-                    standings.push(StandingLine {
-                        family: str_of("family")?,
-                        solver: str_of("solver")?,
-                        races: sg("races")?,
-                        wins: sg("wins")?,
-                        score_x1000: sg("score_x1000")?,
-                    });
-                }
-            }
-            // Observability fields: absent on lines from pre-telemetry
-            // servers, so default rather than error.
-            let mut stages = Vec::new();
-            if let Some(JsonValue::Array(items)) = map.get("stages") {
-                for item in items {
-                    let JsonValue::Object(s) = item else {
-                        return Err(IoError::Json("stages[] must be objects".into()));
-                    };
-                    let stage = match s.get("stage") {
-                        Some(JsonValue::Str(v)) => v.clone(),
-                        _ => return Err(IoError::Json("stages[].stage missing".into())),
-                    };
-                    stages.push(StageLine {
-                        stage,
-                        count: opt_uint(s, "count")?.unwrap_or(0),
-                        p50_us: opt_uint(s, "p50_us")?.unwrap_or(0),
-                        p90_us: opt_uint(s, "p90_us")?.unwrap_or(0),
-                        p99_us: opt_uint(s, "p99_us")?.unwrap_or(0),
-                        max_us: opt_uint(s, "max_us")?.unwrap_or(0),
-                    });
-                }
-            }
-            let mut solver_latency = Vec::new();
-            if let Some(JsonValue::Array(items)) = map.get("solver_latency") {
-                for item in items {
-                    let JsonValue::Object(s) = item else {
-                        return Err(IoError::Json("solver_latency[] must be objects".into()));
-                    };
-                    let solver = match s.get("solver") {
-                        Some(JsonValue::Str(v)) => v.clone(),
-                        _ => return Err(IoError::Json("solver_latency[].solver missing".into())),
-                    };
-                    solver_latency.push(SolverLatencyLine {
-                        solver,
-                        improvements: opt_uint(s, "improvements")?.unwrap_or(0),
-                        wins: opt_uint(s, "wins")?.unwrap_or(0),
-                        first_p50_us: opt_uint(s, "first_p50_us")?.unwrap_or(0),
-                        first_p99_us: opt_uint(s, "first_p99_us")?.unwrap_or(0),
-                    });
-                }
-            }
-            Ok(Response::Metrics(MetricsSummary {
-                count: g("count")?,
-                errors: g("errors")?,
-                uptime_ms: g("uptime_ms")?,
-                rps_x1000: g("rps_x1000")?,
-                p50_us: g("p50_us")?,
-                p90_us: g("p90_us")?,
-                p99_us: g("p99_us")?,
-                mean_us: g("mean_us")?,
-                sessions,
-                journal_batches,
-                journal_batch_p50,
-                journal_batch_max,
-                standings,
-                stages,
-                solver_latency,
-                trace_dropped: opt_uint(map, "trace_dropped")?.unwrap_or(0),
-            }))
-        }
+        "metrics" => parse_metrics(p),
         other => Err(IoError::Format(format!("unknown status '{other}'"))),
     }
+}
+
+/// Reads a metrics summary line; every member the writer emits is
+/// required.
+fn parse_metrics<'a>(p: Parser<'a>) -> Result<Response, IoError> {
+    const KEYS: [&str; 10] = [
+        "count",
+        "errors",
+        "uptime_ms",
+        "rps_x1000",
+        "sessions",
+        "journal_batch",
+        "standings",
+        "stages",
+        "solver_latency",
+        "trace_dropped",
+    ];
+    let [count, errors, uptime_ms, rps_x1000, sessions, batch, standings, stages, solvers, dropped] =
+        object(p, KEYS, "response")?;
+    let required = |v: Option<Parser<'a>>, k: &str| {
+        v.ok_or_else(|| IoError::Json(format!("missing field '{k}'")))
+    };
+    const SESSION_KEYS: [&str; 10] = [
+        "live",
+        "evicted",
+        "warm_hits",
+        "warm_misses",
+        "spills",
+        "cold_reloads",
+        "recovered",
+        "journal_appends",
+        "journal_bytes",
+        "snapshots",
+    ];
+    let [live, evicted, warm_hits, warm_misses, spills, cold_reloads, recovered, appends, bytes, snaps] =
+        object(required(sessions, "sessions")?, SESSION_KEYS, "'sessions'")?;
+    let sessions = SessionStats {
+        live: req_uint(live, "live")?,
+        evicted: req_uint(evicted, "evicted")?,
+        warm_hits: req_uint(warm_hits, "warm_hits")?,
+        warm_misses: req_uint(warm_misses, "warm_misses")?,
+        spills: req_uint(spills, "spills")?,
+        cold_reloads: req_uint(cold_reloads, "cold_reloads")?,
+        recovered: req_uint(recovered, "recovered")?,
+        journal_appends: req_uint(appends, "journal_appends")?,
+        journal_bytes: req_uint(bytes, "journal_bytes")?,
+        snapshots: req_uint(snaps, "snapshots")?,
+    };
+    let [batches, batch_p50, batch_max] =
+        object(required(batch, "journal_batch")?, ["batches", "p50", "max"], "'journal_batch'")?;
+    let rows = |v, k: &str| array(required(v, k)?, k);
+    let standings = rows(standings, "standings")?.into_iter().map(|p| {
+        let [family, solver, races, wins, score] =
+            object(p, ["family", "solver", "races", "wins", "score_x1000"], "standings[]")?;
+        Ok(StandingLine {
+            family: string(family, "family")?,
+            solver: string(solver, "solver")?,
+            races: req_uint(races, "races")?,
+            wins: req_uint(wins, "wins")?,
+            score_x1000: req_uint(score, "score_x1000")?,
+        })
+    });
+    let stages = rows(stages, "stages")?.into_iter().map(|p| {
+        let [stage, count, p50, p90, p99, max] =
+            object(p, ["stage", "count", "p50_us", "p90_us", "p99_us", "max_us"], "stages[]")?;
+        Ok(StageLine {
+            stage: string(stage, "stage")?,
+            count: req_uint(count, "count")?,
+            p50_us: req_uint(p50, "p50_us")?,
+            p90_us: req_uint(p90, "p90_us")?,
+            p99_us: req_uint(p99, "p99_us")?,
+            max_us: req_uint(max, "max_us")?,
+        })
+    });
+    let solver_latency = rows(solvers, "solver_latency")?.into_iter().map(|p| {
+        const KEYS: [&str; 5] = ["solver", "improvements", "wins", "first_p50_us", "first_p99_us"];
+        let [solver, improvements, wins, first_p50, first_p99] =
+            object(p, KEYS, "solver_latency[]")?;
+        Ok(SolverLatencyLine {
+            solver: string(solver, "solver")?,
+            improvements: req_uint(improvements, "improvements")?,
+            wins: req_uint(wins, "wins")?,
+            first_p50_us: req_uint(first_p50, "first_p50_us")?,
+            first_p99_us: req_uint(first_p99, "first_p99_us")?,
+        })
+    });
+    Ok(Response::Metrics(MetricsSummary {
+        count: req_uint(count, "count")?,
+        errors: req_uint(errors, "errors")?,
+        uptime_ms: req_uint(uptime_ms, "uptime_ms")?,
+        rps_x1000: req_uint(rps_x1000, "rps_x1000")?,
+        sessions,
+        journal_batches: req_uint(batches, "batches")?,
+        journal_batch_p50: req_uint(batch_p50, "p50")?,
+        journal_batch_max: req_uint(batch_max, "max")?,
+        standings: standings.collect::<Result<_, IoError>>()?,
+        stages: stages.collect::<Result<_, IoError>>()?,
+        solver_latency: solver_latency.collect::<Result<_, IoError>>()?,
+        trace_dropped: req_uint(dropped, "trace_dropped")?,
+    }))
 }
 
 #[cfg(test)]
@@ -1144,10 +1113,6 @@ mod tests {
             errors: 1,
             uptime_ms: 5000,
             rps_x1000: 2000,
-            p50_us: 900,
-            p90_us: 1800,
-            p99_us: 2500,
-            mean_us: 1000,
             sessions: SessionStats {
                 live: 3,
                 evicted: 1,
@@ -1198,17 +1163,13 @@ mod tests {
             trace_dropped: 2,
         });
         assert_eq!(parse_response(&response_to_json(&m)).unwrap(), m);
-        // Forward compat: a pre-telemetry metrics line (no stages /
-        // solver_latency / trace_dropped) still parses, defaulting empty.
-        let legacy = "{\"status\": \"metrics\", \"count\": 1, \"errors\": 0, \
-                      \"uptime_ms\": 10, \"rps_x1000\": 0, \"p50_us\": 1, \"p90_us\": 1, \
-                      \"p99_us\": 1, \"mean_us\": 1}";
-        let Response::Metrics(parsed) = parse_response(legacy).unwrap() else { panic!() };
-        assert!(parsed.stages.is_empty());
-        assert!(parsed.solver_latency.is_empty());
-        assert_eq!(parsed.trace_dropped, 0);
-        assert_eq!(parsed.journal_batches, 0);
-        assert_eq!(parsed.journal_batch_max, 0);
+        // The reader requires every member the writer emits.
+        let line = response_to_json(&m);
+        assert!(!line.contains("mean_us"), "{line}");
+        for key in ["\"sessions\"", "\"journal_batch\"", "\"stages\"", "\"trace_dropped\""] {
+            let renamed = line.replacen(key, "\"renamed\"", 1);
+            assert!(matches!(parse_response(&renamed), Err(IoError::Json(_))), "{renamed}");
+        }
     }
 
     #[test]

@@ -41,11 +41,11 @@
 //! family are demoted out of the default top-k as evidence accumulates
 //! (see [`crate::select::select_adaptive`]).
 //!
-//! Latency and throughput are tracked in a shared
-//! [`sst_core::stats::LatencyHistogram`] (percentiles interpolate within
-//! log₂ buckets); the line `{"metrics": true}` returns the running
-//! summary, and [`Service::shutdown`] returns it for end-of-stream
-//! reporting. `{"kill_worker": true}` is the fault-injection probe
+//! Latency and throughput are tracked per stage in the shared telemetry
+//! registry ([`sst_core::stats::LatencyHistogram`]s whose percentiles
+//! interpolate within log₂ buckets); the line `{"metrics": true}` returns
+//! the running summary, and [`Service::shutdown`] returns it for
+//! end-of-stream reporting. `{"kill_worker": true}` is the fault-injection probe
 //! (honored only with [`ServeConfig::fault_injection`]).
 //!
 //! Concurrency shape: `workers` threads each run one race at a time, and a
@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use sst_core::stats::LatencyHistogram;
+use sst_core::io::json::Parser;
 use sst_core::telemetry::{stage, RegistrySnapshot, Telemetry, TraceEvent, TraceSink};
 
 use crate::durable::{Durability, DurableStore};
@@ -331,11 +331,6 @@ impl Metrics {
         } else {
             0
         };
-        // The legacy top-level percentiles keep their historical meaning:
-        // handler work time (race or repair), now the `stage.race_us`
-        // histogram. Queue-wait and enqueue→respond totals are separate
-        // stage rows.
-        let race = snap.histogram(stage::RACE_US).cloned().unwrap_or_else(LatencyHistogram::new);
         let batch = snap.histogram(sst_core::telemetry::stage::JOURNAL_BATCH_LEN);
         MetricsSummary {
             journal_batches: batch.map_or(0, |h| h.count()),
@@ -345,10 +340,6 @@ impl Metrics {
             errors,
             uptime_ms,
             rps_x1000,
-            p50_us: race.percentile(0.50),
-            p90_us: race.percentile(0.90),
-            p99_us: race.percentile(0.99),
-            mean_us: race.mean().round() as u64,
             stages: stage_lines(&snap),
             solver_latency: solver_latency_lines(&snap),
             trace_dropped: self.telemetry.trace_dropped(),
@@ -476,10 +467,10 @@ fn ok_response(id: u64, kind: &str, micros: u64, result: RaceResult) -> Response
 }
 
 /// Counts a served response and records its latencies: the handler work
-/// time (race or repair) feeds `stage.race_us` — the histogram behind the
-/// legacy top-level percentiles — while the full enqueue→respond time
-/// feeds `stage.total_us`; a `respond` event closes the request's span.
-/// Verbs with no handler work time (create/close acks) pass `None`.
+/// time (race or repair) feeds `stage.race_us`, while the full
+/// enqueue→respond time feeds `stage.total_us`; a `respond` event closes
+/// the request's span. Verbs with no handler work time (create/close acks)
+/// pass `None`.
 fn record_ok(metrics: &Metrics, job: &Job, id: u64, race_micros: Option<u64>) {
     let total_us = job.enqueued.elapsed().as_micros() as u64;
     metrics.telemetry.incr(REQUESTS_OK);
@@ -888,15 +879,16 @@ impl Service {
                 match stop_rx.recv_timeout(interval) {
                     Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                         let s = metrics.summary();
-                        let snap = metrics.telemetry.registry().snapshot();
-                        let queue_p50 = snap
-                            .histogram(stage::QUEUE_WAIT_US)
-                            .map(|h| h.percentile(0.50))
-                            .unwrap_or(0);
+                        let p50 = |stage| s.stage(stage).map_or(0, |row| row.p50_us);
                         eprintln!(
                             "sst-serve: metrics ok={} errors={} rps_x1000={} race_p50_us={} \
                              queue_p50_us={} trace_dropped={}",
-                            s.count, s.errors, s.rps_x1000, s.p50_us, queue_p50, s.trace_dropped
+                            s.count,
+                            s.errors,
+                            s.rps_x1000,
+                            p50("race_us"),
+                            p50("queue_wait_us"),
+                            s.trace_dropped
                         );
                     }
                     _ => return,
@@ -917,28 +909,16 @@ impl Service {
         crate::session::shard_of(sid, lanes)
     }
 
-    /// Pulls the `"sid"` value out of a raw session line without a full
-    /// parse (dispatch must stay cheap). `None` for malformed lines —
-    /// they route to lane 0, whose handler answers with the parse error.
+    /// The session id a session line acts on, read with the verb
+    /// precedence of the decoder (create, delta, solve, close): the key of
+    /// the line's ordered lane. `None` for a line that does not decode that
+    /// far; it routes to lane 0, whose handler answers with the error.
     fn extract_sid(line: &str) -> Option<u64> {
-        let bytes = line.as_bytes();
-        let at = line.find("\"sid\"")?;
-        let mut i = at + "\"sid\"".len();
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] != b':' {
-            return None;
-        }
-        i += 1;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let start = i;
-        while i < bytes.len() && bytes[i].is_ascii_digit() {
-            i += 1;
-        }
-        line[start..i].parse().ok()
+        let [session] = Parser::new(line).fields(["session"]).ok()??;
+        let verbs = session?.fields(crate::protocol::VERBS).ok()??;
+        let mut verb = verbs.into_iter().flatten().next()?;
+        let [sid] = verb.fields(["sid"]).ok()??;
+        sid?.u64()
     }
 
     /// Cheap routing sniff: session verbs go through the ordered lane. A
@@ -968,8 +948,7 @@ impl Service {
         let enqueued = Instant::now();
         if Self::is_session_line(&line) {
             let lane = Self::extract_sid(&line)
-                .map(|sid| Self::lane_of(sid, self.session_lanes.len()))
-                .unwrap_or(0);
+                .map_or(0, |sid| Self::lane_of(sid, self.session_lanes.len()));
             self.dispatch_to_lane(lane, Job { payload: Payload::Line(line), out, enqueued, id });
             return;
         }
@@ -1939,6 +1918,29 @@ mod tests {
         assert_eq!(order.len(), 4, "{text}");
         let pos = |id: u64| order.iter().position(|&x| x == id).unwrap();
         assert!(pos(3) < pos(1), "B's close must answer while A's solve still races: {order:?}");
+    }
+
+    #[test]
+    fn session_lines_route_by_the_sid_their_verb_acts_on() {
+        // A "sid" nested in another member ahead of the session must not
+        // pick the lane: the handler acts on session 7, so the line has to
+        // queue behind session 7's earlier verbs.
+        let line =
+            r#"{"id": 1, "note": {"sid": 9}, "session": {"delta": {"sid": 7, "deltas": []}}}"#;
+        assert_eq!(Service::extract_sid(line), Some(7));
+        // The decoder's verb precedence: create, delta, solve, close.
+        let both = r#"{"id": 1, "session": {"close": {"sid": 3}, "solve": {"sid": 4}}}"#;
+        assert_eq!(Service::extract_sid(both), Some(4));
+        let both = r#"{"session": {"delta": {"sid": 5}, "create": {"sid": 6, "instance": 0}}}"#;
+        assert_eq!(Service::extract_sid(both), Some(6));
+        for line in [
+            r#"{"id": 1, "session": {"delta": {"sid": "7", "deltas": []}}}"#,
+            r#"{"id": 1, "session": {"close": 7}}"#,
+            r#"{"id": 1, "session": 7, "sid": 7}"#,
+            r#"{"id": 1, "session": {"close": {"sid": 7}}"#,
+        ] {
+            assert_eq!(Service::extract_sid(line), None, "{line}");
+        }
     }
 
     #[test]

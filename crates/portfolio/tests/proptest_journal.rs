@@ -3,7 +3,10 @@
 //! contract — any torn or corrupted suffix of a journal stops the scan at
 //! the damage while every record before it survives intact. The store
 //! tests pin that batching never changes the journal bytes and that
-//! concurrent appenders each land exactly once.
+//! concurrent appenders each land exactly once. `corpus/records.rs` pins
+//! the line reader to the outcomes recorded for the journal's former
+//! private verb codec, and a golden journal written by that codec must
+//! re-encode byte for byte and recover to the recorded sessions.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -13,6 +16,8 @@ use sst_portfolio::durable::{
     encode_journal_line, encode_snapshot, parse_journal_line, scan_journal,
 };
 use sst_portfolio::{Durability, DurableStore, JournalRecord, ProblemInstance};
+
+include!("corpus/records.rs");
 
 /// A fresh scratch dir per proptest case (cases run interleaved, so the
 /// name needs both pid and a counter).
@@ -41,6 +46,45 @@ fn recovered_state(store: &DurableStore) -> Vec<String> {
         rec.sessions.iter().map(|(sid, seq, e)| encode_snapshot(*sid, *seq, e)).collect();
     lines.sort();
     lines
+}
+
+#[test]
+fn journal_lines_decode_as_recorded() {
+    for &(line, want) in recorded::JOURNAL_LINES {
+        let got = match parse_journal_line(line) {
+            Ok((seq, rec)) => format!("ok:{}", encode_journal_line(seq, &rec)),
+            Err(_) => "Err".into(),
+        };
+        assert_eq!(got, want, "{line}");
+    }
+}
+
+#[test]
+fn golden_journal_reencodes_byte_for_byte_and_recovers_the_recorded_sessions() {
+    let golden = include_str!("corpus/golden_journal.log");
+    let (records, tail) = scan_journal(golden);
+    assert_eq!(tail, None);
+    let reencoded: String =
+        records.iter().map(|(seq, rec)| encode_journal_line(*seq, rec) + "\n").collect();
+    assert_eq!(reencoded, golden);
+    // The append path writes the same bytes.
+    let dir = scratch("golden-append");
+    let store = DurableStore::open(&dir, Durability::Flush).expect("open");
+    for (_, rec) in &records {
+        append_record(&store, rec).expect("append");
+    }
+    store.flush_journal().expect("flush");
+    assert_eq!(std::fs::read_to_string(dir.join("journal.log")).expect("read"), golden);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+    // Replaying it rebuilds the recorded sessions.
+    let dir = scratch("golden-recover");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("journal.log"), golden).expect("write");
+    let store = DurableStore::open(&dir, Durability::Flush).expect("open");
+    assert_eq!(recovered_state(&store), recorded::GOLDEN_RECOVERED);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn uniform_instance() -> impl Strategy<Value = ProblemInstance> {

@@ -4,7 +4,8 @@
 //! as a fuzz of that parser on machine-generated input. The shared decode
 //! corpus (`sst-core`'s `tests/corpus/instances.rs`) pins the request and
 //! session-create paths to the outcomes recorded for the tree-based
-//! decoder they replaced.
+//! decoder they replaced; `corpus/records.rs` does the same for response
+//! lines and session delta batches.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -20,6 +21,15 @@ use sst_portfolio::protocol::{
 use sst_portfolio::{Cost, ProblemInstance, Solution, SplittableInstance};
 
 include!("../../core/tests/corpus/instances.rs");
+include!("corpus/records.rs");
+
+fn variant(e: &IoError) -> String {
+    match e {
+        IoError::Json(_) => "Json".into(),
+        IoError::Format(_) => "Format".into(),
+        IoError::Invalid(_) => "Invalid".into(),
+    }
+}
 
 fn instance_line(inst: &ProblemInstance) -> String {
     match inst {
@@ -39,9 +49,7 @@ fn outcome(line: &str) -> String {
             other => format!("{other:?}"),
         },
         Ok(other) => format!("{other:?}"),
-        Err(IoError::Json(_)) => "Json".into(),
-        Err(IoError::Format(_)) => "Format".into(),
-        Err(IoError::Invalid(_)) => "Invalid".into(),
+        Err(e) => variant(&e),
     }
 }
 
@@ -124,6 +132,22 @@ fn request_envelope_errors_keep_their_variants() {
         outcome(r#"{"id": 7, "session": {"close": {"sid": 1}, "solve": {"sid": 2}}}"#),
         "Solve { sid: 2, budget_ms: None, top_k: None, seed: None }"
     );
+}
+
+#[test]
+fn responses_and_session_deltas_decode_as_recorded() {
+    for &(line, want) in recorded::RESPONSES {
+        let got = match parse_response(line) {
+            Ok(resp) => format!("ok:{}", response_to_json(&resp)),
+            Err(e) => variant(&e),
+        };
+        assert_eq!(got, want, "{line}");
+    }
+    for &(deltas, want) in recorded::SESSION_DELTAS {
+        let line =
+            format!(r#"{{"id": 2, "session": {{"delta": {{"sid": 7, "deltas": {deltas}}}}}}}"#);
+        assert_eq!(outcome(&line), want, "{line}");
+    }
 }
 
 #[test]

@@ -8,10 +8,28 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance};
+use sst_core::io::IoError;
 use sst_core::schedule::Schedule;
-use sst_portfolio::durable::{encode_snapshot, encode_snapshot_packed, parse_snapshot_bytes};
+use sst_portfolio::durable::{
+    encode_snapshot, encode_snapshot_packed, parse_snapshot, parse_snapshot_bytes,
+};
 use sst_portfolio::{ProblemInstance, SessionEntry};
 use std::sync::Arc;
+
+include!("corpus/records.rs");
+
+#[test]
+fn json_snapshots_decode_as_recorded() {
+    for &(text, want) in recorded::SNAPSHOTS {
+        let got = match parse_snapshot(text) {
+            Ok((sid, seq, entry)) => format!("ok:{}", encode_snapshot(sid, seq, &entry)),
+            Err(IoError::Json(_)) => "Json".into(),
+            Err(IoError::Format(_)) => "Format".into(),
+            Err(IoError::Invalid(_)) => "Invalid".into(),
+        };
+        assert_eq!(got, want, "{text}");
+    }
+}
 
 fn uniform_instance() -> impl Strategy<Value = ProblemInstance> {
     (vec(1u64..50, 1..4), vec(0u64..60, 1..4), vec((0usize..100, 1u64..200), 0..12)).prop_map(
