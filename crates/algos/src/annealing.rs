@@ -192,16 +192,6 @@ pub fn anneal_unrelated(
     anneal::<Unrelated>(inst, start, cfg)
 }
 
-/// [`anneal_unrelated`] with cooperative cancellation.
-pub fn anneal_unrelated_budgeted(
-    inst: &UnrelatedInstance,
-    start: &Schedule,
-    cfg: &AnnealConfig,
-    cancel: &CancelToken,
-) -> AnnealResult {
-    anneal_budgeted::<Unrelated>(inst, start, cfg, cancel)
-}
-
 /// Anneals a schedule on a uniform instance (loads kept in exact work
 /// units; makespans compare `work_i / v_i` as [`sst_core::Ratio`]s).
 ///

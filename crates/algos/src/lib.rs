@@ -15,7 +15,6 @@
 //! | Exact branch-and-bound (sequential + parallel) | [`exact`] |
 //! | Local-search post-optimization (extension) | [`local_search`] |
 //! | MULTIFIT/FFD heuristic baseline (extension) | [`multifit`] |
-//! | Lenstra–Shmoys–Tardos classical `R||Cmax` 2-approx (no-setup baseline) | [`lst`] |
 //! | Splittable model of Correa et al. \[5\] (Section 3.3's substrate) | [`splittable`] |
 //! | Identical-machines constant factors (\[24\] lineage) | [`identical`] |
 //! | Simulated annealing — the OR-survey metaheuristic baseline | [`annealing`] |
@@ -33,7 +32,6 @@ pub mod list;
 pub mod local_search;
 pub mod lp_relax;
 pub mod lpt;
-pub mod lst;
 pub mod multifit;
 pub mod pseudoforest;
 pub mod ptas;

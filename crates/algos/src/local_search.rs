@@ -12,8 +12,9 @@
 //!
 //! The descent accepts only strict improvements of the global makespan and
 //! therefore terminates; the result never degrades the input schedule.
-//! This is labeled an *extension* in DESIGN.md — no claim from the paper
-//! depends on it, and the experiment harness reports it separately.
+//! This is labeled an *extension* in the [crate] module table — no claim
+//! from the paper depends on it, and the experiment harness reports it
+//! separately.
 //!
 //! Candidate moves are evaluated **incrementally** through
 //! [`sst_core::tracker::LoadTracker`]: a job-move candidate costs
@@ -150,16 +151,6 @@ pub fn improve_unrelated(
     max_moves: usize,
 ) -> LocalSearchResult {
     improve::<Unrelated>(inst, start, max_moves)
-}
-
-/// [`improve_unrelated`] with cooperative cancellation.
-pub fn improve_unrelated_budgeted(
-    inst: &UnrelatedInstance,
-    start: &Schedule,
-    max_moves: usize,
-    cancel: &CancelToken,
-) -> LocalSearchResult {
-    improve_budgeted::<Unrelated>(inst, start, max_moves, cancel)
 }
 
 /// The pre-tracker descent: every candidate move re-evaluates the full

@@ -27,7 +27,8 @@
 //! depth-first search with a failed-state memo (a reachability search over
 //! the same graph, visiting only reachable states and each at most once),
 //! which preserves the decision exactly and is practical for the instance
-//! sizes the E2 experiments certify against exact optima. See DESIGN.md §2.
+//! sizes the E2 experiment (`e2_ptas` in `crates/bench/src/lib.rs`)
+//! certifies against exact optima.
 
 use std::collections::{BTreeMap, HashSet};
 

@@ -3,7 +3,7 @@
 //!
 //! A session answers a delta request by *repairing* its incumbent instead
 //! of recomputing it. [`repair_after_deltas`] keeps one live
-//! [`LoadTracker`](sst_core::tracker::LoadTracker) repaired **in lockstep
+//! [`LoadTracker`] repaired **in lockstep
 //! with the whole delta batch** through the tracker's value-based
 //! structural edits (`O(log m)` per edit, `O(m + log m)` per greedily
 //! placed orphan — see the structural-edit section of

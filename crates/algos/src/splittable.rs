@@ -25,8 +25,8 @@
 //! optimum as well: a split schedule with makespan `T` induces a feasible
 //! LP point (`x̄_ik·p̄_ik + s_ik ≤ T` forces `x̄_ik·α_ik ≤ 1`, so the LP row
 //! charges at most the true load). \[5\]'s golden-ratio `(1+φ)` rounding
-//! for the fully general unrelated case is deliberately out of scope; see
-//! DESIGN.md ("Extensions").
+//! for the fully general unrelated case is deliberately out of scope; the
+//! README's *Machine models* section lists what the split model covers.
 //!
 //! ```
 //! use sst_algos::splittable::solve_splittable_ra_class_uniform;

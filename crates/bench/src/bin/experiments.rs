@@ -1,4 +1,5 @@
-//! CLI entry point regenerating the experiment tables of DESIGN.md §4.
+//! CLI entry point regenerating the E1–E11 experiment tables (one function
+//! each in `sst_bench`).
 //!
 //! ```sh
 //! cargo run -p sst-bench --release --bin experiments              # all, full size

@@ -1,8 +1,8 @@
 //! # sst-bench — the experiment harness
 //!
-//! One function per experiment of DESIGN.md §4 (E1–E8). Each returns the
-//! table it prints, so integration tests can assert on the measured shapes
-//! and EXPERIMENTS.md can quote exact numbers. Runtime-oriented
+//! One function per experiment, E1–E11. Each returns the table it prints,
+//! so integration tests can assert on the measured shapes and the
+//! `experiments` binary can print or archive exact numbers. Runtime-oriented
 //! measurements live in the criterion benches (`benches/`); the functions
 //! here measure *solution quality*, which criterion cannot.
 
@@ -782,7 +782,7 @@ pub fn ratio_str(r: Ratio) -> String {
 }
 
 /// Serializes finished tables as a JSON array (id, title, claim, header,
-/// rows) for archival next to EXPERIMENTS.md. Hand-rolled writer — the
+/// rows) for archival (`experiments --json FILE`). Hand-rolled writer — the
 /// cells are already strings, so no serde derive is needed.
 pub fn tables_to_json(tables: &[Table]) -> String {
     fn esc(s: &str) -> String {
@@ -819,6 +819,7 @@ pub fn tables_to_json(tables: &[Table]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sst_core::io::json::Parser;
 
     #[test]
     fn tables_to_json_is_parseable() {
@@ -830,21 +831,25 @@ mod tests {
             rows: vec![vec!["1".into(), "x\\y".into()], vec!["2".into(), "z".into()]],
         };
         let json = tables_to_json(&[t]);
-        use sst_core::io::json::JsonValue;
-        let v = sst_core::io::json::parse(&json).expect("valid JSON");
-        let JsonValue::Array(tables) = v else { panic!("expected array") };
-        let JsonValue::Object(table) = &tables[0] else { panic!("expected object") };
-        assert_eq!(table["id"], JsonValue::Str("EX".into()));
-        assert_eq!(table["title"], JsonValue::Str("demo \"quoted\"".into()));
-        let JsonValue::Array(rows) = &table["rows"] else { panic!("expected rows array") };
-        let JsonValue::Array(row0) = &rows[0] else { panic!("expected row array") };
-        assert_eq!(row0[1], JsonValue::Str("x\\y".into()));
+        let mut p = Parser::new(&json);
+        let tables = p.items().expect("valid JSON").expect("expected array");
+        p.finish().expect("one value");
+        let mut table = tables[0];
+        let [id, title, rows] =
+            table.fields(["id", "title", "rows"]).unwrap().expect("expected object");
+        assert_eq!(id.and_then(|mut p| p.string()), Some("EX".into()));
+        assert_eq!(title.and_then(|mut p| p.string()), Some("demo \"quoted\"".into()));
+        let rows = rows.and_then(|mut p| p.items().unwrap()).expect("expected rows array");
+        let mut row0 = rows[0];
+        let mut cells = row0.items().unwrap().expect("expected row array");
+        assert_eq!(cells[1].string(), Some("x\\y".into()));
     }
 
     #[test]
     fn tables_to_json_empty() {
         let json = tables_to_json(&[]);
-        let v = sst_core::io::json::parse(&json).unwrap();
-        assert_eq!(v, sst_core::io::json::JsonValue::Array(vec![]));
+        let mut p = Parser::new(&json);
+        assert_eq!(p.items().unwrap().map(|items| items.len()), Some(0));
+        p.finish().unwrap();
     }
 }

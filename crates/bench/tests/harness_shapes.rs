@@ -1,7 +1,7 @@
 //! The experiment harness is itself under test: the cheap experiments run
-//! in quick mode and their *shapes* — the properties EXPERIMENTS.md claims —
-//! are asserted, so a regression in any algorithm breaks the harness test
-//! before it breaks a published table.
+//! in quick mode and their *shapes* — the properties each table's `claim`
+//! states — are asserted, so a regression in any algorithm breaks the
+//! harness test before it breaks a published table.
 
 use sst_bench::{
     e10_identical, e11_bounds, e1_lpt, e4_hardness, e5_ra, e6_cupt, e7_groups, e9_splittable, Table,

@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use parking_lot::lockdep::{self, EdgeSnapshot, Registry};
+use parking_lot::lockdep::Registry;
 
 /// One edge of a [`LockOrderGraph`], with the evidence needed to report an
 /// inversion: the acquisition sites of both locks (first time the edge was
@@ -49,18 +49,8 @@ impl LockOrderGraph {
 
     /// Builds a graph from everything `registry` has recorded.
     pub fn from_registry(registry: &Registry) -> LockOrderGraph {
-        LockOrderGraph::from_edges(registry.snapshot())
-    }
-
-    /// Builds a graph from the global registry (what `Mutex::new` /
-    /// `Mutex::named` record into). Empty when lockdep is off.
-    pub fn from_default_registry() -> LockOrderGraph {
-        LockOrderGraph::from_edges(lockdep::snapshot())
-    }
-
-    fn from_edges(edges: Vec<EdgeSnapshot>) -> LockOrderGraph {
         let mut g = LockOrderGraph::new();
-        for e in edges {
+        for e in registry.snapshot() {
             g.labels.entry(e.from.id).or_insert(e.from.label);
             g.labels.entry(e.to.id).or_insert(e.to.label);
             g.edges.entry((e.from.id, e.to.id)).or_insert(Edge {

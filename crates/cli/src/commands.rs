@@ -20,11 +20,20 @@ use sst_gen::{SetupWeight, SpeedProfile, UniformParams, UnrelatedParams};
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug)]
-pub struct CliError(pub String);
+pub enum CliError {
+    /// The command line does not fit the usage: an unknown command or
+    /// flag, a missing argument, an unparseable flag value. `sst` exits 2
+    /// and prints the command's [`usage`].
+    Usage(String),
+    /// The command ran and failed. `sst` exits 1.
+    Failed(String),
+}
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
+        match self {
+            CliError::Usage(msg) | CliError::Failed(msg) => f.write_str(msg),
+        }
     }
 }
 
@@ -32,19 +41,19 @@ impl std::error::Error for CliError {}
 
 impl From<ArgError> for CliError {
     fn from(e: ArgError) -> Self {
-        CliError(e.0)
+        CliError::Usage(e.0)
     }
 }
 
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
-        CliError(format!("io error: {e}"))
+        CliError::Failed(format!("io error: {e}"))
     }
 }
 
 impl From<io::IoError> for CliError {
     fn from(e: io::IoError) -> Self {
-        CliError(e.to_string())
+        CliError::Failed(e.to_string())
     }
 }
 
@@ -65,9 +74,12 @@ pub enum AnyInstance {
 pub fn load_instance(path: &str) -> Result<AnyInstance, CliError> {
     let bytes = std::fs::read(path)?;
     let packed = if bytes.first() == Some(&wire::MAGIC[0]) {
-        wire::instance_from_container(&bytes).map_err(|e| CliError(format!("{path}: {e}")))?
+        wire::instance_from_container(&bytes)
+            .map_err(|e| CliError::Failed(format!("{path}: {e}")))?
     } else {
-        packed_from_json(&String::from_utf8(bytes).map_err(|e| CliError(format!("{path}: {e}")))?)?
+        packed_from_json(
+            &String::from_utf8(bytes).map_err(|e| CliError::Failed(format!("{path}: {e}")))?,
+        )?
     };
     Ok(match packed {
         wire::PackedInstance::Uniform(u) => AnyInstance::Uniform(u),
@@ -109,8 +121,8 @@ pub fn unpack(args: &Args) -> Result<String, CliError> {
     let input = args.pos(0, "in.sst")?;
     let output = args.pos(1, "instance.json")?;
     let bytes = std::fs::read(input)?;
-    let inst =
-        wire::instance_from_container(&bytes).map_err(|e| CliError(format!("{input}: {e}")))?;
+    let inst = wire::instance_from_container(&bytes)
+        .map_err(|e| CliError::Failed(format!("{input}: {e}")))?;
     let json = match &inst {
         wire::PackedInstance::Uniform(u) => io::uniform_to_json(u),
         wire::PackedInstance::Unrelated(u) => io::unrelated_to_json(u),
@@ -189,9 +201,9 @@ USAGE
       decays). Beyond --max-queue pending requests the service answers
       with overload errors instead of queueing. --fault-injection true
       honors {\"kill_worker\": true} and process-aborting
-      {\"crash\": true} chaos probes. --shards N is accepted as an
-      alias of --workers. Default reads stdin until EOF; --tcp serves
-      every connection concurrently and prints the bound address first.
+      {\"crash\": true} chaos probes. Default reads stdin until EOF;
+      --tcp serves every connection concurrently and prints the bound
+      address first.
       --trace-out streams structured NDJSON trace events (enqueue,
       dequeue, race/solver spans, incumbents, journal appends,
       snapshots, recovery) to a file or stderr, non-blocking: under
@@ -224,6 +236,21 @@ USAGE
     .to_string()
 }
 
+/// The text printed after a usage error in `command`: its synopsis from
+/// [`help`], or the whole help when the command is missing or unknown.
+pub fn usage(command: Option<&str>) -> String {
+    let help = help();
+    let names_command = |line: &&str| {
+        let name = line.strip_prefix("  sst ").and_then(|rest| rest.split(' ').next());
+        name.is_some() && name == command
+    };
+    let mut lines = help.lines().skip_while(|l| !names_command(l));
+    let Some(first) = lines.next() else { return help };
+    // A synopsis continues on lines indented past its description's.
+    let rest = lines.take_while(|l| l.starts_with("        "));
+    ["usage:", first].into_iter().chain(rest).collect::<Vec<_>>().join("\n")
+}
+
 /// `sst serve` — the portfolio service (see `sst_portfolio::service`).
 /// Stdin mode returns the final metrics summary as its output; TCP mode
 /// runs until killed.
@@ -231,7 +258,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
     args.reject_unknown_flags(&[
         "tcp",
         "workers",
-        "shards",
         "top-k",
         "budget-ms",
         "seed",
@@ -246,33 +272,26 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         "trace-out",
         "metrics-interval",
     ])?;
-    // `--shards` (the PR 2 spelling) stays as an alias of `--workers`.
-    let workers = match (args.flag("workers"), args.flag("shards")) {
-        (Some(_), Some(_)) => {
-            return Err(CliError("--workers and --shards are aliases; give one".into()))
-        }
-        (None, Some(_)) => args.flag_parse("shards", 4usize)?,
-        _ => args.flag_parse("workers", 4usize)?,
-    };
     let data_dir = args.flag("data-dir").map(std::path::PathBuf::from);
     let durability = match args.flag("durability") {
         None => sst_portfolio::Durability::default(),
         Some(_) if data_dir.is_none() => {
-            return Err(CliError("--durability requires --data-dir".into()))
+            return Err(CliError::Failed("--durability requires --data-dir".into()))
         }
-        Some(s) => sst_portfolio::Durability::parse(s)
-            .ok_or_else(|| CliError(format!("unknown --durability '{s}' (none|flush|fsync)")))?,
+        Some(s) => sst_portfolio::Durability::parse(s).ok_or_else(|| {
+            CliError::Failed(format!("unknown --durability '{s}' (none|flush|fsync)"))
+        })?,
     };
     let trace = match args.flag("trace-out") {
         None => None,
         Some("stderr") => Some(sst_core::telemetry::TraceSink::to_stderr()),
         Some(path) => Some(
             sst_core::telemetry::TraceSink::to_file(std::path::Path::new(path))
-                .map_err(|e| CliError(format!("--trace-out {path}: {e}")))?,
+                .map_err(|e| CliError::Failed(format!("--trace-out {path}: {e}")))?,
         ),
     };
     let cfg = sst_portfolio::service::ServeConfig {
-        workers: workers.max(1),
+        workers: args.flag_parse("workers", 4usize)?.max(1),
         top_k: args.flag_parse("top-k", 3usize)?.max(1),
         budget_ms: args.flag_parse("budget-ms", 200u64)?,
         seed: args.flag_parse("seed", 1u64)?,
@@ -290,12 +309,12 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
     match args.flag("tcp") {
         Some(addr) => {
             sst_portfolio::service::serve_tcp(cfg, addr)
-                .map_err(|e| CliError(format!("serve: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("serve: {e}")))?;
             Ok(String::new())
         }
         None => {
             let m = sst_portfolio::service::serve_stdin(cfg)
-                .map_err(|e| CliError(format!("serve: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("serve: {e}")))?;
             // Responses stream to stdout as NDJSON; the human-readable
             // summary goes to stderr so stdout stays machine-parseable.
             let race = m.stage("race_us").cloned().unwrap_or_default();
@@ -322,7 +341,9 @@ pub fn trace(args: &Args) -> Result<String, CliError> {
     args.reject_unknown_flags(&[])?;
     match args.pos(0, "subcommand")? {
         "summarize" => trace_summarize(args.pos(1, "trace-file")?),
-        other => Err(CliError(format!("unknown trace subcommand '{other}' (try: summarize)"))),
+        other => {
+            Err(CliError::Usage(format!("unknown trace subcommand '{other}' (try: summarize)")))
+        }
     }
 }
 
@@ -341,20 +362,29 @@ struct SolverAgg {
 }
 
 fn trace_summarize(path: &str) -> Result<String, CliError> {
-    use sst_core::io::json::{self, JsonValue};
+    use sst_core::io::json::Parser;
     use sst_core::stats::LatencyHistogram;
     use std::collections::BTreeMap;
     use std::fmt::Write as _;
 
     let text = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("trace summarize {path}: {e}")))?;
+        .map_err(|e| CliError::Failed(format!("trace summarize {path}: {e}")))?;
 
-    let uint = |map: &BTreeMap<String, JsonValue>, k: &str| -> Option<u64> {
-        match map.get(k) {
-            Some(JsonValue::Uint(v)) => Some(*v),
-            _ => None,
-        }
-    };
+    // Every member any event kind reads, located in one pass per line.
+    let keys = [
+        "event",
+        "queue_wait_us",
+        "total_us",
+        "ok",
+        "solver",
+        "micros",
+        "outcome",
+        "id",
+        "at_us",
+        "batch",
+        "sessions",
+        "dropped",
+    ];
 
     let mut stages: BTreeMap<&'static str, LatencyHistogram> = BTreeMap::new();
     let mut record = |stage: &'static str, us: u64| {
@@ -378,55 +408,56 @@ fn trace_summarize(path: &str) -> Result<String, CliError> {
         if line.is_empty() {
             continue;
         }
-        let map = match json::parse(line) {
-            Ok(JsonValue::Object(map)) => map,
-            _ => {
-                unparseable += 1;
-                continue;
-            }
+        // A line must be one object and nothing else.
+        let mut p = Parser::new(line);
+        let at = p.fields(keys).ok().flatten().filter(|_| p.finish().is_ok());
+        let Some(
+            [event, queue_wait_us, total_us, ok_flag, solver, micros, outcome, id, at_us, batch, sessions, dropped_n],
+        ) = at
+        else {
+            unparseable += 1;
+            continue;
         };
-        let kind = match map.get("event") {
-            Some(JsonValue::Str(s)) => s.as_str(),
-            _ => {
-                unparseable += 1;
-                continue;
-            }
+        let Some(kind) = event.and_then(|mut e| e.string()) else {
+            unparseable += 1;
+            continue;
         };
+        let uint = |at: Option<Parser<'_>>| at.and_then(|mut p| p.u64());
+        let string = |at: Option<Parser<'_>>| at.and_then(|mut p| p.string());
+        let micros = uint(micros);
         events += 1;
-        match kind {
+        match kind.as_str() {
             "dequeue" => {
-                if let Some(us) = uint(&map, "queue_wait_us") {
+                if let Some(us) = uint(queue_wait_us) {
                     record("queue_wait", us);
                 }
             }
             "respond" => {
-                if let Some(us) = uint(&map, "total_us") {
+                if let Some(us) = uint(total_us) {
                     record("total", us);
                 }
-                match map.get("ok") {
-                    Some(JsonValue::Bool(true)) => ok += 1,
+                match ok_flag.and_then(|mut p| p.bool()) {
+                    Some(true) => ok += 1,
                     _ => errors += 1,
                 }
             }
             "solver_end" => {
-                if let (Some(JsonValue::Str(solver)), Some(us)) =
-                    (map.get("solver"), uint(&map, "micros"))
-                {
+                if let (Some(solver), Some(us)) = (string(solver), micros) {
                     record("solver", us);
-                    let agg = solvers.entry(solver.clone()).or_default();
+                    let agg = solvers.entry(solver).or_default();
                     agg.runs.record(us);
-                    match map.get("outcome") {
-                        Some(JsonValue::Str(o)) if o == "completed" => agg.completed += 1,
-                        Some(JsonValue::Str(o)) if o == "cancelled" => agg.cancelled += 1,
+                    match string(outcome).as_deref() {
+                        Some("completed") => agg.completed += 1,
+                        Some("cancelled") => agg.cancelled += 1,
                         _ => agg.declined += 1,
                     }
                 }
             }
             "incumbent" => {
-                if let (Some(JsonValue::Str(solver)), Some(id), Some(at_us)) =
-                    (map.get("solver"), uint(&map, "id"), uint(&map, "at_us"))
+                if let (Some(solver), Some(id), Some(at_us)) =
+                    (string(solver), uint(id), uint(at_us))
                 {
-                    let agg = solvers.entry(solver.clone()).or_default();
+                    let agg = solvers.entry(solver).or_default();
                     agg.improvements += 1;
                     if agg.seen_ids.insert(id) {
                         agg.first_incumbent.record(at_us);
@@ -434,43 +465,43 @@ fn trace_summarize(path: &str) -> Result<String, CliError> {
                 }
             }
             "cancel" => {
-                if let Some(us) = uint(&map, "micros") {
+                if let Some(us) = micros {
                     record("cancel", us);
                 }
             }
             "decode" => {
-                if let Some(us) = uint(&map, "micros") {
+                if let Some(us) = micros {
                     record("decode", us);
                 }
             }
             "journal_append" => {
-                if let Some(us) = uint(&map, "micros") {
+                if let Some(us) = micros {
                     record("journal_append", us);
                 }
             }
             "journal_commit" => {
                 commits += 1;
-                committed_records += uint(&map, "batch").unwrap_or(0);
-                if let Some(us) = uint(&map, "micros") {
+                committed_records += uint(batch).unwrap_or(0);
+                if let Some(us) = micros {
                     record("journal_commit", us);
                 }
             }
             "snapshot" => {
-                if let Some(us) = uint(&map, "micros") {
+                if let Some(us) = micros {
                     record("snapshot", us);
                 }
             }
             "recovery" => {
                 recoveries += 1;
-                recovered_sessions += uint(&map, "sessions").unwrap_or(0);
-                if let Some(us) = uint(&map, "micros") {
+                recovered_sessions += uint(sessions).unwrap_or(0);
+                if let Some(us) = micros {
                     record("recovery", us);
                 }
             }
             "spill" => spills += 1,
             "cold_reload" => cold_reloads += 1,
             "sink_close" => {
-                dropped = Some(dropped.unwrap_or(0) + uint(&map, "dropped").unwrap_or(0));
+                dropped = Some(dropped.unwrap_or(0) + uint(dropped_n).unwrap_or(0));
             }
             _ => {}
         }
@@ -555,7 +586,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
         "format",
     ])?;
     let family = args.pos(0, "family")?;
-    let out = args.flag("out").ok_or_else(|| CliError("--out FILE is required".into()))?;
+    let out = args.flag("out").ok_or_else(|| CliError::Usage("--out FILE is required".into()))?;
     let n: usize = args.flag_parse("n", 40)?;
     let m: usize = args.flag_parse("m", 5)?;
     let k: usize = args.flag_parse("k", 6)?;
@@ -564,7 +595,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
         "light" => SetupWeight::Light,
         "moderate" => SetupWeight::Moderate,
         "heavy" => SetupWeight::Heavy,
-        other => return Err(CliError(format!("unknown --setups '{other}'"))),
+        other => return Err(CliError::Failed(format!("unknown --setups '{other}'"))),
     };
     let json = match family {
         "uniform" => io::uniform_to_json(&sst_gen::uniform(&UniformParams {
@@ -627,7 +658,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
             let base = match args.flag("base").unwrap_or("unrelated") {
                 "uniform" => sst_gen::DynamicBase::Uniform,
                 "unrelated" => sst_gen::DynamicBase::Unrelated,
-                other => return Err(CliError(format!("unknown --base '{other}'"))),
+                other => return Err(CliError::Failed(format!("unknown --base '{other}'"))),
             };
             let params = sst_gen::DynamicQueueParams {
                 base,
@@ -660,13 +691,13 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
             out.push_str("\n  ]\n}");
             out
         }
-        other => return Err(CliError(format!("unknown family '{other}'; see `sst help`"))),
+        other => return Err(CliError::Failed(format!("unknown family '{other}'; see `sst help`"))),
     };
     match args.flag("format").unwrap_or("json") {
         "json" => std::fs::write(out, &json)?,
         "packed" => {
             if family == "dynamic-queue" {
-                return Err(CliError(
+                return Err(CliError::Failed(
                     "dynamic-queue writes a delta trace, which has no packed container; \
                      use --format json"
                         .into(),
@@ -674,7 +705,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
             }
             std::fs::write(out, wire::instance_to_container(&packed_from_json(&json)?))?;
         }
-        other => return Err(CliError(format!("unknown --format '{other}' (json|packed)"))),
+        other => return Err(CliError::Failed(format!("unknown --format '{other}' (json|packed)"))),
     }
     Ok(format!("wrote {family} instance (n={n}, m={m}, K={k}, seed={seed}) to {out}"))
 }
@@ -710,7 +741,9 @@ pub fn solve(args: &Args) -> Result<String, CliError> {
                     (res.schedule, tag.to_string())
                 }
                 other => {
-                    return Err(CliError(format!("algo '{other}' not valid for uniform instances")))
+                    return Err(CliError::Failed(format!(
+                        "algo '{other}' not valid for uniform instances"
+                    )))
                 }
             };
             let sched = if polish > 0 {
@@ -721,7 +754,7 @@ pub fn solve(args: &Args) -> Result<String, CliError> {
                 sched
             };
             let ms = uniform_makespan(&inst, &sched)
-                .map_err(|e| CliError(format!("produced schedule invalid: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("produced schedule invalid: {e}")))?;
             out.push_str(&format!(
                 "{label}\nmakespan: {ms}\nlower bound: {lb}\ncertified ratio ≤ {:.3}\n",
                 ms.to_f64() / lb.to_f64().max(f64::MIN_POSITIVE)
@@ -752,7 +785,7 @@ pub fn solve(args: &Args) -> Result<String, CliError> {
                     (res.schedule, tag.into(), None)
                 }
                 other => {
-                    return Err(CliError(format!(
+                    return Err(CliError::Failed(format!(
                         "algo '{other}' not valid for unrelated instances"
                     )))
                 }
@@ -765,7 +798,7 @@ pub fn solve(args: &Args) -> Result<String, CliError> {
                 sched
             };
             let ms = unrelated_makespan(&inst, &sched)
-                .map_err(|e| CliError(format!("produced schedule invalid: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("produced schedule invalid: {e}")))?;
             out.push_str(&format!("{label}\nmakespan: {ms}\nlower bound: {lb}\n"));
             if let Some(t_star) = cert {
                 out.push_str(&format!(
@@ -792,7 +825,7 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
     match load_instance(inst_path)? {
         AnyInstance::Uniform(inst) => {
             let loads = sst_core::schedule::uniform_loads(&inst, &sched)
-                .map_err(|e| CliError(format!("invalid schedule: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("invalid schedule: {e}")))?;
             let ms = uniform_makespan(&inst, &sched).expect("loads computed");
             let mut out = format!("makespan: {ms}\n");
             for (i, w) in loads.iter().enumerate() {
@@ -806,7 +839,7 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
         }
         AnyInstance::Unrelated(inst) => {
             let loads = sst_core::schedule::unrelated_loads(&inst, &sched)
-                .map_err(|e| CliError(format!("invalid schedule: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("invalid schedule: {e}")))?;
             let ms = loads.iter().copied().max().unwrap_or(0);
             let mut out = format!("makespan: {ms}\n");
             for (i, l) in loads.iter().enumerate() {
@@ -948,16 +981,18 @@ pub fn gantt(args: &Args) -> Result<String, CliError> {
     let (mut out, svg) = match load_instance(inst_path)? {
         AnyInstance::Uniform(inst) => {
             let tl = Timeline::from_uniform(&inst, &sched)
-                .map_err(|e| CliError(format!("invalid schedule: {e}")))?;
-            tl.validate().map_err(|e| CliError(format!("timeline invariant broken: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("invalid schedule: {e}")))?;
+            tl.validate()
+                .map_err(|e| CliError::Failed(format!("timeline invariant broken: {e}")))?;
             let chart = render_gantt(&tl, |j| inst.job(j).class, width);
             let svg = render_gantt_svg(&tl, |j| inst.job(j).class, 800);
             (format!("{chart}makespan: {}\n", tl.makespan()), svg)
         }
         AnyInstance::Unrelated(inst) => {
             let tl = Timeline::from_unrelated(&inst, &sched)
-                .map_err(|e| CliError(format!("invalid schedule: {e}")))?;
-            tl.validate().map_err(|e| CliError(format!("timeline invariant broken: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("invalid schedule: {e}")))?;
+            tl.validate()
+                .map_err(|e| CliError::Failed(format!("timeline invariant broken: {e}")))?;
             let chart = render_gantt(&tl, |j| inst.class_of(j), width);
             let svg = render_gantt_svg(&tl, |j| inst.class_of(j), 800);
             (format!("{chart}makespan: {}\n", tl.makespan()), svg)
@@ -986,13 +1021,13 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         "light" => SetupWeight::Light,
         "moderate" => SetupWeight::Moderate,
         "heavy" => SetupWeight::Heavy,
-        other => return Err(CliError(format!("unknown --setups '{other}'"))),
+        other => return Err(CliError::Failed(format!("unknown --setups '{other}'"))),
     };
     let n_list: Vec<usize> = args
         .flag("n-list")
         .unwrap_or("20,40,80")
         .split(',')
-        .map(|t| t.trim().parse().map_err(|_| CliError(format!("bad n '{t}'"))))
+        .map(|t| t.trim().parse().map_err(|_| CliError::Failed(format!("bad n '{t}'"))))
         .collect::<Result<_, _>>()?;
     let grid: Vec<(usize, u64)> =
         n_list.iter().flat_map(|&n| (0..seeds).map(move |s| (n, s))).collect();
@@ -1028,11 +1063,14 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
                     "greedy" => greedy_uniform(&inst),
                     "wrap" if family == "identical" => sst_algos::identical::wrap_identical(&inst),
                     other => {
-                        return Err(CliError(format!("algo '{other}' not valid for {family}")))
+                        return Err(CliError::Failed(format!(
+                            "algo '{other}' not valid for {family}"
+                        )))
                     }
                 };
-                let ms =
-                    uniform_makespan(&inst, &sched).map_err(|e| CliError(e.to_string()))?.to_f64();
+                let ms = uniform_makespan(&inst, &sched)
+                    .map_err(|e| CliError::Failed(e.to_string()))?
+                    .to_f64();
                 Ok(Row { n, seed, makespan: ms, bound: uniform_lower_bound(&inst).to_f64() })
             }
             "unrelated" | "ra" | "cupt" => {
@@ -1066,14 +1104,16 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
                     }
                     "greedy" => (greedy_unrelated(&inst), unrelated_lower_bound(&inst) as f64),
                     other => {
-                        return Err(CliError(format!("algo '{other}' not valid for {family}")))
+                        return Err(CliError::Failed(format!(
+                            "algo '{other}' not valid for {family}"
+                        )))
                     }
                 };
-                let ms =
-                    unrelated_makespan(&inst, &sched).map_err(|e| CliError(e.to_string()))? as f64;
+                let ms = unrelated_makespan(&inst, &sched)
+                    .map_err(|e| CliError::Failed(e.to_string()))? as f64;
                 Ok(Row { n, seed, makespan: ms, bound })
             }
-            other => Err(CliError(format!("unknown family '{other}'"))),
+            other => Err(CliError::Failed(format!("unknown family '{other}'"))),
         }
     };
     let mut rows: Vec<Row> = grid.par_iter().map(run_one).collect::<Result<Vec<_>, _>>()?;
@@ -1166,7 +1206,7 @@ pub fn lint(args: &Args) -> Result<String, CliError> {
             rules,
             allow_path.display()
         ));
-        Err(CliError(msg))
+        Err(CliError::Failed(msg))
     }
 }
 
@@ -1183,7 +1223,7 @@ fn workspace_root() -> Result<std::path::PathBuf, CliError> {
             }
         }
         if !dir.pop() {
-            return Err(CliError(
+            return Err(CliError::Failed(
                 "no Cargo workspace root found above the current directory; pass --root".into(),
             ));
         }
@@ -1193,7 +1233,10 @@ fn workspace_root() -> Result<std::path::PathBuf, CliError> {
 /// Dispatches a parsed command line.
 pub fn run(args: &Args) -> Result<String, CliError> {
     match args.command.as_str() {
-        "help" | "--help" | "-h" => Ok(help()),
+        "help" | "--help" | "-h" => {
+            args.reject_unknown_flags(&[])?;
+            Ok(help())
+        }
         "generate" => generate(args),
         "solve" => solve(args),
         "evaluate" => evaluate(args),
@@ -1207,7 +1250,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "pack" => pack(args),
         "unpack" => unpack(args),
         "lint" => lint(args),
-        other => Err(CliError(format!("unknown command '{other}'; see `sst help`"))),
+        other => Err(CliError::Usage(format!("unknown command '{other}'; see `sst help`"))),
     }
 }
 
@@ -1311,7 +1354,7 @@ mod tests {
         ]))
         .unwrap())
         .unwrap_err();
-        assert!(err.0.contains("dynamic-queue"), "{err}");
+        assert!(err.to_string().contains("dynamic-queue"), "{err}");
     }
 
     #[test]
@@ -1577,9 +1620,9 @@ mod tests {
     fn serve_flag_validation_rejects_bad_combinations() {
         // Error paths only: a valid stdin serve would block on input.
         let err = run(&parse(&toks(&["serve", "--mode", "sharded"])).unwrap()).unwrap_err();
-        assert!(err.0.contains("unknown flag --mode"), "--mode is gone: {}", err.0);
-        let err = run(&parse(&toks(&["serve", "--workers", "2", "--shards", "2"])).unwrap());
-        assert!(err.is_err(), "--workers and --shards are aliases, not independent");
+        assert!(err.to_string().contains("unknown flag --mode"), "--mode is gone: {err}");
+        let err = run(&parse(&toks(&["serve", "--shards", "2"])).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("unknown flag --shards"), "--shards is gone: {err}");
         let err = run(&parse(&toks(&["serve", "--fault-injection", "maybe"])).unwrap());
         assert!(err.is_err(), "--fault-injection takes true|false");
         let err = run(&parse(&toks(&["serve", "--typo", "1"])).unwrap());

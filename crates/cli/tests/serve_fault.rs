@@ -55,8 +55,7 @@ fn spawn_server() -> (Child, String) {
             "serve",
             "--tcp",
             "127.0.0.1:0",
-            // The PR 2 spelling must keep working as an alias of --workers.
-            "--shards",
+            "--workers",
             "2",
             "--budget-ms",
             "40",

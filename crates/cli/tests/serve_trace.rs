@@ -6,17 +6,17 @@
 //!   dequeue → race_start → solver spans → respond — closed by a
 //!   `sink_close` event reporting zero dropped events.
 //! * `sst trace summarize FILE` must aggregate that file into non-empty
-//!   per-stage rows.
+//!   per-stage rows, and its output on a fixed fixture is pinned byte for
+//!   byte.
 //! * A kill-and-replay run (SIGKILL with a durability root, then restart
 //!   with the same `--data-dir`) must surface the recovery as a
 //!   structured `recovery` event in the restarted server's trace.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
-use sst_core::io::json::{self, JsonValue};
+use sst_core::io::json::Parser;
 use sst_portfolio::protocol::{
     parse_response, request_to_json, session_request_to_json, Request, Response, SessionRequest,
     SessionVerb,
@@ -74,29 +74,39 @@ fn drive(mut child: Child, lines: &[String]) -> Vec<Response> {
     responses
 }
 
-fn parse_trace(path: &std::path::Path) -> Vec<BTreeMap<String, JsonValue>> {
+/// One trace line: its `event` kind and the text its other members are
+/// read from.
+struct Event {
+    kind: String,
+    line: String,
+}
+
+/// Reads a trace file; every line must be one object with a string
+/// `event` member.
+fn parse_trace(path: &std::path::Path) -> Vec<Event> {
     let text = std::fs::read_to_string(path).expect("trace file exists");
     text.lines()
         .filter(|l| !l.trim().is_empty())
-        .map(|l| match json::parse(l) {
-            Ok(JsonValue::Object(map)) => map,
-            other => panic!("unparseable trace line {l:?}: {other:?}"),
+        .map(|l| {
+            let mut p = Parser::new(l);
+            let kind = match p.fields(["event"]) {
+                Ok(Some([Some(mut event)])) if p.finish().is_ok() => event.string(),
+                _ => None,
+            };
+            let kind = kind.unwrap_or_else(|| panic!("unparseable trace line {l:?}"));
+            Event { kind, line: l.to_string() }
         })
         .collect()
 }
 
-fn uint(map: &BTreeMap<String, JsonValue>, k: &str) -> u64 {
-    match map.get(k) {
-        Some(JsonValue::Uint(v)) => *v,
-        other => panic!("field '{k}' must be a uint, got {other:?}"),
-    }
+/// A parser at member `k` of `e`, when present.
+fn field<'e>(e: &'e Event, k: &str) -> Option<Parser<'e>> {
+    let [at] = Parser::new(&e.line).fields([k]).ok()??;
+    at
 }
 
-fn kind(map: &BTreeMap<String, JsonValue>) -> &str {
-    match map.get("event") {
-        Some(JsonValue::Str(s)) => s.as_str(),
-        other => panic!("event field missing: {other:?}"),
-    }
+fn uint(e: &Event, k: &str) -> u64 {
+    field(e, k).and_then(|mut p| p.u64()).unwrap_or_else(|| panic!("field '{k}' must be a uint"))
 }
 
 #[test]
@@ -125,22 +135,24 @@ fn trace_out_writes_a_complete_span_chain_and_summarize_reads_it() {
 
     let events = parse_trace(&trace_path);
     for &id in &ids {
-        let of_id: Vec<_> =
-            events.iter().filter(|e| e.get("id") == Some(&JsonValue::Uint(id))).collect();
-        let kinds: Vec<&str> = of_id.iter().map(|e| kind(e)).collect();
+        let of_id: Vec<_> = events
+            .iter()
+            .filter(|e| field(e, "id").and_then(|mut p| p.u64()) == Some(id))
+            .collect();
+        let kinds: Vec<&str> = of_id.iter().map(|e| e.kind.as_str()).collect();
         for stage in ["enqueue", "dequeue", "race_start", "solver_start", "solver_end", "respond"] {
             assert!(kinds.contains(&stage), "request {id} missing '{stage}' event: {kinds:?}");
         }
         // The span chain is ordered by timestamp: enqueue first, respond last.
         let ts_of = |k: &str| {
-            of_id.iter().find(|e| kind(e) == k).map(|e| uint(e, "ts_us")).expect("present")
+            of_id.iter().find(|e| e.kind == k).map(|e| uint(e, "ts_us")).expect("present")
         };
         assert!(ts_of("enqueue") <= ts_of("dequeue"), "enqueue precedes dequeue");
         assert!(ts_of("race_start") <= ts_of("respond"), "race precedes respond");
-        let respond = of_id.iter().find(|e| kind(e) == "respond").expect("respond event");
-        assert_eq!(respond.get("ok"), Some(&JsonValue::Bool(true)));
+        let respond = of_id.iter().find(|e| e.kind == "respond").expect("respond event");
+        assert_eq!(field(respond, "ok").and_then(|mut p| p.bool()), Some(true));
     }
-    let closes: Vec<_> = events.iter().filter(|e| kind(e) == "sink_close").collect();
+    let closes: Vec<_> = events.iter().filter(|e| e.kind == "sink_close").collect();
     assert_eq!(closes.len(), 1, "exactly one sink_close event");
     assert_eq!(uint(closes[0], "dropped"), 0, "no events dropped at this traffic level");
 
@@ -219,10 +231,30 @@ fn kill_and_replay_restart_emits_a_recovery_event_in_the_trace() {
     assert_eq!(m.sessions.recovered, 1, "the killed run's session is recovered");
 
     let events = parse_trace(&trace_path);
-    let recoveries: Vec<_> = events.iter().filter(|e| kind(e) == "recovery").collect();
+    let recoveries: Vec<_> = events.iter().filter(|e| e.kind == "recovery").collect();
     assert_eq!(recoveries.len(), 1, "exactly one recovery event per startup");
     assert_eq!(uint(recoveries[0], "sessions"), 1, "one session came back");
     assert!(uint(recoveries[0], "replayed") >= 2, "create + delta records replayed");
     assert_eq!(uint(recoveries[0], "dropped_bytes"), 0, "journal was clean");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fixture holds every event kind plus the lines the summarizer must
+/// tolerate: a truncated object, an array, a bare string, an object with
+/// trailing bytes, objects without a string `event`, floats, negatives and
+/// out-of-range numbers where a uint is expected, duplicate keys (the last
+/// wins), nesting past the depth limit, a bad escape, an unknown kind and
+/// two `sink_close` events. The expected summary is checked in next to it.
+#[test]
+fn summarize_output_is_pinned_on_a_fixture_of_every_event_kind() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let out = Command::new(env!("CARGO_BIN_EXE_sst"))
+        .args(["trace", "summarize"])
+        .arg(fixtures.join("trace_all_kinds.ndjson"))
+        .output()
+        .expect("run trace summarize");
+    assert!(out.status.success(), "summarize exits 0: {out:?}");
+    let expected = std::fs::read_to_string(fixtures.join("trace_all_kinds.summary"))
+        .expect("expected summary exists");
+    assert_eq!(String::from_utf8(out.stdout).expect("utf-8 summary"), expected);
 }

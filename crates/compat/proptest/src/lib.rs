@@ -1,7 +1,7 @@
 //! Offline stand-in for the subset of the `proptest` API this workspace uses.
 //!
 //! The build environment has no crates.io access, so this crate reimplements
-//! exactly what the workspace's property tests need: the [`Strategy`] trait
+//! exactly what the workspace's property tests need: the [`Strategy`](strategy::Strategy) trait
 //! with `prop_map` / `prop_flat_map` / `prop_filter`, range and tuple
 //! strategies, [`collection::vec`], [`strategy::Just`], the
 //! [`proptest!`] / [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assume!`]
@@ -325,7 +325,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Lengths acceptable to [`vec`]: a fixed size or a (inclusive) range.
+    /// Lengths acceptable to [`vec`](fn@vec): a fixed size or a (inclusive) range.
     pub trait IntoSizeRange {
         /// Lower and inclusive upper bound.
         fn bounds(&self) -> (usize, usize);

@@ -153,7 +153,8 @@ impl SpeedGroups {
     /// `p ≥ ε·v̌_g·T ∧ p < v̂_g·T`; the containment form here is what the
     /// surrounding text — "at least one of them contains all such speeds" —
     /// and the accounting in Lemma 2.8 require, and it makes Remark 2.7's
-    /// derivation go through. See DESIGN.md.)
+    /// derivation go through. The E7 experiment, `e7_groups` in
+    /// `crates/bench/src/lib.rs`, checks the two-groups-per-speed property.)
     ///
     /// Returns `None` for `p = 0`.
     pub fn native_group(&self, p: u64) -> Option<i64> {

@@ -45,50 +45,20 @@ impl std::fmt::Display for IoError {
 impl std::error::Error for IoError {}
 
 pub mod json {
-    //! Minimal JSON tokenizer, value model and writer — just enough for the
+    //! Minimal JSON reader and writer — just enough for the
     //! instance/schedule format: objects, arrays, `u64` numbers (including
     //! `u64::MAX`, the `∞` sentinel) and strings.
     //!
-    //! [`Parser`] is the one tokenizer. Its typed reads ([`Parser::fields`],
+    //! [`Parser`] is the one reader. Its typed reads ([`Parser::fields`],
     //! [`Parser::items`], [`Parser::u64`], [`Parser::skip_value`], …) decode
-    //! straight into caller buffers without building values; every reader
-    //! of the serve tier is built on them. [`parse`] builds a [`JsonValue`]
-    //! tree on the same reads, for generic inspection (tests, trace files).
+    //! straight into caller buffers without building values.
 
     use std::borrow::Cow;
-    use std::collections::BTreeMap;
     use std::fmt::Write as _;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum JsonValue {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// An unsigned integer (the only number shape this format uses).
-        Uint(u64),
-        /// A (non-integer or negative) number, kept for error reporting.
-        Float(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Array(Vec<JsonValue>),
-        /// An object (sorted keys; key order is irrelevant to this format).
-        Object(BTreeMap<String, JsonValue>),
-    }
 
     /// Maximum nesting depth accepted by the parser (matches serde_json's
     /// default); deeper input is a parse error, not a stack overflow.
     const MAX_DEPTH: u32 = 128;
-
-    /// Parses `text` into a [`JsonValue`].
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser::new(text);
-        let v = p.value()?;
-        p.finish()?;
-        Ok(v)
-    }
 
     /// A cursor over JSON text. Every read skips the whitespace before the
     /// value it reads.
@@ -169,37 +139,12 @@ pub mod json {
             }
         }
 
-        fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
+        fn literal(&mut self, lit: &str) -> Result<(), String> {
             if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
                 self.pos += lit.len();
-                Ok(value)
+                Ok(())
             } else {
                 Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        /// Reads one value into a tree.
-        fn value(&mut self) -> Result<JsonValue, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => {
-                    let mut map = BTreeMap::new();
-                    self.object(|p, key| {
-                        map.insert(key.to_string(), p.value()?);
-                        Ok(())
-                    })?;
-                    Ok(JsonValue::Object(map))
-                }
-                Some(b'[') => {
-                    let mut items = Vec::new();
-                    self.array(|p| {
-                        items.push(p.value()?);
-                        Ok(())
-                    })?;
-                    Ok(JsonValue::Array(items))
-                }
-                Some(b'"') => Ok(JsonValue::Str(self.string_cow()?.into_owned())),
-                _ => self.scalar(),
             }
         }
 
@@ -222,18 +167,11 @@ pub mod json {
                     }
                     Ok(())
                 }
-                _ => self.scalar().map(drop),
-            }
-        }
-
-        /// A number or literal (the values that own no heap memory).
-        fn scalar(&mut self) -> Result<JsonValue, String> {
-            match self.peek() {
+                Some(b'-') => self.number().map(drop),
+                Some(b't') => self.literal("true"),
+                Some(b'f') => self.literal("false"),
+                Some(b'n') => self.literal("null"),
                 None => Err("unexpected end of input".to_string()),
-                Some(b't') => self.literal("true", JsonValue::Bool(true)),
-                Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-                Some(b'n') => self.literal("null", JsonValue::Null),
-                Some(b'-') | Some(b'0'..=b'9') => self.number(),
                 Some(c) => {
                     Err(format!("unexpected character {:?} at byte {}", c as char, self.pos))
                 }
@@ -380,18 +318,15 @@ pub mod json {
             if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
                 return None;
             }
-            match self.number() {
-                Ok(JsonValue::Uint(u)) => Some(u as f64),
-                Ok(JsonValue::Float(x)) => Some(x),
-                _ => None,
-            }
+            self.number().ok()
         }
 
         /// Reads `true` or `false`; `None` for any other value.
         pub fn bool(&mut self) -> Option<bool> {
             self.skip_ws();
-            match self.scalar() {
-                Ok(JsonValue::Bool(b)) => Some(b),
+            match self.peek() {
+                Some(b't') => self.literal("true").ok().map(|()| true),
+                Some(b'f') => self.literal("false").ok().map(|()| false),
                 _ => None,
             }
         }
@@ -400,7 +335,7 @@ pub mod json {
         pub fn is_null(&self) -> bool {
             let mut p = *self;
             p.skip_ws();
-            p.scalar() == Ok(JsonValue::Null)
+            p.literal("null").is_ok()
         }
 
         /// Reads a string; `None` for any other value.
@@ -503,7 +438,9 @@ pub mod json {
             Ok(c)
         }
 
-        fn number(&mut self) -> Result<JsonValue, String> {
+        /// Consumes a number of the full JSON number grammar and returns
+        /// its value.
+        fn number(&mut self) -> Result<f64, String> {
             let start = self.pos;
             if self.peek() == Some(b'-') {
                 self.pos += 1;
@@ -511,16 +448,13 @@ pub mod json {
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
             }
-            let mut is_float = false;
             if self.peek() == Some(b'.') {
-                is_float = true;
                 self.pos += 1;
                 while matches!(self.peek(), Some(b'0'..=b'9')) {
                     self.pos += 1;
                 }
             }
             if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-                is_float = true;
                 self.pos += 1;
                 if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                     self.pos += 1;
@@ -529,14 +463,8 @@ pub mod json {
                     self.pos += 1;
                 }
             }
-            let text = &self.text[start..self.pos];
-            if !is_float && !text.starts_with('-') {
-                if let Ok(u) = text.parse::<u64>() {
-                    return Ok(JsonValue::Uint(u));
-                }
-            }
-            text.parse::<f64>()
-                .map(JsonValue::Float)
+            self.text[start..self.pos]
+                .parse::<f64>()
                 .map_err(|_| format!("invalid number at byte {start}"))
         }
     }
@@ -1064,7 +992,9 @@ mod tests {
         assert!(matches!(uniform_from_json(&deep), Err(IoError::Json(_))));
         // At the limit boundary: 127 wrappers around a number still parse.
         let ok = format!("{}7{}", "[".repeat(127), "]".repeat(127));
-        assert!(json::parse(&ok).is_ok());
+        let mut p = json::Parser::new(&ok);
+        assert!(p.skip_value().is_ok());
+        assert!(p.finish().is_ok());
     }
 
     #[test]
@@ -1075,22 +1005,21 @@ mod tests {
         let body = "é".repeat(1 << 20);
         let line = format!("{{\"note\": \"{body}\\n\", \"id\": 1}}");
         let started = std::time::Instant::now();
-        let value = json::parse(&line).unwrap();
         let mut p = json::Parser::new(&line);
-        let [id] = p.fields(["id"]).unwrap().unwrap();
+        let [note, id] = p.fields(["note", "id"]).unwrap().unwrap();
+        let note = note.unwrap().string();
         assert!(started.elapsed() < std::time::Duration::from_secs(10), "{:?}", started.elapsed());
         assert_eq!(id.unwrap().u64(), Some(1));
-        let json::JsonValue::Object(map) = value else { panic!("object expected") };
-        assert_eq!(map["note"], json::JsonValue::Str(format!("{body}\n")));
+        assert_eq!(note, Some(format!("{body}\n")));
     }
 
     #[test]
     fn escapes_decode_in_values_and_keys() {
-        let v = json::parse(r#"{"a\u0062": "x\"y\\z\/\u00e9\n"}"#).unwrap();
-        let json::JsonValue::Object(map) = v else { panic!("object expected") };
-        assert_eq!(map["ab"], json::JsonValue::Str("x\"y\\z/é\n".into()));
+        let mut p = json::Parser::new(r#"{"a\u0062": "x\"y\\z\/\u00e9\n"}"#);
+        let [ab] = p.fields(["ab"]).unwrap().unwrap();
+        assert_eq!(ab.unwrap().string(), Some("x\"y\\z/é\n".into()));
         for bad in [r#""\q""#, r#""\u12""#, r#""abc"#, r#""\"#] {
-            assert!(json::parse(bad).is_err(), "{bad}");
+            assert!(json::Parser::new(bad).string().is_none(), "{bad}");
             assert!(json::Parser::new(bad).skip_value().is_err(), "{bad}");
         }
     }
@@ -1099,7 +1028,8 @@ mod tests {
     fn inf_survives_the_text_format() {
         // u64::MAX is the ∞ sentinel; it must parse back exactly.
         let text = format!("[{}]", u64::MAX);
-        let v = json::parse(&text).unwrap();
-        assert_eq!(v, json::JsonValue::Array(vec![json::JsonValue::Uint(u64::MAX)]));
+        let mut out = Vec::new();
+        assert_eq!(json::Parser::new(&text).u64_array_into(&mut out), Some(1));
+        assert_eq!(out, [u64::MAX]);
     }
 }

@@ -41,7 +41,6 @@
 
 pub mod batch;
 pub mod bounds;
-pub mod builder;
 pub mod cancel;
 pub mod delta;
 pub mod dual;

@@ -1,9 +1,10 @@
 //! Descriptive statistics of instances: the quantities that predict which
 //! algorithm (and which guarantee) is the right tool.
 //!
-//! The experiments of EXPERIMENTS.md show behaviour switching on a few
-//! structural measures — setup weight relative to job work (E8/E10), class
-//! population skew, machine heterogeneity (E7), eligibility density (E5).
+//! The E1–E11 experiments (`crates/bench/src/lib.rs`) show behaviour
+//! switching on a few structural measures — setup weight relative to job
+//! work (E8/E10), class population skew, machine heterogeneity (E7),
+//! eligibility density (E5).
 //! This module computes them once, uniformly, for both machine models;
 //! `sst info` prints them. It also hosts the *service-side* statistics: a
 //! fixed-size log-bucketed [`LatencyHistogram`] that the `sst serve` worker

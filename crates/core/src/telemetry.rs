@@ -698,12 +698,6 @@ impl TraceSink {
         self.shared.dropped.load(Ordering::Relaxed)
     }
 
-    /// Microseconds since the sink's epoch — the timestamp base of every
-    /// event this sink emits.
-    pub fn now_us(&self) -> u64 {
-        self.shared.epoch.elapsed().as_micros() as u64
-    }
-
     /// Closes the sink: stops accepting events, drains the ring, writes
     /// the final `sink_close` event and joins the writer thread.
     /// Idempotent; safe to call from any clone.

@@ -286,7 +286,7 @@ fn validate_shape(assignment: &[MachineId], n: usize, m: usize) -> Result<(), Sc
 /// table. [`UniformLoadTracker`], [`UnrelatedLoadTracker`] and
 /// [`SplittableLoadTracker`] are the per-model aliases; every model gets
 /// this implementation by implementing
-/// [`MachineModel`](crate::model::MachineModel) — nothing here is
+/// [`MachineModel`] — nothing here is
 /// per-model code.
 #[derive(Debug, Clone)]
 pub struct LoadTracker<'a, M: MachineModel> {

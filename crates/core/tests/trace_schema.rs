@@ -1,13 +1,13 @@
 //! Golden test pinning the trace-event JSON schema: one event of every
 //! kind, encoded by [`sst_core::telemetry::TraceEvent::write_json`] and
-//! round-tripped through the workspace JSON parser (`sst_core::io`). The
+//! read back through the workspace JSON parser (`sst_core::io`). The
 //! exact field *sets* are asserted — adding, renaming or dropping a field
 //! is a deliberate schema change and must update this test (and the
 //! README "Observability" section).
 
 use std::collections::BTreeMap;
 
-use sst_core::io::json::{self, JsonValue};
+use sst_core::io::json::Parser;
 use sst_core::telemetry::TraceEvent;
 
 fn encode(event: &TraceEvent, ts_us: u64) -> String {
@@ -16,29 +16,43 @@ fn encode(event: &TraceEvent, ts_us: u64) -> String {
     out
 }
 
-fn parse_object(line: &str) -> BTreeMap<String, JsonValue> {
-    match json::parse(line).unwrap_or_else(|e| panic!("unparseable event {line:?}: {e}")) {
-        JsonValue::Object(map) => map,
-        other => panic!("event must encode as an object, got {other:?}"),
+/// An encoded event and the byte offset of each member's value.
+struct Event {
+    line: String,
+    at: BTreeMap<String, usize>,
+}
+
+impl Event {
+    /// A parser at member `k`'s value.
+    fn field(&self, k: &str) -> Parser<'_> {
+        let pos = self.at.get(k).unwrap_or_else(|| panic!("field '{k}' missing"));
+        Parser::new(&self.line).at(*pos)
     }
 }
 
-fn keys(map: &BTreeMap<String, JsonValue>) -> Vec<&str> {
-    map.keys().map(String::as_str).collect()
+/// Locates the members of `line`, which must be exactly one object.
+fn parse_object(line: &str) -> Event {
+    let mut at = BTreeMap::new();
+    let mut p = Parser::new(line);
+    p.object(|p, key| {
+        at.insert(key.to_string(), p.pos());
+        p.skip_value()
+    })
+    .and_then(|()| p.finish())
+    .unwrap_or_else(|e| panic!("event must encode as one object {line:?}: {e}"));
+    Event { line: line.to_string(), at }
 }
 
-fn uint(map: &BTreeMap<String, JsonValue>, k: &str) -> u64 {
-    match map.get(k) {
-        Some(JsonValue::Uint(v)) => *v,
-        other => panic!("field '{k}' must be a uint, got {other:?}"),
-    }
+fn keys(map: &Event) -> Vec<&str> {
+    map.at.keys().map(String::as_str).collect()
 }
 
-fn str_field<'a>(map: &'a BTreeMap<String, JsonValue>, k: &str) -> &'a str {
-    match map.get(k) {
-        Some(JsonValue::Str(s)) => s,
-        other => panic!("field '{k}' must be a string, got {other:?}"),
-    }
+fn uint(map: &Event, k: &str) -> u64 {
+    map.field(k).u64().unwrap_or_else(|| panic!("field '{k}' must be a uint"))
+}
+
+fn str_field(map: &Event, k: &str) -> String {
+    map.field(k).string().unwrap_or_else(|| panic!("field '{k}' must be a string"))
 }
 
 /// One exemplar of every event kind with its pinned field set.
@@ -162,10 +176,9 @@ fn numeric_fields_parse_as_numbers_not_strings() {
         },
         0,
     ));
-    match map.get("makespan") {
-        Some(JsonValue::Float(v)) => assert!((v - 42.0).abs() < 1e-12),
-        other => panic!("makespan must parse as a float, got {other:?}"),
-    }
+    assert_eq!(map.field("makespan").u64(), None, "makespan must parse as a float");
+    let v = map.field("makespan").f64().expect("makespan must parse as a number");
+    assert!((v - 42.0).abs() < 1e-12);
 }
 
 #[test]
@@ -181,16 +194,16 @@ fn optional_and_boolean_fields_keep_their_shapes() {
         },
         0,
     ));
-    assert!(!map.contains_key("makespan"));
+    assert!(!map.at.contains_key("makespan"));
     assert_eq!(str_field(&map, "outcome"), "cancelled");
 
     let map = parse_object(&encode(
         &TraceEvent::JournalAppend { sid: 1, bytes: 10, micros: 1, fsync: true },
         0,
     ));
-    assert_eq!(map.get("fsync"), Some(&JsonValue::Bool(true)));
+    assert_eq!(map.field("fsync").bool(), Some(true));
     let map = parse_object(&encode(&TraceEvent::Respond { id: 1, ok: false, total_us: 1 }, 0));
-    assert_eq!(map.get("ok"), Some(&JsonValue::Bool(false)));
+    assert_eq!(map.field("ok").bool(), Some(false));
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! # sst-gen — seeded workload generators
 //!
-//! Instance families for the experiments of DESIGN.md §4. All generators are
-//! deterministic functions of their parameter struct (including the seed),
-//! so every experiment row is exactly reproducible.
+//! Instance families for the E1–E11 experiments (one function each in
+//! `crates/bench/src/lib.rs`). All generators are deterministic functions of
+//! their parameter struct (including the seed), so every experiment row is
+//! exactly reproducible.
 //!
 //! The families mirror the applications the paper's introduction motivates:
 //! *production systems* (changeover/cleaning/calibration times — few

@@ -181,11 +181,6 @@ impl LpProblem {
         self.sense
     }
 
-    /// Objective coefficient of variable `v`.
-    pub fn objective_coeff(&self, v: VarId) -> f64 {
-        self.obj[v.0]
-    }
-
     pub(crate) fn rows(&self) -> &[Row] {
         &self.rows
     }

@@ -14,8 +14,8 @@
 //! * **Snapshots** (`<data-dir>/sessions/<sid>.snap`): a full session image
 //!   — instance, incumbent, cost, proxy — stamped with the journal
 //!   sequence number it folds in. Written atomically (temp file + rename)
-//!   on spill, periodically every [`DurableStore::snapshot_every`] journaled
-//!   verbs, and at graceful shutdown. A snapshot truncates *replay*: only
+//!   on spill, periodically every [`SNAPSHOT_EVERY`] journaled verbs, and
+//!   at graceful shutdown. A snapshot truncates *replay*: only
 //!   journal records with `seq` greater than the snapshot's are applied on
 //!   recovery.
 //!
@@ -503,13 +503,15 @@ fn sync(file: &mut BufWriter<File>, durability: Durability) -> std::io::Result<(
     }
 }
 
+/// Journaled verbs per session between periodic snapshots.
+pub const SNAPSHOT_EVERY: u64 = 32;
+
 /// The on-disk half of the session tier: one append-only journal plus a
 /// directory of per-session snapshots under one `--data-dir`.
 pub struct DurableStore {
     sessions_dir: PathBuf,
     journal_path: PathBuf,
     durability: Durability,
-    snapshot_every: u64,
     /// Records per coalesced commit batch.
     journal_batch: usize,
     /// Extra time the committer may wait for stragglers on a non-full
@@ -543,7 +545,6 @@ impl DurableStore {
             sessions_dir,
             journal_path,
             durability,
-            snapshot_every: 32,
             journal_batch: 64,
             group_commit_us: 0,
             commit: Arc::new(CommitShared {
@@ -585,24 +586,12 @@ impl DurableStore {
         self
     }
 
-    /// Sets the periodic-snapshot threshold (journaled verbs per session
-    /// between snapshots); builder-style, mainly for tests.
-    pub fn with_snapshot_every(mut self, every: u64) -> DurableStore {
-        self.snapshot_every = every.max(1);
-        self
-    }
-
     /// Installs the serving process's telemetry: journal appends (with the
     /// fsync portion timed separately), snapshot writes, and recovery then
     /// feed the `stage.journal_*`/`stage.snapshot_us` histograms and emit
     /// trace events.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// The periodic-snapshot threshold.
-    pub fn snapshot_every(&self) -> u64 {
-        self.snapshot_every
     }
 
     /// The configured fsync policy.

@@ -6,16 +6,16 @@
 //! class-uniform special cases, plus the exact and search baselines. This
 //! crate turns that toolbox into a *service*, in five layers:
 //!
-//! 1. **[`model`]** — the [`ModelOps`](model::ModelOps) trait: per-model
+//! 1. **[`model`]** — the [`ModelOps`] trait: per-model
 //!    behavior (protocol kind, features, greedy floor, solution
 //!    evaluation) behind one object-safe interface, so the machine models
 //!    — uniform, unrelated, and the splittable model of Section 3.3 — are
 //!    served by the same pipeline and adding a model is one trait impl;
-//! 2. **[`solver`]** — one [`Solver`](solver::Solver) trait over every
+//! 2. **[`solver`]** — one [`Solver`] trait over every
 //!    algorithm in `sst-algos`, all cancellable through
 //!    [`sst_core::cancel::CancelToken`], so each is an *anytime* solver
 //!    under a deadline;
-//! 3. **[`features`] + [`select`]** — a structural feature extractor
+//! 3. **[`features`] + [`select`](mod@select)** — a structural feature extractor
 //!    (size, setup weight, speed skew, eligibility density, the three
 //!    special-case structure flags) and a rule-based selector mapping
 //!    features to a ranked portfolio, refined online by a per-family
@@ -23,7 +23,7 @@
 //!    recency-decayed win score per member: recent winners rank first,
 //!    members whose score decays out are demoted and the raced top-k
 //!    shrinks to the members in good standing;
-//! 4. **[`race`]** — a racing executor running the top-k portfolio members
+//! 4. **[`race`](mod@race)** — a racing executor running the top-k portfolio members
 //!    concurrently with a cross-seeded incumbent: the best-known makespan
 //!    prunes the branch-and-bound and warm-starts the search heuristics;
 //!    [`race::race_adaptive`] feeds results back into the win-rate

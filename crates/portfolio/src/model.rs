@@ -1,4 +1,4 @@
-//! Per-model behavior behind [`ProblemInstance`](crate::solver::ProblemInstance):
+//! Per-model behavior behind [`ProblemInstance`]:
 //! the [`ModelOps`] trait.
 //!
 //! The portfolio crate used to thread `match` statements over the instance
@@ -51,24 +51,6 @@ pub enum Solution {
     Assignment(Schedule),
     /// Per-class fractional shares (splittable machines).
     Split(SplitSchedule),
-}
-
-impl Solution {
-    /// The assignment, when this is an integral solution.
-    pub fn as_assignment(&self) -> Option<&Schedule> {
-        match self {
-            Solution::Assignment(s) => Some(s),
-            Solution::Split(_) => None,
-        }
-    }
-
-    /// The share table, when this is a split solution.
-    pub fn as_split(&self) -> Option<&SplitSchedule> {
-        match self {
-            Solution::Assignment(_) => None,
-            Solution::Split(s) => Some(s),
-        }
-    }
 }
 
 /// Why a solution could not be evaluated against an instance.

@@ -5,9 +5,9 @@
 //! pushes onto one shared injector queue, workers pull from it and steal
 //! from each other when idle, so a slow request can no longer head-of-line
 //! block the requests queued behind it while other workers sit idle.
-//! Each worker parses, races the portfolio ([`crate::race`]), and writes
-//! the response line to the request's origin (stdout, or the originating
-//! TCP connection).
+//! Each worker parses, races the portfolio ([`crate::race`](mod@crate::race)),
+//! and writes the response line to the request's origin (stdout, or the
+//! originating TCP connection).
 //!
 //! **No request is ever silently dropped.** When the backlog hits
 //! [`ServeConfig::max_queue`] or every worker has died, [`Service::dispatch`]
@@ -1249,7 +1249,7 @@ mod tests {
     use crate::protocol::{parse_response, request_to_json, Request};
     use crate::solver::{Cost, ProblemInstance};
     use sst_core::instance::{Job as CoreJob, UniformInstance, UnrelatedInstance};
-    use sst_core::io::json::{self, JsonValue};
+    use sst_core::io::json::Parser;
 
     /// A mixed bag cycling through all three machine models.
     fn requests() -> Vec<Request> {
@@ -1424,11 +1424,11 @@ mod tests {
         let events: Vec<(String, u64)> = trace
             .lines()
             .filter_map(|l| {
-                let Ok(JsonValue::Object(map)) = json::parse(l) else { panic!("{l}") };
-                match (map.get("event"), map.get("id")) {
-                    (Some(JsonValue::Str(event)), Some(JsonValue::Uint(id))) => {
-                        Some((event.clone(), *id))
-                    }
+                let mut p = Parser::new(l);
+                let Ok(Some([event, id])) = p.fields(["event", "id"]) else { panic!("{l}") };
+                p.finish().unwrap_or_else(|e| panic!("{l}: {e}"));
+                match (event.and_then(|mut p| p.string()), id.and_then(|mut p| p.u64())) {
+                    (Some(event), Some(id)) => Some((event, id)),
                     _ => None, // the closing `sink_close` event carries no id
                 }
             })

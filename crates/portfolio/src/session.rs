@@ -26,7 +26,7 @@
 //! splitmix64 hash ([`shard_of`]) the service uses to pick a session's
 //! FIFO lane, so verbs on distinct lanes never contend on a shard lock.
 //! Each shard publishes its member map through an
-//! [`ArcSwap`](arc_swap::ArcSwap) snapshot: hot-path *reads* — entry
+//! [`ArcSwap`] snapshot: hot-path *reads* — entry
 //! lookup, LRU touch, metrics probe, spill revalidation — are lock-free
 //! (load the published map, bump an atomic stamp, clone an `Arc`), while
 //! membership changes (create / close / spill / reload) and state
@@ -57,7 +57,7 @@ use parking_lot::Mutex;
 use sst_core::schedule::Schedule;
 use sst_core::telemetry::{Telemetry, TraceEvent};
 
-use crate::durable::DurableStore;
+use crate::durable::{DurableStore, SNAPSHOT_EVERY};
 use crate::model::Solution;
 use crate::solver::{Cost, ProblemInstance};
 
@@ -490,7 +490,7 @@ impl SessionStore {
         let shard = self.shard(sid);
         let image = shard.map.load().get(&sid).and_then(|slot| {
             let state = slot.state.load();
-            (state.fresh >= persist.snapshot_every()).then(|| (Arc::clone(&state.entry), state.seq))
+            (state.fresh >= SNAPSHOT_EVERY).then(|| (Arc::clone(&state.entry), state.seq))
         });
         let Some((entry, seq)) = image else { return };
         if persist.write_snapshot(sid, seq, &entry).is_ok() {

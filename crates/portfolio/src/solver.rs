@@ -2,7 +2,7 @@
 //!
 //! A solver receives a [`ProblemInstance`] (any machine model), a
 //! [`SolveContext`] carrying the request's cancellation token, a seed and
-//! the shared race [`Incumbent`](crate::race::Incumbent), and returns an
+//! the shared race [`Incumbent`], and returns an
 //! [`Outcome`] — a valid [`Solution`] in the model's native solution space
 //! plus its exactly evaluated [`Cost`]. Every implementation is *anytime*:
 //! once the token fires it returns its best-so-far solution within one

@@ -16,8 +16,9 @@
 //!   everything (only `x = 0` is orthogonal to all of 𝔽₂ᵏ).
 //!
 //! The instance-level gap `k / 2 = Θ(log N)` is what no experiment on
-//! NP-hard gap instances could manufacture; see DESIGN.md §2 for why this
-//! substitution preserves the behaviour Theorem 3.5 needs.
+//! NP-hard gap instances could manufacture, and it is all Theorem 3.5
+//! needs; the E4 experiment (`e4_hardness` in `crates/bench/src/lib.rs`)
+//! measures it through the reduction.
 
 use crate::instance::SetCoverInstance;
 

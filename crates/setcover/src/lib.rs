@@ -10,7 +10,7 @@
 //!   branch-and-bound used to certify cover numbers;
 //! * [`gap`] — the deterministic GF(2) family with *known* integral (`k`)
 //!   and fractional (`< 2`) optima, substituting for NP-hard gap instances
-//!   (see DESIGN.md §2);
+//!   (measured by the E4 experiment, `e4_hardness` in `sst-bench`);
 //! * [`lp`] — the set cover LP, certified by `sst-lp`, with randomized
 //!   `O(log N)` and deterministic frequency roundings (the Vazirani
 //!   machinery Cor. 3.4 leans on);

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! and shows the LP solver's independent duality certificate in action
-//! (the machinery that guards every `T*` in EXPERIMENTS.md).
+//! (the machinery that guards every `T*` in the experiment tables).
 //!
 //! ```sh
 //! cargo run --release --example bounds_lab

@@ -1,6 +1,6 @@
 //! Determinism contract: every randomized or parallel component in the
 //! workspace is a pure function of (input, seed/config). This is what makes
-//! EXPERIMENTS.md's "same seeds → same rows" promise true.
+//! the `experiments` binary's "same seeds → same rows" promise true.
 
 use setup_scheduling::gen::{
     correlated_unrelated, splittable_stress, uniform_zipf, SetupWeight, UniformParams,
