@@ -24,6 +24,20 @@
 //! seed and **never returns a schedule worse than its start** (the
 //! best-seen schedule is tracked and returned).
 //!
+//! **Frozen-state exit.** The loop stops before `iterations` once no later
+//! proposal can be accepted: every feasible job and class move out of the
+//! current state strictly raises the makespan, the smallest rise `r` gives
+//! `-r / temp < -1000` (where `exp` is exactly `0.0`) or `temp <= 0`, and
+//! `cooling` lies in `[0, 1]`, so `temp` never rises again. Rejected
+//! proposals change nothing but the RNG state and the temperature, so the
+//! returned schedule, `accepted` and `improvements` are bit-identical to
+//! running every iteration; only [`AnnealResult::proposals`] tells the
+//! runs apart. The scan of the whole neighbourhood runs after a streak of
+//! rejections 16 times the neighbourhood's size, and its minimum rise is
+//! kept until the next accepted move, so a walk that never freezes pays at
+//! most about 1/16 extra. `crates/algos/tests/anneal_exit.rs` pins the exit
+//! against a copy of the loop without it.
+//!
 //! ```
 //! use sst_algos::annealing::{anneal_uniform, AnnealConfig};
 //! use sst_algos::lpt::lpt_with_setups;
@@ -53,6 +67,16 @@ use sst_core::tracker::LoadTracker;
 /// Proposals between deadline polls (each proposal is an `O(log m)`
 /// tracker evaluation, so one interval is a few microseconds).
 const CANCEL_CHECK_MASK: usize = 0xFF;
+
+/// Consecutive rejections, in multiples of the neighbourhood size, before
+/// the loop scans for a frozen state, so the scans cost at most about
+/// 1/16 of the rejected proposals they follow.
+const FROZEN_PATIENCE: usize = 16;
+
+/// `f64::exp` returns exactly `0.0` below about -745.2, so a worsening
+/// proposal whose Metropolis exponent `-delta / temp` is under this can
+/// never pass `u < exp(-delta / temp)`, not even for `u == 0.0`.
+const EXP_UNDERFLOW: f64 = -1000.0;
 
 /// Annealer parameters.
 #[derive(Debug, Clone, Copy)]
@@ -91,6 +115,9 @@ pub struct AnnealResult {
     pub accepted: usize,
     /// Accepted proposals that strictly improved the incumbent best.
     pub improvements: usize,
+    /// Iterations actually run: fewer than [`AnnealConfig::iterations`]
+    /// when the cancel token fired or the state froze.
+    pub proposals: usize,
 }
 
 /// A proposed move, shared by every machine model.
@@ -103,7 +130,9 @@ enum Proposal {
 /// Deltas are measured in the model's key arithmetic projected to `f64`
 /// ([`MachineModel::key_to_f64`]); acceptance and cooling follow the
 /// classic geometric schedule. Early exit (the `cancel` token) returns the
-/// best schedule seen so far, which never degrades the start.
+/// best schedule seen so far, which never degrades the start; the
+/// frozen-state exit (module docs) returns exactly what running every
+/// iteration would.
 ///
 /// # Panics
 /// Panics if `start` is not a valid schedule for `inst`.
@@ -114,7 +143,7 @@ pub fn anneal_budgeted<M: MachineModel>(
     cancel: &CancelToken,
 ) -> AnnealResult {
     let mut tracker = LoadTracker::<M>::new(inst, start).expect("valid start schedule");
-    let m = M::m(inst);
+    let (n, m) = (M::n(inst), M::m(inst));
     let mut cur_ms = tracker.makespan();
     let mut best = start.clone();
     let mut best_ms = cur_ms;
@@ -122,53 +151,117 @@ pub fn anneal_budgeted<M: MachineModel>(
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut accepted = 0usize;
     let mut improvements = 0usize;
-    if M::n(inst) == 0 || m < 2 {
-        return AnnealResult { schedule: best, accepted, improvements };
+    let mut proposals = 0usize;
+    if n == 0 || m < 2 {
+        return AnnealResult { schedule: best, accepted, improvements, proposals };
     }
+    // Rejections in a row before a frozen-state scan; never, when cooling
+    // outside [0, 1] can make the temperature rise again.
+    let patience = if (0.0..=1.0).contains(&cfg.cooling) {
+        FROZEN_PATIENCE * (m - 1) * (n + n.min(m * M::num_classes(inst)))
+    } else {
+        usize::MAX
+    };
+    let mut rejected = 0usize;
+    // The smallest rise out of the current state, once a scan has found
+    // that every move rises; cleared by the next accepted move.
+    let mut frozen: Option<f64> = None;
     for it in 0..cfg.iterations {
         if it & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
             break;
         }
+        if frozen.is_some_and(|rise| temp <= 0.0 || -rise / temp < EXP_UNDERFLOW) {
+            break;
+        }
+        proposals += 1;
         let class_move = rng.gen::<f64>() < cfg.class_move_prob;
-        let j = rng.gen_range(0..M::n(inst));
+        let j = rng.gen_range(0..n);
         let from = tracker.machine_of(j);
         let to = rng.gen_range(0..m);
-        let (proposal, new_ms) = if class_move {
+        let proposal = if class_move {
             let k = M::class_of(inst, j);
-            match tracker.eval_class_move(from, k, to) {
-                Some(ms) => (Proposal::Class(from, k, to), ms),
-                None => {
-                    temp *= cfg.cooling;
-                    continue;
-                }
-            }
+            tracker.eval_class_move(from, k, to).map(|ms| (Proposal::Class(from, k, to), ms))
         } else {
-            match tracker.eval_job_move(j, to) {
-                Some(ms) => (Proposal::Job(j, to), ms),
-                None => {
-                    temp *= cfg.cooling;
-                    continue;
-                }
-            }
+            tracker.eval_job_move(j, to).map(|ms| (Proposal::Job(j, to), ms))
         };
-        let delta = M::key_to_f64(new_ms) - M::key_to_f64(cur_ms);
-        let accept = delta <= 0.0 || (temp > 0.0 && rng.gen::<f64>() < (-delta / temp).exp());
-        if accept {
-            match proposal {
-                Proposal::Job(j, to) => tracker.apply_job_move(j, to),
-                Proposal::Class(from, k, to) => tracker.apply_class_move(from, k, to),
+        let chosen = proposal.filter(|&(_, new_ms)| {
+            let delta = M::key_to_f64(new_ms) - M::key_to_f64(cur_ms);
+            delta <= 0.0 || (temp > 0.0 && rng.gen::<f64>() < (-delta / temp).exp())
+        });
+        match chosen {
+            Some((proposal, new_ms)) => {
+                match proposal {
+                    Proposal::Job(j, to) => tracker.apply_job_move(j, to),
+                    Proposal::Class(from, k, to) => tracker.apply_class_move(from, k, to),
+                }
+                accepted += 1;
+                cur_ms = new_ms;
+                if new_ms < best_ms {
+                    best_ms = new_ms;
+                    best = tracker.schedule();
+                    improvements += 1;
+                }
+                rejected = 0;
+                frozen = None;
             }
-            accepted += 1;
-            cur_ms = new_ms;
-            if new_ms < best_ms {
-                best_ms = new_ms;
-                best = tracker.schedule();
-                improvements += 1;
+            None => {
+                rejected += 1;
+                if rejected >= patience && frozen.is_none() {
+                    rejected = 0;
+                    frozen = min_rise(&tracker, cur_ms, cancel);
+                }
             }
         }
         temp *= cfg.cooling;
     }
-    AnnealResult { schedule: best, accepted, improvements }
+    AnnealResult { schedule: best, accepted, improvements, proposals }
+}
+
+/// The smallest rise `key_to_f64(new) - key_to_f64(cur_ms)` over every
+/// feasible job move and whole-class move out of `tracker`'s state,
+/// computed exactly as the proposal loop computes `delta` (`+inf` when no
+/// move is feasible). `None` when some move does not rise, so the loop
+/// would accept it, or when `cancel` fires mid-scan. A NaN rise is skipped:
+/// the loop never accepts one.
+fn min_rise<M: MachineModel>(
+    tracker: &LoadTracker<'_, M>,
+    cur_ms: M::Key,
+    cancel: &CancelToken,
+) -> Option<f64> {
+    let inst = tracker.instance();
+    let m = M::m(inst);
+    let cur = M::key_to_f64(cur_ms);
+    let mut min = f64::INFINITY;
+    let mut evals = 0usize;
+    let mut visit = |new_ms: Option<M::Key>| -> Option<()> {
+        evals += 1;
+        if evals & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
+            return None;
+        }
+        if let Some(ms) = new_ms {
+            let rise = M::key_to_f64(ms) - cur;
+            if rise <= 0.0 {
+                return None;
+            }
+            min = min.min(rise);
+        }
+        Some(())
+    };
+    for j in 0..M::n(inst) {
+        for to in 0..m {
+            visit(tracker.eval_job_move(j, to))?;
+        }
+    }
+    for from in 0..m {
+        for k in 0..M::num_classes(inst) {
+            if tracker.count(from, k) > 0 {
+                for to in 0..m {
+                    visit(tracker.eval_class_move(from, k, to))?;
+                }
+            }
+        }
+    }
+    Some(min)
 }
 
 /// [`anneal_budgeted`] with a never-firing token.
@@ -309,6 +402,7 @@ mod tests {
         );
         assert_eq!(res.schedule, start);
         assert_eq!(res.accepted, 0);
+        assert_eq!(res.proposals, 0);
     }
 
     #[test]
@@ -340,6 +434,76 @@ mod tests {
         let res = anneal_uniform_budgeted(&inst, &start, &cfg(9), &token);
         assert_eq!(res.schedule, start, "pre-cancelled run proposes nothing");
         assert_eq!(res.accepted, 0);
+        assert_eq!(res.proposals, 0);
+    }
+
+    /// Two identical machines, four unit-setup jobs split 9+8 / 9+8: every
+    /// job or class move strictly raises the optimal makespan of 19.
+    fn strict_local_optimum() -> (UniformInstance, Schedule) {
+        let inst = UniformInstance::identical(
+            2,
+            vec![1, 1],
+            vec![Job::new(0, 9), Job::new(1, 8), Job::new(0, 9), Job::new(1, 8)],
+        )
+        .unwrap();
+        (inst, Schedule::new(vec![0, 0, 1, 1]))
+    }
+
+    #[test]
+    fn frozen_state_exits_early_with_the_start() {
+        let (inst, start) = strict_local_optimum();
+        let tracker = LoadTracker::<Uniform>::new(&inst, &start).unwrap();
+        assert_eq!(min_rise(&tracker, tracker.makespan(), &CancelToken::new()), Some(8.0));
+        let long = AnnealConfig { iterations: 50_000, ..cfg(4) };
+        let res = anneal_uniform(&inst, &start, &long);
+        assert_eq!(res.schedule, start);
+        assert!(res.proposals < 50_000, "cold strict optimum must exit");
+        // A zero temperature freezes the state as soon as a scan runs.
+        let cold = AnnealConfig { initial_temp_fraction: 0.0, cooling: 1.0, ..cfg(4) };
+        let res = anneal_uniform(&inst, &start, &cold);
+        assert_eq!((res.accepted, res.improvements), (0, 0));
+        assert!(res.proposals < 5_000);
+    }
+
+    #[test]
+    fn no_exit_while_the_temperature_holds_or_rises() {
+        // Every move rises by at least 8 while the temperature stays at
+        // 0.95, so a proposal passes with probability about e^-8.4: rare,
+        // but some do over the run, so no iteration may be skipped.
+        let (inst, start) = strict_local_optimum();
+        let hold = AnnealConfig {
+            iterations: 50_000,
+            initial_temp_fraction: 0.05,
+            cooling: 1.0,
+            ..cfg(4)
+        };
+        let res = anneal_uniform(&inst, &start, &hold);
+        assert_eq!(res.proposals, 50_000);
+        assert!(res.accepted > 0, "a worsening move must have passed");
+        // Frozen at the start, but heating: later proposals pass.
+        let heat = AnnealConfig { initial_temp_fraction: 1e-6, cooling: 1.001, ..hold };
+        let res = anneal_uniform(&inst, &start, &heat);
+        assert_eq!(res.proposals, 50_000);
+        assert!(res.accepted > 0, "a heated walk must leave the optimum");
+    }
+
+    #[test]
+    fn no_exit_on_a_zero_rise_plateau() {
+        // Machine 0 holds the makespan alone; the two small jobs can move
+        // between machines 1 and 2 without changing it, so some move
+        // always has a zero rise and the walk never freezes.
+        let inst = UniformInstance::identical(
+            3,
+            vec![0, 0],
+            vec![Job::new(0, 100), Job::new(1, 1), Job::new(1, 1)],
+        )
+        .unwrap();
+        let start = Schedule::new(vec![0, 1, 2]);
+        let tracker = LoadTracker::<Uniform>::new(&inst, &start).unwrap();
+        assert_eq!(min_rise(&tracker, tracker.makespan(), &CancelToken::new()), None);
+        let res = anneal_uniform(&inst, &start, &AnnealConfig { iterations: 50_000, ..cfg(6) });
+        assert_eq!(res.proposals, 50_000);
+        assert!(res.accepted > 0);
     }
 
     #[test]

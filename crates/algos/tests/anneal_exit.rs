@@ -1,0 +1,203 @@
+//! Exactness of the annealer's frozen-state exit.
+//!
+//! `reference_anneal` below is a verbatim copy of the proposal loop as it
+//! stood before the exit existed: it always runs every iteration. The
+//! annealer must return the same schedule, `accepted` and `improvements` on
+//! every model, temperature schedule and move mix, and on the long runs the
+//! serve race uses (400 000 iterations from greedy) the exit must actually
+//! fire on the families whose walk freezes.
+//!
+//! `cargo test --release -p sst-algos --test anneal_exit -- --nocapture`
+//! prints the proposals each long run used out of its 400 000.
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use sst_algos::annealing::{anneal, AnnealConfig};
+use sst_algos::list::{greedy_uniform, greedy_unrelated};
+use sst_core::cancel::CancelToken;
+use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};
+use sst_core::model::{MachineModel, Splittable, Uniform, Unrelated};
+use sst_core::schedule::Schedule;
+use sst_core::tracker::LoadTracker;
+use sst_gen::{scenarios, UnrelatedParams};
+
+const CANCEL_CHECK_MASK: usize = 0xFF;
+
+enum Proposal {
+    Job(usize, usize),
+    Class(usize, usize, usize),
+}
+
+/// The annealer without the frozen-state exit: `(schedule, accepted,
+/// improvements)`.
+fn reference_anneal<M: MachineModel>(
+    inst: &M::Instance,
+    start: &Schedule,
+    cfg: &AnnealConfig,
+    cancel: &CancelToken,
+) -> (Schedule, usize, usize) {
+    let mut tracker = LoadTracker::<M>::new(inst, start).expect("valid start schedule");
+    let m = M::m(inst);
+    let mut cur_ms = tracker.makespan();
+    let mut best = start.clone();
+    let mut best_ms = cur_ms;
+    let mut temp = M::key_to_f64(cur_ms) * cfg.initial_temp_fraction;
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut accepted = 0usize;
+    let mut improvements = 0usize;
+    if M::n(inst) == 0 || m < 2 {
+        return (best, accepted, improvements);
+    }
+    for it in 0..cfg.iterations {
+        if it & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
+            break;
+        }
+        let class_move = rng.gen::<f64>() < cfg.class_move_prob;
+        let j = rng.gen_range(0..M::n(inst));
+        let from = tracker.machine_of(j);
+        let to = rng.gen_range(0..m);
+        let (proposal, new_ms) = if class_move {
+            let k = M::class_of(inst, j);
+            match tracker.eval_class_move(from, k, to) {
+                Some(ms) => (Proposal::Class(from, k, to), ms),
+                None => {
+                    temp *= cfg.cooling;
+                    continue;
+                }
+            }
+        } else {
+            match tracker.eval_job_move(j, to) {
+                Some(ms) => (Proposal::Job(j, to), ms),
+                None => {
+                    temp *= cfg.cooling;
+                    continue;
+                }
+            }
+        };
+        let delta = M::key_to_f64(new_ms) - M::key_to_f64(cur_ms);
+        let accept = delta <= 0.0 || (temp > 0.0 && rng.gen::<f64>() < (-delta / temp).exp());
+        if accept {
+            match proposal {
+                Proposal::Job(j, to) => tracker.apply_job_move(j, to),
+                Proposal::Class(from, k, to) => tracker.apply_class_move(from, k, to),
+            }
+            accepted += 1;
+            cur_ms = new_ms;
+            if new_ms < best_ms {
+                best_ms = new_ms;
+                best = tracker.schedule();
+                improvements += 1;
+            }
+        }
+        temp *= cfg.cooling;
+    }
+    (best, accepted, improvements)
+}
+
+/// Runs both loops; fails unless they agree. Returns the proposals the
+/// annealer actually ran.
+fn assert_exact<M: MachineModel>(
+    inst: &M::Instance,
+    start: &Schedule,
+    cfg: &AnnealConfig,
+) -> Result<usize, TestCaseError> {
+    let got = anneal::<M>(inst, start, cfg);
+    let want = reference_anneal::<M>(inst, start, cfg, &CancelToken::new());
+    prop_assert_eq!((got.schedule, got.accepted, got.improvements), want);
+    prop_assert!(got.proposals <= cfg.iterations);
+    Ok(got.proposals)
+}
+
+/// A config mixing the knobs the exit's conditions depend on: cooling at
+/// and below 1, a zero start temperature, and pure job or class moves.
+fn config() -> impl Strategy<Value = AnnealConfig> {
+    (0usize..6_000, 0usize..4, 0usize..4, 0usize..3, any::<u64>()).prop_map(
+        |(iterations, cool, hot, mix, seed)| AnnealConfig {
+            iterations,
+            cooling: [1.0, 0.999, 0.99, 0.9][cool],
+            initial_temp_fraction: [0.0, 0.05, 0.2, 2.0][hot],
+            class_move_prob: [0.0, 0.25, 1.0][mix],
+            seed,
+        },
+    )
+}
+
+fn uniform_instance() -> impl Strategy<Value = UniformInstance> {
+    (vec(1u64..4, 2..5), vec(0u64..12, 1..4), vec((0usize..4, 1u64..30), 1..12)).prop_map(
+        |(speeds, setups, raw)| {
+            let k = setups.len();
+            let jobs = raw.into_iter().map(|(c, p)| Job::new(c % k, p)).collect();
+            UniformInstance::new(speeds, setups, jobs).expect("valid")
+        },
+    )
+}
+
+/// An unrelated instance with some infinite cells; machine 0 stays finite
+/// for every job and class so each job has a home.
+fn unrelated_instance() -> impl Strategy<Value = UnrelatedInstance> {
+    (2usize..5, 1usize..4, vec((0usize..4, vec(0u64..30, 4)), 1..12), vec(vec(0u64..12, 4), 4))
+        .prop_map(|(m, k, raw, setup_rows)| {
+            let cell = |i: usize, v: u64| if i > 0 && v == 0 { INF } else { v.max(1) };
+            let job_class: Vec<usize> = raw.iter().map(|&(c, _)| c % k).collect();
+            let p: Vec<Vec<u64>> =
+                raw.iter().map(|(_, row)| (0..m).map(|i| cell(i, row[i])).collect()).collect();
+            let s: Vec<Vec<u64>> = setup_rows[..k]
+                .iter()
+                .map(|row| {
+                    (0..m).map(|i| if i > 0 && row[i] == 11 { INF } else { row[i] }).collect()
+                })
+                .collect();
+            UnrelatedInstance::new(m, job_class, p, s).expect("valid")
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn uniform_exit_is_exact(inst in uniform_instance(), cfg in config()) {
+        let start = greedy_uniform(&inst);
+        assert_exact::<Uniform>(&inst, &start, &cfg)?;
+    }
+
+    #[test]
+    fn unrelated_exit_is_exact(inst in unrelated_instance(), cfg in config()) {
+        let start = greedy_unrelated(&inst);
+        assert_exact::<Unrelated>(&inst, &start, &cfg)?;
+    }
+
+    #[test]
+    fn splittable_exit_is_exact(inst in unrelated_instance(), cfg in config()) {
+        let start = greedy_unrelated(&inst);
+        assert_exact::<Splittable>(&inst, &start, &cfg)?;
+    }
+}
+
+#[test]
+fn long_runs_on_the_solve_complete_families_exit_exactly() {
+    let (n, m, k) = (48, 5, 6);
+    let families: [(&str, UnrelatedInstance); 4] = [
+        ("compute-cluster", scenarios::compute_cluster(n, m, k, 11)),
+        ("print-shop", scenarios::print_shop(n, m, k, 12)),
+        ("ci-build-farm", scenarios::ci_build_farm(n, m, k, 13)),
+        (
+            "unrelated-correlated",
+            sst_gen::unrelated(&UnrelatedParams { n, m, k, seed: 14, ..Default::default() }),
+        ),
+    ];
+    let mut fired = 0;
+    for (name, inst) in &families {
+        let start = greedy_unrelated(inst);
+        // The race's annealer configuration (`AnnealSolver`).
+        let cfg = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
+        let proposals = assert_exact::<Unrelated>(inst, &start, &cfg)
+            .unwrap_or_else(|e| panic!("{name}: frozen exit changed the answer: {e:?}"));
+        println!("{name:<22} proposals {proposals:>6} of {}", cfg.iterations);
+        if proposals < cfg.iterations {
+            fired += 1;
+        }
+    }
+    assert!(fired >= 3, "the frozen exit fired on only {fired} of 4 families");
+}

@@ -34,7 +34,10 @@
 //! and every counter stay **global**: victim selection scans the published
 //! shard maps lock-free for the minimum stamp and revalidates under the
 //! victim's shard lock, so a concurrent touch or write-back can never lose
-//! state to a spill. No code path ever holds two shard locks at once, nor
+//! state to a spill. A new member first reserves its slot on one global
+//! atomic count of hot slots plus reservations, displacing victims until
+//! the reservation fits, so concurrent creates on different lanes never
+//! overshoot the bound. No code path ever holds two shard locks at once, nor
 //! a shard lock across journal or snapshot IO.
 //!
 //! Entries are stored behind `Arc`s, so reads clone a pointer and writes
@@ -49,7 +52,7 @@
 //! distinct sessions run in parallel (see [`crate::service`]).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use arc_swap::ArcSwap;
@@ -181,12 +184,26 @@ impl Shard {
     }
 }
 
+/// What one attempt to free a hot slot did.
+enum Displaced {
+    /// The LRU victim left memory (destroyed or spilled).
+    Victim(u64),
+    /// Lost a race with a close, touch, update or in-flight insert: try
+    /// again.
+    Retry,
+    /// The victim's snapshot write failed: no room can be made.
+    Stuck,
+}
+
 /// Thread-safe, LRU-bounded session store shared by all pool workers,
 /// optionally backed by a [`DurableStore`] (journal + snapshot spill).
 /// Sharded per lane with lock-free reads; see the module docs.
 pub struct SessionStore {
     max: usize,
     shards: Vec<Shard>,
+    /// Hot slots plus reservations whose inserts are in flight; the LRU
+    /// bound is enforced on this count (see [`Self::reserve`]).
+    hot: AtomicUsize,
     /// Global LRU clock; touches stamp slots with its ticks.
     clock: AtomicU64,
     evicted: AtomicU64,
@@ -216,6 +233,7 @@ impl SessionStore {
         SessionStore {
             max: max_sessions.max(1),
             shards: (0..DEFAULT_SHARDS).map(|_| Shard::new()).collect(),
+            hot: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
@@ -265,11 +283,6 @@ impl SessionStore {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Lock-free membership probe against the published shard map.
-    fn contains(&self, sid: u64) -> bool {
-        self.shard(sid).map.load().contains_key(&sid)
-    }
-
     /// Lock-free global LRU scan: the minimum-stamp slot across every
     /// published shard map, with the evidence (slot pointer + stamp) the
     /// caller needs to revalidate under the victim's shard lock.
@@ -287,92 +300,70 @@ impl SessionStore {
         best
     }
 
-    /// Spills the LRU victim's snapshot to disk and drops its hot entry,
-    /// making room for `incoming`. The snapshot is written **outside** any
-    /// lock and the victim is only removed if it was neither touched nor
-    /// updated in between (stamp + state-pointer revalidation under the
-    /// victim's shard lock) — a concurrent lane can never lose state to a
-    /// spill. On persistent snapshot-write failure the store runs over
+    /// Reserves one hot slot for an incoming session, displacing LRU
+    /// victims while the store is full, and returns the last session
+    /// displaced. Every new member inserts against a reservation, so
+    /// concurrent creates and reloads on different lanes cannot overshoot
+    /// `max`; only a failed snapshot write makes the store run over
     /// capacity rather than destroy state.
-    fn spill_for_room(&self, incoming: u64) -> Option<u64> {
-        let persist = self.persist.as_ref()?;
-        for _ in 0..8 {
-            if self.contains(incoming) || self.live() < self.max {
-                return None;
+    fn reserve(&self) -> Option<u64> {
+        let mut displaced = None;
+        loop {
+            let room = self.hot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |hot| {
+                (hot < self.max).then_some(hot + 1)
+            });
+            if room.is_ok() {
+                return displaced;
             }
-            let (vsid, vslot, vstamp) = self.lru_victim()?;
-            let vstate = vslot.state.load();
-            if persist.write_snapshot(vsid, vstate.seq, &vstate.entry).is_err() {
-                return None;
-            }
-            let shard = self.shard(vsid);
-            let removed = {
-                let _guard = shard.guard.lock();
-                match shard.map.load().get(&vsid) {
-                    Some(slot)
-                        if Arc::ptr_eq(slot, &vslot)
-                            && slot.stamp.load(Ordering::Relaxed) == vstamp
-                            && Arc::ptr_eq(&slot.state.load(), &vstate) =>
-                    {
-                        shard.remove(vsid);
-                        Some(true)
-                    }
-                    // Victim closed meanwhile: there is room now.
-                    None => Some(false),
-                    // Touched or updated meanwhile: re-pick the LRU victim.
-                    Some(_) => None,
+            match self.displace_lru() {
+                Displaced::Victim(vsid) => displaced = Some(vsid),
+                Displaced::Retry => std::thread::yield_now(),
+                Displaced::Stuck => {
+                    self.hot.fetch_add(1, Ordering::Relaxed);
+                    return displaced;
                 }
-            };
-            match removed {
-                Some(true) => {
-                    self.spills.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.emit(TraceEvent::Spill { sid: vsid });
-                    return Some(vsid);
-                }
-                Some(false) => return None,
-                None => {}
             }
         }
-        None
     }
 
-    /// Destroys the LRU victim to make room for `incoming` (in-memory
-    /// stores only; the durable path spills instead). Same lock-free
-    /// pick + shard-lock revalidate dance as [`Self::spill_for_room`].
-    fn evict_for_room(&self, incoming: u64) -> Option<u64> {
+    /// Drops the LRU victim's hot entry: destroyed in an in-memory store,
+    /// spilled to its snapshot first in a durable one. The snapshot is
+    /// written **outside** any lock, and the victim is only removed if it
+    /// was neither touched nor updated in between (stamp + state-pointer
+    /// revalidation under the victim's shard lock), so a concurrent lane
+    /// can never lose state to a spill.
+    fn displace_lru(&self) -> Displaced {
+        // No member yet: the slots are reservations whose inserts are in
+        // flight.
+        let Some((vsid, vslot, vstamp)) = self.lru_victim() else { return Displaced::Retry };
+        let vstate = vslot.state.load();
+        if let Some(persist) = self.persist.as_ref() {
+            if persist.write_snapshot(vsid, vstate.seq, &vstate.entry).is_err() {
+                return Displaced::Stuck;
+            }
+        }
+        let shard = self.shard(vsid);
+        {
+            let _guard = shard.guard.lock();
+            let unchanged = shard.map.load().get(&vsid).is_some_and(|slot| {
+                Arc::ptr_eq(slot, &vslot)
+                    && slot.stamp.load(Ordering::Relaxed) == vstamp
+                    && Arc::ptr_eq(&slot.state.load(), &vstate)
+            });
+            // Closed, touched or updated meanwhile: re-pick the victim.
+            if !unchanged {
+                return Displaced::Retry;
+            }
+            shard.remove(vsid);
+            self.hot.fetch_sub(1, Ordering::Relaxed);
+        }
         if self.persist.is_some() {
-            return None;
+            self.spills.fetch_add(1, Ordering::Relaxed);
+            self.telemetry.emit(TraceEvent::Spill { sid: vsid });
+        } else {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
         }
-        for _ in 0..8 {
-            if self.contains(incoming) || self.live() < self.max {
-                return None;
-            }
-            let (vsid, vslot, vstamp) = self.lru_victim()?;
-            let shard = self.shard(vsid);
-            let removed = {
-                let _guard = shard.guard.lock();
-                match shard.map.load().get(&vsid) {
-                    Some(slot)
-                        if Arc::ptr_eq(slot, &vslot)
-                            && slot.stamp.load(Ordering::Relaxed) == vstamp =>
-                    {
-                        shard.remove(vsid);
-                        Some(true)
-                    }
-                    None => Some(false),
-                    Some(_) => None,
-                }
-            };
-            match removed {
-                Some(true) => {
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                    return Some(vsid);
-                }
-                Some(false) => return None,
-                None => {}
-            }
-        }
-        None
+        Displaced::Victim(vsid)
     }
 
     /// Inserts (or replaces) session `sid`, recording `seq` as the last
@@ -381,24 +372,37 @@ impl SessionStore {
     /// spilled to its snapshot (durable store) first. Returns the hot
     /// count and the displaced session id, if any.
     pub fn create(&self, sid: u64, entry: SessionEntry, seq: u64) -> (usize, Option<u64>) {
-        // Allocation and room-making outside the lock; the critical
+        // Allocation and room-making outside the lock; each critical
         // section publishes one map snapshot.
-        let entry = Arc::new(entry);
-        let displaced = self.spill_for_room(sid).or_else(|| self.evict_for_room(sid));
-        let shard = self.shard(sid);
-        {
-            let _guard = shard.guard.lock();
-            let stamp = self.tick();
-            let fresh = if seq > 0 { 1 } else { 0 };
-            shard.insert(
-                sid,
-                Arc::new(Slot {
-                    stamp: AtomicU64::new(stamp),
-                    state: ArcSwap::new(Arc::new(Stamped { entry, seq, fresh })),
-                }),
-            );
+        let state = Arc::new(Stamped { entry: Arc::new(entry), seq, fresh: u64::from(seq > 0) });
+        let mut displaced = None;
+        if !self.publish(sid, &state, false) {
+            displaced = self.reserve();
+            self.publish(sid, &state, true);
         }
         (self.live(), displaced)
+    }
+
+    /// Publishes `state` as session `sid`'s slot under its shard lock.
+    /// Replacing a hot session hands a `reserved` slot back; a new member
+    /// needs the reservation, so without one nothing is published and the
+    /// result is `false`.
+    fn publish(&self, sid: u64, state: &Arc<Stamped>, reserved: bool) -> bool {
+        let shard = self.shard(sid);
+        let _guard = shard.guard.lock();
+        let hot = shard.map.load().contains_key(&sid);
+        if !hot && !reserved {
+            return false;
+        }
+        if hot && reserved {
+            self.hot.fetch_sub(1, Ordering::Relaxed);
+        }
+        let stamp = self.tick();
+        shard.insert(
+            sid,
+            Arc::new(Slot { stamp: AtomicU64::new(stamp), state: ArcSwap::new(Arc::clone(state)) }),
+        );
+        true
     }
 
     /// Shares session `sid`'s state out (touching its recency) — repairs
@@ -417,15 +421,16 @@ impl SessionStore {
         let persist = self.persist.as_ref()?;
         let (entry, seq) = persist.load_snapshot(sid)?;
         let entry = Arc::new(entry);
-        self.spill_for_room(sid);
+        self.reserve();
         self.telemetry.emit(TraceEvent::ColdReload { sid });
         self.cold_reloads.fetch_add(1, Ordering::Relaxed);
         let _guard = shard.guard.lock();
         let stamp = self.tick();
         // A racing reload of the same sid keeps the first entry (both came
-        // from the same snapshot).
+        // from the same snapshot) and hands the reservation back.
         if let Some(slot) = shard.map.load().get(&sid) {
             slot.stamp.store(stamp, Ordering::Relaxed);
+            self.hot.fetch_sub(1, Ordering::Relaxed);
             return Some(Arc::clone(&slot.state.load().entry));
         }
         shard.insert(
@@ -546,7 +551,11 @@ impl SessionStore {
         let shard = self.shard(sid);
         let hot = {
             let _guard = shard.guard.lock();
-            shard.remove(sid)
+            let found = shard.remove(sid);
+            if found {
+                self.hot.fetch_sub(1, Ordering::Relaxed);
+            }
+            found
         };
         let cold = match self.persist.as_ref() {
             Some(persist) => persist.remove_snapshot(sid),
@@ -555,9 +564,10 @@ impl SessionStore {
         hot || cold
     }
 
-    /// Sessions currently hot. Lock-free: sums the published shard maps.
+    /// Sessions currently hot, counting inserts in flight. Lock-free: one
+    /// atomic load, so never a torn sum across shards.
     pub fn live(&self) -> usize {
-        self.shards.iter().map(|shard| shard.map.load().len()).sum()
+        self.hot.load(Ordering::Relaxed)
     }
 
     /// Records a warm re-solve outcome: `hit` when the repaired incumbent
@@ -705,6 +715,55 @@ mod tests {
         assert_eq!(live, 64);
         assert_eq!(displaced, Some(3), "the globally least-recent session is the victim");
         assert!(store.snapshot(1).is_some(), "the touched session survived");
+    }
+
+    #[test]
+    fn concurrent_creates_never_overshoot_the_bound() {
+        // Every round releases eight creates on distinct sids (spread over
+        // the shards) at once through a barrier, then counts the shard
+        // maps' members while every lane waits. Lanes only record what
+        // they saw (a panicking lane would strand the others at the
+        // barrier); the asserts run after the joins.
+        const MAX: usize = 2;
+        const LANES: u64 = 8;
+        const ROUNDS: u64 = 50;
+        let store = Arc::new(SessionStore::new(MAX).with_shards(4));
+        let barrier = Arc::new(std::sync::Barrier::new(LANES as usize));
+        let peak_live = Arc::new(AtomicUsize::new(0));
+        let peak_members = Arc::new(AtomicUsize::new(0));
+        let lanes: Vec<_> = (0..LANES)
+            .map(|lane| {
+                let (store, barrier) = (Arc::clone(&store), Arc::clone(&barrier));
+                let (peak_live, peak_members) = (Arc::clone(&peak_live), Arc::clone(&peak_members));
+                std::thread::spawn(move || {
+                    for round in 0..ROUNDS {
+                        let sid = round * LANES + lane;
+                        barrier.wait();
+                        let (live, _) = store.create(sid, entry(sid), 0);
+                        peak_live.fetch_max(live, Ordering::Relaxed);
+                        barrier.wait();
+                        if lane == 0 {
+                            let members: usize =
+                                store.shards.iter().map(|shard| shard.map.load().len()).sum();
+                            peak_members.fetch_max(members, Ordering::Relaxed);
+                        }
+                        barrier.wait();
+                    }
+                })
+            })
+            .collect();
+        for t in lanes {
+            t.join().expect("lane thread");
+        }
+        assert!(peak_live.load(Ordering::Relaxed) <= MAX, "a create saw more than {MAX} hot");
+        assert_eq!(peak_members.load(Ordering::Relaxed), MAX, "a round ended over the bound");
+        let stats = store.stats();
+        assert_eq!(stats.live, MAX as u64);
+        assert_eq!(
+            stats.evicted,
+            ROUNDS * LANES - MAX as u64,
+            "every displaced session is counted"
+        );
     }
 
     #[test]

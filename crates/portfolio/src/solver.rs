@@ -444,7 +444,9 @@ impl Solver for LocalSearchSolver {
 }
 
 /// Seeded Metropolis annealer (integral models), warm-started from the
-/// race incumbent; the deadline is its only stopping rule in a race.
+/// race incumbent; it stops at the deadline, after 400 000 proposals, or
+/// earlier once its state is provably frozen (no later proposal could be
+/// accepted, so the answer is the same as running on).
 pub struct AnnealSolver;
 
 impl Solver for AnnealSolver {
