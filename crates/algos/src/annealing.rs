@@ -11,14 +11,24 @@
 //! whole-class moves), with geometric cooling.
 //!
 //! Moves are proposed and evaluated through
-//! [`sst_core::tracker::LoadTracker`]: a proposal is scored in `O(log m)`
-//! (`O(B + log m)` for unrelated class moves) *before* being applied, so
-//! rejected proposals cost no apply-and-revert round trip and the
-//! per-iteration makespan is a tracker query instead of an `O(m)` scan.
-//! There is exactly one proposal loop — [`anneal_budgeted`] — generic over
-//! the machine model; `anneal_uniform*` / `anneal_unrelated*` are thin
-//! monomorphizing wrappers, pinned bit-identical to the pre-refactor
-//! per-model implementations by `crates/algos/tests/golden_search.rs`.
+//! [`sst_core::tracker::LoadTracker`] *before* being applied, so rejected
+//! proposals cost no apply-and-revert round trip. A proposal is scored
+//! from its target machine alone: the source machine only sheds load and
+//! every other machine is at most the current makespan, so when the
+//! target's new key ([`LoadTracker::job_move_target`] /
+//! [`LoadTracker::class_move_target`]) is at least the makespan it is the
+//! new makespan exactly — this rests on [`MachineModel::key`] being
+//! non-decreasing in load. Only the proposals whose target stays below the
+//! makespan (most accepted moves among them) pay the full `eval_*`
+//! evaluation, and a worsening proposal whose Metropolis exponent is
+//! below `exp`'s underflow skips `exp` (its uniform draw still happens,
+//! so the RNG stream is unchanged). Each is `O(1)` (`O(B)` for unrelated
+//! class moves), and every proposal's `delta` is bit-identical to a full
+//! evaluation's. There is exactly one proposal loop — [`anneal_budgeted`]
+//! — generic over the machine model; `anneal_uniform*` /
+//! `anneal_unrelated*` are thin monomorphizing wrappers, pinned
+//! bit-identical to the pre-refactor per-model implementations by
+//! `crates/algos/tests/golden_search.rs`.
 //!
 //! Like every baseline in this workspace it is deterministic under a fixed
 //! seed and **never returns a schedule worse than its start** (the
@@ -64,8 +74,9 @@ use sst_core::model::{MachineModel, Uniform, Unrelated};
 use sst_core::schedule::Schedule;
 use sst_core::tracker::LoadTracker;
 
-/// Proposals between deadline polls (each proposal is an `O(log m)`
-/// tracker evaluation, so one interval is a few microseconds).
+/// Proposals between deadline polls (each proposal is an `O(1)` tracker
+/// evaluation of tens of nanoseconds, so one interval is a few
+/// microseconds).
 const CANCEL_CHECK_MASK: usize = 0xFF;
 
 /// Consecutive rejections, in multiples of the neighbourhood size, before
@@ -75,7 +86,8 @@ const FROZEN_PATIENCE: usize = 16;
 
 /// `f64::exp` returns exactly `0.0` below about -745.2, so a worsening
 /// proposal whose Metropolis exponent `-delta / temp` is under this can
-/// never pass `u < exp(-delta / temp)`, not even for `u == 0.0`.
+/// never pass `u < exp(-delta / temp)`, not even for `u == 0.0`; the loop
+/// skips `exp` there.
 const EXP_UNDERFLOW: f64 = -1000.0;
 
 /// Annealer parameters.
@@ -145,9 +157,10 @@ pub fn anneal_budgeted<M: MachineModel>(
     let mut tracker = LoadTracker::<M>::new(inst, start).expect("valid start schedule");
     let (n, m) = (M::n(inst), M::m(inst));
     let mut cur_ms = tracker.makespan();
+    let mut cur = M::key_to_f64(cur_ms);
     let mut best = start.clone();
     let mut best_ms = cur_ms;
-    let mut temp = M::key_to_f64(cur_ms) * cfg.initial_temp_fraction;
+    let mut temp = cur * cfg.initial_temp_fraction;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut accepted = 0usize;
     let mut improvements = 0usize;
@@ -180,13 +193,32 @@ pub fn anneal_budgeted<M: MachineModel>(
         let to = rng.gen_range(0..m);
         let proposal = if class_move {
             let k = M::class_of(inst, j);
-            tracker.eval_class_move(from, k, to).map(|ms| (Proposal::Class(from, k, to), ms))
+            tracker.class_move_target(from, k, to).map(|kt| (Proposal::Class(from, k, to), kt))
         } else {
-            tracker.eval_job_move(j, to).map(|ms| (Proposal::Job(j, to), ms))
+            tracker.job_move_target(j, to).map(|kt| (Proposal::Job(j, to), kt))
         };
-        let chosen = proposal.filter(|&(_, new_ms)| {
-            let delta = M::key_to_f64(new_ms) - M::key_to_f64(cur_ms);
-            delta <= 0.0 || (temp > 0.0 && rng.gen::<f64>() < (-delta / temp).exp())
+        // A target key at or above the makespan is the new makespan
+        // (module docs); below it, the full evaluation decides.
+        let scored = proposal.map(|(p, kt)| {
+            let new_ms = if kt >= cur_ms {
+                kt
+            } else {
+                match p {
+                    Proposal::Job(j, to) => tracker.eval_job_move(j, to),
+                    Proposal::Class(from, k, to) => tracker.eval_class_move(from, k, to),
+                }
+                .expect("the target accessor found the move feasible")
+            };
+            (p, new_ms)
+        });
+        let chosen = scored.filter(|&(_, new_ms)| {
+            let delta = M::key_to_f64(new_ms) - cur;
+            delta <= 0.0
+                || (temp > 0.0 && {
+                    let u = rng.gen::<f64>();
+                    let x = -delta / temp;
+                    x >= EXP_UNDERFLOW && u < x.exp()
+                })
         });
         match chosen {
             Some((proposal, new_ms)) => {
@@ -196,6 +228,7 @@ pub fn anneal_budgeted<M: MachineModel>(
                 }
                 accepted += 1;
                 cur_ms = new_ms;
+                cur = M::key_to_f64(cur_ms);
                 if new_ms < best_ms {
                     best_ms = new_ms;
                     best = tracker.schedule();

@@ -18,8 +18,8 @@
 //!
 //! Candidate moves are evaluated **incrementally** through
 //! [`sst_core::tracker::LoadTracker`]: a job-move candidate costs
-//! `O(log m)` instead of the `O(n)` full makespan recompute, so one descent
-//! sweep is `O(n_bottleneck · m · log m)` instead of `O(n² · m)`. There is
+//! `O(1)` instead of the `O(n)` full makespan recompute, so one descent
+//! sweep is `O(n_bottleneck · m)` instead of `O(n² · m)`. There is
 //! exactly one descent loop — [`improve_budgeted`] — generic over the
 //! machine model; `improve_uniform*` / `improve_unrelated*` are thin
 //! monomorphizing wrappers kept so every historical call site compiles
@@ -37,7 +37,7 @@ use sst_core::schedule::Schedule;
 use sst_core::tracker::LoadTracker;
 
 /// Candidate evaluations between deadline polls: one check interval of the
-/// anytime contract (each evaluation is `O(log m)`, so an interval is a few
+/// anytime contract (each evaluation is `O(1)`, so an interval is a few
 /// microseconds).
 const CANCEL_CHECK_MASK: u64 = 0xFFF;
 
@@ -123,7 +123,7 @@ pub fn improve<M: MachineModel>(
 }
 
 /// Descent for uniform instances. `max_moves` caps the number of accepted
-/// moves; each candidate evaluates in `O(log m)` via the tracker.
+/// moves; each candidate evaluates in `O(1)` via the tracker.
 pub fn improve_uniform(
     inst: &UniformInstance,
     start: &Schedule,

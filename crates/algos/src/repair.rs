@@ -5,14 +5,14 @@
 //! of recomputing it. [`repair_after_deltas`] keeps one live
 //! [`LoadTracker`] repaired **in lockstep
 //! with the whole delta batch** through the tracker's value-based
-//! structural edits (`O(log m)` per edit, `O(m + log m)` per greedily
+//! structural edits (`O(m)` per edit, plus `O(m)` per greedily
 //! placed orphan — see the structural-edit section of
 //! [`sst_core::tracker`]): incoming times are resolved from an *overlay*
 //! of the delta payloads over the pre-batch instance (tracking the same
 //! swap-remove renames the deltas apply), outgoing contributions come
 //! from the tracker's own caches. The edited instance itself is built
 //! **once** per batch ([`MachineModel::apply_deltas`]), so repairing a
-//! `D`-edit batch costs `O(n·m + D·(m + log m))` — one reconstruction
+//! `D`-edit batch costs `O(n·m + D·m)` — one reconstruction
 //! plus per-edit repair — instead of `D` reconstructions.
 //!
 //! The result is a valid schedule on the post-delta instance that
@@ -144,7 +144,7 @@ pub fn repair_after_deltas<M: MachineModel>(
 /// the delta batch **without materializing the post-delta instance** —
 /// the tracker's value-based structural edits resolve every incoming time
 /// from the payload overlay, so this is pure schedule work:
-/// `O(n + m + K)` to seat the tracker plus `O(m + log m)` per edit,
+/// `O(n + m + K)` to seat the tracker plus `O(m)` per edit,
 /// independent of how much of the instance the deltas did *not* touch.
 /// (The session layer pairs it with the one batched instance rebuild it
 /// needs anyway to serve future requests.)

@@ -1,11 +1,15 @@
-//! Exactness of the annealer's frozen-state exit.
+//! Exactness of the annealer's shortcuts: the frozen-state exit, scoring a
+//! rising proposal from its target machine alone, and skipping `exp` where
+//! it underflows.
 //!
 //! `reference_anneal` below is a verbatim copy of the proposal loop as it
-//! stood before the exit existed: it always runs every iteration. The
+//! stood before any of them existed: it runs every iteration, fully
+//! evaluates every proposal and calls `exp` for every worsening one. The
 //! annealer must return the same schedule, `accepted` and `improvements` on
 //! every model, temperature schedule and move mix, and on the long runs the
-//! serve race uses (400 000 iterations from greedy) the exit must actually
-//! fire on the families whose walk freezes.
+//! serve race uses (400 000 iterations, from greedy and from its descent)
+//! on all six solve-complete families; the exit must actually fire on the
+//! families whose walk freezes.
 //!
 //! `cargo test --release -p sst-algos --test anneal_exit -- --nocapture`
 //! prints the proposals each long run used out of its 400 000.
@@ -16,6 +20,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sst_algos::annealing::{anneal, AnnealConfig};
 use sst_algos::list::{greedy_uniform, greedy_unrelated};
+use sst_algos::local_search::improve;
 use sst_core::cancel::CancelToken;
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};
 use sst_core::model::{MachineModel, Splittable, Uniform, Unrelated};
@@ -175,6 +180,26 @@ proptest! {
     }
 }
 
+/// Runs both loops with the race's annealer configuration
+/// (`AnnealSolver`) from `greedy` and from its descent, the race's usual
+/// warm start. Returns the proposals of the run from `greedy`.
+fn long_runs<M: MachineModel>(name: &str, inst: &M::Instance, greedy: &Schedule) -> usize {
+    let cfg = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
+    let descent = improve::<M>(inst, greedy, usize::MAX).schedule;
+    let mut proposals = [0; 2];
+    for (used, (label, start)) in
+        proposals.iter_mut().zip([("greedy", greedy), ("descent", &descent)])
+    {
+        *used = assert_exact::<M>(inst, start, &cfg)
+            .unwrap_or_else(|e| panic!("{name} from {label}: the answer changed: {e:?}"));
+    }
+    println!(
+        "{name:<22} proposals {:>6} from greedy, {:>6} from the descent, of {}",
+        proposals[0], proposals[1], cfg.iterations
+    );
+    proposals[0]
+}
+
 #[test]
 fn long_runs_on_the_solve_complete_families_exit_exactly() {
     let (n, m, k) = (48, 5, 6);
@@ -189,15 +214,13 @@ fn long_runs_on_the_solve_complete_families_exit_exactly() {
     ];
     let mut fired = 0;
     for (name, inst) in &families {
-        let start = greedy_unrelated(inst);
-        // The race's annealer configuration (`AnnealSolver`).
-        let cfg = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
-        let proposals = assert_exact::<Unrelated>(inst, &start, &cfg)
-            .unwrap_or_else(|e| panic!("{name}: frozen exit changed the answer: {e:?}"));
-        println!("{name:<22} proposals {proposals:>6} of {}", cfg.iterations);
-        if proposals < cfg.iterations {
+        if long_runs::<Unrelated>(name, inst, &greedy_unrelated(inst)) < 400_000 {
             fired += 1;
         }
     }
     assert!(fired >= 3, "the frozen exit fired on only {fired} of 4 families");
+    let line = scenarios::production_line(n, m, k, 15);
+    long_runs::<Uniform>("production-line", &line, &greedy_uniform(&line));
+    let cdn = scenarios::cdn_transcode(n, m, k, 16);
+    long_runs::<Splittable>("cdn-transcode", &cdn, &greedy_unrelated(&cdn));
 }

@@ -1,15 +1,30 @@
-//! Incremental (tracker-based) vs. full-recompute local-search descent.
+//! Tracker kernels: the incremental (tracker-based) vs. full-recompute
+//! local-search descent, and the annealer's proposal loop.
 //!
 //! The acceptance bar for the tracker subsystem: on a generated n=2000,
 //! m=50, K=100 unrelated instance the incremental descent must be ≥ 10×
 //! faster than the historical full-recompute baseline. Both variants run
 //! the same neighborhood (job moves + whole-class moves off the
 //! bottleneck) from the same greedy start.
+//!
+//! The anneal row runs the race's annealer configuration (400 000
+//! proposals) from the descent of the greedy schedule on the five integral
+//! solve-complete families at 48×5×6, 16 instances each, and prints per
+//! family the nanoseconds per proposal, the proposals run and an FNV-1a
+//! digest of every answer (schedule, `accepted`, `improvements`). Timing
+//! is reported, not gated; the digest must not change unless the walk
+//! itself is meant to.
+
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sst_algos::list::greedy_unrelated;
-use sst_algos::local_search::{improve_unrelated, improve_unrelated_full_recompute};
-use sst_gen::{SetupWeight, UnrelatedParams};
+use sst_algos::annealing::{anneal, AnnealConfig};
+use sst_algos::list::{greedy_uniform, greedy_unrelated};
+use sst_algos::local_search::{improve, improve_unrelated, improve_unrelated_full_recompute};
+use sst_core::model::{MachineModel, Uniform, Unrelated};
+use sst_core::schedule::Schedule;
+use sst_core::wire::fnv1a64;
+use sst_gen::{scenarios, SetupWeight, UnrelatedParams};
 
 fn params(n: usize, m: usize, k: usize) -> UnrelatedParams {
     UnrelatedParams {
@@ -46,5 +61,71 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench);
+/// Instances per family in the anneal row.
+const ANNEAL_INSTANCES: u64 = 16;
+
+/// Time and proposal totals of one family's anneals, and the running
+/// digest of their answers.
+#[derive(Default)]
+struct AnnealRow {
+    nanos: u128,
+    proposals: usize,
+    digest: Vec<u8>,
+}
+
+impl AnnealRow {
+    /// Anneals `inst` from the descent of `greedy`, as the race does.
+    fn run<M: MachineModel>(&mut self, inst: &M::Instance, greedy: &Schedule) {
+        let start = improve::<M>(inst, greedy, usize::MAX).schedule;
+        let cfg = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
+        let t0 = Instant::now();
+        let res = anneal::<M>(inst, &start, &cfg);
+        self.nanos += t0.elapsed().as_nanos();
+        self.proposals += res.proposals;
+        for &i in res.schedule.assignment() {
+            self.digest.extend_from_slice(&(i as u32).to_le_bytes());
+        }
+        for v in [res.accepted, res.improvements] {
+            self.digest.extend_from_slice(&(v as u64).to_le_bytes());
+        }
+    }
+}
+
+fn anneal_row(_c: &mut Criterion) {
+    let (n, m, k) = (48, 5, 6);
+    let mut all = Vec::new();
+    for family in [
+        "production-line",
+        "compute-cluster",
+        "print-shop",
+        "ci-build-farm",
+        "unrelated-correlated",
+    ] {
+        let mut row = AnnealRow::default();
+        for seed in 1..=ANNEAL_INSTANCES {
+            if family == "production-line" {
+                let inst = scenarios::production_line(n, m, k, seed);
+                row.run::<Uniform>(&inst, &greedy_uniform(&inst));
+                continue;
+            }
+            let inst = match family {
+                "compute-cluster" => scenarios::compute_cluster(n, m, k, seed),
+                "print-shop" => scenarios::print_shop(n, m, k, seed),
+                "ci-build-farm" => scenarios::ci_build_farm(n, m, k, seed),
+                _ => sst_gen::unrelated(&UnrelatedParams { n, m, k, seed, ..Default::default() }),
+            };
+            row.run::<Unrelated>(&inst, &greedy_unrelated(&inst));
+        }
+        println!(
+            "anneal_400k/{family:<22} {:>7.1} ns/proposal  proposals {:>8}  digest {:016x}",
+            row.nanos as f64 / row.proposals.max(1) as f64,
+            row.proposals,
+            fnv1a64(&row.digest),
+        );
+        all.extend_from_slice(&row.digest);
+    }
+    println!("anneal_400k/all-families digest {:016x}", fnv1a64(&all));
+}
+
+criterion_group!(benches, bench, anneal_row);
 criterion_main!(benches);

@@ -26,7 +26,7 @@
 //! * the [`model::MachineModel`] trait unifying the machine environments
 //!   (uniform, unrelated, and the splittable substrate of Section 3.3) —
 //!   [`model`];
-//! * incremental load tracking with `O(1)`/`O(log m)` move evaluation for
+//! * incremental load tracking with `O(1)` move evaluation for
 //!   the search heuristics, written once against the trait — [`tracker`];
 //! * cooperative cancellation tokens (deadline + flag) that make every
 //!   solver an anytime solver — [`cancel`];

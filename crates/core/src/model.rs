@@ -20,8 +20,7 @@
 //!   uniform ones — i.e. the `Cost` arithmetic of the model;
 //! * whether times are **machine-independent**, which decides if a
 //!   whole-class move can reuse the cached departing sum for the arriving
-//!   side (`O(log m)` uniform class moves vs `O(B + log m)` unrelated
-//!   ones).
+//!   side (`O(1)` uniform class moves vs `O(B)` unrelated ones).
 //!
 //! Three models implement the trait:
 //!
@@ -89,12 +88,19 @@ pub trait MachineModel {
     fn setup_time(inst: &Self::Instance, i: MachineId, k: ClassId) -> Option<u64>;
 
     /// The ordered key of machine `i` carrying `load` raw units.
+    ///
+    /// For a fixed machine the key is **non-decreasing in `load`**: more
+    /// load never orders below less. The tracker's `*_move_target`
+    /// accessors and the annealer's scoring rest on this (a machine that
+    /// only sheds load cannot raise the makespan), and
+    /// `crates/core/tests/proptest_tracker.rs` checks it for every model.
     fn key(inst: &Self::Instance, i: MachineId, load: u64) -> Self::Key;
 
     /// The key of an empty machine set — the identity of `max`.
     fn zero_key() -> Self::Key;
 
-    /// Lossy float view of a key (temperature scales, display).
+    /// Lossy float view of a key (temperature scales, the annealer's
+    /// Metropolis deltas, display).
     fn key_to_f64(key: Self::Key) -> f64;
 
     /// Applies one [`InstanceDelta`] (see [`crate::delta`]) and returns the

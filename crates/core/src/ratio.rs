@@ -226,7 +226,9 @@ impl Ratio {
         self.num / self.den
     }
 
-    /// Lossy conversion for reporting only — never used in comparisons.
+    /// Lossy `f64` view. Reporting uses it, and so does the annealer's
+    /// Metropolis test, which compares these views (via
+    /// `MachineModel::key_to_f64`); exact comparisons use [`Ord`].
     #[inline]
     pub fn to_f64(self) -> f64 {
         self.num as f64 / self.den as f64

@@ -1,4 +1,4 @@
-//! Incremental load tracking: `O(1)`/`O(log m)` move evaluation for search
+//! Incremental load tracking: `O(1)` move evaluation for search
 //! heuristics, written **once** against [`crate::model::MachineModel`].
 //!
 //! The full-recompute evaluators in [`crate::schedule`] walk all `n` jobs
@@ -14,24 +14,29 @@
 //! * the **job list** per (machine, class) slot (swap-remove `O(1)`
 //!   membership; enumerating a batch costs its size, not `n`),
 //!
-//! plus one ordered **load multiset** over machines keyed by
-//! [`MachineModel::Key`], so the makespan — and the makespan *after a
-//! hypothetical move* — is an `O(log m)` query instead of an `O(n)`
-//! recompute.
+//! plus a flat **load index**: every machine's [`MachineModel::Key`] in an
+//! array, and the three largest `(key, machine)` entries cached beside it.
+//! The makespan, its machine, and the makespan *after a hypothetical
+//! move* — the largest key outside the move's two endpoints, against the
+//! endpoints' new keys — are `O(1)` reads of that cache instead of an
+//! `O(n)` recompute. Each mutator writes its changed keys and then rescans
+//! the array once, in `O(m)`; at the machine counts the search heuristics
+//! run (a handful to a few dozen), that scan is cheaper than keeping an
+//! ordered tree, and evaluations outnumber applied moves by far.
 //!
 //! ## Complexity
 //!
 //! | operation | [`UniformLoadTracker`] | [`UnrelatedLoadTracker`] / [`SplittableLoadTracker`] |
 //! |---|---|---|
 //! | `new` | `O(n + m + K)` | `O(n + m + K)` |
-//! | `makespan` | `O(1)`* | `O(1)`* |
-//! | `eval_job_move` | `O(log m)` | `O(log m)` |
-//! | `apply_job_move` | `O(log m)` | `O(log m)` |
-//! | `eval_class_move` | `O(log m)` | `O(B + log m)` |
-//! | `apply_class_move` | `O(B + log m)` | `O(B + log m)` |
-//! | `insert_job` / `remove_job` | `O(log m)` | `O(log m)` |
-//! | `retime_job` | `O(log m)`† | `O(log m)`† |
-//! | `retime_setup` | `O(H log m)`† | `O(H log m)`† |
+//! | `makespan` / `bottleneck` | `O(1)` | `O(1)` |
+//! | `eval_job_move` / `job_move_target` | `O(1)` | `O(1)` |
+//! | `apply_job_move` | `O(m)` | `O(m)` |
+//! | `eval_class_move` / `class_move_target` | `O(1)` | `O(B)` |
+//! | `apply_class_move` | `O(B + m)` | `O(B + m)` |
+//! | `insert_job_greedy` / `remove_job` | `O(m)` | `O(m)` |
+//! | `retime_job` | `O(m)` | `O(m)` |
+//! | `retime_setup` | `O(m)`† | `O(m)`† |
 //! | `add_class` | `O(m)` | `O(m)` |
 //!
 //! ## Structural edits
@@ -49,14 +54,13 @@
 //! further move evaluation. The slot table is laid out class-major
 //! (`slots[k * m + i]`) precisely so `add_class` appends `m` fresh slots
 //! without invalidating an index, and job removal uses the same
-//! swap-remove renaming the delta applies to the instance. († jobs or
-//! whole slots whose new time is infinite are evicted and greedily
-//! re-placed at `O(m + log m)` each; `H` = machines hosting the class.)
+//! swap-remove renaming the delta applies to the instance. († plus `O(m)`
+//! for each job evicted because its class's new setup is infinite on its
+//! machine; each edit rescans the load index once, however many machines
+//! it touches.)
 //!
-//! `B` = number of jobs of the moved class on the source machine. (*) the
-//! multiset keeps its maximum at the back of a B-tree; the query touches
-//! `O(log m)` nodes but performs no recomputation. Models without
-//! machine-independent times ([`MachineModel::MACHINE_INDEPENDENT_TIMES`]
+//! `B` = number of jobs of the moved class on the source machine. Models
+//! without machine-independent times ([`MachineModel::MACHINE_INDEPENDENT_TIMES`]
 //! false) pay `O(B)` in `eval_class_move` because the arriving work
 //! `Σ_{j∈batch} p_{to,j}` depends on both endpoints and cannot be cached
 //! for all machine pairs in `o(m²K)` space; machine-independent models
@@ -87,7 +91,6 @@
 //! assert_eq!(t.makespan(), new_ms);
 //! ```
 
-use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
 use crate::error::ScheduleError;
@@ -95,50 +98,70 @@ use crate::instance::{ClassId, JobId, MachineId};
 use crate::model::{MachineModel, Splittable, Uniform, Unrelated};
 use crate::schedule::Schedule;
 
-/// Ordered set of per-machine `(load key, machine id)` entries with
-/// `O(log m)` insert/remove, max queries that can *exclude* up to two
-/// current entries (the two endpoints of a hypothetical move), and — because
-/// every entry carries its machine id — an `O(log m)` argmax: the machine
-/// attaining the maximum falls out of the same lookup that answers the
-/// makespan.
+/// Per-machine load keys plus the three largest `(key, machine)` entries,
+/// largest first. Entries order by key, then by machine id, so the maximum
+/// is deterministically the *highest-numbered* machine among tied ones.
 ///
-/// Entries are unique (one per machine), so this is a plain `BTreeSet`
-/// rather than a counted multiset; ties on the load key order by machine id,
-/// making `max()` deterministically the *highest-numbered* machine among the
-/// tied ones.
+/// Queries — the maximum, its machine, and the maximum with up to two
+/// machines excluded (the endpoints of a hypothetical move) — read the
+/// cached top three in `O(1)`. Writes go through [`Self::set`], which does
+/// not touch the cache; the caller ends each batch of writes with one
+/// [`Self::rescan`], `O(m)`.
 #[derive(Debug, Clone)]
-struct LoadMultiset<K: Ord + Copy> {
-    set: BTreeSet<(K, u32)>,
+struct LoadIndex<K: Ord + Copy> {
+    keys: Vec<K>,
+    /// `None` past the last machine when `m < 3` (`None` orders below
+    /// every entry, so the rescan needs no special case).
+    top: [Option<(K, u32)>; 3],
 }
 
-impl<K: Ord + Copy> LoadMultiset<K> {
-    fn new() -> Self {
-        LoadMultiset { set: BTreeSet::new() }
+impl<K: Ord + Copy> LoadIndex<K> {
+    fn new(keys: Vec<K>) -> Self {
+        let mut index = LoadIndex { keys, top: [None; 3] };
+        index.rescan();
+        index
     }
 
-    fn insert(&mut self, key: K, machine: MachineId) {
-        let fresh = self.set.insert((key, machine as u32));
-        debug_assert!(fresh, "LoadMultiset::insert of duplicate machine entry");
+    /// Records machine `i`'s new key; queries see it after the next
+    /// [`Self::rescan`].
+    #[inline]
+    fn set(&mut self, i: MachineId, key: K) {
+        self.keys[i] = key;
     }
 
-    fn remove(&mut self, key: K, machine: MachineId) {
-        let found = self.set.remove(&(key, machine as u32));
-        debug_assert!(found, "LoadMultiset::remove of absent entry");
+    /// Recomputes the top three entries from the key array, in `O(m)`.
+    fn rescan(&mut self) {
+        let mut top: [Option<(K, u32)>; 3] = [None; 3];
+        for (i, &key) in self.keys.iter().enumerate() {
+            let e = Some((key, i as u32));
+            if e > top[2] {
+                // Replace the smallest and bubble the entry into place.
+                top[2] = e;
+                if top[2] > top[1] {
+                    top.swap(1, 2);
+                    if top[1] > top[0] {
+                        top.swap(0, 1);
+                    }
+                }
+            }
+        }
+        self.top = top;
     }
 
-    /// The maximum `(load, machine)` entry, in `O(log m)`.
+    /// The maximum `(key, machine)` entry.
+    #[inline]
     fn max_entry(&self) -> Option<(K, MachineId)> {
-        self.set.iter().next_back().map(|&(k, i)| (k, i as MachineId))
+        self.top[0].map(|(k, i)| (k, i as MachineId))
     }
 
-    /// Maximum load key after conceptually removing the entries of the
-    /// machines in `excluded`. Walks at most `excluded.len() + 1` entries
-    /// from the back.
-    fn max_excluding(&self, excluded: &[MachineId]) -> Option<K> {
-        self.set
+    /// Maximum key over the machines other than `a` and `b`. Excluding two
+    /// machines leaves at least one of the top three whenever `m >= 3`.
+    #[inline]
+    fn max_excluding(&self, a: MachineId, b: MachineId) -> Option<K> {
+        self.top
             .iter()
-            .rev()
-            .find(|&&(_, i)| !excluded.contains(&(i as MachineId)))
+            .flatten()
+            .find(|&&(_, i)| i as MachineId != a && i as MachineId != b)
             .map(|&(k, _)| k)
     }
 }
@@ -302,15 +325,15 @@ pub struct LoadTracker<'a, M: MachineModel> {
     /// Class of job `j`, maintained through swap-remove renames.
     job_class: Vec<ClassId>,
     table: SlotTable,
-    multiset: LoadMultiset<M::Key>,
+    index: LoadIndex<M::Key>,
     _model: PhantomData<M>,
 }
 
 /// Incremental tracker for [`crate::instance::UniformInstance`] schedules.
-/// Loads are tracked in *work* units (`Σ p_j + Σ s_k`); the makespan
-/// multiset is keyed by the exact [`crate::ratio::Ratio`] `work_i / v_i`.
-/// Because sizes are machine-independent, *both* `eval_job_move` and
-/// `eval_class_move` are `O(log m)`.
+/// Loads are tracked in *work* units (`Σ p_j + Σ s_k`); the load index is
+/// keyed by the exact [`crate::ratio::Ratio`] `work_i / v_i`. Because sizes
+/// are machine-independent, *both* `eval_job_move` and `eval_class_move`
+/// are `O(1)`.
 pub type UniformLoadTracker<'a> = LoadTracker<'a, Uniform>;
 
 /// Incremental tracker for [`crate::instance::UnrelatedInstance`]
@@ -351,10 +374,8 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
             job_times[j] = p;
             job_class[j] = k;
         }
-        let mut multiset = LoadMultiset::new();
-        for (i, &l) in loads.iter().enumerate() {
-            multiset.insert(M::key(inst, i, l), i);
-        }
+        let index =
+            LoadIndex::new(loads.iter().enumerate().map(|(i, &l)| M::key(inst, i, l)).collect());
         Ok(LoadTracker {
             inst,
             assignment,
@@ -362,7 +383,7 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
             job_times,
             job_class,
             table,
-            multiset,
+            index,
             _model: PhantomData,
         })
     }
@@ -384,7 +405,7 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
     /// Current makespan, in the model's key arithmetic.
     #[inline]
     pub fn makespan(&self) -> M::Key {
-        self.multiset.max_entry().map(|(l, _)| l).unwrap_or_else(M::zero_key)
+        self.index.max_entry().map(|(l, _)| l).unwrap_or_else(M::zero_key)
     }
 
     /// Machine currently holding job `j`.
@@ -413,11 +434,10 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
         self.table.jobs(i, k)
     }
 
-    /// A machine attaining the current makespan, in `O(log m)` (the load
-    /// multiset carries machine ids, so the argmax is the same B-tree probe
-    /// as the max).
+    /// A machine attaining the current makespan, in `O(1)` (the highest
+    /// machine id among tied ones).
     pub fn bottleneck(&self) -> MachineId {
-        self.multiset.max_entry().expect("non-empty by construction").1
+        self.index.max_entry().expect("non-empty by construction").1
     }
 
     /// The tracked assignment as a [`Schedule`].
@@ -428,6 +448,21 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
     #[inline]
     fn key(&self, i: MachineId, load: u64) -> M::Key {
         M::key(self.inst, i, load)
+    }
+
+    /// Sets machine `i`'s load and its key in the index, without the
+    /// index rescan that every public mutator ends with.
+    #[inline]
+    fn set_load(&mut self, i: MachineId, load: u64) {
+        self.loads[i] = load;
+        self.index.set(i, self.key(i, load));
+    }
+
+    /// Makespan given the new keys of the two endpoints of a move.
+    #[inline]
+    fn makespan_after(&self, from: MachineId, new_from: u64, to: MachineId, new_to: u64) -> M::Key {
+        let rest = self.index.max_excluding(from, to).unwrap_or_else(M::zero_key);
+        rest.max(self.key(from, new_from)).max(self.key(to, new_to))
     }
 
     /// New `(load_from, load_to)` if job `j` moved to `to`; `None` when the
@@ -454,16 +489,25 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
         Some((new_from, new_to))
     }
 
-    /// Makespan after moving job `j` to machine `to`, in `O(log m)`, without
+    /// Makespan after moving job `j` to machine `to`, in `O(1)`, without
     /// mutating anything. `None` if the move is a no-op or infeasible.
     pub fn eval_job_move(&self, j: JobId, to: MachineId) -> Option<M::Key> {
-        let from = self.assignment[j];
         let (new_from, new_to) = self.job_move_loads(j, to)?;
-        let rest = self.multiset.max_excluding(&[from, to]).unwrap_or_else(M::zero_key);
-        Some(rest.max(self.key(from, new_from)).max(self.key(to, new_to)))
+        Some(self.makespan_after(self.assignment[j], new_from, to, new_to))
     }
 
-    /// Applies a feasible job move in `O(log m)`.
+    /// Key of machine `to` after moving job `j` there: the same `None`
+    /// cases as [`Self::eval_job_move`], one key computation and no index
+    /// read. The source machine only sheds load, so when this key is at
+    /// least [`Self::makespan`] it *is* the new makespan (keys are
+    /// non-decreasing in load, see [`MachineModel::key`]).
+    #[inline]
+    pub fn job_move_target(&self, j: JobId, to: MachineId) -> Option<M::Key> {
+        let (_, new_to) = self.job_move_loads(j, to)?;
+        Some(self.key(to, new_to))
+    }
+
+    /// Applies a feasible job move in `O(m)` (one index rescan).
     ///
     /// # Panics
     /// Panics if the move is a no-op or infeasible (check with
@@ -481,12 +525,9 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
         self.table.remove(from, k, j, self.job_times[j]);
         self.table.push(to, k, j, p_to);
         self.job_times[j] = p_to;
-        self.multiset.remove(self.key(from, self.loads[from]), from);
-        self.multiset.remove(self.key(to, self.loads[to]), to);
-        self.multiset.insert(self.key(from, new_from), from);
-        self.multiset.insert(self.key(to, new_to), to);
-        self.loads[from] = new_from;
-        self.loads[to] = new_to;
+        self.set_load(from, new_from);
+        self.set_load(to, new_to);
+        self.index.rescan();
         self.assignment[j] = to;
     }
 
@@ -523,16 +564,24 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
     }
 
     /// Makespan after migrating *all* class-`k` jobs on `from` to `to`, in
-    /// `O(log m)` for machine-independent models and `O(B + log m)`
-    /// otherwise, where `B` is the batch size. `None` if the batch is
-    /// empty, the move is a no-op, or any time on `to` is infinite.
+    /// `O(1)` for machine-independent models and `O(B)` otherwise, where
+    /// `B` is the batch size. `None` if the batch is empty, the move is a
+    /// no-op, or any time on `to` is infinite.
     pub fn eval_class_move(&self, from: MachineId, k: ClassId, to: MachineId) -> Option<M::Key> {
         let (new_from, new_to, _) = self.class_move_loads(from, k, to)?;
-        let rest = self.multiset.max_excluding(&[from, to]).unwrap_or_else(M::zero_key);
-        Some(rest.max(self.key(from, new_from)).max(self.key(to, new_to)))
+        Some(self.makespan_after(from, new_from, to, new_to))
     }
 
-    /// Applies a feasible whole-class move in `O(B + log m)`.
+    /// Key of machine `to` after migrating all class-`k` jobs on `from`
+    /// there: [`Self::job_move_target`] for whole-class moves, with the
+    /// `None` cases and cost of [`Self::eval_class_move`].
+    #[inline]
+    pub fn class_move_target(&self, from: MachineId, k: ClassId, to: MachineId) -> Option<M::Key> {
+        let (_, new_to, _) = self.class_move_loads(from, k, to)?;
+        Some(self.key(to, new_to))
+    }
+
+    /// Applies a feasible whole-class move in `O(B + m)`.
     ///
     /// # Panics
     /// Panics if the move is empty, a no-op, or infeasible (check with
@@ -560,12 +609,9 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
                     M::job_time(self.inst, to, j).expect("checked by class_move_loads");
             }
         }
-        self.multiset.remove(self.key(from, self.loads[from]), from);
-        self.multiset.remove(self.key(to, self.loads[to]), to);
-        self.multiset.insert(self.key(from, new_from), from);
-        self.multiset.insert(self.key(to, new_to), to);
-        self.loads[from] = new_from;
-        self.loads[to] = new_to;
+        self.set_load(from, new_from);
+        self.set_load(to, new_to);
+        self.index.rescan();
     }
 
     // ------------------------------------------------------------------
@@ -592,9 +638,7 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
         }
         self.table.push(i, k, j, p);
         self.job_times[j] = p;
-        self.multiset.remove(self.key(i, self.loads[i]), i);
-        self.multiset.insert(self.key(i, new_load), i);
-        self.loads[i] = new_load;
+        self.set_load(i, new_load);
         self.assignment[j] = i;
     }
 
@@ -609,14 +653,12 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
         if self.table.count(i, k) == 0 {
             new_load -= self.table.charge(i, k);
         }
-        self.multiset.remove(self.key(i, self.loads[i]), i);
-        self.multiset.insert(self.key(i, new_load), i);
-        self.loads[i] = new_load;
+        self.set_load(i, new_load);
         i
     }
 
     /// Places job `j` on the feasible machine minimizing its resulting
-    /// load key (the setup-aware greedy rule), in `O(m + log m)`.
+    /// load key (the setup-aware greedy rule), in `O(m)`.
     /// `None` when no machine is feasible (the caller surfaces it as a
     /// stranded-job error; batches that keep the instance valid at every
     /// prefix never produce one).
@@ -644,7 +686,7 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
 
     /// Structural edit — [`crate::delta::InstanceDelta::AddJob`]: a job
     /// of class `class` (taking the next job id) arrives; places it by
-    /// the setup-aware greedy rule in `O(m + log m)`. `time_on`/`setup_on`
+    /// the setup-aware greedy rule in `O(m)`. `time_on`/`setup_on`
     /// resolve the new job's per-machine raw units and its class's
     /// *current* setups (`None` = infeasible). Returns the chosen machine,
     /// or `None` (without mutating) when no machine is feasible.
@@ -661,7 +703,10 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
         self.job_times.push(0);
         self.job_class.push(class);
         match self.greedy_place(j, time_on, setup_on) {
-            Some(i) => Some(i),
+            Some(i) => {
+                self.index.rescan();
+                Some(i)
+            }
             None => {
                 self.assignment.pop();
                 self.table.pos.pop();
@@ -674,7 +719,7 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
 
     /// Structural edit — [`crate::delta::InstanceDelta::RemoveJob`]:
     /// removes job `j` and renames the last job to `j` (the same
-    /// swap-remove the delta applies to the instance), in `O(log m)`.
+    /// swap-remove the delta applies to the instance), in `O(m)`.
     pub fn remove_job(&mut self, j: JobId) {
         let n_old = self.assignment.len();
         assert!(j < n_old, "remove_job: job {j} out of range ({n_old} jobs)");
@@ -692,12 +737,13 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
             let at = self.table.pos[j] as usize;
             self.table.slots[idx].jobs[at] = j;
         }
+        self.index.rescan();
     }
 
     /// Structural edit — [`crate::delta::InstanceDelta::ResizeJob`]:
     /// job `j`'s times changed to `time_on`. Adjusts the load in place
-    /// when `j` stays feasible on its machine (`O(log m)`), else evicts
-    /// and greedily re-places it (`O(m + log m)`). Returns `Some(true)`
+    /// when `j` stays feasible on its machine, else evicts and greedily
+    /// re-places it; `O(m)` either way. Returns `Some(true)`
     /// when the job stayed put, `Some(false)` when it migrated, `None`
     /// when no machine is feasible any more (the job is left detached
     /// only logically — the tracker re-attaches it nowhere and the caller
@@ -710,16 +756,21 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
     ) -> Option<bool> {
         let i = self.detach(j);
         let k = self.job_class[j];
-        if let Some(p) = time_on(i) {
-            // The machine still hosts the class (setup already charged) or
-            // can re-pay its setup.
+        // The machine still hosts the class (setup already charged) or can
+        // re-pay its setup.
+        let in_place = time_on(i).and_then(|p| {
             let setup = if self.table.count(i, k) > 0 { Some(0) } else { setup_on(i) };
-            if let Some(s) = setup {
+            setup.map(|s| (p, s))
+        });
+        let stayed = match in_place {
+            Some((p, s)) => {
                 self.attach(j, i, p, s);
-                return Some(true);
+                Some(true)
             }
-        }
-        self.greedy_place(j, time_on, setup_on).map(|_| false)
+            None => self.greedy_place(j, time_on, setup_on).map(|_| false),
+        };
+        self.index.rescan();
+        stayed
     }
 
     /// Structural edit — [`crate::delta::InstanceDelta::ResizeSetup`]:
@@ -728,8 +779,8 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
     /// infinite have their class-`k` jobs evicted and greedily re-placed
     /// (`job_time_on` resolves an evicted job's per-machine times).
     /// Returns the number of re-placed jobs, or `Err(j)` when evicted job
-    /// `j` has no feasible machine left. `O(H log m + B(m + log m))` for
-    /// `H` hosting machines and `B` evicted jobs.
+    /// `j` has no feasible machine left. `O((B + 1) m)` for `B` evicted
+    /// jobs: the index is rescanned once for the whole edit.
     pub fn retime_setup(
         &mut self,
         k: ClassId,
@@ -746,9 +797,7 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
                 Some(new_s) => {
                     let new_load = self.loads[i] - self.table.charge(i, k) + new_s;
                     self.table.set_charge(i, k, new_s);
-                    self.multiset.remove(self.key(i, self.loads[i]), i);
-                    self.multiset.insert(self.key(i, new_load), i);
-                    self.loads[i] = new_load;
+                    self.set_load(i, new_load);
                 }
                 None => {
                     while let Some(&j) = self.table.jobs(i, k).last() {
@@ -758,10 +807,11 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
                 }
             }
         }
-        for &j in &orphans {
-            self.greedy_place(j, &|i| job_time_on(j, i), setup_on).ok_or(j)?;
-        }
-        Ok(orphans.len())
+        let placed = orphans.iter().try_for_each(|&j| {
+            self.greedy_place(j, &|i| job_time_on(j, i), setup_on).map(drop).ok_or(j)
+        });
+        self.index.rescan();
+        placed.map(|()| orphans.len())
     }
 
     /// Structural edit — [`crate::delta::InstanceDelta::AddClass`]:
