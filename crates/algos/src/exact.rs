@@ -223,7 +223,8 @@ pub fn exact_unrelated_budgeted(
     if inst.n() == 0 {
         return ExactResult { makespan: 0, schedule: incumbent_sched, nodes: 0, complete: true };
     }
-    let order = unrelated_order(inst);
+    // Branching on constrained (costly) jobs first shrinks the tree.
+    let order = crate::list::by_decreasing_best_cost(inst);
     let mut ctx = UnrelCtx {
         inst,
         order,
@@ -243,17 +244,6 @@ pub fn exact_unrelated_budgeted(
     let schedule = Schedule::new(ctx.best_sched);
     let makespan = unrelated_makespan(inst, &schedule).expect("incumbents are valid");
     ExactResult { makespan, schedule, nodes: ctx.nodes, complete }
-}
-
-/// Jobs ordered by decreasing best-case cost — branching on constrained
-/// jobs first shrinks the tree.
-fn unrelated_order(inst: &UnrelatedInstance) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..inst.n()).collect();
-    order.sort_by_key(|&j| {
-        let best = (0..inst.m()).map(|i| inst.cost(i, j)).min().unwrap_or(u64::MAX);
-        std::cmp::Reverse(best)
-    });
-    order
 }
 
 struct UnrelCtx<'a> {
@@ -371,7 +361,8 @@ pub fn exact_unrelated_parallel_budgeted(
     if inst.n() == 0 || threads <= 1 {
         return exact_unrelated_budgeted(inst, node_limit, cancel, None);
     }
-    let order = unrelated_order(inst);
+    // Branching on constrained (costly) jobs first shrinks the tree.
+    let order = crate::list::by_decreasing_best_cost(inst);
     let j0 = order[0];
     let k0 = inst.class_of(j0);
     let first_choices: Vec<usize> =

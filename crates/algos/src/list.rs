@@ -6,7 +6,6 @@
 //! branch-and-bound solvers.
 
 use sst_core::instance::{is_finite, UniformInstance, UnrelatedInstance, INF};
-use sst_core::ratio::Ratio;
 use sst_core::schedule::Schedule;
 
 /// Setup-oblivious LPT on uniform machines: classic LPT on the raw jobs
@@ -18,26 +17,38 @@ pub fn oblivious_lpt_uniform(inst: &UniformInstance) -> Schedule {
 
 /// Setup-aware greedy for uniform machines: jobs in non-increasing size
 /// order; each goes to the machine minimizing the resulting *completion
-/// ratio* `(load + p + (setup if class new there)) / v`.
+/// ratio* `(load + p + (setup if class new there)) / v`, ties to the lowest
+/// machine id. O(n log n + n·m): the ratios are compared by
+/// cross-multiplying the unreduced fractions in `u128` (the order
+/// [`Ratio`](sst_core::ratio::Ratio)'s `Ord` gives, without reducing by a
+/// gcd).
 pub fn greedy_uniform(inst: &UniformInstance) -> Schedule {
+    let m = inst.m();
     let mut order: Vec<usize> = (0..inst.n()).collect();
     order.sort_by_key(|&a| std::cmp::Reverse(inst.job(a).size));
-    let mut load = vec![0u64; inst.m()];
-    let mut has_class = vec![vec![false; inst.num_classes()]; inst.m()];
+    let speeds = inst.speeds();
+    let mut load = vec![0u64; m];
+    // `has_class[k * m + i]`: machine `i` already paid class `k`'s setup.
+    let mut has_class = vec![false; inst.num_classes() * m];
     let mut assignment = vec![0usize; inst.n()];
     for &j in &order {
         let job = inst.job(j);
-        let best = (0..inst.m())
-            .min_by(|&a, &b| {
-                let cost = |i: usize| {
-                    let setup = if has_class[i][job.class] { 0 } else { inst.setup(job.class) };
-                    Ratio::new(load[i] + job.size + setup, inst.speed(i))
-                };
-                cost(a).cmp(&cost(b)).then(a.cmp(&b))
-            })
-            .expect("at least one machine");
-        if !has_class[best][job.class] {
-            has_class[best][job.class] = true;
+        let opened = &mut has_class[job.class * m..(job.class + 1) * m];
+        let completion = |i: usize| {
+            let setup = if opened[i] { 0 } else { inst.setup(job.class) };
+            (load[i] + job.size + setup) as u128
+        };
+        let mut best = 0;
+        let mut best_num = completion(0);
+        for i in 1..m {
+            let num = completion(i);
+            if num * (speeds[best] as u128) < best_num * (speeds[i] as u128) {
+                best = i;
+                best_num = num;
+            }
+        }
+        if !opened[best] {
+            opened[best] = true;
             load[best] += inst.setup(job.class);
         }
         load[best] += job.size;
@@ -46,31 +57,48 @@ pub fn greedy_uniform(inst: &UniformInstance) -> Schedule {
     Schedule::new(assignment)
 }
 
+/// Jobs in order of decreasing best-case cost `min_i (p_ij + s_ik)`, ties
+/// in job-id order. Each job's O(m) key is computed once, so the sort is
+/// O(n·m + n log n).
+pub(crate) fn by_decreasing_best_cost(inst: &UnrelatedInstance) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..inst.n()).collect();
+    order.sort_by_cached_key(|&j| {
+        // `min_i cost(i, j)` over the job's row slices.
+        let setups = inst.setups_row(inst.class_of(j));
+        let best = inst
+            .ptimes_row(j)
+            .iter()
+            .zip(setups)
+            .map(|(&p, &s)| if is_finite(p) && is_finite(s) { p.saturating_add(s) } else { INF })
+            .min();
+        std::cmp::Reverse(best.unwrap_or(INF))
+    });
+    order
+}
+
 /// Setup-aware greedy for unrelated machines: jobs ordered by decreasing
 /// best-case cost `min_i (p_ij + s_ik)`; each goes to the machine minimizing
-/// the resulting load (processing plus setup if its class is new there).
-/// Machines where the job or its setup is infinite are skipped; validity is
-/// guaranteed because instances reject jobs that can run nowhere.
+/// the resulting load (processing plus setup if its class is new there),
+/// ties to the lowest machine id. Machines where the job or its setup is
+/// infinite are skipped; validity is guaranteed because instances reject
+/// jobs that can run nowhere. O(n log n + n·m).
 pub fn greedy_unrelated(inst: &UnrelatedInstance) -> Schedule {
-    let mut order: Vec<usize> = (0..inst.n()).collect();
-    order.sort_by_key(|&j| {
-        let best = (0..inst.m()).map(|i| inst.cost(i, j)).min().unwrap_or(INF);
-        std::cmp::Reverse(best)
-    });
-    let mut load = vec![0u64; inst.m()];
-    let mut has_class = vec![vec![false; inst.num_classes()]; inst.m()];
+    let m = inst.m();
+    let mut load = vec![0u64; m];
+    // `has_class[k * m + i]`: machine `i` already paid class `k`'s setup.
+    let mut has_class = vec![false; inst.num_classes() * m];
     let mut assignment = vec![0usize; inst.n()];
-    for &j in &order {
+    for j in by_decreasing_best_cost(inst) {
         let k = inst.class_of(j);
+        let setups = inst.setups_row(k);
+        let opened = &mut has_class[k * m..(k + 1) * m];
         let mut best: Option<(u64, usize)> = None;
-        for i in 0..inst.m() {
-            let p = inst.ptime(i, j);
-            let s = inst.setup(i, k);
+        let cells = inst.ptimes_row(j).iter().zip(setups).zip(&load).zip(opened.iter());
+        for (i, (((&p, &s), &l), &open)) in cells.enumerate() {
             if !is_finite(p) || !is_finite(s) {
                 continue;
             }
-            let setup = if has_class[i][k] { 0 } else { s };
-            let new_load = load[i].saturating_add(p).saturating_add(setup);
+            let new_load = l.saturating_add(p).saturating_add(if open { 0 } else { s });
             match best {
                 None => best = Some((new_load, i)),
                 Some((bl, _)) if new_load < bl => best = Some((new_load, i)),
@@ -78,9 +106,9 @@ pub fn greedy_unrelated(inst: &UnrelatedInstance) -> Schedule {
             }
         }
         let (_, i) = best.expect("instance validation guarantees a finite machine");
-        if !has_class[i][k] {
-            has_class[i][k] = true;
-            load[i] += inst.setup(i, k);
+        if !opened[i] {
+            opened[i] = true;
+            load[i] += setups[i];
         }
         load[i] += inst.ptime(i, j);
         assignment[j] = i;
@@ -92,10 +120,11 @@ pub fn greedy_unrelated(inst: &UnrelatedInstance) -> Schedule {
 /// atomically (never split), ordered by decreasing total workload, each on
 /// the machine minimizing the resulting load. A strong baseline when setups
 /// dominate, and pathological when one class holds most of the work.
+/// O(n·m + K log K).
 pub fn class_grouped_greedy_unrelated(inst: &UnrelatedInstance) -> Option<Schedule> {
     let mut classes: Vec<usize> = inst.nonempty_classes().to_vec();
-    // Order by decreasing best-case workload.
-    classes.sort_by_key(|&k| {
+    // Order by decreasing best-case workload, one key per class.
+    classes.sort_by_cached_key(|&k| {
         let best = (0..inst.m())
             .map(|i| inst.class_workload(i, k).saturating_add(inst.setup(i, k)))
             .min()
@@ -135,6 +164,7 @@ pub fn class_grouped_greedy_unrelated(inst: &UnrelatedInstance) -> Option<Schedu
 mod tests {
     use super::*;
     use sst_core::instance::Job;
+    use sst_core::ratio::Ratio;
     use sst_core::schedule::{uniform_makespan, unrelated_makespan};
 
     #[test]

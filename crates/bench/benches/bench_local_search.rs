@@ -14,6 +14,13 @@
 //! digest of every answer (schedule, `accepted`, `improvements`). Timing
 //! is reported, not gated; the digest must not change unless the walk
 //! itself is meant to.
+//!
+//! The race-prologue row times the serial work before a served race's
+//! members start — feature extraction and the model's greedy floor — on
+//! the five solve-deadline families at 800×10×16, 16 instances each, and
+//! prints per family the mean µs of each plus an FNV-1a digest of the
+//! features, greedy schedules and greedy costs. As above, the timing is
+//! reported and the digest must not change.
 
 use std::time::Instant;
 
@@ -25,6 +32,7 @@ use sst_core::model::{MachineModel, Uniform, Unrelated};
 use sst_core::schedule::Schedule;
 use sst_core::wire::fnv1a64;
 use sst_gen::{scenarios, SetupWeight, UnrelatedParams};
+use sst_portfolio::{extract_features, ProblemInstance};
 
 fn params(n: usize, m: usize, k: usize) -> UnrelatedParams {
     UnrelatedParams {
@@ -127,5 +135,53 @@ fn anneal_row(_c: &mut Criterion) {
     println!("anneal_400k/all-families digest {:016x}", fnv1a64(&all));
 }
 
-criterion_group!(benches, bench, anneal_row);
+fn race_prologue_row(_c: &mut Criterion) {
+    let (n, m, k) = (800, 10, 16);
+    let mut all = Vec::new();
+    for family in ["production-line", "compute-cluster", "print-shop", "ci-build-farm", "unrelated"]
+    {
+        let (mut features_ns, mut greedy_ns) = (0u128, 0u128);
+        let mut digest = Vec::new();
+        for seed in 1..=ANNEAL_INSTANCES {
+            let inst = match family {
+                "production-line" => {
+                    ProblemInstance::Uniform(scenarios::production_line(n, m, k, seed))
+                }
+                "compute-cluster" => {
+                    ProblemInstance::Unrelated(scenarios::compute_cluster(n, m, k, seed))
+                }
+                "print-shop" => ProblemInstance::Unrelated(scenarios::print_shop(n, m, k, seed)),
+                "ci-build-farm" => {
+                    ProblemInstance::Unrelated(scenarios::ci_build_farm(n, m, k, seed))
+                }
+                _ => ProblemInstance::Unrelated(sst_gen::unrelated(&UnrelatedParams {
+                    n,
+                    m,
+                    k,
+                    seed,
+                    ..Default::default()
+                })),
+            };
+            let t0 = Instant::now();
+            let feat = extract_features(&inst);
+            let t1 = Instant::now();
+            let floor = inst.greedy();
+            features_ns += (t1 - t0).as_nanos();
+            greedy_ns += t1.elapsed().as_nanos();
+            let text = format!("{feat:?} {:?} {:?}", floor.solution, floor.cost);
+            digest.extend_from_slice(text.as_bytes());
+        }
+        let per = |ns: u128| ns as f64 / 1e3 / ANNEAL_INSTANCES as f64;
+        println!(
+            "race_prologue/{n}x{m}x{k}/{family:<16} features {:>7.1} us  greedy {:>7.1} us  digest {:016x}",
+            per(features_ns),
+            per(greedy_ns),
+            fnv1a64(&digest),
+        );
+        all.extend_from_slice(&digest);
+    }
+    println!("race_prologue/{n}x{m}x{k}/all-families digest {:016x}", fnv1a64(&all));
+}
+
+criterion_group!(benches, bench, anneal_row, race_prologue_row);
 criterion_main!(benches);

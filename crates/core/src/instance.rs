@@ -542,15 +542,14 @@ impl UnrelatedInstance {
     /// of a class have the same set of machines with finite `p_ij`.
     pub fn has_class_uniform_restrictions(&self) -> bool {
         for k in 0..self.num_classes() {
-            let jobs = self.jobs_of_class(k);
-            if jobs.len() < 2 {
+            let Some((&first, rest)) = self.jobs_of_class(k).split_first() else {
                 continue;
-            }
-            let sig = |j: JobId| -> Vec<bool> {
-                (0..self.m).map(|i| is_finite(self.ptime(i, j))).collect()
             };
-            let first = sig(jobs[0]);
-            if jobs[1..].iter().any(|&j| sig(j) != first) {
+            let first = self.ptimes_row(first);
+            let differs = |j: JobId| {
+                self.ptimes_row(j).iter().zip(first).any(|(&p, &q)| is_finite(p) != is_finite(q))
+            };
+            if rest.iter().any(|&j| differs(j)) {
                 return false;
             }
         }

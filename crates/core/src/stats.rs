@@ -207,28 +207,43 @@ pub struct UnrelatedStats {
     pub structure: (bool, bool, bool),
 }
 
-/// Computes [`UnrelatedStats`].
+/// Computes [`UnrelatedStats`] in one row-major pass over the matrices,
+/// O(n·m + K·m).
 pub fn unrelated_stats(inst: &UnrelatedInstance) -> UnrelatedStats {
     let n = inst.n();
     let m = inst.m();
     let mut finite_cells = 0usize;
     let mut elig_sum = 0usize;
     let mut hetero: f64 = 1.0;
+    // Per machine: Σ_j finite p_ij, then Σ_k finite s_ik.
+    let mut work = vec![0u64; m];
+    let mut setup = vec![0u64; m];
     for j in 0..n {
-        let row: Vec<u64> = (0..m).map(|i| inst.ptime(i, j)).filter(|&p| is_finite(p)).collect();
-        finite_cells += row.len();
+        let mut row_min = u64::MAX;
+        let mut row_max = 0u64;
+        for (w, &p) in work.iter_mut().zip(inst.ptimes_row(j)) {
+            if is_finite(p) {
+                finite_cells += 1;
+                row_min = row_min.min(p);
+                row_max = row_max.max(p);
+                *w += p;
+            }
+        }
         elig_sum += inst.eligible_machines(j).len();
-        if let (Some(&max), Some(&min)) = (row.iter().max(), row.iter().min()) {
-            if min > 0 {
-                hetero = hetero.max(max as f64 / min as f64);
+        // `row_min <= row_max` iff the row has a finite cell.
+        if row_min > 0 && row_min <= row_max {
+            hetero = hetero.max(row_max as f64 / row_min as f64);
+        }
+    }
+    for k in 0..inst.num_classes() {
+        for (t, &s) in setup.iter_mut().zip(inst.setups_row(k)) {
+            if is_finite(s) {
+                *t += s;
             }
         }
     }
     let mut setup_ratio = 0.0f64;
-    for i in 0..m {
-        let s: u64 =
-            (0..inst.num_classes()).map(|k| inst.setup(i, k)).filter(|&s| is_finite(s)).sum();
-        let p: u64 = (0..n).map(|j| inst.ptime(i, j)).filter(|&p| is_finite(p)).sum();
+    for (&s, &p) in setup.iter().zip(&work) {
         setup_ratio += s as f64 / p.max(1) as f64;
     }
     UnrelatedStats {

@@ -230,6 +230,10 @@ pub mod stage {
     pub const QUEUE_WAIT_US: &str = "stage.queue_wait_us";
     /// Race wall time (the solve itself).
     pub const RACE_US: &str = "stage.race_us";
+    /// The race's serial prologue inside [`RACE_US`]: feature extraction,
+    /// member selection and the pre-published floors (session floor and
+    /// greedy baseline), before any member starts.
+    pub const FLOOR_US: &str = "stage.floor_us";
     /// Enqueue → response written (total request latency).
     pub const TOTAL_US: &str = "stage.total_us";
     /// Journal record append, including the policy's flush/fsync.

@@ -89,11 +89,8 @@ pub(crate) fn uniform_features(inst: &UniformInstance) -> Features {
 /// being served under (the splittable model shares the data layout).
 pub(crate) fn unrelated_features(inst: &UnrelatedInstance, model: ModelKind) -> Features {
     let s = unrelated_stats(inst);
-    let mut pop = vec![0usize; inst.num_classes()];
-    for j in 0..inst.n() {
-        pop[inst.class_of(j)] += 1;
-    }
-    let max_pop = pop.iter().copied().max().unwrap_or(0);
+    let max_pop =
+        inst.nonempty_classes().iter().map(|&k| inst.jobs_of_class(k).len()).max().unwrap_or(0);
     let (restricted, cur, cupt) = s.structure;
     Features {
         model,

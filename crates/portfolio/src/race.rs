@@ -15,7 +15,9 @@
 //!   descending from the best point any member has reached instead of from
 //!   scratch.
 //!
-//! Threads are plain `std::thread::scope` workers; the incumbent is a
+//! Threads are plain `std::thread::scope` workers, except that a sole
+//! raced member runs inline on the calling thread (a spawn and join would
+//! cost more than a short member); the incumbent is a
 //! `parking_lot`-style mutex around the best `(solution, cost, winner)`
 //! plus the atomic bound. Every member polls the request's
 //! [`CancelToken`], so the race returns within one check interval of the
@@ -37,7 +39,7 @@ use sst_core::telemetry::{self, stage, Telemetry, TraceEvent};
 use crate::features::extract_features;
 use crate::model::Solution;
 use crate::select::{select_portfolio, WinRateTracker};
-use crate::solver::{Cost, ProblemInstance, SolveContext};
+use crate::solver::{Cost, ProblemInstance, SolveContext, Solver};
 
 /// Knobs of one race.
 #[derive(Debug, Clone, Copy)]
@@ -225,7 +227,9 @@ pub fn race_with_floor(
 /// member kept running — of every member that did not finish naturally.
 /// The registry side records per-solver improvement counts,
 /// time-to-first-incumbent histograms, win counters, and the
-/// [`stage::CANCEL_US`] histogram. With `None` this is exactly
+/// [`stage::CANCEL_US`] histogram, and the serial prologue before any
+/// member starts (features, selection, floors) feeds [`stage::FLOOR_US`].
+/// With `None` this is exactly
 /// [`race_with_floor`] — the observer sits entirely off the solve path.
 pub fn race_observed(
     inst: &ProblemInstance,
@@ -266,73 +270,76 @@ pub fn race_observed(
             o.note_incumbent(t0, &first_incumbent, "greedy-baseline", baseline_cost);
         }
     }
+    if let Some(o) = &obs {
+        o.telemetry.record(stage::FLOOR_US, t0.elapsed().as_micros() as u64);
+    }
     let cancel = CancelToken::with_deadline(cfg.budget);
     let reports: Mutex<Vec<(usize, SolverReport)>> =
         Mutex::named("race.reports", Vec::with_capacity(k));
-    std::thread::scope(|scope| {
-        for (slot, solver) in members.iter().enumerate() {
-            let incumbent = &incumbent;
-            let cancel = &cancel;
-            let reports = &reports;
-            let first_incumbent = &first_incumbent;
-            let seed = cfg.seed.wrapping_add(slot as u64);
-            scope.spawn(move || {
-                if let Some(o) = &obs {
-                    o.telemetry
-                        .emit(TraceEvent::SolverStart { id: o.id, solver: solver.name().into() });
-                }
-                let ctx = SolveContext { cancel, seed, incumbent };
-                let started = Instant::now();
-                let outcome = solver.solve(inst, &ctx);
-                let micros = started.elapsed().as_micros() as u64;
-                let report = match outcome {
-                    Some(out) => {
-                        let cost = out.cost;
-                        if incumbent.offer(solver.name(), out.solution, cost) {
-                            if let Some(o) = &obs {
-                                o.note_incumbent(t0, first_incumbent, solver.name(), cost);
-                            }
-                        }
-                        SolverReport {
-                            name: solver.name(),
-                            cost: Some(cost),
-                            micros,
-                            completed: out.complete,
-                        }
-                    }
-                    None => {
-                        SolverReport { name: solver.name(), cost: None, micros, completed: false }
-                    }
-                };
-                if let Some(o) = &obs {
-                    let outcome = match (&report.cost, report.completed) {
-                        (_, true) => "completed",
-                        (Some(_), false) => "cancelled",
-                        (None, false) => "declined",
-                    };
-                    o.telemetry.emit(TraceEvent::SolverEnd {
-                        id: o.id,
-                        solver: report.name.into(),
-                        outcome: outcome.into(),
-                        micros,
-                        makespan: report.cost.map(|c| c.to_f64()),
-                    });
-                    if !report.completed {
-                        // Cancellation latency: how long the member overran
-                        // the shared deadline before honouring the token.
-                        let overrun = micros.saturating_sub(cfg.budget.as_micros() as u64);
-                        o.telemetry.emit(TraceEvent::CancelLatency {
-                            id: o.id,
-                            solver: report.name.into(),
-                            micros: overrun,
-                        });
-                        o.telemetry.record(stage::CANCEL_US, overrun);
-                    }
-                }
-                reports.lock().push((slot, report));
-            });
+    let run = |slot: usize, solver: &'static dyn Solver| {
+        if let Some(o) = &obs {
+            o.telemetry.emit(TraceEvent::SolverStart { id: o.id, solver: solver.name().into() });
         }
-    });
+        let seed = cfg.seed.wrapping_add(slot as u64);
+        let ctx = SolveContext { cancel: &cancel, seed, incumbent: &incumbent };
+        let started = Instant::now();
+        let outcome = solver.solve(inst, &ctx);
+        let micros = started.elapsed().as_micros() as u64;
+        let report = match outcome {
+            Some(out) => {
+                let cost = out.cost;
+                if incumbent.offer(solver.name(), out.solution, cost) {
+                    if let Some(o) = &obs {
+                        o.note_incumbent(t0, &first_incumbent, solver.name(), cost);
+                    }
+                }
+                SolverReport {
+                    name: solver.name(),
+                    cost: Some(cost),
+                    micros,
+                    completed: out.complete,
+                }
+            }
+            None => SolverReport { name: solver.name(), cost: None, micros, completed: false },
+        };
+        if let Some(o) = &obs {
+            let outcome = match (&report.cost, report.completed) {
+                (_, true) => "completed",
+                (Some(_), false) => "cancelled",
+                (None, false) => "declined",
+            };
+            o.telemetry.emit(TraceEvent::SolverEnd {
+                id: o.id,
+                solver: report.name.into(),
+                outcome: outcome.into(),
+                micros,
+                makespan: report.cost.map(|c| c.to_f64()),
+            });
+            if !report.completed {
+                // Cancellation latency: how long the member overran the
+                // shared deadline before honouring the token.
+                let overrun = micros.saturating_sub(cfg.budget.as_micros() as u64);
+                o.telemetry.emit(TraceEvent::CancelLatency {
+                    id: o.id,
+                    solver: report.name.into(),
+                    micros: overrun,
+                });
+                o.telemetry.record(stage::CANCEL_US, overrun);
+            }
+        }
+        reports.lock().push((slot, report));
+    };
+    if let [solver] = members {
+        // A sole member runs on the calling thread: no spawn, no join.
+        run(0, *solver);
+    } else {
+        std::thread::scope(|scope| {
+            for (slot, &solver) in members.iter().enumerate() {
+                let run = &run;
+                scope.spawn(move || run(slot, solver));
+            }
+        });
+    }
     let mut ordered = reports.into_inner();
     ordered.sort_by_key(|&(slot, _)| slot);
     let (solution, cost, winner) = incumbent.into_best().expect("baseline guarantees an incumbent");
@@ -624,6 +631,42 @@ mod tests {
             snap.counter(&sst_core::telemetry::solver_improvements("greedy-baseline")) >= 1
                 || res.winner != "greedy-baseline"
         );
+    }
+
+    #[test]
+    fn sole_member_runs_inline_with_the_same_span_and_floor_stage() {
+        use sst_core::telemetry::{Telemetry, TraceSink};
+        let (sink, buf) = TraceSink::to_shared_buffer();
+        let tel = Telemetry::new(Some(sink));
+        let inst = ProblemInstance::Unrelated(
+            UnrelatedInstance::new(
+                2,
+                vec![0, 1, 0],
+                vec![vec![4, 2], vec![3, 3], vec![1, 5]],
+                vec![vec![1, 2], vec![2, 1]],
+            )
+            .unwrap(),
+        );
+        let cfg = RaceConfig { top_k: 1, ..Default::default() };
+        let obs = RaceObserver { telemetry: &tel, id: 7 };
+        let res = race_observed(&inst, &cfg, None, None, Some(obs));
+        tel.close_trace();
+        let text = String::from_utf8(buf.lock().clone()).unwrap();
+        let count = |kind: &str| {
+            text.lines().filter(|l| l.contains(&format!("\"event\": \"{kind}\""))).count()
+        };
+        assert_eq!(res.reports.len(), 1);
+        assert_eq!((count("race_start"), count("solver_start"), count("solver_end")), (1, 1, 1));
+        assert!(
+            res.winner == res.reports[0].name || res.winner == "greedy-baseline",
+            "the winner is attributed: {}",
+            res.winner
+        );
+        assert_eq!(inst.evaluate(&res.solution).unwrap(), res.cost);
+        let snap = tel.registry().snapshot();
+        let floor = snap.histogram(stage::FLOOR_US).expect("the prologue is recorded");
+        assert_eq!(floor.count(), 1);
+        assert!(floor.max() <= res.micros, "the prologue is part of the race");
     }
 
     #[test]

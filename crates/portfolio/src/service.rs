@@ -1339,6 +1339,10 @@ mod tests {
         let stage = |name: &str| summary.stages.iter().find(|s| s.stage == name);
         assert_eq!(stage("queue_wait_us").expect("queue_wait row").count, reqs.len() as u64);
         assert_eq!(stage("race_us").expect("race row").count, reqs.len() as u64);
+        // The race's serial prologue is its own row, inside race_us.
+        let floor = stage("floor_us").expect("floor row");
+        assert_eq!(floor.count, reqs.len() as u64);
+        assert!(floor.max_us <= stage("race_us").unwrap().max_us, "the prologue is in the race");
         let total = stage("total_us").expect("total row");
         assert_eq!(total.count, reqs.len() as u64);
         assert!(
