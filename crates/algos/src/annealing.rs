@@ -331,16 +331,6 @@ pub fn anneal_uniform(
     anneal::<Uniform>(inst, start, cfg)
 }
 
-/// [`anneal_uniform`] with cooperative cancellation.
-pub fn anneal_uniform_budgeted(
-    inst: &UniformInstance,
-    start: &Schedule,
-    cfg: &AnnealConfig,
-    cancel: &CancelToken,
-) -> AnnealResult {
-    anneal_budgeted::<Uniform>(inst, start, cfg, cancel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,7 +454,7 @@ mod tests {
         let start = Schedule::new(vec![0, 0, 0]);
         let token = CancelToken::new();
         token.cancel();
-        let res = anneal_uniform_budgeted(&inst, &start, &cfg(9), &token);
+        let res = anneal_budgeted::<Uniform>(&inst, &start, &cfg(9), &token);
         assert_eq!(res.schedule, start, "pre-cancelled run proposes nothing");
         assert_eq!(res.accepted, 0);
         assert_eq!(res.proposals, 0);

@@ -9,15 +9,13 @@
 //! * machine symmetry breaking (identical speed + identical load +
 //!   identical class set ⇒ only the first such machine is branched).
 //!
-//! A parallel variant for unrelated machines shares the incumbent through
-//! an `AtomicU64` (lock-free reads on the hot path, following the
-//! Atomics & Locks guidance) and splits the first branching level across
-//! threads.
+//! The unrelated search can share its incumbent with other solvers through
+//! an `AtomicU64` (relaxed loads on the hot pruning path), which is how the
+//! portfolio racer cross-seeds it.
 //!
 //! Class sets are tracked as `u128` bitmasks — the exact solvers support
 //! `K ≤ 128`, far beyond anything they can solve in reasonable time anyway.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sst_core::cancel::CancelToken;
@@ -203,7 +201,7 @@ pub fn exact_unrelated(inst: &UnrelatedInstance, node_limit: u64) -> ExactResult
 ///
 /// `shared_best` is the cross-seeding hook used by the portfolio racer:
 /// makespans published there by *other* solvers tighten this search's
-/// pruning bound (relaxed loads, as in [`exact_unrelated_parallel`]), and
+/// pruning bound (relaxed loads: the value is only a hint), and
 /// improvements found here are published back via `fetch_min`. Because the
 /// externally seeded bound can be smaller than anything this search ever
 /// attains, the returned `makespan` is always recomputed from the returned
@@ -256,9 +254,9 @@ struct UnrelCtx<'a> {
     masks: Vec<u128>,
     nodes: u64,
     node_limit: u64,
-    /// In the parallel solver and the portfolio racer, the fleet-wide
-    /// incumbent. Relaxed ordering is sufficient: the value is only a
-    /// pruning hint; correctness never depends on seeing the latest write.
+    /// In the portfolio racer, the fleet-wide incumbent. Relaxed ordering
+    /// is sufficient: the value is only a pruning hint; correctness never
+    /// depends on seeing the latest write.
     shared_best: Option<&'a AtomicU64>,
     cancel: &'a CancelToken,
     stopped: bool,
@@ -331,107 +329,6 @@ fn unrel_dfs(c: &mut UnrelCtx<'_>, depth: usize) {
         if !had {
             c.masks[i] &= !kbit;
         }
-    }
-}
-
-/// Parallel exact unrelated-machines optimum: the first branching level is
-/// split across `threads` workers; the incumbent makespan lives in an
-/// [`AtomicU64`] (updated with `fetch_min`, read with relaxed loads) and the
-/// incumbent schedule behind a mutex that is only touched on improvement —
-/// the hot pruning path never locks.
-pub fn exact_unrelated_parallel(
-    inst: &UnrelatedInstance,
-    node_limit: u64,
-    threads: usize,
-) -> ExactResult<u64> {
-    exact_unrelated_parallel_budgeted(inst, node_limit, threads, &CancelToken::new())
-}
-
-/// [`exact_unrelated_parallel`] with cooperative cancellation: all workers
-/// poll the same token and unwind within one check interval.
-pub fn exact_unrelated_parallel_budgeted(
-    inst: &UnrelatedInstance,
-    node_limit: u64,
-    threads: usize,
-    cancel: &CancelToken,
-) -> ExactResult<u64> {
-    assert!(inst.num_classes() <= MAX_CLASSES, "exact solver supports K ≤ 128");
-    let incumbent_sched = crate::list::greedy_unrelated(inst);
-    let incumbent = unrelated_makespan(inst, &incumbent_sched).expect("greedy is valid");
-    if inst.n() == 0 || threads <= 1 {
-        return exact_unrelated_budgeted(inst, node_limit, cancel, None);
-    }
-    // Branching on constrained (costly) jobs first shrinks the tree.
-    let order = crate::list::by_decreasing_best_cost(inst);
-    let j0 = order[0];
-    let k0 = inst.class_of(j0);
-    let first_choices: Vec<usize> =
-        (0..inst.m()).filter(|&i| is_finite(inst.cost(i, j0))).collect();
-
-    let global_best = AtomicU64::new(incumbent);
-    let best_sched: Mutex<Vec<usize>> = Mutex::new(incumbent_sched.assignment().to_vec());
-    let total_nodes = AtomicU64::new(0);
-    let completed = AtomicU64::new(1); // stays 1 iff no worker hit its limit
-
-    std::thread::scope(|scope| {
-        for w in 0..threads.min(first_choices.len()) {
-            let order = order.clone();
-            let global_best = &global_best;
-            let best_sched = &best_sched;
-            let total_nodes = &total_nodes;
-            let completed = &completed;
-            let first_choices = &first_choices;
-            scope.spawn(move || {
-                // Each worker owns the first-level choices w, w+T, w+2T, …
-                for (idx, &i0) in first_choices.iter().enumerate() {
-                    if idx % threads != w {
-                        continue;
-                    }
-                    let mut ctx = UnrelCtx {
-                        inst,
-                        order: order.clone(),
-                        best: global_best.load(Ordering::Relaxed),
-                        best_sched: Vec::new(),
-                        assignment: vec![0; inst.n()],
-                        loads: vec![0; inst.m()],
-                        masks: vec![0; inst.m()],
-                        nodes: 0,
-                        node_limit,
-                        shared_best: Some(global_best),
-                        cancel,
-                        stopped: false,
-                    };
-                    // Apply the fixed first-level decision.
-                    let p = inst.ptime(i0, j0);
-                    let s = inst.setup(i0, k0);
-                    ctx.loads[i0] = p + s;
-                    ctx.masks[i0] = 1u128 << k0;
-                    ctx.assignment[j0] = i0;
-                    let before = ctx.best;
-                    unrel_dfs(&mut ctx, 1);
-                    total_nodes.fetch_add(ctx.nodes, Ordering::Relaxed);
-                    if ctx.nodes >= node_limit || ctx.stopped {
-                        completed.store(0, Ordering::Relaxed);
-                    }
-                    if ctx.best < before && !ctx.best_sched.is_empty() {
-                        // Improvement found by this worker: publish schedule
-                        // if it still matches the global best.
-                        let mut guard = best_sched.lock();
-                        if ctx.best <= global_best.load(Ordering::Relaxed) {
-                            global_best.fetch_min(ctx.best, Ordering::Relaxed);
-                            *guard = ctx.best_sched.clone();
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    ExactResult {
-        makespan: global_best.load(Ordering::Relaxed),
-        schedule: Schedule::new(best_sched.into_inner()),
-        nodes: total_nodes.load(Ordering::Relaxed),
-        complete: completed.load(Ordering::Relaxed) == 1,
     }
 }
 
@@ -523,26 +420,6 @@ mod tests {
         .unwrap();
         let res = exact_unrelated(&inst, 1 << 20);
         assert_eq!(res.makespan, 8); // forced split, machine 1 pays 7+1
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        // Deterministic pseudo-random instance, compared across solvers.
-        let n = 9;
-        let m = 3;
-        let mut ptimes = Vec::new();
-        let mut classes = Vec::new();
-        for j in 0..n {
-            classes.push(j % 3);
-            ptimes.push((0..m).map(|i| 1 + ((j * 7 + i * 13 + j * i) % 11) as u64).collect());
-        }
-        let setups = vec![vec![3; m], vec![5; m], vec![2; m]];
-        let inst = UnrelatedInstance::new(m, classes, ptimes, setups).unwrap();
-        let seq = exact_unrelated(&inst, 1 << 24);
-        let par = exact_unrelated_parallel(&inst, 1 << 24, 4);
-        assert!(seq.complete && par.complete);
-        assert_eq!(seq.makespan, par.makespan);
-        assert_eq!(unrelated_makespan(&inst, &par.schedule).unwrap(), par.makespan);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod rounding;
 pub mod splittable;
 
 pub use cupt::solve_class_uniform_ptimes;
-pub use exact::{exact_uniform, exact_unrelated, exact_unrelated_parallel, ExactResult};
+pub use exact::{exact_uniform, exact_unrelated, ExactResult};
 pub use lpt::{lpt_with_setups, lpt_with_setups_makespan, LPT_FACTOR};
 pub use ra::{solve_ra_class_uniform, RaResult};
 pub use repair::{repair_after_deltas, repair_schedule, RepairError, RepairOutcome};

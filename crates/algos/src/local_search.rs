@@ -132,16 +132,6 @@ pub fn improve_uniform(
     improve::<Uniform>(inst, start, max_moves)
 }
 
-/// [`improve_uniform`] with cooperative cancellation.
-pub fn improve_uniform_budgeted(
-    inst: &UniformInstance,
-    start: &Schedule,
-    max_moves: usize,
-    cancel: &CancelToken,
-) -> LocalSearchResult {
-    improve_budgeted::<Uniform>(inst, start, max_moves, cancel)
-}
-
 /// Descent for unrelated instances (same move set; infeasible targets —
 /// infinite processing or setup time — are skipped by the tracker, so the
 /// schedule stays valid).
@@ -376,7 +366,7 @@ mod tests {
         let start = Schedule::new(vec![0; 4]);
         let token = sst_core::cancel::CancelToken::new();
         token.cancel();
-        let res = improve_uniform_budgeted(&inst, &start, 1000, &token);
+        let res = improve_budgeted::<Uniform>(&inst, &start, 1000, &token);
         let before = uniform_makespan(&inst, &start).unwrap();
         let after = uniform_makespan(&inst, &res.schedule).unwrap();
         assert!(after <= before, "anytime return must not degrade the start");

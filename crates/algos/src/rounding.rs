@@ -130,33 +130,6 @@ pub fn round_fractional_budgeted(
     (Schedule::new(assigned.into_iter().map(|a| a.expect("all assigned")).collect()), fallback)
 }
 
-/// Best-of-R rounding: repeats [`round_fractional`] with derived seeds and
-/// keeps the best schedule. The theoretical guarantee is unchanged (each
-/// repeat satisfies Theorem 3.3 independently); in practice a handful of
-/// repeats shaves the constant. The LP is *not* re-solved — rounding is
-/// cheap relative to the simplex, so repeats are nearly free.
-pub fn round_fractional_best_of(
-    inst: &UnrelatedInstance,
-    frac: &FractionalAssignment,
-    cfg: &RoundingConfig,
-    repeats: u32,
-) -> (Schedule, u64) {
-    assert!(repeats >= 1);
-    let mut best: Option<(Schedule, u64)> = None;
-    for r in 0..repeats {
-        let cfg_r = RoundingConfig {
-            c: cfg.c,
-            seed: cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1)),
-        };
-        let (sched, _) = round_fractional(inst, frac, &cfg_r);
-        let ms = unrelated_makespan(inst, &sched).expect("rounding schedules are valid");
-        if best.as_ref().map(|&(_, b)| ms < b).unwrap_or(true) {
-            best = Some((sched, ms));
-        }
-    }
-    best.expect("repeats >= 1")
-}
-
 /// The full Section-3.1 algorithm: bisect `T` over LP feasibility, round
 /// the fractional solution at the smallest feasible guess.
 pub fn solve_unrelated_randomized(
@@ -286,27 +259,6 @@ mod tests {
         assert_eq!(res.makespan, 6);
         assert_eq!(res.t_star, 6);
         assert_eq!(res.fallback_jobs, 0);
-    }
-
-    #[test]
-    fn best_of_never_loses_to_single_rounding() {
-        let inst = pseudo_random_instance(25, 4, 5, 17);
-        let lb = unrelated_lower_bound(&inst);
-        let ub = unrelated_upper_bound(&inst);
-        let (_, frac) = binary_search_u64(lb, ub, |t| match solve_ilp_um_relaxation(&inst, t) {
-            LpRelaxOutcome::Feasible(f) => Decision::Feasible(f),
-            LpRelaxOutcome::Infeasible => Decision::Infeasible,
-        })
-        .unwrap();
-        let cfg = RoundingConfig { c: 2.0, seed: 1 };
-        let (s1, _) = round_fractional(
-            &inst,
-            &frac,
-            &RoundingConfig { c: 2.0, seed: cfg.seed.wrapping_add(0x9E37_79B9_7F4A_7C15) },
-        );
-        let ms1 = unrelated_makespan(&inst, &s1).unwrap();
-        let (_, best) = round_fractional_best_of(&inst, &frac, &cfg, 5);
-        assert!(best <= ms1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sst_algos::exact::{exact_unrelated, exact_unrelated_parallel};
+use sst_algos::exact::exact_unrelated;
 use sst_algos::list::greedy_unrelated;
 use sst_algos::pseudoforest::compute_etilde;
 use sst_algos::rounding::{solve_unrelated_randomized, RoundingConfig};
@@ -96,14 +96,6 @@ proptest! {
             unrelated_makespan(&inst, &res.schedule).expect("valid"),
             res.makespan
         );
-    }
-
-    #[test]
-    fn parallel_exact_agrees_with_sequential(inst in small_unrelated()) {
-        let seq = exact_unrelated(&inst, 1 << 22);
-        let par = exact_unrelated_parallel(&inst, 1 << 22, 3);
-        prop_assume!(seq.complete && par.complete);
-        prop_assert_eq!(seq.makespan, par.makespan);
     }
 
     #[test]

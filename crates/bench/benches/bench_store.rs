@@ -13,13 +13,13 @@
 //! so real batches form even on a single core.
 //!
 //! Section 2 (direction gate): a read-heavy session workload against a
-//! global store (1 shard) vs a sharded store (8 shards). Reads are
-//! lock-free in both (the arc-swap snapshot), so the shards only pay
-//! off when *writers* on distinct shards stop queueing on one mutex —
-//! a multicore effect. The gate is direction-only (sharded must not be
-//! meaningfully slower: ≤ 1.10× the global time) because on a
-//! single-core runner the two are an expected tie; the measured ratio
-//! is printed for the ROADMAP table.
+//! global store (1 shard) vs a sharded store (8 shards). Every read and
+//! write locks the sid's shard for a lookup, a stamp and an `Arc` clone,
+//! so the shards pay off when readers and writers on distinct shards
+//! stop queueing on one mutex — a multicore effect. The gate is
+//! direction-only (sharded must not be meaningfully slower: ≤ 1.10× the
+//! global time) because on a single-core runner the two are an expected
+//! tie; the measured ratio is printed for the ROADMAP table.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -167,9 +167,9 @@ fn sharded_store_table() {
     }
     println!("sharded speedup: {:.2}x", global_us / sharded_us);
     // Direction gate: sharding must never cost read throughput. On a
-    // single core the two layouts are an expected tie (reads are
-    // lock-free either way), so the bound only rejects a real
-    // regression, with 10% slack for scheduler noise.
+    // single core the two layouts are an expected tie (a shard lock is
+    // never contended while its holder runs), so the bound only rejects
+    // a real regression, with 10% slack for scheduler noise.
     assert!(
         sharded_us <= global_us * 1.10,
         "sharded store ({sharded_us:.0}us) must not be slower than the \
@@ -180,8 +180,9 @@ fn sharded_store_table() {
 fn bench(c: &mut Criterion) {
     group_commit_table();
     sharded_store_table();
-    // Criterion tracking of the lock-free read primitive itself, for
-    // run-over-run comparison.
+    // Criterion tracking of the uncontended read primitive itself (one
+    // shard lock, a stamp and an `Arc` clone), for run-over-run
+    // comparison.
     let store = SessionStore::new(SESSIONS as usize * 2).with_shards(8);
     for sid in 0..SESSIONS {
         store.create(sid, entry(sid), 0);

@@ -19,7 +19,6 @@ use sst_algos::ra::solve_ra_class_uniform;
 use sst_algos::rounding::{solve_unrelated_randomized, RoundingConfig};
 use sst_core::bounds::uniform_lower_bound;
 use sst_core::groups::SpeedGroups;
-use sst_core::ratio::Ratio;
 use sst_core::schedule::{uniform_makespan, unrelated_makespan};
 use sst_gen::{SetupWeight, SpeedProfile, UniformParams, UnrelatedParams};
 
@@ -768,17 +767,6 @@ pub fn run_experiments_with(
             t
         })
         .collect()
-}
-
-/// Runs the selected experiments (all when `ids` is empty) and returns the
-/// tables in order.
-pub fn run_experiments(ids: &[String], quick: bool) -> Vec<Table> {
-    run_experiments_with(ids, quick, |_| {})
-}
-
-/// Helper for Ratio formatting in future tables.
-pub fn ratio_str(r: Ratio) -> String {
-    format!("{:.3}", r.to_f64())
 }
 
 /// Serializes finished tables as a JSON array (id, title, claim, header,

@@ -165,7 +165,7 @@ USAGE
             [--fault-injection true]
             [--data-dir DIR] [--durability none|flush|fsync]
             [--session-lanes N] [--journal-batch N] [--group-commit-us US]
-            [--trace-out FILE|stderr] [--metrics-interval MS]
+            [--trace-out FILE|stderr]
       solver-portfolio service speaking NDJSON: one request object per
       line ({\"id\": .., \"instance\": {..}, \"budget_ms\": ..}), one
       response per line; instance.kind is uniform | unrelated |
@@ -190,9 +190,10 @@ USAGE
       recovers every live session by replay (--durability: none buffers
       until graceful exit, flush [default] pushes each append to the OS
       — survives SIGKILL — and fsync also survives power loss). The
-      session store is sharded per lane with lock-free reads; journal
-      appends from concurrent lanes coalesce into group commits — one
-      write and one flush/fsync per batch of up to --journal-batch
+      session store is sharded per lane, each shard behind its own
+      lock, so distinct lanes never contend on a read; journal appends
+      from concurrent lanes coalesce into group commits — one write
+      and one flush/fsync per batch of up to --journal-batch
       records (default 64; 1 = one record per commit), with an optional
       --group-commit-us linger window to let a batch fill. Responses
       still wait for their own record to be durable.
@@ -208,8 +209,6 @@ USAGE
       dequeue, race/solver spans, incumbents, journal appends,
       snapshots, recovery) to a file or stderr, non-blocking: under
       backpressure events are dropped and counted, never stalled on.
-      --metrics-interval MS prints a one-line metrics digest to stderr
-      every MS milliseconds.
   sst pack <instance.json> <out.sst>
   sst unpack <in.sst> <instance.json>
       convert between the JSON instance schema and the packed binary
@@ -270,7 +269,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         "journal-batch",
         "group-commit-us",
         "trace-out",
-        "metrics-interval",
     ])?;
     let data_dir = args.flag("data-dir").map(std::path::PathBuf::from);
     let durability = match args.flag("durability") {
@@ -304,7 +302,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         journal_batch: args.flag_parse("journal-batch", 64usize)?.max(1),
         group_commit_us: args.flag_parse("group-commit-us", 0u64)?,
         trace,
-        metrics_interval_ms: args.flag_parse("metrics-interval", 0u64)?,
     };
     match args.flag("tcp") {
         Some(addr) => {
@@ -1623,6 +1620,11 @@ mod tests {
         assert!(err.to_string().contains("unknown flag --mode"), "--mode is gone: {err}");
         let err = run(&parse(&toks(&["serve", "--shards", "2"])).unwrap()).unwrap_err();
         assert!(err.to_string().contains("unknown flag --shards"), "--shards is gone: {err}");
+        let err = run(&parse(&toks(&["serve", "--metrics-interval", "5"])).unwrap()).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown flag --metrics-interval"),
+            "--metrics-interval is gone: {err}"
+        );
         let err = run(&parse(&toks(&["serve", "--fault-injection", "maybe"])).unwrap());
         assert!(err.is_err(), "--fault-injection takes true|false");
         let err = run(&parse(&toks(&["serve", "--typo", "1"])).unwrap());

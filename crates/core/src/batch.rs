@@ -28,19 +28,9 @@ pub struct PlaceholderMap {
 }
 
 impl PlaceholderMap {
-    /// Original id of transformed job `j'`, or `None` for placeholders.
-    pub fn original_of(&self, j_new: JobId) -> Option<JobId> {
-        self.kept.get(j_new).copied()
-    }
-
     /// Number of kept (non-placeholder) jobs in the transformed instance.
     pub fn num_kept(&self) -> usize {
         self.kept.len()
-    }
-
-    /// Original job ids removed from class `k` (ascending).
-    pub fn removed_of_class(&self, k: ClassId) -> &[JobId] {
-        &self.removed[k]
     }
 }
 
@@ -172,9 +162,9 @@ mod tests {
         // class 1: removed 6 → ⌈6/6⌉ = 1 placeholder of size 6.
         assert_eq!(t.n(), 1 + 2);
         assert_eq!(map.num_kept(), 1);
-        assert_eq!(map.original_of(0), Some(0));
-        assert_eq!(map.original_of(1), None);
-        assert_eq!(map.removed_of_class(0), &[1, 2]);
+        assert_eq!(map.kept.first().copied(), Some(0));
+        assert_eq!(map.kept.get(1).copied(), None);
+        assert_eq!(map.removed[0], &[1, 2]);
         let ph: Vec<_> = (1..t.n()).map(|j| t.job(j)).collect();
         assert_eq!(ph, vec![Job::new(0, 10), Job::new(1, 6)]);
     }

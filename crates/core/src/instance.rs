@@ -233,17 +233,6 @@ impl UniformInstance {
     pub fn is_identical(&self) -> bool {
         self.speeds.iter().all(|&v| v == self.speeds[0])
     }
-
-    /// Scales every job and setup size by `factor` (used by the
-    /// simplification pipeline so that rounded sizes stay integral).
-    pub fn scale_sizes(&self, factor: u64) -> UniformInstance {
-        UniformInstance {
-            speeds: self.speeds.clone(),
-            setups: self.setups.iter().map(|&s| s * factor).collect(),
-            jobs: self.jobs.iter().map(|&j| Job::new(j.class, j.size * factor)).collect(),
-            by_class: self.by_class.clone(),
-        }
-    }
 }
 
 /// An instance of scheduling with setup times on **unrelated machines**:
@@ -638,14 +627,6 @@ mod tests {
         let inst = UniformInstance::identical(4, vec![2], vec![Job::new(0, 7)]).unwrap();
         assert!(inst.is_identical());
         assert_eq!(inst.m(), 4);
-    }
-
-    #[test]
-    fn scale_sizes_scales_jobs_and_setups() {
-        let inst = small_uniform().scale_sizes(3);
-        assert_eq!(inst.job(0).size, 12);
-        assert_eq!(inst.setup(1), 15);
-        assert_eq!(inst.speed(0), 2); // speeds untouched
     }
 
     fn small_unrelated() -> UnrelatedInstance {

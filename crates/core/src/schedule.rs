@@ -6,7 +6,7 @@
 //! present class's setup exactly once.
 
 use crate::error::ScheduleError;
-use crate::instance::{is_finite, JobId, MachineId, UniformInstance, UnrelatedInstance, INF};
+use crate::instance::{is_finite, JobId, MachineId, UniformInstance, UnrelatedInstance};
 use crate::ratio::Ratio;
 
 /// An assignment of every job to one machine.
@@ -194,19 +194,10 @@ pub fn setups_per_machine(inst: &UnrelatedInstance, sched: &Schedule) -> Vec<usi
     counts
 }
 
-/// Makespan of an unrelated schedule treating infinite entries as [`INF`]
-/// instead of failing — used when *measuring* how bad a baseline is.
-pub fn unrelated_makespan_or_inf(inst: &UnrelatedInstance, sched: &Schedule) -> u64 {
-    match unrelated_makespan(inst, sched) {
-        Ok(v) => v,
-        Err(_) => INF,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::Job;
+    use crate::instance::{Job, INF};
 
     fn inst() -> UniformInstance {
         // speeds 2,1; classes with setups 3 and 5.
@@ -271,7 +262,7 @@ mod tests {
             unrelated_loads(&inst, &bad_p),
             Err(ScheduleError::InfiniteProcessingTime { job: 1, machine: 0 })
         ));
-        assert_eq!(unrelated_makespan_or_inf(&inst, &bad_p), INF);
+        assert!(unrelated_makespan(&inst, &bad_p).is_err());
 
         let bad_s = Schedule::new(vec![0, 1, 1]);
         assert!(matches!(

@@ -281,12 +281,6 @@ impl WinRateTracker {
             .copied()
             .unwrap_or_default()
     }
-
-    /// Whether a solver has proven useless in this family (see
-    /// [`WinStats::demoted`]).
-    pub fn is_demoted(&self, family: &str, name: &'static str) -> bool {
-        self.stats(family, name).demoted()
-    }
 }
 
 /// A ranked portfolio plus the prefix length still in good standing — the
@@ -306,7 +300,7 @@ pub struct Portfolio {
 /// in good standing are stably ordered by descending
 /// [`WinStats::ranking_score`] (recent winners first; members without
 /// enough evidence float at the optimistic prior, i.e. keep their static
-/// relative order), demoted members (see [`WinRateTracker::is_demoted`])
+/// relative order), demoted members (see [`WinStats::demoted`])
 /// move — stably — behind every member still in good standing, and
 /// [`Portfolio::active`] tells the racer how many leading slots are worth
 /// racing (the per-family `top_k` *shrinking*: demoted members free
@@ -440,15 +434,15 @@ mod tests {
         assert_eq!((lpt.races, lpt.wins), (7, 7));
         assert_eq!(lpt.score, ewma(&[true; 7]), "score must replay the decay bit-exactly");
         assert_eq!(t.stats(fam, "anneal").score, 0.0, "winless score is exactly zero");
-        assert!(!t.is_demoted(fam, "anneal"), "7 races is below the evidence floor");
+        assert!(!t.stats(fam, "anneal").demoted(), "7 races is below the evidence floor");
         // Race 8: anneal wins once, local-search still winless.
         t.record(fam, &raced, Some("anneal"));
         let anneal = t.stats(fam, "anneal");
         assert_eq!((anneal.races, anneal.wins), (8, 1));
         assert_eq!(anneal.score, 1.0 - SCORE_DECAY, "a fresh win banks 1 − DECAY");
-        assert!(!t.is_demoted(fam, "anneal"), "a recent win keeps the score high");
-        assert!(t.is_demoted(fam, "local-search"), "8 races, score 0 → demoted");
-        assert!(!t.is_demoted(fam, "lpt"));
+        assert!(!t.stats(fam, "anneal").demoted(), "a recent win keeps the score high");
+        assert!(t.stats(fam, "local-search").demoted(), "8 races, score 0 → demoted");
+        assert!(!t.stats(fam, "lpt").demoted());
         // A floor race (no member won) still counts and still decays.
         t.record(fam, &raced, None);
         let lpt = t.stats(fam, "lpt");
@@ -456,7 +450,7 @@ mod tests {
         assert_eq!(lpt.score, ewma(&[true, true, true, true, true, true, true, false, false]));
         // Families are independent: same solver, different family, clean.
         assert_eq!(t.stats("unrelated|ra=false|cur=false|cupt=false|setup-light", "lpt").races, 0);
-        assert!(!t.is_demoted("other-family", "local-search"));
+        assert!(!t.stats("other-family", "local-search").demoted());
     }
 
     #[test]
@@ -474,7 +468,7 @@ mod tests {
             t.record(fam, &["anneal"], None);
             outcomes.push(false);
             assert_eq!(t.stats(fam, "anneal").score, ewma(&outcomes), "race {race}");
-            if t.is_demoted(fam, "anneal") {
+            if t.stats(fam, "anneal").demoted() {
                 demoted_at = Some(race);
                 break;
             }
@@ -508,7 +502,7 @@ mod tests {
             t.record(&fam, &raced, Some("anneal"));
         }
         assert!(t.stats(&fam, "anneal").ranking_score() > DEMOTION_SCORE);
-        assert!(t.is_demoted(&fam, first));
+        assert!(t.stats(&fam, first).demoted());
         let adapted = names(&select_adaptive(&feat, Some(&t)));
         let mut expected: Vec<&str> = vec!["anneal"];
         expected.extend(base.iter().copied().filter(|n| *n != first && *n != "anneal"));
@@ -550,7 +544,7 @@ mod tests {
             );
             // The active prefix contains no demoted member.
             for s in &p.ranked[..p.active] {
-                assert!(!t.is_demoted(&fam, s.name()), "{} still active", s.name());
+                assert!(!t.stats(&fam, s.name()).demoted(), "{} still active", s.name());
             }
         }
         // A tracker where *every* member is winless: active floors at 1,

@@ -129,10 +129,6 @@ pub struct ServeConfig {
     /// and durability events stream to it as NDJSON. `None` disables
     /// tracing; the metrics registry runs either way.
     pub trace: Option<TraceSink>,
-    /// Periodic self-report interval (`--metrics-interval`, milliseconds):
-    /// every interval one metrics summary line is printed to stderr. `0`
-    /// disables the reporter.
-    pub metrics_interval_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -151,7 +147,6 @@ impl Default for ServeConfig {
             journal_batch: 64,
             group_commit_us: 0,
             trace: None,
-            metrics_interval_ms: 0,
         }
     }
 }
@@ -368,9 +363,6 @@ pub struct Service {
     metrics: Arc<Metrics>,
     tracker: Arc<WinRateTracker>,
     sessions: Arc<SessionStore>,
-    /// The periodic stderr self-reporter (`--metrics-interval`): the
-    /// sender stops it, the handle joins it at shutdown.
-    reporter: Option<(std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>)>,
 }
 
 /// Standings rows included in a metrics response (the tracker can hold
@@ -869,41 +861,14 @@ impl Service {
             }));
             session_lanes.push(tx);
         }
-        // The periodic self-reporter: one metrics summary line to stderr
-        // every interval, stopped (and joined) at shutdown.
-        let reporter = (cfg.metrics_interval_ms > 0).then(|| {
-            let (stop_tx, stop_rx) = std::sync::mpsc::channel::<()>();
-            let metrics = Arc::clone(&metrics);
-            let interval = Duration::from_millis(cfg.metrics_interval_ms);
-            let handle = std::thread::spawn(move || loop {
-                match stop_rx.recv_timeout(interval) {
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        let s = metrics.summary();
-                        let p50 = |stage| s.stage(stage).map_or(0, |row| row.p50_us);
-                        eprintln!(
-                            "sst-serve: metrics ok={} errors={} rps_x1000={} race_p50_us={} \
-                             queue_p50_us={} trace_dropped={}",
-                            s.count,
-                            s.errors,
-                            s.rps_x1000,
-                            p50("race_us"),
-                            p50("queue_wait_us"),
-                            s.trace_dropped
-                        );
-                    }
-                    _ => return,
-                }
-            });
-            (stop_tx, handle)
-        });
-        Ok(Service { pool, session_lanes, lane_handles, metrics, tracker, sessions, reporter })
+        Ok(Service { pool, session_lanes, lane_handles, metrics, tracker, sessions })
     }
 
     /// The lane a session id maps to: splitmix64 finalizer mod lane count.
     /// Every verb of one session hashes identically, so per-session order
     /// holds; distinct sessions spread across lanes. Delegates to
     /// [`crate::session::shard_of`] so a lane and its store shard agree:
-    /// with `session_lanes == shard_count`, verbs on one lane only ever
+    /// with as many store shards as lanes, verbs on one lane only ever
     /// take their own shard's lock, and cross-lane contention vanishes.
     fn lane_of(sid: u64, lanes: usize) -> usize {
         crate::session::shard_of(sid, lanes)
@@ -1047,16 +1012,6 @@ impl Service {
         full_summary(&self.metrics, &self.sessions, &self.tracker)
     }
 
-    /// Workers still alive (decreases under fault injection).
-    pub fn alive_workers(&self) -> usize {
-        self.pool.alive()
-    }
-
-    /// The shared adaptive-selection tracker (all workers feed it).
-    pub fn win_rate_tracker(&self) -> &WinRateTracker {
-        &self.tracker
-    }
-
     /// The shared session store (all workers serve it).
     pub fn session_store(&self) -> &SessionStore {
         &self.sessions
@@ -1073,10 +1028,6 @@ impl Service {
         }
         self.pool.shutdown();
         flush_durable_store(&self.sessions);
-        if let Some((stop, handle)) = self.reporter.take() {
-            let _ = stop.send(());
-            let _ = handle.join();
-        }
         let summary = full_summary(&self.metrics, &self.sessions, &self.tracker);
         // Close the trace sink last: it drains the ring and appends the
         // final `sink_close` event (with the dropped count), making the
@@ -1510,12 +1461,12 @@ mod tests {
         svc.dispatch("{\"kill_worker\": true}".into(), Arc::clone(&out));
         // Wait until the pool has observed the death.
         for _ in 0..1000 {
-            if svc.alive_workers() == 0 {
+            if svc.pool.alive() == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(svc.alive_workers(), 0);
+        assert_eq!(svc.pool.alive(), 0);
         let req = &requests()[0];
         svc.dispatch(request_to_json(req), Arc::clone(&out));
         // The client must get its error line synchronously — no hang.
@@ -1785,7 +1736,7 @@ mod tests {
         }
         let raced_total: u64 = crate::select::registry()
             .iter()
-            .map(|s| svc.win_rate_tracker().stats(&family, s.name()).races)
+            .map(|s| svc.tracker.stats(&family, s.name()).races)
             .sum();
         // 3 uniform requests with top_k = 2 → 6 slot-races recorded.
         assert_eq!(raced_total, 6, "every uniform race must feed the shared tracker");

@@ -25,24 +25,25 @@
 //! **Sharding:** the map is split into per-lane shards keyed by the same
 //! splitmix64 hash ([`shard_of`]) the service uses to pick a session's
 //! FIFO lane, so verbs on distinct lanes never contend on a shard lock.
-//! Each shard publishes its member map through an
-//! [`ArcSwap`] snapshot: hot-path *reads* — entry
-//! lookup, LRU touch, metrics probe, spill revalidation — are lock-free
-//! (load the published map, bump an atomic stamp, clone an `Arc`), while
-//! membership changes (create / close / spill / reload) and state
-//! write-backs take only that shard's `session.shard` lock. The LRU bound
-//! and every counter stay **global**: victim selection scans the published
-//! shard maps lock-free for the minimum stamp and revalidates under the
-//! victim's shard lock, so a concurrent touch or write-back can never lose
-//! state to a spill. A new member first reserves its slot on one global
-//! atomic count of hot slots plus reservations, displacing victims until
-//! the reservation fits, so concurrent creates on different lanes never
-//! overshoot the bound. No code path ever holds two shard locks at once, nor
-//! a shard lock across journal or snapshot IO.
+//! Each shard is one `session.shard` mutex around a plain member map:
+//! a read (entry lookup + LRU touch) locks the sid's shard, bumps the
+//! slot's recency stamp and clones an `Arc`; a membership change (create /
+//! close / spill / reload) is one in-place insert or remove; a write-back
+//! swaps the slot's state pointer. The LRU bound and every counter stay
+//! **global**: victim selection scans the shards for the minimum stamp,
+//! locking one shard at a time, and revalidates under the victim's shard
+//! lock, so a concurrent touch or write-back can never lose state to a
+//! spill. A new member first reserves its slot on one global atomic count
+//! of hot slots plus reservations, displacing victims until the
+//! reservation fits, so concurrent creates on different lanes never
+//! overshoot the bound. No code path ever holds two shard locks at once,
+//! nor a shard lock across journal or snapshot IO. The metrics probe
+//! ([`SessionStore::stats`]) reads atomics only.
 //!
 //! Entries are stored behind `Arc`s, so reads clone a pointer and writes
 //! swap one — a shard lock is held for pointer-sized work only; repairs,
-//! races and snapshot file writes run outside it on the shared snapshot.
+//! races and snapshot file writes run outside it on the shared entry, and
+//! a replaced entry is freed outside the lock.
 //! Two concurrent requests on the *same* session id are last-write-wins.
 //!
 //! **Ordering:** session verbs do not ride the work-stealing pool (which
@@ -55,7 +56,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use arc_swap::ArcSwap;
 use parking_lot::Mutex;
 use sst_core::schedule::Schedule;
 use sst_core::telemetry::{Telemetry, TraceEvent};
@@ -123,8 +123,9 @@ pub struct SessionStats {
     pub snapshots: u64,
 }
 
-/// A session's current state, replaced wholesale on every write-back so
-/// lock-free readers always see a consistent (entry, seq, fresh) triple.
+/// A session's current state, replaced wholesale on every write-back, so
+/// a spill's revalidation can tell by pointer identity whether the state
+/// it wrote to disk is still current.
 struct Stamped {
     entry: Arc<SessionEntry>,
     /// Last journal sequence number folded into `entry` (0 = none).
@@ -134,54 +135,23 @@ struct Stamped {
     fresh: u64,
 }
 
-/// One member of a shard map. The slot itself is shared (`Arc`) between
-/// the published map snapshots, so a touch or write-back is visible to
-/// every reader without republishing the map.
+/// One member of a shard map.
 struct Slot {
-    /// LRU recency stamp, ticks of the store-global clock. Written
-    /// lock-free by touches; spills revalidate it under the shard lock.
-    stamp: AtomicU64,
+    /// LRU recency stamp, a tick of the store-global clock. Every tick is
+    /// unique, so spills revalidate against it.
+    stamp: u64,
     /// The session's state; see [`Stamped`].
-    state: ArcSwap<Stamped>,
+    state: Arc<Stamped>,
 }
 
-/// One shard: a published member-map snapshot plus the lock serializing
-/// writers. Readers never take the lock.
-struct Shard {
-    /// Serializes membership changes and write-backs within the shard.
-    /// Every shard's lock shares the `session.shard` lockdep name (one
-    /// graph node), so the no-two-shard-locks rule is machine-checked:
-    /// nesting any two would record a self-edge, i.e. a cycle.
-    guard: Mutex<()>,
-    /// The shard's members, published for lock-free reads. Mutated
-    /// copy-on-write under `guard` (membership is rare next to reads).
-    map: ArcSwap<BTreeMap<u64, Arc<Slot>>>,
-}
+/// One shard: its members behind one lock. Every shard's lock shares the
+/// `session.shard` lockdep name (one graph node), so the no-two-shard-locks
+/// rule is machine-checked: nesting any two would record a self-edge,
+/// i.e. a cycle.
+type Shard = Mutex<BTreeMap<u64, Slot>>;
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            guard: Mutex::named("session.shard", ()),
-            map: ArcSwap::new(Arc::new(BTreeMap::new())),
-        }
-    }
-
-    /// Copy-on-write insert; the caller must hold `guard`.
-    fn insert(&self, sid: u64, slot: Arc<Slot>) {
-        let mut map = (*self.map.load()).clone();
-        map.insert(sid, slot);
-        self.map.store(Arc::new(map));
-    }
-
-    /// Copy-on-write remove; the caller must hold `guard`.
-    fn remove(&self, sid: u64) -> bool {
-        let mut map = (*self.map.load()).clone();
-        let found = map.remove(&sid).is_some();
-        if found {
-            self.map.store(Arc::new(map));
-        }
-        found
-    }
+fn new_shard() -> Shard {
+    Mutex::named("session.shard", BTreeMap::new())
 }
 
 /// What one attempt to free a hot slot did.
@@ -197,7 +167,7 @@ enum Displaced {
 
 /// Thread-safe, LRU-bounded session store shared by all pool workers,
 /// optionally backed by a [`DurableStore`] (journal + snapshot spill).
-/// Sharded per lane with lock-free reads; see the module docs.
+/// Sharded per lane, one lock per shard; see the module docs.
 pub struct SessionStore {
     max: usize,
     shards: Vec<Shard>,
@@ -232,7 +202,7 @@ impl SessionStore {
     fn build(max_sessions: usize, persist: Option<Arc<DurableStore>>) -> Self {
         SessionStore {
             max: max_sessions.max(1),
-            shards: (0..DEFAULT_SHARDS).map(|_| Shard::new()).collect(),
+            shards: (0..DEFAULT_SHARDS).map(|_| new_shard()).collect(),
             hot: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
@@ -249,13 +219,8 @@ impl SessionStore {
     /// shape (`--session-lanes`). Only meaningful on an empty store; call
     /// it right after construction.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = (0..shards.max(1)).map(|_| Shard::new()).collect();
+        self.shards = (0..shards.max(1)).map(|_| new_shard()).collect();
         self
-    }
-
-    /// The configured shard count.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Installs the serving process's telemetry: capacity spills and cold
@@ -283,17 +248,17 @@ impl SessionStore {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Lock-free global LRU scan: the minimum-stamp slot across every
-    /// published shard map, with the evidence (slot pointer + stamp) the
+    /// Global LRU scan, one shard lock at a time: the minimum-stamp slot
+    /// across every shard, with the evidence (stamp + state pointer) the
     /// caller needs to revalidate under the victim's shard lock.
-    fn lru_victim(&self) -> Option<(u64, Arc<Slot>, u64)> {
-        let mut best: Option<(u64, Arc<Slot>, u64)> = None;
+    fn lru_victim(&self) -> Option<(u64, u64, Arc<Stamped>)> {
+        let mut best: Option<(u64, u64, Arc<Stamped>)> = None;
         for shard in &self.shards {
-            let map = shard.map.load();
-            for (&sid, slot) in map.iter() {
-                let stamp = slot.stamp.load(Ordering::Relaxed);
-                if best.as_ref().is_none_or(|(_, _, b)| stamp < *b) {
-                    best = Some((sid, Arc::clone(slot), stamp));
+            let map = shard.lock();
+            let oldest = map.iter().min_by_key(|(_, slot)| slot.stamp);
+            if let Some((&sid, slot)) = oldest {
+                if best.as_ref().is_none_or(|(_, b, _)| slot.stamp < *b) {
+                    best = Some((sid, slot.stamp, Arc::clone(&slot.state)));
                 }
             }
         }
@@ -335,26 +300,22 @@ impl SessionStore {
     fn displace_lru(&self) -> Displaced {
         // No member yet: the slots are reservations whose inserts are in
         // flight.
-        let Some((vsid, vslot, vstamp)) = self.lru_victim() else { return Displaced::Retry };
-        let vstate = vslot.state.load();
+        let Some((vsid, vstamp, vstate)) = self.lru_victim() else { return Displaced::Retry };
         if let Some(persist) = self.persist.as_ref() {
             if persist.write_snapshot(vsid, vstate.seq, &vstate.entry).is_err() {
                 return Displaced::Stuck;
             }
         }
-        let shard = self.shard(vsid);
         {
-            let _guard = shard.guard.lock();
-            let unchanged = shard.map.load().get(&vsid).is_some_and(|slot| {
-                Arc::ptr_eq(slot, &vslot)
-                    && slot.stamp.load(Ordering::Relaxed) == vstamp
-                    && Arc::ptr_eq(&slot.state.load(), &vstate)
-            });
+            let mut map = self.shard(vsid).lock();
+            let unchanged = map
+                .get(&vsid)
+                .is_some_and(|slot| slot.stamp == vstamp && Arc::ptr_eq(&slot.state, &vstate));
             // Closed, touched or updated meanwhile: re-pick the victim.
             if !unchanged {
                 return Displaced::Retry;
             }
-            shard.remove(vsid);
+            map.remove(&vsid);
             self.hot.fetch_sub(1, Ordering::Relaxed);
         }
         if self.persist.is_some() {
@@ -373,7 +334,7 @@ impl SessionStore {
     /// count and the displaced session id, if any.
     pub fn create(&self, sid: u64, entry: SessionEntry, seq: u64) -> (usize, Option<u64>) {
         // Allocation and room-making outside the lock; each critical
-        // section publishes one map snapshot.
+        // section is one map insert.
         let state = Arc::new(Stamped { entry: Arc::new(entry), seq, fresh: u64::from(seq > 0) });
         let mut displaced = None;
         if !self.publish(sid, &state, false) {
@@ -383,38 +344,37 @@ impl SessionStore {
         (self.live(), displaced)
     }
 
-    /// Publishes `state` as session `sid`'s slot under its shard lock.
+    /// Inserts `state` as session `sid`'s slot under its shard lock.
     /// Replacing a hot session hands a `reserved` slot back; a new member
-    /// needs the reservation, so without one nothing is published and the
+    /// needs the reservation, so without one nothing is inserted and the
     /// result is `false`.
     fn publish(&self, sid: u64, state: &Arc<Stamped>, reserved: bool) -> bool {
-        let shard = self.shard(sid);
-        let _guard = shard.guard.lock();
-        let hot = shard.map.load().contains_key(&sid);
-        if !hot && !reserved {
-            return false;
-        }
-        if hot && reserved {
-            self.hot.fetch_sub(1, Ordering::Relaxed);
-        }
-        let stamp = self.tick();
-        shard.insert(
-            sid,
-            Arc::new(Slot { stamp: AtomicU64::new(stamp), state: ArcSwap::new(Arc::clone(state)) }),
-        );
+        let replaced = {
+            let mut map = self.shard(sid).lock();
+            let hot = map.contains_key(&sid);
+            if !hot && !reserved {
+                return false;
+            }
+            if hot && reserved {
+                self.hot.fetch_sub(1, Ordering::Relaxed);
+            }
+            map.insert(sid, Slot { stamp: self.tick(), state: Arc::clone(state) })
+        };
+        // The replaced state deallocates outside the critical section.
+        drop(replaced);
         true
     }
 
-    /// Shares session `sid`'s state out (touching its recency) — repairs
-    /// and races run on the shared snapshot, outside any store lock; the
-    /// hot path takes none at all (published-map lookup + atomic stamp).
-    /// A cold (spilled) session is transparently reloaded from its
+    /// Shares session `sid`'s state out, touching its recency — repairs
+    /// and races run on the shared entry, outside any store lock; the hot
+    /// path holds the shard lock for one lookup, one stamp and one `Arc`
+    /// clone. A cold (spilled) session is transparently reloaded from its
     /// on-disk snapshot.
     pub fn snapshot(&self, sid: u64) -> Option<Arc<SessionEntry>> {
         let shard = self.shard(sid);
-        if let Some(slot) = shard.map.load().get(&sid) {
-            slot.stamp.store(self.tick(), Ordering::Relaxed);
-            return Some(Arc::clone(&slot.state.load().entry));
+        if let Some(slot) = shard.lock().get_mut(&sid) {
+            slot.stamp = self.tick();
+            return Some(Arc::clone(&slot.state.entry));
         }
         // Cold path: reload from disk, then insert hot (which may in turn
         // spill the new LRU victim).
@@ -424,22 +384,17 @@ impl SessionStore {
         self.reserve();
         self.telemetry.emit(TraceEvent::ColdReload { sid });
         self.cold_reloads.fetch_add(1, Ordering::Relaxed);
-        let _guard = shard.guard.lock();
+        let mut map = shard.lock();
         let stamp = self.tick();
         // A racing reload of the same sid keeps the first entry (both came
         // from the same snapshot) and hands the reservation back.
-        if let Some(slot) = shard.map.load().get(&sid) {
-            slot.stamp.store(stamp, Ordering::Relaxed);
+        if let Some(slot) = map.get_mut(&sid) {
+            slot.stamp = stamp;
             self.hot.fetch_sub(1, Ordering::Relaxed);
-            return Some(Arc::clone(&slot.state.load().entry));
+            return Some(Arc::clone(&slot.state.entry));
         }
-        shard.insert(
-            sid,
-            Arc::new(Slot {
-                stamp: AtomicU64::new(stamp),
-                state: ArcSwap::new(Arc::new(Stamped { entry: Arc::clone(&entry), seq, fresh: 0 })),
-            }),
-        );
+        let state = Arc::new(Stamped { entry: Arc::clone(&entry), seq, fresh: 0 });
+        map.insert(sid, Slot { stamp, state });
         Some(entry)
     }
 
@@ -458,32 +413,23 @@ impl SessionStore {
 
     fn write_back(&self, sid: u64, entry: SessionEntry, seq: Option<u64>) -> bool {
         let entry = Arc::new(entry);
-        let shard = self.shard(sid);
-        // Keeps the replaced state alive past the guard so its (possibly
-        // large) entry deallocates outside the critical section.
-        let mut replaced = None;
-        let found = {
-            let _guard = shard.guard.lock();
-            match shard.map.load().get(&sid) {
-                Some(slot) => {
-                    slot.stamp.store(self.tick(), Ordering::Relaxed);
-                    let old = slot.state.load();
-                    let (mut next_seq, mut fresh) = (old.seq, old.fresh);
-                    if let Some(seq) = seq {
-                        if seq > next_seq {
-                            next_seq = seq;
-                            fresh += 1;
-                        }
-                    }
-                    slot.state.store(Arc::new(Stamped { entry, seq: next_seq, fresh }));
-                    replaced = Some(old);
-                    true
+        // The replaced state outlives the guard so its (possibly large)
+        // entry deallocates outside the critical section.
+        let replaced = {
+            let mut map = self.shard(sid).lock();
+            let Some(slot) = map.get_mut(&sid) else { return false };
+            slot.stamp = self.tick();
+            let (mut next_seq, mut fresh) = (slot.state.seq, slot.state.fresh);
+            if let Some(seq) = seq {
+                if seq > next_seq {
+                    next_seq = seq;
+                    fresh += 1;
                 }
-                None => false,
             }
+            std::mem::replace(&mut slot.state, Arc::new(Stamped { entry, seq: next_seq, fresh }))
         };
         drop(replaced);
-        found
+        true
     }
 
     /// Writes session `sid`'s periodic snapshot when enough journaled
@@ -492,9 +438,8 @@ impl SessionStore {
     /// are swallowed (replay just gets longer).
     pub fn maybe_snapshot(&self, sid: u64) {
         let Some(persist) = self.persist.as_ref() else { return };
-        let shard = self.shard(sid);
-        let image = shard.map.load().get(&sid).and_then(|slot| {
-            let state = slot.state.load();
+        let image = self.shard(sid).lock().get(&sid).and_then(|slot| {
+            let state = &slot.state;
             (state.fresh >= SNAPSHOT_EVERY).then(|| (Arc::clone(&state.entry), state.seq))
         });
         let Some((entry, seq)) = image else { return };
@@ -506,16 +451,11 @@ impl SessionStore {
     /// Zeroes the periodic-snapshot counter of `sid` if its state still
     /// sits at `seq` (no newer journaled verb raced the snapshot write).
     fn reset_fresh(&self, sid: u64, seq: u64) {
-        let shard = self.shard(sid);
-        let _guard = shard.guard.lock();
-        if let Some(slot) = shard.map.load().get(&sid) {
-            let state = slot.state.load();
+        if let Some(slot) = self.shard(sid).lock().get_mut(&sid) {
+            let state = &slot.state;
             if state.seq == seq && state.fresh != 0 {
-                slot.state.store(Arc::new(Stamped {
-                    entry: Arc::clone(&state.entry),
-                    seq: state.seq,
-                    fresh: 0,
-                }));
+                let entry = Arc::clone(&state.entry);
+                slot.state = Arc::new(Stamped { entry, seq, fresh: 0 });
             }
         }
     }
@@ -528,10 +468,8 @@ impl SessionStore {
         let Some(persist) = self.persist.as_ref() else { return Ok(()) };
         let mut hot: Vec<(u64, Arc<SessionEntry>, u64)> = Vec::new();
         for shard in &self.shards {
-            let map = shard.map.load();
-            for (&sid, slot) in map.iter() {
-                let state = slot.state.load();
-                hot.push((sid, Arc::clone(&state.entry), state.seq));
+            for (&sid, slot) in shard.lock().iter() {
+                hot.push((sid, Arc::clone(&slot.state.entry), slot.state.seq));
             }
         }
         for (sid, entry, seq) in &hot {
@@ -548,15 +486,17 @@ impl SessionStore {
     /// on-disk snapshot. Returns whether either existed, so closing a
     /// cold (spilled) session works too.
     pub fn close(&self, sid: u64) -> bool {
-        let shard = self.shard(sid);
-        let hot = {
-            let _guard = shard.guard.lock();
-            let found = shard.remove(sid);
-            if found {
+        let removed = {
+            let mut map = self.shard(sid).lock();
+            let removed = map.remove(&sid);
+            if removed.is_some() {
                 self.hot.fetch_sub(1, Ordering::Relaxed);
             }
-            found
+            removed
         };
+        let hot = removed.is_some();
+        // The closed entry deallocates outside the critical section.
+        drop(removed);
         let cold = match self.persist.as_ref() {
             Some(persist) => persist.remove_snapshot(sid),
             None => false,
@@ -692,7 +632,7 @@ mod tests {
     #[test]
     fn sharded_membership_counters_and_lru_stay_global() {
         let store = SessionStore::new(64).with_shards(8);
-        assert_eq!(store.shard_count(), 8);
+        assert_eq!(store.shards.len(), 8);
         for sid in 0..32 {
             store.create(sid, entry(sid), 0);
         }
@@ -744,7 +684,7 @@ mod tests {
                         barrier.wait();
                         if lane == 0 {
                             let members: usize =
-                                store.shards.iter().map(|shard| shard.map.load().len()).sum();
+                                store.shards.iter().map(|shard| shard.lock().len()).sum();
                             peak_members.fetch_max(members, Ordering::Relaxed);
                         }
                         barrier.wait();
@@ -788,6 +728,98 @@ mod tests {
         assert_eq!(store.live(), 128);
         let stats = store.stats();
         assert_eq!(stats.evicted, 0, "capacity 256 never evicts 128 sessions");
+    }
+
+    /// Runs `body` while a second thread keeps reading `hot` (sessions of
+    /// the same shard as the ones `body` works on). A panic in `body`
+    /// stops the reader before it propagates, so it cannot hang the scope.
+    fn while_reading(store: &SessionStore, hot: &[u64], body: impl FnOnce()) {
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let reads = AtomicUsize::new(0);
+        let outcome = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    for &sid in hot {
+                        store.snapshot(sid);
+                    }
+                    reads.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            while reads.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+            stop.store(true, Ordering::Relaxed);
+            outcome
+        });
+        if let Err(panic) = outcome {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// A weak handle on session `sid`'s current entry; the strong `Arc`
+    /// the store shared out is dropped at once.
+    fn weak_entry(store: &SessionStore, sid: u64) -> std::sync::Weak<SessionEntry> {
+        Arc::downgrade(&store.snapshot(sid).expect("session is hot"))
+    }
+
+    #[test]
+    fn dropped_entries_are_freed_while_the_shard_is_read() {
+        const ROUNDS: u64 = 50;
+        const FREED: &str = "the old entry must be freed once no caller holds it";
+        let shards = 4;
+        let same: Vec<u64> =
+            (0..u64::MAX).filter(|&sid| shard_of(sid, shards) == 0).take(4).collect();
+        let (hot, a, b) = (&same[..2], same[2], same[3]);
+        let fill = |store: &SessionStore| {
+            for &sid in hot {
+                store.create(sid, entry(sid), 0);
+            }
+        };
+
+        // Replaced (by a create, an update and an incumbent write-back),
+        // then closed.
+        let store = SessionStore::new(8).with_shards(shards);
+        fill(&store);
+        while_reading(&store, hot, || {
+            for round in 0..ROUNDS {
+                store.create(a, entry(round), 0);
+                let weak = weak_entry(&store, a);
+                store.create(a, entry(round + 1), 0);
+                assert!(weak.upgrade().is_none(), "replaced by create: {FREED}");
+                let weak = weak_entry(&store, a);
+                store.update(a, entry(round + 2), round + 1);
+                assert!(weak.upgrade().is_none(), "replaced by update: {FREED}");
+                let weak = weak_entry(&store, a);
+                store.update_incumbent(a, entry(round + 3));
+                assert!(weak.upgrade().is_none(), "replaced by incumbent: {FREED}");
+                let weak = weak_entry(&store, a);
+                store.close(a);
+                assert!(weak.upgrade().is_none(), "closed: {FREED}");
+            }
+        });
+
+        // Evicted (in memory) and spilled (durable): the subject is the
+        // only member older than the hot pair, so it is the LRU victim.
+        let displace = |store: &SessionStore, what: &str| {
+            fill(store);
+            store.create(a, entry(0), 0);
+            while_reading(store, hot, || {
+                for round in 0..ROUNDS {
+                    let (old, new) = if round % 2 == 0 { (a, b) } else { (b, a) };
+                    let weak = weak_entry(store, old);
+                    for &sid in hot {
+                        store.snapshot(sid);
+                    }
+                    assert_eq!(store.create(new, entry(round), 0).1, Some(old), "{what}");
+                    assert!(weak.upgrade().is_none(), "{what}: {FREED}");
+                }
+            });
+        };
+        displace(&SessionStore::new(3).with_shards(shards), "evicted");
+        let (durable, dir) = durable_store("freed", 3);
+        displace(&durable.with_shards(shards), "spilled");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -294,20 +294,6 @@ pub fn encode_session(req: &SessionRequest) -> Vec<u8> {
     encode_frame(FT_SESSION, &payload)
 }
 
-/// Encodes any client message as a complete frame: solves and session
-/// verbs get their packed frames, the metrics probe an empty
-/// [`FT_METRICS`] frame, and the fault-injection probes ride in an
-/// [`FT_JSON`] frame (test-only verbs earn no packed encoding).
-pub fn encode_incoming(incoming: &Incoming) -> Vec<u8> {
-    match incoming {
-        Incoming::Solve(req) => encode_request(req),
-        Incoming::Session(req) => encode_session(req),
-        Incoming::Metrics => encode_frame(FT_METRICS, &[]),
-        Incoming::KillWorker => encode_frame(FT_JSON, b"{\"kill_worker\": true}"),
-        Incoming::Crash => encode_frame(FT_JSON, b"{\"crash\": true}"),
-    }
-}
-
 /// Decodes a verified frame payload into the same [`Incoming`] the JSON
 /// parser produces. [`FT_JSON`] payloads are routed through
 /// [`parse_incoming`], so a binary client can frame any NDJSON verb.
@@ -516,9 +502,8 @@ mod tests {
         .unwrap()
     }
 
-    fn roundtrip_incoming(incoming: &Incoming) -> Incoming {
-        let frame = encode_incoming(incoming);
-        let (ft, payload) = decode_frame(&frame).unwrap();
+    fn decode_whole(frame: &[u8]) -> Incoming {
+        let (ft, payload) = decode_frame(frame).unwrap();
         decode_incoming(ft, payload).unwrap()
     }
 
@@ -536,7 +521,7 @@ mod tests {
             ProblemInstance::Splittable(SplittableInstance(unrelated())),
         ] {
             let req = Request { id: 41, instance, budget_ms: Some(60), top_k: None, seed: Some(7) };
-            let back = roundtrip_incoming(&Incoming::Solve(Box::new(req.clone())));
+            let back = decode_whole(&encode_request(&req));
             assert_eq!(back, Incoming::Solve(Box::new(req)));
         }
     }
@@ -567,9 +552,10 @@ mod tests {
 
     #[test]
     fn metrics_and_fault_probes_roundtrip() {
-        assert_eq!(roundtrip_incoming(&Incoming::Metrics), Incoming::Metrics);
-        assert_eq!(roundtrip_incoming(&Incoming::KillWorker), Incoming::KillWorker);
-        assert_eq!(roundtrip_incoming(&Incoming::Crash), Incoming::Crash);
+        assert_eq!(decode_whole(&encode_frame(FT_METRICS, &[])), Incoming::Metrics);
+        let kill = encode_frame(FT_JSON, b"{\"kill_worker\": true}");
+        assert_eq!(decode_whole(&kill), Incoming::KillWorker);
+        assert_eq!(decode_whole(&encode_frame(FT_JSON, b"{\"crash\": true}")), Incoming::Crash);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod prelude {
     pub use sst_algos::annealing::{anneal_uniform, anneal_unrelated, AnnealConfig};
     pub use sst_algos::configlp::{config_lp_lower_bound, ConfigLpLimits};
     pub use sst_algos::cupt::solve_class_uniform_ptimes;
-    pub use sst_algos::exact::{exact_uniform, exact_unrelated, exact_unrelated_parallel};
+    pub use sst_algos::exact::{exact_uniform, exact_unrelated};
     pub use sst_algos::identical::{batch_lpt_identical, wrap_identical};
     pub use sst_algos::lpt::{lpt_with_setups, lpt_with_setups_makespan, LPT_FACTOR};
     pub use sst_algos::ptas::{ptas_uniform, PtasConfig};

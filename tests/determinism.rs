@@ -52,26 +52,6 @@ fn annealing_is_seed_deterministic_across_runs() {
 }
 
 #[test]
-fn parallel_exact_result_value_matches_sequential_always() {
-    // The parallel B&B may find *a different* optimal schedule, but the
-    // optimal value is unique; run several seeds to cover thread schedules.
-    let inst = setup_scheduling::gen::unrelated(&UnrelatedParams {
-        n: 9,
-        m: 3,
-        k: 3,
-        seed: 21,
-        ..Default::default()
-    });
-    let seq = exact_unrelated(&inst, 1 << 24);
-    assert!(seq.complete);
-    for threads in [2usize, 3, 4] {
-        let par = exact_unrelated_parallel(&inst, 1 << 24, threads);
-        assert!(par.complete);
-        assert_eq!(par.makespan, seq.makespan, "threads = {threads}");
-    }
-}
-
-#[test]
 fn setcover_reduction_is_rng_deterministic() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
