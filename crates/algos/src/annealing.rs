@@ -48,6 +48,50 @@
 //! most about 1/16 extra. `crates/algos/tests/anneal_exit.rs` pins the exit
 //! against a copy of the loop without it.
 //!
+//! **Two phases.** The walk starts in the Metropolis loop above. For the
+//! models whose keys are integer loads ([`MachineModel::key_as_load`]:
+//! `Unrelated` and `Splittable`; `Uniform`'s ratio keys stay in the
+//! Metropolis loop) it switches to a **plateau phase** at the first
+//! iteration where all of these hold:
+//!
+//! * `cooling` lies in `[0, 1]`, so the temperature never rises again;
+//! * `temp * 1000 < 1` (`temp == 0` included);
+//! * makespan + the largest finite `p_ij` + the largest finite `s_ik` is
+//!   below 2^53.
+//!
+//! From there the Metropolis test has a fixed answer. Every load a
+//! proposal can compare is an integer and the makespan is below 2^53, so
+//! it converts to `f64` exactly; a target load `L` above the makespan `C`
+//! converts to at least `C + 1` (conversion is monotone, and every integer
+//! up to 2^53 is exact), so `delta >= 1` and `-delta / temp <= -1000`,
+//! where `exp` is `0.0`: no rising proposal passes, while every other one
+//! passes with `delta <= 0` and no draw. The plateau phase therefore
+//! accepts a proposal iff it is feasible and its target machine's new load
+//! is at most the makespan, draws the test's one `u` for a feasible rising
+//! proposal while `temp > 0`, and computes no `f64` delta, division or
+//! `exp`. The 2^53 guard is what makes the integer comparison agree with
+//! the float one: above it two loads can convert to the same `f64`, and
+//! the Metropolis loop would accept a rise of 1 as a zero delta. It keeps
+//! the makespan and every job move's target load below 2^53; a class
+//! move's target can be larger, but then it is above the makespan and,
+//! conversion being monotone, reads as a rise on both sides.
+//!
+//! The phase runs on flat state built from the tracker at entry in
+//! `O(n·m + K·m²)` and dropped at exit: assignment and loads, the jobs of
+//! every (class, machine) slot, and per (class, source, target) the sum of
+//! the slot's times on the target with a count of its infinite cells, so a
+//! class-move verdict is `O(1)`. An accepted move updates those rows in
+//! `O(m)` (plus `O(B)` for a class move) and recomputes the makespan as an
+//! `O(m)` maximum; a strict improvement snapshots the assignment. It draws
+//! the job and the target machine through [`rand::distributions::Uniform`],
+//! whose draws are exactly `gen_range`'s but whose rejection zone is
+//! computed once per phase instead of once per draw. The phase checks for
+//! a frozen state once at entry and then after the same
+//! patience as the Metropolis loop, and stops as soon as it finds one: no
+//! rising proposal can pass any more. The schedule, `accepted` and
+//! `improvements` stay bit-identical to the Metropolis loop run to the end;
+//! only `proposals` falls.
+//!
 //! ```
 //! use sst_algos::annealing::{anneal_uniform, AnnealConfig};
 //! use sst_algos::lpt::lpt_with_setups;
@@ -66,8 +110,9 @@
 //! assert!(after <= before);
 //! ```
 
+use rand::distributions::{Distribution, Uniform as Draw};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use sst_core::cancel::CancelToken;
 use sst_core::instance::{UniformInstance, UnrelatedInstance};
 use sst_core::model::{MachineModel, Uniform, Unrelated};
@@ -89,6 +134,9 @@ const FROZEN_PATIENCE: usize = 16;
 /// never pass `u < exp(-delta / temp)`, not even for `u == 0.0`; the loop
 /// skips `exp` there.
 const EXP_UNDERFLOW: f64 = -1000.0;
+
+/// Loads below this convert to `f64` exactly (the plateau phase's guard).
+const EXACT_F64_LOADS: u64 = 1 << 53;
 
 /// Annealer parameters.
 #[derive(Debug, Clone, Copy)]
@@ -127,9 +175,17 @@ pub struct AnnealResult {
     pub accepted: usize,
     /// Accepted proposals that strictly improved the incumbent best.
     pub improvements: usize,
-    /// Iterations actually run: fewer than [`AnnealConfig::iterations`]
-    /// when the cancel token fired or the state froze.
+    /// Iterations actually run, in both phases: fewer than
+    /// [`AnnealConfig::iterations`] when the cancel token fired or the state
+    /// froze. Unlike the three fields above it is not a function of the
+    /// walk alone: a frozen state found at plateau entry stops at once,
+    /// where the Metropolis loop would have waited out its patience.
     pub proposals: usize,
+    /// The iteration at which the plateau phase began (module docs);
+    /// `None` when the walk never entered it.
+    pub plateau_entry: Option<usize>,
+    /// Of `accepted`, the proposals accepted in the plateau phase.
+    pub plateau_accepted: usize,
 }
 
 /// A proposed move, shared by every machine model.
@@ -138,13 +194,26 @@ enum Proposal {
     Class(usize, usize, usize),
 }
 
-/// The Metropolis proposal loop, written once for every machine model.
-/// Deltas are measured in the model's key arithmetic projected to `f64`
-/// ([`MachineModel::key_to_f64`]); acceptance and cooling follow the
-/// classic geometric schedule. Early exit (the `cancel` token) returns the
-/// best schedule seen so far, which never degrades the start; the
-/// frozen-state exit (module docs) returns exactly what running every
-/// iteration would.
+/// The walk's state shared by both phases.
+struct Walk {
+    rng: SmallRng,
+    temp: f64,
+    best: Schedule,
+    accepted: usize,
+    improvements: usize,
+    proposals: usize,
+    /// Rejections in a row since the last accepted move or frozen scan.
+    rejected: usize,
+}
+
+/// The annealer's proposal loop, written once for every machine model:
+/// the Metropolis phase and, for integer-keyed models, the plateau phase
+/// (module docs). Deltas are measured in the model's key arithmetic
+/// projected to `f64` ([`MachineModel::key_to_f64`]); acceptance and
+/// cooling follow the classic geometric schedule. Early exit (the `cancel`
+/// token) returns the best schedule seen so far, which never degrades the
+/// start; the frozen-state exit (module docs) returns exactly what running
+/// every iteration would.
 ///
 /// # Panics
 /// Panics if `start` is not a valid schedule for `inst`.
@@ -156,37 +225,87 @@ pub fn anneal_budgeted<M: MachineModel>(
 ) -> AnnealResult {
     let mut tracker = LoadTracker::<M>::new(inst, start).expect("valid start schedule");
     let (n, m) = (M::n(inst), M::m(inst));
+    let mut walk = Walk {
+        rng: SmallRng::seed_from_u64(cfg.seed),
+        temp: M::key_to_f64(tracker.makespan()) * cfg.initial_temp_fraction,
+        best: start.clone(),
+        accepted: 0,
+        improvements: 0,
+        proposals: 0,
+        rejected: 0,
+    };
+    let mut plateau_entry = None;
+    let mut plateau_accepted = 0;
+    if n > 0 && m >= 2 {
+        let cools = (0.0..=1.0).contains(&cfg.cooling);
+        // Rejections in a row before a frozen-state scan; never, when
+        // cooling outside [0, 1] can make the temperature rise again.
+        let patience = if cools {
+            FROZEN_PATIENCE * (m - 1) * (n + n.min(m * M::num_classes(inst)))
+        } else {
+            usize::MAX
+        };
+        // Makespans below this may enter the plateau phase.
+        let headroom = if cools && M::key_as_load(tracker.makespan()).is_some() {
+            EXACT_F64_LOADS.checked_sub(largest_finite_cells::<M>(inst))
+        } else {
+            None
+        };
+        let entry;
+        (walk, entry) = metropolis(walk, &mut tracker, cfg, cancel, patience, headroom);
+        if let Some((makespan, best_ms)) = entry {
+            plateau_entry = Some(walk.proposals);
+            let accepted_before = walk.accepted;
+            walk = Plateau::new(&tracker, makespan, best_ms).run(walk, cfg, cancel, patience);
+            plateau_accepted = walk.accepted - accepted_before;
+        }
+    }
+    AnnealResult {
+        schedule: walk.best,
+        accepted: walk.accepted,
+        improvements: walk.improvements,
+        proposals: walk.proposals,
+        plateau_entry,
+        plateau_accepted,
+    }
+}
+
+/// The Metropolis phase. Returns the makespan and the best makespan as
+/// loads when the plateau phase should take over (the makespan is below
+/// `headroom` and the temperature is cold), and `None` when the walk is
+/// over: the iterations ran out, `cancel` fired or the state froze. Both
+/// phases take the walk by value, so its hot fields live in registers.
+fn metropolis<M: MachineModel>(
+    mut walk: Walk,
+    tracker: &mut LoadTracker<'_, M>,
+    cfg: &AnnealConfig,
+    cancel: &CancelToken,
+    patience: usize,
+    headroom: Option<u64>,
+) -> (Walk, Option<(u64, u64)>) {
+    let inst = tracker.instance();
+    let (n, m) = (M::n(inst), M::m(inst));
     let mut cur_ms = tracker.makespan();
     let mut cur = M::key_to_f64(cur_ms);
-    let mut best = start.clone();
     let mut best_ms = cur_ms;
-    let mut temp = cur * cfg.initial_temp_fraction;
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut accepted = 0usize;
-    let mut improvements = 0usize;
-    let mut proposals = 0usize;
-    if n == 0 || m < 2 {
-        return AnnealResult { schedule: best, accepted, improvements, proposals };
-    }
-    // Rejections in a row before a frozen-state scan; never, when cooling
-    // outside [0, 1] can make the temperature rise again.
-    let patience = if (0.0..=1.0).contains(&cfg.cooling) {
-        FROZEN_PATIENCE * (m - 1) * (n + n.min(m * M::num_classes(inst)))
-    } else {
-        usize::MAX
-    };
-    let mut rejected = 0usize;
     // The smallest rise out of the current state, once a scan has found
     // that every move rises; cleared by the next accepted move.
     let mut frozen: Option<f64> = None;
-    for it in 0..cfg.iterations {
-        if it & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
+    while walk.proposals < cfg.iterations {
+        let temp = walk.temp;
+        let below = |h: u64| M::key_as_load(cur_ms).is_some_and(|load| load < h);
+        if temp * 1000.0 < 1.0 && headroom.is_some_and(below) {
+            let load = |key| M::key_as_load(key).expect("a headroom implies load keys");
+            return (walk, Some((load(cur_ms), load(best_ms))));
+        }
+        if walk.proposals & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
             break;
         }
         if frozen.is_some_and(|rise| temp <= 0.0 || -rise / temp < EXP_UNDERFLOW) {
             break;
         }
-        proposals += 1;
+        walk.proposals += 1;
+        let rng = &mut walk.rng;
         let class_move = rng.gen::<f64>() < cfg.class_move_prob;
         let j = rng.gen_range(0..n);
         let from = tracker.machine_of(j);
@@ -226,28 +345,287 @@ pub fn anneal_budgeted<M: MachineModel>(
                     Proposal::Job(j, to) => tracker.apply_job_move(j, to),
                     Proposal::Class(from, k, to) => tracker.apply_class_move(from, k, to),
                 }
-                accepted += 1;
+                walk.accepted += 1;
                 cur_ms = new_ms;
                 cur = M::key_to_f64(cur_ms);
                 if new_ms < best_ms {
                     best_ms = new_ms;
-                    best = tracker.schedule();
-                    improvements += 1;
+                    walk.best = tracker.schedule();
+                    walk.improvements += 1;
                 }
-                rejected = 0;
+                walk.rejected = 0;
                 frozen = None;
             }
             None => {
-                rejected += 1;
-                if rejected >= patience && frozen.is_none() {
-                    rejected = 0;
-                    frozen = min_rise(&tracker, cur_ms, cancel);
+                walk.rejected += 1;
+                if walk.rejected >= patience && frozen.is_none() {
+                    walk.rejected = 0;
+                    frozen = min_rise(tracker, cur_ms, cancel);
                 }
             }
         }
-        temp *= cfg.cooling;
+        walk.temp *= cfg.cooling;
     }
-    AnnealResult { schedule: best, accepted, improvements, proposals }
+    (walk, None)
+}
+
+/// The largest finite job time plus the largest finite setup time, in raw
+/// load units (saturating).
+fn largest_finite_cells<M: MachineModel>(inst: &M::Instance) -> u64 {
+    let (n, m, kk) = (M::n(inst), M::m(inst), M::num_classes(inst));
+    let max_p = (0..n).flat_map(|j| (0..m).filter_map(move |i| M::job_time(inst, i, j))).max();
+    let max_s = (0..kk).flat_map(|k| (0..m).filter_map(move |i| M::setup_time(inst, i, k))).max();
+    max_p.unwrap_or(0).saturating_add(max_s.unwrap_or(0))
+}
+
+/// Flat state of the plateau phase (module docs): built from the tracker
+/// at entry, private to the walk and dropped at its exit. Loads are keys
+/// here ([`MachineModel::key_as_load`]).
+struct Plateau<'a, M: MachineModel> {
+    inst: &'a M::Instance,
+    n: usize,
+    m: usize,
+    asg: Vec<usize>,
+    loads: Vec<u64>,
+    makespan: u64,
+    best_ms: u64,
+    /// `slots[k * m + i]`: the class-`k` jobs on machine `i`, any order.
+    slots: Vec<Vec<usize>>,
+    /// `pos[j]`: job `j`'s index in its slot.
+    pos: Vec<usize>,
+    /// `arriving[(k * m + from) * m + to]`: the sum of the finite times on
+    /// `to` of slot `(from, k)`'s jobs, and how many of them are infinite.
+    arriving: Vec<(u64, u32)>,
+    /// The assignment at the phase's last strict improvement; empty
+    /// before the first.
+    best_asg: Vec<usize>,
+}
+
+impl<'a, M: MachineModel> Plateau<'a, M> {
+    fn new(tracker: &LoadTracker<'a, M>, makespan: u64, best_ms: u64) -> Self {
+        let inst = tracker.instance();
+        let (n, m, kk) = (M::n(inst), M::m(inst), M::num_classes(inst));
+        let asg: Vec<usize> = (0..n).map(|j| tracker.machine_of(j)).collect();
+        let mut slots = vec![Vec::new(); kk * m];
+        let mut pos = vec![0; n];
+        let mut arriving = vec![(0u64, 0u32); kk * m * m];
+        for j in 0..n {
+            let slot = M::class_of(inst, j) * m + asg[j];
+            pos[j] = slots[slot].len();
+            slots[slot].push(j);
+            for (t, cell) in arriving[slot * m..(slot + 1) * m].iter_mut().enumerate() {
+                add_time(cell, M::job_time(inst, t, j));
+            }
+        }
+        Plateau {
+            inst,
+            n,
+            m,
+            asg,
+            loads: tracker.loads().to_vec(),
+            makespan,
+            best_ms,
+            slots,
+            pos,
+            arriving,
+            best_asg: Vec::new(),
+        }
+    }
+
+    /// Machine `to`'s load after job `j` moves there; `None` when the move
+    /// is a no-op or infeasible.
+    #[inline]
+    fn job_move_target(&self, j: usize, to: usize) -> Option<u64> {
+        let k = M::class_of(self.inst, j);
+        if self.asg[j] == to {
+            return None;
+        }
+        let p = M::job_time(self.inst, to, j)?;
+        let s = M::setup_time(self.inst, to, k)?;
+        let setup = if self.slots[k * self.m + to].is_empty() { s } else { 0 };
+        Some(self.loads[to] + p + setup)
+    }
+
+    /// Machine `to`'s load after job `j`'s whole (class, machine) slot
+    /// moves there; `None` when the move is a no-op or infeasible.
+    #[inline]
+    fn class_move_target(&self, j: usize, to: usize) -> Option<u64> {
+        let (m, k, from) = (self.m, M::class_of(self.inst, j), self.asg[j]);
+        let (sum, infinite) = self.arriving[(k * m + from) * m + to];
+        if from == to || infinite > 0 {
+            return None;
+        }
+        let s = M::setup_time(self.inst, to, k)?;
+        let setup = if self.slots[k * m + to].is_empty() { s } else { 0 };
+        Some(self.loads[to] + sum + setup)
+    }
+
+    fn apply_job_move(&mut self, j: usize, to: usize) {
+        let (m, k, from) = (self.m, M::class_of(self.inst, j), self.asg[j]);
+        let (src, dst) = (k * m + from, k * m + to);
+        let time = |i| M::job_time(self.inst, i, j).expect("feasible on its machine and target");
+        self.loads[from] -= time(from);
+        if self.slots[src].len() == 1 {
+            self.loads[from] -= self.setup(from, k);
+        }
+        self.loads[to] += time(to);
+        if self.slots[dst].is_empty() {
+            self.loads[to] += self.setup(to, k);
+        }
+        let at = self.pos[j];
+        self.slots[src].swap_remove(at);
+        if let Some(&moved) = self.slots[src].get(at) {
+            self.pos[moved] = at;
+        }
+        self.pos[j] = self.slots[dst].len();
+        self.slots[dst].push(j);
+        for t in 0..m {
+            let time = M::job_time(self.inst, t, j);
+            sub_time(&mut self.arriving[src * m + t], time);
+            add_time(&mut self.arriving[dst * m + t], time);
+        }
+        self.asg[j] = to;
+        self.refresh_makespan();
+    }
+
+    fn apply_class_move(&mut self, from: usize, k: usize, to: usize) {
+        let m = self.m;
+        let (src, dst) = (k * m + from, k * m + to);
+        self.loads[from] -= self.arriving[src * m + from].0 + self.setup(from, k);
+        self.loads[to] += self.arriving[src * m + to].0;
+        if self.slots[dst].is_empty() {
+            self.loads[to] += self.setup(to, k);
+        }
+        for t in 0..m {
+            let (sum, infinite) = std::mem::take(&mut self.arriving[src * m + t]);
+            let cell = &mut self.arriving[dst * m + t];
+            cell.0 += sum;
+            cell.1 += infinite;
+        }
+        let mut batch = std::mem::take(&mut self.slots[src]);
+        for &j in &batch {
+            self.asg[j] = to;
+            self.pos[j] = self.slots[dst].len();
+            self.slots[dst].push(j);
+        }
+        // Hand the drained allocation back so churn allocates nothing.
+        batch.clear();
+        self.slots[src] = batch;
+        self.refresh_makespan();
+    }
+
+    /// Class `k`'s setup on machine `i`, which a move has found finite.
+    fn setup(&self, i: usize, k: usize) -> u64 {
+        M::setup_time(self.inst, i, k).expect("feasible on its machine and target")
+    }
+
+    fn refresh_makespan(&mut self) {
+        self.makespan = self.loads.iter().copied().max().unwrap_or(0);
+    }
+
+    /// True when every feasible job and class move strictly raises the
+    /// makespan, so the phase can accept nothing more.
+    fn frozen(&self) -> bool {
+        let fits = |target: Option<u64>| target.is_some_and(|load| load <= self.makespan);
+        let job = |j| (0..self.m).any(|to| fits(self.job_move_target(j, to)));
+        let class = |j| (0..self.m).any(|to| fits(self.class_move_target(j, to)));
+        !((0..self.n).any(job)
+            || self.slots.iter().any(|jobs| jobs.first().is_some_and(|&j| class(j))))
+    }
+
+    /// Runs the plateau phase from `walk.proposals` on; `walk.best`
+    /// receives the phase's last strict improvement.
+    fn run(
+        mut self,
+        mut walk: Walk,
+        cfg: &AnnealConfig,
+        cancel: &CancelToken,
+        patience: usize,
+    ) -> Walk {
+        if !self.frozen() {
+            walk = self.walk(walk, cfg, cancel, patience);
+        }
+        if !self.best_asg.is_empty() {
+            walk.best = Schedule::new(self.best_asg);
+        }
+        walk
+    }
+
+    fn walk(
+        &mut self,
+        mut walk: Walk,
+        cfg: &AnnealConfig,
+        cancel: &CancelToken,
+        patience: usize,
+    ) -> Walk {
+        // The draws of `gen_range(0..n)` and `gen_range(0..m)`, without
+        // recomputing their rejection zones every proposal.
+        let (jobs, machines) = (Draw::new(0, self.n), Draw::new(0, self.m));
+        while walk.proposals < cfg.iterations {
+            if walk.proposals & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
+                break;
+            }
+            walk.proposals += 1;
+            let rng = &mut walk.rng;
+            let class_move = rng.gen::<f64>() < cfg.class_move_prob;
+            let j = jobs.sample(rng);
+            let to = machines.sample(rng);
+            let target = if class_move {
+                self.class_move_target(j, to)
+            } else {
+                self.job_move_target(j, to)
+            };
+            if target.is_some_and(|load| load <= self.makespan) {
+                if class_move {
+                    self.apply_class_move(self.asg[j], M::class_of(self.inst, j), to);
+                } else {
+                    self.apply_job_move(j, to);
+                }
+                walk.accepted += 1;
+                if self.makespan < self.best_ms {
+                    self.best_ms = self.makespan;
+                    self.best_asg.clear();
+                    self.best_asg.extend_from_slice(&self.asg);
+                    walk.improvements += 1;
+                }
+                walk.rejected = 0;
+            } else {
+                // A feasible rising proposal still draws the Metropolis
+                // test's `u`, whose answer is "reject" (module docs).
+                if target.is_some() && walk.temp > 0.0 {
+                    rng.next_u64();
+                }
+                walk.rejected += 1;
+                if walk.rejected >= patience {
+                    walk.rejected = 0;
+                    if self.frozen() {
+                        break;
+                    }
+                }
+            }
+            walk.temp *= cfg.cooling;
+        }
+        walk
+    }
+}
+
+/// Adds one job's time on a target machine (`None` when infinite) to an
+/// arriving-sum cell.
+#[inline]
+fn add_time(cell: &mut (u64, u32), time: Option<u64>) {
+    match time {
+        Some(t) => cell.0 += t,
+        None => cell.1 += 1,
+    }
+}
+
+/// Removes what [`add_time`] added.
+#[inline]
+fn sub_time(cell: &mut (u64, u32), time: Option<u64>) {
+    match time {
+        Some(t) => cell.0 -= t,
+        None => cell.1 -= 1,
+    }
 }
 
 /// The smallest rise `key_to_f64(new) - key_to_f64(cur_ms)` over every
@@ -527,6 +905,68 @@ mod tests {
         let res = anneal_uniform(&inst, &start, &AnnealConfig { iterations: 50_000, ..cfg(6) });
         assert_eq!(res.proposals, 50_000);
         assert!(res.accepted > 0);
+    }
+
+    /// [`strict_local_optimum`] on unrelated machines: the same loads, so
+    /// every move rises by at least 8 from the makespan of 19.
+    fn unrelated_strict_local_optimum() -> (UnrelatedInstance, Schedule) {
+        let inst = UnrelatedInstance::new(
+            2,
+            vec![0, 1, 0, 1],
+            vec![vec![9, 9], vec![8, 8], vec![9, 9], vec![8, 8]],
+            vec![vec![1, 1], vec![1, 1]],
+        )
+        .unwrap();
+        (inst, Schedule::new(vec![0, 0, 1, 1]))
+    }
+
+    #[test]
+    fn a_strict_optimum_at_plateau_entry_stops_at_entry() {
+        let (inst, start) = unrelated_strict_local_optimum();
+        // Cold from the start: the walk enters the plateau phase at once and
+        // the entry check finds the frozen state.
+        let cold = AnnealConfig { initial_temp_fraction: 0.0, cooling: 1.0, ..cfg(4) };
+        let res = anneal_unrelated(&inst, &start, &cold);
+        assert_eq!((res.plateau_entry, res.proposals, res.accepted), (Some(0), 0, 0));
+        assert_eq!(res.schedule, start);
+        // Warm enough to run Metropolis proposals first (each passes with
+        // probability below e^-40), then halving: entry is the first
+        // iteration whose temperature is below 1/1000, long before the
+        // patience of 128 rejections would have run a frozen scan.
+        let warm = AnnealConfig { initial_temp_fraction: 0.01, cooling: 0.5, ..cfg(4) };
+        let entry = std::iter::successors(Some(19.0 * 0.01), |t| Some(t * 0.5))
+            .position(|t: f64| t * 1000.0 < 1.0)
+            .unwrap();
+        assert!(entry > 0);
+        let res = anneal::<sst_core::model::Splittable>(&inst, &start, &warm);
+        assert_eq!((res.plateau_entry, res.proposals, res.accepted), (Some(entry), entry, 0));
+        assert_eq!(res.schedule, start);
+    }
+
+    #[test]
+    fn loads_near_2_pow_53_stay_in_the_metropolis_phase() {
+        // Machine 0 carries 2^53 alone; the two unit jobs share class 1.
+        // Moving one onto machine 0 gives 2^53 + 1, which converts to the
+        // same f64 as 2^53: a zero delta the Metropolis loop accepts at zero
+        // temperature, where the integer comparison would reject it, so the
+        // guard must keep the walk out of the plateau phase. Some zero-delta
+        // move exists in every state the walk reaches, so it never freezes
+        // and runs every iteration.
+        let big = 1u64 << 53;
+        let inst = UnrelatedInstance::new(
+            2,
+            vec![0, 1, 1],
+            vec![vec![big, INF], vec![1, 1], vec![1, 1]],
+            vec![vec![0, 0], vec![0, 0]],
+        )
+        .unwrap();
+        let start = Schedule::new(vec![0, 1, 1]);
+        let cold = AnnealConfig { initial_temp_fraction: 0.0, cooling: 1.0, ..cfg(8) };
+        let res = anneal_unrelated(&inst, &start, &cold);
+        assert_eq!(res.plateau_entry, None);
+        assert_eq!(res.proposals, cold.iterations);
+        assert!(res.accepted > 0, "float-equal rises must pass");
+        assert_eq!((res.improvements, &res.schedule), (0, &start));
     }
 
     #[test]

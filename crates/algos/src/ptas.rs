@@ -33,12 +33,16 @@
 use std::collections::{BTreeMap, HashSet};
 
 use sst_core::bounds::uniform_lower_bound;
+use sst_core::cancel::CancelToken;
 use sst_core::dual::{geometric_search, Decision};
 use sst_core::groups::SpeedGroups;
 use sst_core::instance::UniformInstance;
 use sst_core::ratio::Ratio;
 use sst_core::schedule::{uniform_makespan, Schedule};
 use sst_core::simplify::{simplify, Simplified};
+
+/// Search nodes between cancel polls.
+const CANCEL_CHECK_MASK: u64 = 0xFF;
 
 /// Tuning parameters of the PTAS.
 #[derive(Debug, Clone, Copy)]
@@ -204,6 +208,9 @@ struct Search<'a> {
     failed: HashSet<StateKey>,
     nodes: u64,
     node_limit: u64,
+    /// Polled every 256 nodes; once it fires every node fails, so the
+    /// search unwinds without exploring further.
+    cancel: &'a CancelToken,
     g_max: i64,
 }
 
@@ -235,7 +242,9 @@ impl Search<'_> {
     /// Explores the decision at `(group g, item idx)` given λ carried in.
     /// On success, `assignment`/`fractional` describe a relaxed schedule.
     fn run(&mut self, g: i64, idx: usize, l1: u64, l2: u64, l3: Ratio) -> bool {
-        if self.nodes >= self.node_limit {
+        if self.nodes >= self.node_limit
+            || (self.nodes & CANCEL_CHECK_MASK == 0 && self.cancel.is_cancelled())
+        {
             return false;
         }
         self.nodes += 1;
@@ -344,8 +353,9 @@ impl Search<'_> {
     }
 }
 
-/// Runs the relaxed-schedule search for prepared data.
-fn search_relaxed(prep: &Prep, node_limit: u64) -> Option<RelaxedOutcome> {
+/// Runs the relaxed-schedule search for prepared data; `None` also when
+/// `cancel` fires.
+fn search_relaxed(prep: &Prep, node_limit: u64, cancel: &CancelToken) -> Option<RelaxedOutcome> {
     let s = &prep.simp.instance;
     let g_max = prep.groups.max_group();
     // Items whose target group is negative can never be integral (machines
@@ -385,6 +395,7 @@ fn search_relaxed(prep: &Prep, node_limit: u64) -> Option<RelaxedOutcome> {
         failed: HashSet::new(),
         nodes: 0,
         node_limit,
+        cancel,
         g_max,
     };
     if search.run(0, 0, 0, l2_seed, l3_seed) {
@@ -529,7 +540,7 @@ pub fn decide_uniform_with_inflation(
     let Some(prep) = prepare(inst, t, cfg.q, inflation_exp) else {
         return Decision::Infeasible;
     };
-    match search_relaxed(&prep, cfg.node_limit) {
+    match search_relaxed(&prep, cfg.node_limit, &CancelToken::new()) {
         Some(outcome) => {
             let simplified_sched = convert(&prep, &outcome);
             Decision::Feasible(prep.simp.lift_schedule(&simplified_sched, inst))
@@ -543,6 +554,16 @@ pub fn decide_uniform_with_inflation(
 /// `Infeasible` certifying that no schedule of makespan `≤ t` exists
 /// (modulo the node-limit caveat on [`PtasConfig`]).
 pub fn decide_uniform(inst: &UniformInstance, t: Ratio, cfg: &PtasConfig) -> Decision<Schedule> {
+    decide(inst, t, cfg, &CancelToken::new())
+}
+
+/// [`decide_uniform`], answering `Infeasible` once `cancel` fires.
+fn decide(
+    inst: &UniformInstance,
+    t: Ratio,
+    cfg: &PtasConfig,
+    cancel: &CancelToken,
+) -> Decision<Schedule> {
     // Acceptance semantics use the lemmas' full (1+ε)⁵ inflation (complete:
     // a schedule of makespan ≤ t implies a relaxed schedule there). The
     // *returned* schedule, however, comes from the tightest inflation level
@@ -555,7 +576,7 @@ pub fn decide_uniform(inst: &UniformInstance, t: Ratio, cfg: &PtasConfig) -> Dec
             }
             continue;
         };
-        if let Some(outcome) = search_relaxed(&prep, cfg.node_limit) {
+        if let Some(outcome) = search_relaxed(&prep, cfg.node_limit, cancel) {
             let simplified_sched = convert(&prep, &outcome);
             return Decision::Feasible(prep.simp.lift_schedule(&simplified_sched, inst));
         }
@@ -567,18 +588,40 @@ pub fn decide_uniform(inst: &UniformInstance, t: Ratio, cfg: &PtasConfig) -> Dec
 /// combinatorial lower bound and the LPT upper bound (Lemma 2.1 brackets
 /// the optimum within a constant factor, keeping the grid short).
 pub fn ptas_uniform(inst: &UniformInstance, cfg: &PtasConfig) -> PtasResult {
+    ptas_uniform_budgeted(inst, cfg, &CancelToken::new()).expect("the token never fires")
+}
+
+/// [`ptas_uniform`] under a deadline: polls `cancel` in the relaxed-schedule
+/// search (every 256 nodes, next to the node limit) and before every guess
+/// of the geometric search. `None` once the token has fired; otherwise the
+/// answer of [`ptas_uniform`].
+pub fn ptas_uniform_budgeted(
+    inst: &UniformInstance,
+    cfg: &PtasConfig,
+    cancel: &CancelToken,
+) -> Option<PtasResult> {
     if inst.n() == 0 {
-        return PtasResult {
+        return Some(PtasResult {
             schedule: Schedule::new(vec![]),
             makespan: Ratio::ZERO,
             t_star: Ratio::ZERO,
-        };
+        });
     }
     let lb = uniform_lower_bound(inst);
     let (lpt_sched, lpt_ms) = crate::lpt::lpt_with_setups_makespan(inst);
     let ub = lpt_ms.max(lb);
     let step = Ratio::new(cfg.q + 1, cfg.q);
-    match geometric_search(lb, ub, step, |t| decide_uniform(inst, t, cfg)) {
+    let found = geometric_search(lb, ub, step, |t| {
+        if cancel.is_cancelled() {
+            Decision::Infeasible
+        } else {
+            decide(inst, t, cfg, cancel)
+        }
+    });
+    if cancel.is_cancelled() {
+        return None;
+    }
+    Some(match found {
         Some((t_star, schedule)) => {
             let makespan = uniform_makespan(inst, &schedule).expect("PTAS schedules are valid");
             // The decision never undershoots; if LPT happened to beat it on
@@ -590,7 +633,7 @@ pub fn ptas_uniform(inst: &UniformInstance, cfg: &PtasConfig) -> PtasResult {
             }
         }
         None => PtasResult { schedule: lpt_sched, makespan: lpt_ms, t_star: ub },
-    }
+    })
 }
 
 #[cfg(test)]
@@ -694,6 +737,42 @@ mod tests {
             fine.makespan,
             coarse.makespan
         );
+    }
+
+    /// The race's PTAS configuration (`PtasSolver`).
+    fn race_cfg() -> PtasConfig {
+        PtasConfig { q: 4, node_limit: 1 << 22 }
+    }
+
+    #[test]
+    fn a_never_firing_token_keeps_the_answer() {
+        let inst = sst_gen::scenarios::production_line(48, 5, 6, 3);
+        let res = ptas_uniform_budgeted(&inst, &race_cfg(), &CancelToken::new())
+            .expect("a never-firing token answers");
+        // Pinned from `ptas_uniform` as it was before it polled a token:
+        // polling must not change the answer.
+        let want = [
+            1, 2, 2, 2, 1, 1, 2, 2, 4, 4, 0, 2, 2, 2, 0, 1, 2, 2, 0, 0, 1, 1, 4, 4, 0, 2, 2, 0, 4,
+            0, 4, 4, 4, 2, 1, 4, 2, 4, 2, 2, 1, 0, 4, 2, 2, 1, 4, 2,
+        ];
+        assert_eq!(res.schedule.assignment(), want);
+        assert_eq!((res.makespan, res.t_star), (Ratio::new(708, 1), Ratio::new(508, 1)));
+    }
+
+    #[test]
+    fn a_fired_token_stops_the_search() {
+        // Without a token this instance searches for about 12 s.
+        let inst = sst_gen::scenarios::production_line(48, 5, 6, 30);
+        let fired = CancelToken::new();
+        fired.cancel();
+        let t0 = std::time::Instant::now();
+        assert!(ptas_uniform_budgeted(&inst, &race_cfg(), &fired).is_none());
+        assert!(t0.elapsed() < std::time::Duration::from_millis(50), "{:?}", t0.elapsed());
+        // A deadline that passes mid-search unwinds within a few polls.
+        let deadline = CancelToken::with_deadline(std::time::Duration::from_millis(20));
+        let t0 = std::time::Instant::now();
+        assert!(ptas_uniform_budgeted(&inst, &race_cfg(), &deadline).is_none());
+        assert!(t0.elapsed() < std::time::Duration::from_millis(1_000), "{:?}", t0.elapsed());
     }
 
     #[test]

@@ -1,24 +1,29 @@
 //! Exactness of the annealer's shortcuts: the frozen-state exit, scoring a
-//! rising proposal from its target machine alone, and skipping `exp` where
-//! it underflows.
+//! rising proposal from its target machine alone, skipping `exp` where it
+//! underflows, and the integer plateau phase of the cold walk.
 //!
 //! `reference_anneal` below is a verbatim copy of the proposal loop as it
 //! stood before any of them existed: it runs every iteration, fully
 //! evaluates every proposal and calls `exp` for every worsening one. The
 //! annealer must return the same schedule, `accepted` and `improvements` on
-//! every model, temperature schedule and move mix, and on the long runs the
-//! serve race uses (400 000 iterations, from greedy and from its descent)
-//! on all six solve-complete families; the exit must actually fire on the
-//! families whose walk freezes.
+//! every model, temperature schedule and move mix — walks that start in
+//! the plateau phase (`initial_temp_fraction` 1e-7) and reach it within a
+//! few dozen iterations (`cooling` 0.5) included — on restricted-assignment
+//! instances dense with infinite cells, next to loads whose float view
+//! rounds (2^53), and on the long runs the serve race uses (400 000
+//! iterations, from greedy and from its descent) on all six solve-complete
+//! families plus a 100 000-proposal run at the solve-deadline shape; the
+//! exit must actually fire on the families whose walk freezes.
 //!
 //! `cargo test --release -p sst-algos --test anneal_exit -- --nocapture`
-//! prints the proposals each long run used out of its 400 000.
+//! prints the proposals each long run used and where its plateau phase
+//! began.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sst_algos::annealing::{anneal, AnnealConfig};
+use sst_algos::annealing::{anneal, AnnealConfig, AnnealResult};
 use sst_algos::list::{greedy_uniform, greedy_unrelated};
 use sst_algos::local_search::improve;
 use sst_core::cancel::CancelToken;
@@ -101,28 +106,34 @@ fn reference_anneal<M: MachineModel>(
     (best, accepted, improvements)
 }
 
-/// Runs both loops; fails unless they agree. Returns the proposals the
-/// annealer actually ran.
+/// Runs both loops; fails unless they agree. Returns the annealer's
+/// result.
 fn assert_exact<M: MachineModel>(
     inst: &M::Instance,
     start: &Schedule,
     cfg: &AnnealConfig,
-) -> Result<usize, TestCaseError> {
+) -> Result<AnnealResult, TestCaseError> {
     let got = anneal::<M>(inst, start, cfg);
     let want = reference_anneal::<M>(inst, start, cfg, &CancelToken::new());
-    prop_assert_eq!((got.schedule, got.accepted, got.improvements), want);
+    prop_assert_eq!((got.schedule.clone(), got.accepted, got.improvements), want);
     prop_assert!(got.proposals <= cfg.iterations);
-    Ok(got.proposals)
+    if let Some(entry) = got.plateau_entry {
+        prop_assert!(entry <= got.proposals);
+        prop_assert!(got.plateau_accepted <= got.accepted);
+    }
+    Ok(got)
 }
 
-/// A config mixing the knobs the exit's conditions depend on: cooling at
-/// and below 1, a zero start temperature, and pure job or class moves.
+/// A config mixing the knobs the exit's and the plateau phase's conditions
+/// depend on: cooling at and below 1 (0.5 reaches the plateau phase within
+/// a few dozen iterations), a zero or near-zero start temperature (1e-7
+/// starts in the plateau phase), and pure job or class moves.
 fn config() -> impl Strategy<Value = AnnealConfig> {
-    (0usize..6_000, 0usize..4, 0usize..4, 0usize..3, any::<u64>()).prop_map(
+    (0usize..6_000, 0usize..5, 0usize..5, 0usize..3, any::<u64>()).prop_map(
         |(iterations, cool, hot, mix, seed)| AnnealConfig {
             iterations,
-            cooling: [1.0, 0.999, 0.99, 0.9][cool],
-            initial_temp_fraction: [0.0, 0.05, 0.2, 2.0][hot],
+            cooling: [1.0, 0.999, 0.99, 0.9, 0.5][cool],
+            initial_temp_fraction: [0.0, 1e-7, 0.05, 0.2, 2.0][hot],
             class_move_prob: [0.0, 0.25, 1.0][mix],
             seed,
         },
@@ -158,6 +169,33 @@ fn unrelated_instance() -> impl Strategy<Value = UnrelatedInstance> {
         })
 }
 
+/// A restricted-assignment instance (`p_ij` is `p_j` or infinite) on 2–6
+/// machines: each cell beyond machine 0 is infinite with probability 3/4,
+/// and each setup beyond machine 0 with probability 1/4. Machine 0 stays
+/// finite for every job and class so each job has a home.
+fn restricted_instance() -> impl Strategy<Value = UnrelatedInstance> {
+    (
+        2usize..7,
+        1usize..4,
+        vec((0usize..4, 1u64..30, vec(0u8..4, 6)), 1..14),
+        vec(vec(0u64..16, 6), 4),
+    )
+        .prop_map(|(m, k, raw, setup_rows)| {
+            let job_class: Vec<usize> = raw.iter().map(|&(c, _, _)| c % k).collect();
+            let p: Vec<Vec<u64>> = raw
+                .iter()
+                .map(|(_, size, mask)| {
+                    (0..m).map(|i| if i == 0 || mask[i] == 0 { *size } else { INF }).collect()
+                })
+                .collect();
+            let s: Vec<Vec<u64>> = setup_rows[..k]
+                .iter()
+                .map(|row| (0..m).map(|i| if i > 0 && row[i] < 4 { INF } else { row[i] }).collect())
+                .collect();
+            UnrelatedInstance::new(m, job_class, p, s).expect("valid")
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -178,26 +216,58 @@ proptest! {
         let start = greedy_unrelated(&inst);
         assert_exact::<Splittable>(&inst, &start, &cfg)?;
     }
+
+    #[test]
+    fn restricted_assignment_walks_are_exact(inst in restricted_instance(), cfg in config()) {
+        let start = greedy_unrelated(&inst);
+        assert_exact::<Unrelated>(&inst, &start, &cfg)?;
+        assert_exact::<Splittable>(&inst, &start, &cfg)?;
+    }
+
+    #[test]
+    fn walks_next_to_2_pow_53_are_exact(offset in 0u64..4, cfg in config()) {
+        // Machine 0 holds a job of about 2^53 that fits nowhere else;
+        // moving a unit job there can round to a zero f64 delta.
+        let big = (1u64 << 53) - offset;
+        let inst = UnrelatedInstance::new(
+            3,
+            vec![0, 1, 1, 1],
+            vec![vec![big, INF, INF], vec![1, 1, 2], vec![1, 2, 1], vec![2, 1, 1]],
+            vec![vec![0, 0, 0], vec![0, 1, 0]],
+        )
+        .expect("valid");
+        let start = Schedule::new(vec![0, 1, 2, 1]);
+        assert_exact::<Unrelated>(&inst, &start, &cfg)?;
+    }
 }
 
 /// Runs both loops with the race's annealer configuration
-/// (`AnnealSolver`) from `greedy` and from its descent, the race's usual
-/// warm start. Returns the proposals of the run from `greedy`.
-fn long_runs<M: MachineModel>(name: &str, inst: &M::Instance, greedy: &Schedule) -> usize {
-    let cfg = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
+/// (`AnnealSolver`) for `iterations` proposals from `greedy` and from its
+/// descent, the race's usual warm start. Returns the run from `greedy`.
+fn long_runs<M: MachineModel>(
+    name: &str,
+    inst: &M::Instance,
+    greedy: &Schedule,
+    iterations: usize,
+) -> AnnealResult {
+    let cfg = AnnealConfig { iterations, seed: 41, ..AnnealConfig::default() };
     let descent = improve::<M>(inst, greedy, usize::MAX).schedule;
-    let mut proposals = [0; 2];
-    for (used, (label, start)) in
-        proposals.iter_mut().zip([("greedy", greedy), ("descent", &descent)])
-    {
-        *used = assert_exact::<M>(inst, start, &cfg)
-            .unwrap_or_else(|e| panic!("{name} from {label}: the answer changed: {e:?}"));
-    }
+    let runs = [("greedy", greedy), ("descent", &descent)].map(|(label, start)| {
+        assert_exact::<M>(inst, start, &cfg)
+            .unwrap_or_else(|e| panic!("{name} from {label}: the answer changed: {e:?}"))
+    });
+    let entry = |r: &AnnealResult| r.plateau_entry.map_or("-".to_string(), |e| e.to_string());
     println!(
-        "{name:<22} proposals {:>6} from greedy, {:>6} from the descent, of {}",
-        proposals[0], proposals[1], cfg.iterations
+        "{name:<22} proposals {:>6} from greedy, {:>6} from the descent, of {}; \
+         plateau from {} / {}",
+        runs[0].proposals,
+        runs[1].proposals,
+        cfg.iterations,
+        entry(&runs[0]),
+        entry(&runs[1]),
     );
-    proposals[0]
+    let [from_greedy, _] = runs;
+    from_greedy
 }
 
 #[test]
@@ -214,13 +284,23 @@ fn long_runs_on_the_solve_complete_families_exit_exactly() {
     ];
     let mut fired = 0;
     for (name, inst) in &families {
-        if long_runs::<Unrelated>(name, inst, &greedy_unrelated(inst)) < 400_000 {
+        if long_runs::<Unrelated>(name, inst, &greedy_unrelated(inst), 400_000).proposals < 400_000
+        {
             fired += 1;
         }
     }
     assert!(fired >= 3, "the frozen exit fired on only {fired} of 4 families");
     let line = scenarios::production_line(n, m, k, 15);
-    long_runs::<Uniform>("production-line", &line, &greedy_uniform(&line));
+    let uniform = long_runs::<Uniform>("production-line", &line, &greedy_uniform(&line), 400_000);
+    assert_eq!(uniform.plateau_entry, None, "ratio keys stay in the Metropolis loop");
     let cdn = scenarios::cdn_transcode(n, m, k, 16);
-    long_runs::<Splittable>("cdn-transcode", &cdn, &greedy_unrelated(&cdn));
+    long_runs::<Splittable>("cdn-transcode", &cdn, &greedy_unrelated(&cdn), 400_000);
+}
+
+#[test]
+fn a_long_run_at_the_solve_deadline_shape_is_exact() {
+    let shop = scenarios::print_shop(800, 10, 16, 17);
+    let run =
+        long_runs::<Unrelated>("print-shop 800x10x16", &shop, &greedy_unrelated(&shop), 100_000);
+    assert!(run.plateau_entry.is_some(), "the walk must reach the plateau phase");
 }

@@ -10,10 +10,14 @@
 //! The anneal row runs the race's annealer configuration (400 000
 //! proposals) from the descent of the greedy schedule on the five integral
 //! solve-complete families at 48×5×6, 16 instances each, and prints per
-//! family the nanoseconds per proposal, the proposals run and an FNV-1a
-//! digest of every answer (schedule, `accepted`, `improvements`). Timing
-//! is reported, not gated; the digest must not change unless the walk
-//! itself is meant to.
+//! family the mean µs per anneal, the nanoseconds per proposal, the
+//! proposals run, the plateau phase's mean entry iteration (over the walks
+//! that entered it, and how many did), its share of the proposals and its
+//! accept rate, and an FNV-1a digest of every answer (schedule,
+//! `accepted`, `improvements`). Read the µs per anneal first: a walk that
+//! stops earlier raises ns/proposal without costing more. Timing is
+//! reported, not gated; the digest must not change unless the walk itself
+//! is meant to.
 //!
 //! The race-prologue row times the serial work before a served race's
 //! members start — feature extraction and the model's greedy floor — on
@@ -72,12 +76,19 @@ fn bench(c: &mut Criterion) {
 /// Instances per family in the anneal row.
 const ANNEAL_INSTANCES: u64 = 16;
 
-/// Time and proposal totals of one family's anneals, and the running
-/// digest of their answers.
+/// Time, proposal and plateau-phase totals of one family's anneals, and
+/// the running digest of their answers.
 #[derive(Default)]
 struct AnnealRow {
     nanos: u128,
+    anneals: usize,
     proposals: usize,
+    /// Walks that entered the plateau phase, and the sum of their entry
+    /// iterations.
+    plateau_walks: usize,
+    plateau_entries: usize,
+    plateau_proposals: usize,
+    plateau_accepted: usize,
     digest: Vec<u8>,
 }
 
@@ -89,7 +100,14 @@ impl AnnealRow {
         let t0 = Instant::now();
         let res = anneal::<M>(inst, &start, &cfg);
         self.nanos += t0.elapsed().as_nanos();
+        self.anneals += 1;
         self.proposals += res.proposals;
+        if let Some(entry) = res.plateau_entry {
+            self.plateau_walks += 1;
+            self.plateau_entries += entry;
+            self.plateau_proposals += res.proposals - entry;
+            self.plateau_accepted += res.plateau_accepted;
+        }
         for &i in res.schedule.assignment() {
             self.digest.extend_from_slice(&(i as u32).to_le_bytes());
         }
@@ -124,10 +142,18 @@ fn anneal_row(_c: &mut Criterion) {
             };
             row.run::<Unrelated>(&inst, &greedy_unrelated(&inst));
         }
+        let ratio = |a: usize, b: usize| a as f64 / b.max(1) as f64;
         println!(
-            "anneal_400k/{family:<22} {:>7.1} ns/proposal  proposals {:>8}  digest {:016x}",
+            "anneal_400k/{family:<22} {:>8.1} us/anneal  {:>6.1} ns/proposal  proposals {:>8}  \
+             plateau entry {:>7.0} ({:>2}/{}) share {:>5.1} %  accept {:>5.2} %  digest {:016x}",
+            row.nanos as f64 / 1e3 / row.anneals.max(1) as f64,
             row.nanos as f64 / row.proposals.max(1) as f64,
             row.proposals,
+            ratio(row.plateau_entries, row.plateau_walks),
+            row.plateau_walks,
+            row.anneals,
+            100.0 * ratio(row.plateau_proposals, row.proposals),
+            100.0 * ratio(row.plateau_accepted, row.plateau_proposals),
             fnv1a64(&row.digest),
         );
         all.extend_from_slice(&row.digest);

@@ -2,9 +2,9 @@
 //!
 //! The build environment has no access to crates.io, so this crate provides
 //! the exact surface the workspace needs — `SeedableRng::seed_from_u64`,
-//! `Rng::{gen, gen_range, gen_bool}`, `rngs::{SmallRng, StdRng}` and
-//! `seq::SliceRandom::shuffle` — backed by a SplitMix64-seeded
-//! xoshiro256** generator. Streams are deterministic for a given seed (the
+//! `Rng::{gen, gen_range, gen_bool}`, `rngs::{SmallRng, StdRng}`,
+//! `distributions::Uniform` and `seq::SliceRandom::shuffle` — backed by a
+//! SplitMix64-seeded xoshiro256** generator. Streams are deterministic for a given seed (the
 //! workspace's own determinism guarantee), but are **not** identical to the
 //! streams of the real `rand` crate.
 
@@ -188,13 +188,71 @@ fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     if span.is_power_of_two() {
         return rng.next_u64() & (span - 1);
     }
-    // Zone rejection: accept v < zone, where zone is the largest multiple
-    // of span that fits in u64.
-    let zone = u64::MAX - (u64::MAX % span) - 1;
+    uniform_in_zone(rng, span, zone(span))
+}
+
+/// The rejection zone of `0..span`: accepting `v <= zone` keeps the same
+/// number of raw values for every result (the largest multiple of `span`
+/// that fits in `u64`).
+#[inline]
+fn zone(span: u64) -> u64 {
+    u64::MAX - (u64::MAX % span) - 1
+}
+
+/// The rejection loop of [`uniform_u64`] for a span that is not a power of
+/// two, given its [`zone`].
+#[inline]
+fn uniform_in_zone<R: RngCore + ?Sized>(rng: &mut R, span: u64, zone: u64) -> u64 {
     loop {
         let v = rng.next_u64();
         if v <= zone {
             return v % span;
+        }
+    }
+}
+
+/// Distributions, mirroring `rand::distributions`.
+pub mod distributions {
+    use super::{uniform_in_zone, zone, RngCore, SampleUniform};
+
+    /// Types that sample values, mirroring `rand::distributions::Distribution`.
+    pub trait Distribution<T> {
+        /// Draws one value.
+        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
+    }
+
+    /// Uniform integers from a half-open range, with the rejection zone
+    /// computed once instead of per draw. Unlike the real crate's, its
+    /// draws are exactly those of [`super::Rng::gen_range`] on the same
+    /// range: the same raw outputs consumed and the same values returned.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Uniform<T> {
+        low: T,
+        span: u64,
+        zone: u64,
+    }
+
+    impl<T: SampleUniform> Uniform<T> {
+        /// The uniform distribution on `low..high`.
+        ///
+        /// # Panics
+        /// Panics if the range is empty.
+        pub fn new(low: T, high: T) -> Self {
+            assert!(low < high, "cannot sample empty range");
+            let span = high.widen().wrapping_sub(low.widen()) as u64;
+            Uniform { low, span, zone: zone(span) }
+        }
+    }
+
+    impl<T: SampleUniform> Distribution<T> for Uniform<T> {
+        #[inline]
+        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T {
+            let v = if self.span.is_power_of_two() {
+                rng.next_u64() & (self.span - 1)
+            } else {
+                uniform_in_zone(rng, self.span, self.zone)
+            };
+            self.low.offset(v)
         }
     }
 }
@@ -301,6 +359,20 @@ mod tests {
             seen[rng.gen_range(0usize..4)] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn uniform_draws_what_gen_range_draws() {
+        use super::distributions::{Distribution, Uniform};
+        for (lo, hi) in [(0usize, 1usize), (0, 5), (3, 51), (0, 64), (7, 1 << 40)] {
+            let dist = Uniform::new(lo, hi);
+            let mut a = StdRng::seed_from_u64(hi as u64);
+            let mut b = a.clone();
+            for _ in 0..1000 {
+                assert_eq!(dist.sample(&mut a), b.gen_range(lo..hi));
+            }
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "same raw outputs consumed");
+        }
     }
 
     #[test]

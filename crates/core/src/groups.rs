@@ -29,18 +29,6 @@ pub struct SpeedGroups {
     max_group: i64,
 }
 
-/// Size classification of a job size relative to a machine speed
-/// (Section 2, "Preliminaries").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SizeClass {
-    /// `p < ε·v·T`
-    Small,
-    /// `ε·v·T ≤ p ≤ v·T`
-    Big,
-    /// `p > v·T`
-    Huge,
-}
-
 /// `base^exp` in u128, or `None` on overflow ("larger than anything we
 /// compare against").
 fn checked_pow(base: u64, exp: u32) -> Option<u128> {
@@ -201,22 +189,6 @@ impl SpeedGroups {
         Some(g)
     }
 
-    /// Classifies a size against a concrete machine speed.
-    pub fn classify(&self, p: u64, v: u64) -> SizeClass {
-        // p < ε·v·T ⟺ p·q·T.den < v·T.num
-        let lhs_small = p as u128 * self.q as u128 * self.t.denom() as u128;
-        let rhs = v as u128 * self.t.numer() as u128;
-        if lhs_small < rhs {
-            return SizeClass::Small;
-        }
-        // p > v·T ⟺ p·T.den > v·T.num
-        if (p as u128 * self.t.denom() as u128) > rhs {
-            SizeClass::Huge
-        } else {
-            SizeClass::Big
-        }
-    }
-
     /// Is job `j` a *core job* of its class (size `εs_k ≤ p < s_k/δ = s_k·q²`)?
     /// Jobs with `p ≥ s_k·q²` are *fringe jobs*. (Smaller jobs were removed
     /// by simplification step 2.) Classes with `s_k = 0` have only fringe
@@ -241,17 +213,6 @@ impl SpeedGroups {
         let lower = setup as u128 * self.t.denom() as u128;
         let upper = lower.saturating_mul(self.q3 as u128);
         lower <= tv_num && tv_num < upper
-    }
-
-    /// Is machine speed `v` a *fringe machine* of a class with setup `s`
-    /// (`T·v ≥ s·q³`)?
-    pub fn is_fringe_machine(&self, v: u64, setup: u64) -> bool {
-        if setup == 0 {
-            return true;
-        }
-        let tv_num = v as u128 * self.t.numer() as u128;
-        let bound = (setup as u128 * self.t.denom() as u128).saturating_mul(self.q3 as u128);
-        tv_num >= bound
     }
 }
 
@@ -336,16 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_small_big_huge() {
-        let (_i, sg) = groups(vec![1, 10], 2, Ratio::new(10, 1));
-        // v = 10, T = 10 → capacity 100, ε·cap = 50.
-        assert_eq!(sg.classify(49, 10), SizeClass::Small);
-        assert_eq!(sg.classify(50, 10), SizeClass::Big);
-        assert_eq!(sg.classify(100, 10), SizeClass::Big);
-        assert_eq!(sg.classify(101, 10), SizeClass::Huge);
-    }
-
-    #[test]
     fn native_group_covers_all_big_speeds() {
         // q = 2, v_min = 1, T = 1: job size p is big for v ∈ [p, 2p] (ε = ½).
         let (_i, sg) = groups(vec![1, 8, 64], 2, Ratio::ONE);
@@ -393,14 +344,13 @@ mod tests {
     #[test]
     fn remark_2_6_core_jobs_small_on_fringe_machines() {
         // Core job of class k: p < s·q²; fringe machine: Tv ≥ s·q³.
-        // Then p < s·q² = (s·q³)·ε ≤ εTv → small. Verify via predicates.
+        // Then p < s·q² = (s·q³)·ε ≤ εTv → small.
         let (_i, sg) = groups(vec![1, 1000], 2, Ratio::ONE);
         let setup = 10u64;
         let core_job = Job::new(0, 39); // < 10·4 = 40 → core
         assert!(sg.is_core_job(core_job, setup));
         let fringe_v = 80; // Tv = 80 ≥ 10·8 → fringe machine
-        assert!(sg.is_fringe_machine(fringe_v, setup));
-        assert_eq!(sg.classify(core_job.size, fringe_v), SizeClass::Small);
+        assert!(!sg.is_core_machine(fringe_v, setup));
     }
 
     #[test]
@@ -411,15 +361,13 @@ mod tests {
         assert!(sg.is_core_machine(10, s));
         assert!(sg.is_core_machine(79, s)); // < 80 = s·q³
         assert!(!sg.is_core_machine(80, s));
-        assert!(sg.is_fringe_machine(80, s));
-        assert!(!sg.is_fringe_machine(79, s));
     }
 
     #[test]
     fn zero_setup_classes_are_all_fringe() {
         let (_i, sg) = groups(vec![1, 4], 2, Ratio::ONE);
         assert!(!sg.is_core_job(Job::new(0, 1), 0));
-        assert!(sg.is_fringe_machine(1, 0));
+        assert!(!sg.is_core_machine(1, 0));
         assert_eq!(sg.core_group(0), None);
     }
 

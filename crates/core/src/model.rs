@@ -103,6 +103,15 @@ pub trait MachineModel {
     /// Metropolis deltas, display).
     fn key_to_f64(key: Self::Key) -> f64;
 
+    /// The raw load `key` stands for, when the model's key of a machine is
+    /// its raw load itself (`key(inst, i, load) == load` for every machine,
+    /// as for [`Unrelated`] and [`Splittable`]); `None` for models whose
+    /// keys are not loads ([`Uniform`]'s ratios). The annealer's integer
+    /// plateau phase runs only for models that answer `Some`.
+    fn key_as_load(_key: Self::Key) -> Option<u64> {
+        None
+    }
+
     /// Applies one [`InstanceDelta`] (see [`crate::delta`]) and returns the
     /// edited, re-validated instance. The session layer mutates instances
     /// exclusively through this hook, so delta semantics (swap-remove job
@@ -240,6 +249,10 @@ impl MachineModel for Unrelated {
         key as f64
     }
     #[inline]
+    fn key_as_load(key: u64) -> Option<u64> {
+        Some(key)
+    }
+    #[inline]
     fn apply_delta(
         inst: &UnrelatedInstance,
         d: &InstanceDelta,
@@ -307,6 +320,10 @@ impl MachineModel for Splittable {
     #[inline]
     fn key_to_f64(key: u64) -> f64 {
         Unrelated::key_to_f64(key)
+    }
+    #[inline]
+    fn key_as_load(key: u64) -> Option<u64> {
+        Unrelated::key_as_load(key)
     }
     #[inline]
     fn apply_delta(
@@ -410,5 +427,9 @@ mod tests {
         assert_eq!(Uniform::key_to_f64(Ratio::new(5, 2)), 2.5);
         assert_eq!(Unrelated::zero_key(), 0);
         assert_eq!(Splittable::KIND, "splittable");
+        // Only the integer-keyed models' keys are their loads.
+        assert_eq!(Unrelated::key_as_load(7), Some(7));
+        assert_eq!(Splittable::key_as_load(7), Some(7));
+        assert_eq!(Uniform::key_as_load(Uniform::key(&u, 1, 3)), None);
     }
 }

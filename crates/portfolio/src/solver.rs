@@ -22,7 +22,7 @@ use sst_algos::list::greedy_unrelated;
 use sst_algos::local_search::improve_budgeted;
 use sst_algos::lpt::lpt_with_setups_makespan;
 use sst_algos::multifit::multifit_uniform;
-use sst_algos::ptas::{ptas_uniform, PtasConfig};
+use sst_algos::ptas::{ptas_uniform_budgeted, PtasConfig};
 use sst_algos::ra::solve_ra_class_uniform;
 use sst_algos::rounding::{solve_unrelated_randomized_budgeted, RoundingConfig};
 use sst_algos::splittable::{
@@ -258,7 +258,8 @@ impl Solver for MultifitSolver {
 }
 
 /// The Section-2 PTAS (uniform machines). One-shot and superpolynomial in
-/// `1/ε`, so the selector only offers it on small instances.
+/// `1/ε`, so the selector only offers it on small instances; it polls the
+/// race's token and answers nothing once the token has fired.
 pub struct PtasSolver {
     /// Precision `ε = 1/q`.
     pub q: u64,
@@ -273,9 +274,10 @@ impl Solver for PtasSolver {
         feat.model == ModelKind::Uniform && feat.n <= 60 && feat.m <= 8
     }
 
-    fn solve(&self, inst: &ProblemInstance, _ctx: &SolveContext<'_>) -> Option<Outcome> {
+    fn solve(&self, inst: &ProblemInstance, ctx: &SolveContext<'_>) -> Option<Outcome> {
         let ProblemInstance::Uniform(u) = inst else { return None };
-        let res = ptas_uniform(u, &PtasConfig { q: self.q, node_limit: 1 << 22 });
+        let cfg = PtasConfig { q: self.q, node_limit: 1 << 22 };
+        let res = ptas_uniform_budgeted(u, &cfg, ctx.cancel)?;
         let cost = Cost::Frac(res.makespan);
         Some(Outcome { solution: Solution::Assignment(res.schedule), cost, complete: true })
     }
@@ -633,6 +635,16 @@ mod tests {
         assert!(Split2Solver.solve(&inst, &ctx).is_none());
         assert!(Split3Solver.solve(&inst, &ctx).is_none());
         assert!(SplitRefineSolver.solve(&inst, &ctx).is_none());
+    }
+
+    #[test]
+    fn ptas_member_answers_nothing_once_the_token_fired() {
+        let inst = uniform_fixture();
+        let incumbent = Incumbent::new();
+        let token = CancelToken::new();
+        token.cancel();
+        let ctx = SolveContext { cancel: &token, seed: 7, incumbent: &incumbent };
+        assert!(PtasSolver { q: 4 }.solve(&inst, &ctx).is_none());
     }
 
     #[test]
