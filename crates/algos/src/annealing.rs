@@ -76,21 +76,19 @@
 //! move's target can be larger, but then it is above the makespan and,
 //! conversion being monotone, reads as a rise on both sides.
 //!
-//! The phase runs on flat state built from the tracker at entry in
-//! `O(n·m + K·m²)` and dropped at exit: assignment and loads, the jobs of
-//! every (class, machine) slot, and per (class, source, target) the sum of
-//! the slot's times on the target with a count of its infinite cells, so a
-//! class-move verdict is `O(1)`. An accepted move updates those rows in
-//! `O(m)` (plus `O(B)` for a class move) and recomputes the makespan as an
-//! `O(m)` maximum; a strict improvement snapshots the assignment. It draws
+//! The phase keeps the walk's tracker and its target accessors, so it
+//! builds no state of its own; an accepted move goes through the
+//! tracker's `apply_*` and reads the new makespan back. It checks for a
+//! frozen state once at entry (with the same neighbourhood scan as the
+//! Metropolis loop) and then after the same patience, and stops as soon
+//! as it finds one: no rising proposal can pass any more. The schedule,
+//! `accepted` and `improvements` stay bit-identical to the Metropolis
+//! loop run to the end; only `proposals` falls.
+//!
+//! Both phases draw a proposal the same way: the class-move coin, then
 //! the job and the target machine through [`rand::distributions::Uniform`],
 //! whose draws are exactly `gen_range`'s but whose rejection zone is
-//! computed once per phase instead of once per draw. The phase checks for
-//! a frozen state once at entry and then after the same
-//! patience as the Metropolis loop, and stops as soon as it finds one: no
-//! rising proposal can pass any more. The schedule, `accepted` and
-//! `improvements` stay bit-identical to the Metropolis loop run to the end;
-//! only `proposals` falls.
+//! computed once per walk instead of once per draw.
 //!
 //! ```
 //! use sst_algos::annealing::{anneal_uniform, AnnealConfig};
@@ -194,18 +192,6 @@ enum Proposal {
     Class(usize, usize, usize),
 }
 
-/// The walk's state shared by both phases.
-struct Walk {
-    rng: SmallRng,
-    temp: f64,
-    best: Schedule,
-    accepted: usize,
-    improvements: usize,
-    proposals: usize,
-    /// Rejections in a row since the last accepted move or frozen scan.
-    rejected: usize,
-}
-
 /// The annealer's proposal loop, written once for every machine model:
 /// the Metropolis phase and, for integer-keyed models, the plateau phase
 /// (module docs). Deltas are measured in the model's key arithmetic
@@ -225,100 +211,60 @@ pub fn anneal_budgeted<M: MachineModel>(
 ) -> AnnealResult {
     let mut tracker = LoadTracker::<M>::new(inst, start).expect("valid start schedule");
     let (n, m) = (M::n(inst), M::m(inst));
-    let mut walk = Walk {
-        rng: SmallRng::seed_from_u64(cfg.seed),
-        temp: M::key_to_f64(tracker.makespan()) * cfg.initial_temp_fraction,
-        best: start.clone(),
+    let mut res = AnnealResult {
+        schedule: start.clone(),
         accepted: 0,
         improvements: 0,
         proposals: 0,
-        rejected: 0,
+        plateau_entry: None,
+        plateau_accepted: 0,
     };
-    let mut plateau_entry = None;
-    let mut plateau_accepted = 0;
-    if n > 0 && m >= 2 {
-        let cools = (0.0..=1.0).contains(&cfg.cooling);
-        // Rejections in a row before a frozen-state scan; never, when
-        // cooling outside [0, 1] can make the temperature rise again.
-        let patience = if cools {
-            FROZEN_PATIENCE * (m - 1) * (n + n.min(m * M::num_classes(inst)))
-        } else {
-            usize::MAX
-        };
-        // Makespans below this may enter the plateau phase.
-        let headroom = if cools && M::key_as_load(tracker.makespan()).is_some() {
-            EXACT_F64_LOADS.checked_sub(largest_finite_cells::<M>(inst))
-        } else {
-            None
-        };
-        let entry;
-        (walk, entry) = metropolis(walk, &mut tracker, cfg, cancel, patience, headroom);
-        if let Some((makespan, best_ms)) = entry {
-            plateau_entry = Some(walk.proposals);
-            let accepted_before = walk.accepted;
-            walk = Plateau::new(&tracker, makespan, best_ms).run(walk, cfg, cancel, patience);
-            plateau_accepted = walk.accepted - accepted_before;
-        }
+    if n == 0 || m < 2 {
+        return res;
     }
-    AnnealResult {
-        schedule: walk.best,
-        accepted: walk.accepted,
-        improvements: walk.improvements,
-        proposals: walk.proposals,
-        plateau_entry,
-        plateau_accepted,
-    }
-}
-
-/// The Metropolis phase. Returns the makespan and the best makespan as
-/// loads when the plateau phase should take over (the makespan is below
-/// `headroom` and the temperature is cold), and `None` when the walk is
-/// over: the iterations ran out, `cancel` fired or the state froze. Both
-/// phases take the walk by value, so its hot fields live in registers.
-fn metropolis<M: MachineModel>(
-    mut walk: Walk,
-    tracker: &mut LoadTracker<'_, M>,
-    cfg: &AnnealConfig,
-    cancel: &CancelToken,
-    patience: usize,
-    headroom: Option<u64>,
-) -> (Walk, Option<(u64, u64)>) {
-    let inst = tracker.instance();
-    let (n, m) = (M::n(inst), M::m(inst));
+    let cools = (0.0..=1.0).contains(&cfg.cooling);
+    // Rejections in a row before a frozen-state scan; never, when cooling
+    // outside [0, 1] can make the temperature rise again.
+    let patience = if cools {
+        FROZEN_PATIENCE * (m - 1) * (n + n.min(m * M::num_classes(inst)))
+    } else {
+        usize::MAX
+    };
+    // Makespans below this may enter the plateau phase.
+    let headroom = if cools && M::key_as_load(tracker.makespan()).is_some() {
+        EXACT_F64_LOADS.checked_sub(largest_finite_cells::<M>(inst))
+    } else {
+        None
+    };
+    // The hot state lives in locals rather than in a struct behind a
+    // reference, so the compiler keeps it in registers.
+    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let draws = Draws { jobs: Draw::new(0, n), machines: Draw::new(0, m) };
     let mut cur_ms = tracker.makespan();
     let mut cur = M::key_to_f64(cur_ms);
     let mut best_ms = cur_ms;
+    let mut temp = cur * cfg.initial_temp_fraction;
+    let mut rejected = 0usize;
     // The smallest rise out of the current state, once a scan has found
     // that every move rises; cleared by the next accepted move.
     let mut frozen: Option<f64> = None;
-    while walk.proposals < cfg.iterations {
-        let temp = walk.temp;
+    // The Metropolis phase.
+    while res.proposals < cfg.iterations {
         let below = |h: u64| M::key_as_load(cur_ms).is_some_and(|load| load < h);
         if temp * 1000.0 < 1.0 && headroom.is_some_and(below) {
-            let load = |key| M::key_as_load(key).expect("a headroom implies load keys");
-            return (walk, Some((load(cur_ms), load(best_ms))));
+            res.plateau_entry = Some(res.proposals);
+            break;
         }
-        if walk.proposals & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
+        if res.proposals & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
             break;
         }
         if frozen.is_some_and(|rise| temp <= 0.0 || -rise / temp < EXP_UNDERFLOW) {
             break;
         }
-        walk.proposals += 1;
-        let rng = &mut walk.rng;
-        let class_move = rng.gen::<f64>() < cfg.class_move_prob;
-        let j = rng.gen_range(0..n);
-        let from = tracker.machine_of(j);
-        let to = rng.gen_range(0..m);
-        let proposal = if class_move {
-            let k = M::class_of(inst, j);
-            tracker.class_move_target(from, k, to).map(|kt| (Proposal::Class(from, k, to), kt))
-        } else {
-            tracker.job_move_target(j, to).map(|kt| (Proposal::Job(j, to), kt))
-        };
+        res.proposals += 1;
         // A target key at or above the makespan is the new makespan
         // (module docs); below it, the full evaluation decides.
-        let scored = proposal.map(|(p, kt)| {
+        let scored = draws.propose(&mut rng, &tracker, cfg.class_move_prob).map(|(p, kt)| {
             let new_ms = if kt >= cur_ms {
                 kt
             } else {
@@ -341,32 +287,115 @@ fn metropolis<M: MachineModel>(
         });
         match chosen {
             Some((proposal, new_ms)) => {
-                match proposal {
-                    Proposal::Job(j, to) => tracker.apply_job_move(j, to),
-                    Proposal::Class(from, k, to) => tracker.apply_class_move(from, k, to),
-                }
-                walk.accepted += 1;
+                apply(&mut tracker, proposal);
+                res.accepted += 1;
                 cur_ms = new_ms;
                 cur = M::key_to_f64(cur_ms);
                 if new_ms < best_ms {
                     best_ms = new_ms;
-                    walk.best = tracker.schedule();
-                    walk.improvements += 1;
+                    res.schedule = tracker.schedule();
+                    res.improvements += 1;
                 }
-                walk.rejected = 0;
+                rejected = 0;
                 frozen = None;
             }
             None => {
-                walk.rejected += 1;
-                if walk.rejected >= patience && frozen.is_none() {
-                    walk.rejected = 0;
-                    frozen = min_rise(tracker, cur_ms, cancel);
+                rejected += 1;
+                if rejected >= patience && frozen.is_none() {
+                    rejected = 0;
+                    frozen = min_rise(&tracker, cur_ms, cancel);
                 }
             }
         }
-        walk.temp *= cfg.cooling;
+        temp *= cfg.cooling;
     }
-    (walk, None)
+    // The plateau phase: a proposal passes iff it is feasible and its
+    // target key is at most the makespan. A frozen state, found at entry
+    // or after the patience, ends the walk: no rising proposal can pass
+    // any more.
+    if res.plateau_entry.is_none() || min_rise(&tracker, cur_ms, cancel).is_some() {
+        return res;
+    }
+    while res.proposals < cfg.iterations {
+        if res.proposals & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
+            break;
+        }
+        res.proposals += 1;
+        match draws.propose(&mut rng, &tracker, cfg.class_move_prob) {
+            Some((proposal, kt)) if kt <= cur_ms => {
+                apply(&mut tracker, proposal);
+                res.accepted += 1;
+                res.plateau_accepted += 1;
+                cur_ms = tracker.makespan();
+                if cur_ms < best_ms {
+                    best_ms = cur_ms;
+                    res.schedule = tracker.schedule();
+                    res.improvements += 1;
+                }
+                rejected = 0;
+            }
+            rising => {
+                // A feasible rising proposal still draws the Metropolis
+                // test's `u`, whose answer is "reject" (module docs).
+                if rising.is_some() && temp > 0.0 {
+                    rng.next_u64();
+                }
+                rejected += 1;
+                if rejected >= patience {
+                    rejected = 0;
+                    if min_rise(&tracker, cur_ms, cancel).is_some() {
+                        break;
+                    }
+                }
+            }
+        }
+        temp *= cfg.cooling;
+    }
+    res
+}
+
+/// The job and machine draws of `gen_range(0..n)` and `gen_range(0..m)`,
+/// with their rejection zones computed once per walk instead of once per
+/// draw.
+struct Draws {
+    jobs: Draw<usize>,
+    machines: Draw<usize>,
+}
+
+impl Draws {
+    /// Draws one proposal and its target machine's new key
+    /// ([`LoadTracker::job_move_target`] /
+    /// [`LoadTracker::class_move_target`]): the class-move coin, the job,
+    /// then the target machine. Both phases draw through here, so they
+    /// consume the RNG identically. `None` when the move is a no-op or
+    /// infeasible. Always inlined: called out of line, the RNG state
+    /// would round-trip through memory on every proposal.
+    #[inline(always)]
+    fn propose<M: MachineModel>(
+        &self,
+        rng: &mut SmallRng,
+        tracker: &LoadTracker<'_, M>,
+        class_move_prob: f64,
+    ) -> Option<(Proposal, M::Key)> {
+        let class_move = rng.gen::<f64>() < class_move_prob;
+        let j = self.jobs.sample(rng);
+        let from = tracker.machine_of(j);
+        let to = self.machines.sample(rng);
+        if class_move {
+            let k = M::class_of(tracker.instance(), j);
+            tracker.class_move_target(from, k, to).map(|kt| (Proposal::Class(from, k, to), kt))
+        } else {
+            tracker.job_move_target(j, to).map(|kt| (Proposal::Job(j, to), kt))
+        }
+    }
+}
+
+/// Applies an accepted proposal.
+fn apply<M: MachineModel>(tracker: &mut LoadTracker<'_, M>, proposal: Proposal) {
+    match proposal {
+        Proposal::Job(j, to) => tracker.apply_job_move(j, to),
+        Proposal::Class(from, k, to) => tracker.apply_class_move(from, k, to),
+    }
 }
 
 /// The largest finite job time plus the largest finite setup time, in raw
@@ -376,256 +405,6 @@ fn largest_finite_cells<M: MachineModel>(inst: &M::Instance) -> u64 {
     let max_p = (0..n).flat_map(|j| (0..m).filter_map(move |i| M::job_time(inst, i, j))).max();
     let max_s = (0..kk).flat_map(|k| (0..m).filter_map(move |i| M::setup_time(inst, i, k))).max();
     max_p.unwrap_or(0).saturating_add(max_s.unwrap_or(0))
-}
-
-/// Flat state of the plateau phase (module docs): built from the tracker
-/// at entry, private to the walk and dropped at its exit. Loads are keys
-/// here ([`MachineModel::key_as_load`]).
-struct Plateau<'a, M: MachineModel> {
-    inst: &'a M::Instance,
-    n: usize,
-    m: usize,
-    asg: Vec<usize>,
-    loads: Vec<u64>,
-    makespan: u64,
-    best_ms: u64,
-    /// `slots[k * m + i]`: the class-`k` jobs on machine `i`, any order.
-    slots: Vec<Vec<usize>>,
-    /// `pos[j]`: job `j`'s index in its slot.
-    pos: Vec<usize>,
-    /// `arriving[(k * m + from) * m + to]`: the sum of the finite times on
-    /// `to` of slot `(from, k)`'s jobs, and how many of them are infinite.
-    arriving: Vec<(u64, u32)>,
-    /// The assignment at the phase's last strict improvement; empty
-    /// before the first.
-    best_asg: Vec<usize>,
-}
-
-impl<'a, M: MachineModel> Plateau<'a, M> {
-    fn new(tracker: &LoadTracker<'a, M>, makespan: u64, best_ms: u64) -> Self {
-        let inst = tracker.instance();
-        let (n, m, kk) = (M::n(inst), M::m(inst), M::num_classes(inst));
-        let asg: Vec<usize> = (0..n).map(|j| tracker.machine_of(j)).collect();
-        let mut slots = vec![Vec::new(); kk * m];
-        let mut pos = vec![0; n];
-        let mut arriving = vec![(0u64, 0u32); kk * m * m];
-        for j in 0..n {
-            let slot = M::class_of(inst, j) * m + asg[j];
-            pos[j] = slots[slot].len();
-            slots[slot].push(j);
-            for (t, cell) in arriving[slot * m..(slot + 1) * m].iter_mut().enumerate() {
-                add_time(cell, M::job_time(inst, t, j));
-            }
-        }
-        Plateau {
-            inst,
-            n,
-            m,
-            asg,
-            loads: tracker.loads().to_vec(),
-            makespan,
-            best_ms,
-            slots,
-            pos,
-            arriving,
-            best_asg: Vec::new(),
-        }
-    }
-
-    /// Machine `to`'s load after job `j` moves there; `None` when the move
-    /// is a no-op or infeasible.
-    #[inline]
-    fn job_move_target(&self, j: usize, to: usize) -> Option<u64> {
-        let k = M::class_of(self.inst, j);
-        if self.asg[j] == to {
-            return None;
-        }
-        let p = M::job_time(self.inst, to, j)?;
-        let s = M::setup_time(self.inst, to, k)?;
-        let setup = if self.slots[k * self.m + to].is_empty() { s } else { 0 };
-        Some(self.loads[to] + p + setup)
-    }
-
-    /// Machine `to`'s load after job `j`'s whole (class, machine) slot
-    /// moves there; `None` when the move is a no-op or infeasible.
-    #[inline]
-    fn class_move_target(&self, j: usize, to: usize) -> Option<u64> {
-        let (m, k, from) = (self.m, M::class_of(self.inst, j), self.asg[j]);
-        let (sum, infinite) = self.arriving[(k * m + from) * m + to];
-        if from == to || infinite > 0 {
-            return None;
-        }
-        let s = M::setup_time(self.inst, to, k)?;
-        let setup = if self.slots[k * m + to].is_empty() { s } else { 0 };
-        Some(self.loads[to] + sum + setup)
-    }
-
-    fn apply_job_move(&mut self, j: usize, to: usize) {
-        let (m, k, from) = (self.m, M::class_of(self.inst, j), self.asg[j]);
-        let (src, dst) = (k * m + from, k * m + to);
-        let time = |i| M::job_time(self.inst, i, j).expect("feasible on its machine and target");
-        self.loads[from] -= time(from);
-        if self.slots[src].len() == 1 {
-            self.loads[from] -= self.setup(from, k);
-        }
-        self.loads[to] += time(to);
-        if self.slots[dst].is_empty() {
-            self.loads[to] += self.setup(to, k);
-        }
-        let at = self.pos[j];
-        self.slots[src].swap_remove(at);
-        if let Some(&moved) = self.slots[src].get(at) {
-            self.pos[moved] = at;
-        }
-        self.pos[j] = self.slots[dst].len();
-        self.slots[dst].push(j);
-        for t in 0..m {
-            let time = M::job_time(self.inst, t, j);
-            sub_time(&mut self.arriving[src * m + t], time);
-            add_time(&mut self.arriving[dst * m + t], time);
-        }
-        self.asg[j] = to;
-        self.refresh_makespan();
-    }
-
-    fn apply_class_move(&mut self, from: usize, k: usize, to: usize) {
-        let m = self.m;
-        let (src, dst) = (k * m + from, k * m + to);
-        self.loads[from] -= self.arriving[src * m + from].0 + self.setup(from, k);
-        self.loads[to] += self.arriving[src * m + to].0;
-        if self.slots[dst].is_empty() {
-            self.loads[to] += self.setup(to, k);
-        }
-        for t in 0..m {
-            let (sum, infinite) = std::mem::take(&mut self.arriving[src * m + t]);
-            let cell = &mut self.arriving[dst * m + t];
-            cell.0 += sum;
-            cell.1 += infinite;
-        }
-        let mut batch = std::mem::take(&mut self.slots[src]);
-        for &j in &batch {
-            self.asg[j] = to;
-            self.pos[j] = self.slots[dst].len();
-            self.slots[dst].push(j);
-        }
-        // Hand the drained allocation back so churn allocates nothing.
-        batch.clear();
-        self.slots[src] = batch;
-        self.refresh_makespan();
-    }
-
-    /// Class `k`'s setup on machine `i`, which a move has found finite.
-    fn setup(&self, i: usize, k: usize) -> u64 {
-        M::setup_time(self.inst, i, k).expect("feasible on its machine and target")
-    }
-
-    fn refresh_makespan(&mut self) {
-        self.makespan = self.loads.iter().copied().max().unwrap_or(0);
-    }
-
-    /// True when every feasible job and class move strictly raises the
-    /// makespan, so the phase can accept nothing more.
-    fn frozen(&self) -> bool {
-        let fits = |target: Option<u64>| target.is_some_and(|load| load <= self.makespan);
-        let job = |j| (0..self.m).any(|to| fits(self.job_move_target(j, to)));
-        let class = |j| (0..self.m).any(|to| fits(self.class_move_target(j, to)));
-        !((0..self.n).any(job)
-            || self.slots.iter().any(|jobs| jobs.first().is_some_and(|&j| class(j))))
-    }
-
-    /// Runs the plateau phase from `walk.proposals` on; `walk.best`
-    /// receives the phase's last strict improvement.
-    fn run(
-        mut self,
-        mut walk: Walk,
-        cfg: &AnnealConfig,
-        cancel: &CancelToken,
-        patience: usize,
-    ) -> Walk {
-        if !self.frozen() {
-            walk = self.walk(walk, cfg, cancel, patience);
-        }
-        if !self.best_asg.is_empty() {
-            walk.best = Schedule::new(self.best_asg);
-        }
-        walk
-    }
-
-    fn walk(
-        &mut self,
-        mut walk: Walk,
-        cfg: &AnnealConfig,
-        cancel: &CancelToken,
-        patience: usize,
-    ) -> Walk {
-        // The draws of `gen_range(0..n)` and `gen_range(0..m)`, without
-        // recomputing their rejection zones every proposal.
-        let (jobs, machines) = (Draw::new(0, self.n), Draw::new(0, self.m));
-        while walk.proposals < cfg.iterations {
-            if walk.proposals & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
-                break;
-            }
-            walk.proposals += 1;
-            let rng = &mut walk.rng;
-            let class_move = rng.gen::<f64>() < cfg.class_move_prob;
-            let j = jobs.sample(rng);
-            let to = machines.sample(rng);
-            let target = if class_move {
-                self.class_move_target(j, to)
-            } else {
-                self.job_move_target(j, to)
-            };
-            if target.is_some_and(|load| load <= self.makespan) {
-                if class_move {
-                    self.apply_class_move(self.asg[j], M::class_of(self.inst, j), to);
-                } else {
-                    self.apply_job_move(j, to);
-                }
-                walk.accepted += 1;
-                if self.makespan < self.best_ms {
-                    self.best_ms = self.makespan;
-                    self.best_asg.clear();
-                    self.best_asg.extend_from_slice(&self.asg);
-                    walk.improvements += 1;
-                }
-                walk.rejected = 0;
-            } else {
-                // A feasible rising proposal still draws the Metropolis
-                // test's `u`, whose answer is "reject" (module docs).
-                if target.is_some() && walk.temp > 0.0 {
-                    rng.next_u64();
-                }
-                walk.rejected += 1;
-                if walk.rejected >= patience {
-                    walk.rejected = 0;
-                    if self.frozen() {
-                        break;
-                    }
-                }
-            }
-            walk.temp *= cfg.cooling;
-        }
-        walk
-    }
-}
-
-/// Adds one job's time on a target machine (`None` when infinite) to an
-/// arriving-sum cell.
-#[inline]
-fn add_time(cell: &mut (u64, u32), time: Option<u64>) {
-    match time {
-        Some(t) => cell.0 += t,
-        None => cell.1 += 1,
-    }
-}
-
-/// Removes what [`add_time`] added.
-#[inline]
-fn sub_time(cell: &mut (u64, u32), time: Option<u64>) {
-    match time {
-        Some(t) => cell.0 -= t,
-        None => cell.1 -= 1,
-    }
 }
 
 /// The smallest rise `key_to_f64(new) - key_to_f64(cur_ms)` over every

@@ -761,18 +761,22 @@ mod tests {
 
     #[test]
     fn a_fired_token_stops_the_search() {
-        // Without a token this instance searches for about 12 s.
+        // Without a token this instance searches for about 12 s in a release
+        // build, and longer in a debug one. With a fired token the search
+        // unwinds at its next poll, within microseconds; the time bound is
+        // generous enough that only a search ignoring the token misses it.
         let inst = sst_gen::scenarios::production_line(48, 5, 6, 30);
+        let bound = std::time::Duration::from_secs(3);
         let fired = CancelToken::new();
         fired.cancel();
         let t0 = std::time::Instant::now();
         assert!(ptas_uniform_budgeted(&inst, &race_cfg(), &fired).is_none());
-        assert!(t0.elapsed() < std::time::Duration::from_millis(50), "{:?}", t0.elapsed());
+        assert!(t0.elapsed() < bound, "{:?}", t0.elapsed());
         // A deadline that passes mid-search unwinds within a few polls.
         let deadline = CancelToken::with_deadline(std::time::Duration::from_millis(20));
         let t0 = std::time::Instant::now();
         assert!(ptas_uniform_budgeted(&inst, &race_cfg(), &deadline).is_none());
-        assert!(t0.elapsed() < std::time::Duration::from_millis(1_000), "{:?}", t0.elapsed());
+        assert!(t0.elapsed() < bound, "{:?}", t0.elapsed());
     }
 
     #[test]

@@ -465,26 +465,34 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
         rest.max(self.key(from, new_from)).max(self.key(to, new_to))
     }
 
-    /// New `(load_from, load_to)` if job `j` moved to `to`; `None` when the
-    /// move is a no-op or infeasible (infinite time on `to`). The outgoing
-    /// side reads the tracker's own caches; only the hypothetical target
-    /// consults the instance.
-    #[inline]
-    fn job_move_loads(&self, j: JobId, to: MachineId) -> Option<(u64, u64)> {
-        let from = self.assignment[j];
-        if from == to {
+    /// Machine `to`'s new load if job `j` moved there; `None` when the move
+    /// is a no-op or infeasible (infinite time on `to`). Only the target
+    /// side: the source machine's caches are not read. This and the other
+    /// target-side accessors are always inlined: the annealer calls them
+    /// once per proposal, and a call keeps its RNG state in memory.
+    #[inline(always)]
+    fn job_move_target_load(&self, j: JobId, to: MachineId) -> Option<u64> {
+        if self.assignment[j] == to {
             return None;
         }
         let p_to = M::job_time(self.inst, to, j)?;
         let k = self.job_class[j];
         let s_to = M::setup_time(self.inst, to, k)?;
+        let setup = if self.table.count(to, k) == 0 { s_to } else { 0 };
+        Some(self.loads[to] + p_to + setup)
+    }
+
+    /// New `(load_from, load_to)` if job `j` moved to `to`; `None` when the
+    /// move is a no-op or infeasible. The outgoing side reads the
+    /// tracker's own caches; only the hypothetical target consults the
+    /// instance.
+    #[inline]
+    fn job_move_loads(&self, j: JobId, to: MachineId) -> Option<(u64, u64)> {
+        let new_to = self.job_move_target_load(j, to)?;
+        let (from, k) = (self.assignment[j], self.job_class[j]);
         let mut new_from = self.loads[from] - self.job_times[j];
         if self.table.count(from, k) == 1 {
             new_from -= self.table.charge(from, k);
-        }
-        let mut new_to = self.loads[to] + p_to;
-        if self.table.count(to, k) == 0 {
-            new_to += s_to;
         }
         Some((new_from, new_to))
     }
@@ -501,9 +509,9 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
     /// read. The source machine only sheds load, so when this key is at
     /// least [`Self::makespan`] it *is* the new makespan (keys are
     /// non-decreasing in load, see [`MachineModel::key`]).
-    #[inline]
+    #[inline(always)]
     pub fn job_move_target(&self, j: JobId, to: MachineId) -> Option<M::Key> {
-        let (_, new_to) = self.job_move_loads(j, to)?;
+        let new_to = self.job_move_target_load(j, to)?;
         Some(self.key(to, new_to))
     }
 
@@ -531,16 +539,18 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
         self.assignment[j] = to;
     }
 
-    /// New `(load_from, load_to, arriving_sum)` for a whole-class move;
-    /// `None` when empty, no-op or infeasible. The arriving sum is the
-    /// cached slot sum when the model's times are machine-independent and
-    /// an `O(B)` re-sum otherwise.
-    fn class_move_loads(
+    /// Machine `to`'s new load and the arriving sum for a whole-class
+    /// move; `None` when empty, no-op or infeasible. The arriving sum is
+    /// the cached slot sum when the model's times are machine-independent
+    /// and an `O(B)` re-sum otherwise. Like
+    /// [`Self::job_move_target_load`], only the target side.
+    #[inline(always)]
+    fn class_move_target_load(
         &self,
         from: MachineId,
         k: ClassId,
         to: MachineId,
-    ) -> Option<(u64, u64, u64)> {
+    ) -> Option<(u64, u64)> {
         if from == to || self.table.count(from, k) == 0 {
             return None;
         }
@@ -554,13 +564,21 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
             }
             sum
         };
+        let setup = if self.table.count(to, k) == 0 { s_to } else { 0 };
+        Some((self.loads[to] + arriving + setup, arriving))
+    }
+
+    /// New `(load_from, load_to, arriving_sum)` for a whole-class move;
+    /// `None` when empty, no-op or infeasible.
+    fn class_move_loads(
+        &self,
+        from: MachineId,
+        k: ClassId,
+        to: MachineId,
+    ) -> Option<(u64, u64, u64)> {
+        let (new_to, arriving) = self.class_move_target_load(from, k, to)?;
         let departing = self.table.ptime_sum(from, k) + self.table.charge(from, k);
-        let new_from = self.loads[from] - departing;
-        let mut new_to = self.loads[to] + arriving;
-        if self.table.count(to, k) == 0 {
-            new_to += s_to;
-        }
-        Some((new_from, new_to, arriving))
+        Some((self.loads[from] - departing, new_to, arriving))
     }
 
     /// Makespan after migrating *all* class-`k` jobs on `from` to `to`, in
@@ -575,9 +593,9 @@ impl<'a, M: MachineModel> LoadTracker<'a, M> {
     /// Key of machine `to` after migrating all class-`k` jobs on `from`
     /// there: [`Self::job_move_target`] for whole-class moves, with the
     /// `None` cases and cost of [`Self::eval_class_move`].
-    #[inline]
+    #[inline(always)]
     pub fn class_move_target(&self, from: MachineId, k: ClassId, to: MachineId) -> Option<M::Key> {
-        let (_, new_to, _) = self.class_move_loads(from, k, to)?;
+        let (new_to, _) = self.class_move_target_load(from, k, to)?;
         Some(self.key(to, new_to))
     }
 
