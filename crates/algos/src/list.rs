@@ -58,22 +58,25 @@ pub fn greedy_uniform(inst: &UniformInstance) -> Schedule {
 }
 
 /// Jobs in order of decreasing best-case cost `min_i (p_ij + s_ik)`, ties
-/// in job-id order. Each job's O(m) key is computed once, so the sort is
-/// O(n·m + n log n).
+/// in job-id order. Each job's O(m) key is computed once and packed with
+/// its id into one `u128`, `(Reverse(best), j)`; the keys are distinct, so
+/// an unstable sort gives the stable order. O(n·m + n log n).
 pub(crate) fn by_decreasing_best_cost(inst: &UnrelatedInstance) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..inst.n()).collect();
-    order.sort_by_cached_key(|&j| {
-        // `min_i cost(i, j)` over the job's row slices.
-        let setups = inst.setups_row(inst.class_of(j));
-        let best = inst
-            .ptimes_row(j)
-            .iter()
-            .zip(setups)
-            .map(|(&p, &s)| if is_finite(p) && is_finite(s) { p.saturating_add(s) } else { INF })
-            .min();
-        std::cmp::Reverse(best.unwrap_or(INF))
-    });
-    order
+    let mut keys: Vec<u128> = (0..inst.n())
+        .map(|j| {
+            // `min_i cost(i, j)` over the job's row slices: a sum with an
+            // ∞ term saturates to ∞, so no cell needs a finiteness test.
+            let setups = inst.setups_row(inst.class_of(j));
+            let best = inst
+                .ptimes_row(j)
+                .iter()
+                .zip(setups)
+                .fold(INF, |best, (&p, &s)| best.min(p.saturating_add(s)));
+            (u128::from(INF - best) << 64) | j as u128
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|key| key as u64 as usize).collect()
 }
 
 /// Setup-aware greedy for unrelated machines: jobs ordered by decreasing
@@ -92,20 +95,24 @@ pub fn greedy_unrelated(inst: &UnrelatedInstance) -> Schedule {
         let k = inst.class_of(j);
         let setups = inst.setups_row(k);
         let opened = &mut has_class[k * m..(k + 1) * m];
-        let mut best: Option<(u64, usize)> = None;
+        // The least new load, ties to the lowest id by the strict `<`; an
+        // infeasible machine's key `u64::MAX` never wins. Selects, not
+        // branches: which machine wins is data-dependent.
+        let (mut best_load, mut i) = (u64::MAX, usize::MAX);
         let cells = inst.ptimes_row(j).iter().zip(setups).zip(&load).zip(opened.iter());
-        for (i, (((&p, &s), &l), &open)) in cells.enumerate() {
-            if !is_finite(p) || !is_finite(s) {
-                continue;
-            }
+        for (c, (((&p, &s), &l), &open)) in cells.enumerate() {
             let new_load = l.saturating_add(p).saturating_add(if open { 0 } else { s });
-            match best {
-                None => best = Some((new_load, i)),
-                Some((bl, _)) if new_load < bl => best = Some((new_load, i)),
-                _ => {}
-            }
+            let key = if is_finite(p) && is_finite(s) { new_load } else { u64::MAX };
+            let better = key < best_load;
+            best_load = if better { key } else { best_load };
+            i = if better { c } else { i };
         }
-        let (_, i) = best.expect("instance validation guarantees a finite machine");
+        if i == usize::MAX {
+            // Every feasible load saturated at `u64::MAX`: the lowest id.
+            i = (0..m)
+                .find(|&c| is_finite(inst.ptime(c, j)) && is_finite(setups[c]))
+                .expect("instance validation guarantees a finite machine");
+        }
         if !opened[i] {
             opened[i] = true;
             load[i] += setups[i];
@@ -211,6 +218,21 @@ mod tests {
         assert_eq!(s.machine_of(0), 1);
         assert_eq!(s.machine_of(1), 0);
         assert_eq!(unrelated_makespan(&inst, &s).unwrap(), 4);
+    }
+
+    #[test]
+    fn greedy_unrelated_ties_at_a_saturated_load_go_to_the_lowest_id() {
+        // Jobs 0 and 1 fill both machines to `u64::MAX - 1`; job 2 then
+        // reaches `u64::MAX` on either, and the lowest id takes it.
+        let big = u64::MAX - 2;
+        let inst = UnrelatedInstance::new(
+            2,
+            vec![0, 0, 0],
+            vec![vec![big, big], vec![big, big], vec![1, 1]],
+            vec![vec![1, 1]],
+        )
+        .unwrap();
+        assert_eq!(greedy_unrelated(&inst).assignment(), [0, 1, 0]);
     }
 
     #[test]

@@ -44,6 +44,12 @@ use sst_core::simplify::{simplify, Simplified};
 /// Search nodes between cancel polls.
 const CANCEL_CHECK_MASK: u64 = 0xFF;
 
+/// Cap on the failed-state memo of one relaxed-schedule search. A full
+/// memo ends the search as the node limit does: every further node fails.
+/// A key holds one `(speed, load, flag)` triple per active machine; a full
+/// memo on a 48-job, 5-machine production line peaked at about 24 MiB.
+const FAILED_MEMO_LIMIT: usize = 1 << 16;
+
 /// Tuning parameters of the PTAS.
 #[derive(Debug, Clone, Copy)]
 pub struct PtasConfig {
@@ -53,6 +59,8 @@ pub struct PtasConfig {
     /// it makes the decision answer `Infeasible`, which can only push the
     /// binary search to a larger (still valid) guess — soundness is kept,
     /// the `(1+ε)` quality claim is certified only for completed searches.
+    /// A search whose failed-state memo fills up (a fixed cap of 2¹⁶
+    /// states) gives up the same way.
     pub node_limit: u64,
 }
 
@@ -206,6 +214,8 @@ struct Search<'a> {
     assignment: Vec<usize>,
     fractional: BTreeMap<i64, Vec<usize>>,
     failed: HashSet<StateKey>,
+    /// The search gives up once `failed` holds this many states.
+    memo_limit: usize,
     nodes: u64,
     node_limit: u64,
     /// Polled every 256 nodes; once it fires every node fails, so the
@@ -243,6 +253,7 @@ impl Search<'_> {
     /// On success, `assignment`/`fractional` describe a relaxed schedule.
     fn run(&mut self, g: i64, idx: usize, l1: u64, l2: u64, l3: Ratio) -> bool {
         if self.nodes >= self.node_limit
+            || self.failed.len() >= self.memo_limit
             || (self.nodes & CANCEL_CHECK_MASK == 0 && self.cancel.is_cancelled())
         {
             return false;
@@ -338,7 +349,9 @@ impl Search<'_> {
         ok
     }
 
-    /// Memoized recursion step.
+    /// Memoized recursion step. A failed `run` restores every state
+    /// component it touched, so the key built on entry is the failed
+    /// state's key; a full memo takes no more.
     fn descend(&mut self, g: i64, idx: usize, l1: u64, l2: u64, l3: Ratio) -> bool {
         let key = self.key(g, idx, l1, l2, l3);
         if self.failed.contains(&key) {
@@ -347,15 +360,22 @@ impl Search<'_> {
         if self.run(g, idx, l1, l2, l3) {
             true
         } else {
-            self.failed.insert(self.key(g, idx, l1, l2, l3));
+            if self.failed.len() < self.memo_limit {
+                self.failed.insert(key);
+            }
             false
         }
     }
 }
 
-/// Runs the relaxed-schedule search for prepared data; `None` also when
-/// `cancel` fires.
-fn search_relaxed(prep: &Prep, node_limit: u64, cancel: &CancelToken) -> Option<RelaxedOutcome> {
+/// Runs the relaxed-schedule search for prepared data with a failed-state
+/// memo of at most `memo_limit` states; `None` also when `cancel` fires.
+fn search_relaxed(
+    prep: &Prep,
+    node_limit: u64,
+    memo_limit: usize,
+    cancel: &CancelToken,
+) -> Option<RelaxedOutcome> {
     let s = &prep.simp.instance;
     let g_max = prep.groups.max_group();
     // Items whose target group is negative can never be integral (machines
@@ -393,6 +413,7 @@ fn search_relaxed(prep: &Prep, node_limit: u64, cancel: &CancelToken) -> Option<
         assignment: vec![usize::MAX; s.n()],
         fractional: pre_fractional,
         failed: HashSet::new(),
+        memo_limit,
         nodes: 0,
         node_limit,
         cancel,
@@ -540,7 +561,7 @@ pub fn decide_uniform_with_inflation(
     let Some(prep) = prepare(inst, t, cfg.q, inflation_exp) else {
         return Decision::Infeasible;
     };
-    match search_relaxed(&prep, cfg.node_limit, &CancelToken::new()) {
+    match search_relaxed(&prep, cfg.node_limit, FAILED_MEMO_LIMIT, &CancelToken::new()) {
         Some(outcome) => {
             let simplified_sched = convert(&prep, &outcome);
             Decision::Feasible(prep.simp.lift_schedule(&simplified_sched, inst))
@@ -576,7 +597,7 @@ fn decide(
             }
             continue;
         };
-        if let Some(outcome) = search_relaxed(&prep, cfg.node_limit, cancel) {
+        if let Some(outcome) = search_relaxed(&prep, cfg.node_limit, FAILED_MEMO_LIMIT, cancel) {
             let simplified_sched = convert(&prep, &outcome);
             return Decision::Feasible(prep.simp.lift_schedule(&simplified_sched, inst));
         }
@@ -761,8 +782,9 @@ mod tests {
 
     #[test]
     fn a_fired_token_stops_the_search() {
-        // Without a token this instance searches for about 12 s in a release
-        // build, and longer in a debug one. With a fired token the search
+        // Without a token this instance searches for about 60 ms in a
+        // release build and 0.5 s in a debug one (its searches fill the
+        // failed-state memo and give up). With a fired token the search
         // unwinds at its next poll, within microseconds; the time bound is
         // generous enough that only a search ignoring the token misses it.
         let inst = sst_gen::scenarios::production_line(48, 5, 6, 30);
@@ -773,10 +795,24 @@ mod tests {
         assert!(ptas_uniform_budgeted(&inst, &race_cfg(), &fired).is_none());
         assert!(t0.elapsed() < bound, "{:?}", t0.elapsed());
         // A deadline that passes mid-search unwinds within a few polls.
-        let deadline = CancelToken::with_deadline(std::time::Duration::from_millis(20));
+        let deadline = CancelToken::with_deadline(std::time::Duration::from_millis(5));
         let t0 = std::time::Instant::now();
         assert!(ptas_uniform_budgeted(&inst, &race_cfg(), &deadline).is_none());
         assert!(t0.elapsed() < bound, "{:?}", t0.elapsed());
+    }
+
+    #[test]
+    fn a_full_failed_memo_ends_the_search() {
+        // A decision search on the instance pinned above that passes
+        // through failed states before it succeeds: under the real cap it
+        // finds a relaxed schedule; with room for one failed state it
+        // gives up as it does at the node limit.
+        let inst = sst_gen::scenarios::production_line(48, 5, 6, 3);
+        let cfg = race_cfg();
+        let prep = prepare(&inst, Ratio::new(552, 1), cfg.q, 1).expect("prepares");
+        let never = CancelToken::new();
+        assert!(search_relaxed(&prep, cfg.node_limit, FAILED_MEMO_LIMIT, &never).is_some());
+        assert!(search_relaxed(&prep, cfg.node_limit, 1, &never).is_none());
     }
 
     #[test]

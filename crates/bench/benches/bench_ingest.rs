@@ -19,12 +19,24 @@
 //! through the real [`drive_connection`] sniffing loop against a live
 //! [`Service`]. Asserts every request is answered in its own framing;
 //! prints end-to-end throughput.
+//!
+//! Section 3 (reported, ungated): the serial stages around a solve-deadline
+//! race. For each of the five solve-deadline families at 800×10×16
+//! ([`DEADLINE_INSTANCES`] instances each) it prints the request size, the
+//! mean `parse_incoming` µs per request line, the response size and the
+//! mean `response_to_json` µs per answer (the instance's greedy floor as
+//! the solution, with three solver rows), each the best of
+//! [`TIMING_REPEATS`] runs, plus an FNV-1a digest of the decoded
+//! instances. The digest must not change unless decoding is meant to.
 
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sst_core::wire::{decode_frame, FrameHeader, HEADER_LEN, MAGIC};
-use sst_portfolio::protocol::{parse_incoming, request_to_json, Request};
+use sst_core::wire::{decode_frame, fnv1a64, FrameHeader, HEADER_LEN, MAGIC};
+use sst_gen::scenarios;
+use sst_portfolio::protocol::{
+    parse_incoming, request_to_json, response_to_json, Incoming, Request, Response, SolverLine,
+};
 use sst_portfolio::service::{drive_connection, testing, ServeConfig, Service};
 use sst_portfolio::wire::{decode_incoming, encode_request};
 use sst_portfolio::{ProblemInstance, SplittableInstance};
@@ -198,9 +210,89 @@ fn serve_mixed_workload() {
     );
 }
 
+/// Instances per family in the solve-deadline rows.
+const DEADLINE_INSTANCES: u64 = 8;
+
+fn deadline_instance(family: &str, seed: u64) -> ProblemInstance {
+    let (n, m, k) = (800, 10, 16);
+    match family {
+        "production-line" => ProblemInstance::Uniform(scenarios::production_line(n, m, k, seed)),
+        "compute-cluster" => ProblemInstance::Unrelated(scenarios::compute_cluster(n, m, k, seed)),
+        "print-shop" => ProblemInstance::Unrelated(scenarios::print_shop(n, m, k, seed)),
+        "ci-build-farm" => ProblemInstance::Unrelated(scenarios::ci_build_farm(n, m, k, seed)),
+        _ => ProblemInstance::Unrelated(sst_gen::unrelated(&sst_gen::UnrelatedParams {
+            n,
+            m,
+            k,
+            seed,
+            ..Default::default()
+        })),
+    }
+}
+
+fn deadline_rows() {
+    println!(
+        "== ingest: solve-deadline shape (800x10x16, {DEADLINE_INSTANCES} instances per family, \
+         best of {TIMING_REPEATS}) =="
+    );
+    let mut all = Vec::new();
+    for family in ["production-line", "compute-cluster", "print-shop", "ci-build-farm", "unrelated"]
+    {
+        let (mut lines, mut answers) = (Vec::new(), Vec::new());
+        for seed in 1..=DEADLINE_INSTANCES {
+            let instance = deadline_instance(family, seed);
+            let floor = instance.greedy();
+            let row = |name: &str, micros| SolverLine {
+                name: name.into(),
+                makespan: Some(floor.cost),
+                micros,
+                completed: false,
+            };
+            answers.push(Response::Ok {
+                id: seed,
+                kind: instance.kind().into(),
+                solver: "local-search".into(),
+                micros: 9_876,
+                makespan: floor.cost,
+                solvers: vec![row("local-search", 9_870), row("anneal", 9_871), row("lp", 412)],
+                solution: floor.solution,
+            });
+            let req = Request { id: seed, instance, budget_ms: Some(10), top_k: None, seed: None };
+            lines.push(request_to_json(&req));
+        }
+        let count = DEADLINE_INSTANCES as f64;
+        let decode_us = timed_min(|| {
+            for line in &lines {
+                black_box(parse_incoming(black_box(line)).expect("request decodes"));
+            }
+        }) / count;
+        let encode_us = timed_min(|| {
+            for answer in &answers {
+                black_box(response_to_json(black_box(answer)));
+            }
+        }) / count;
+        let mut digest = Vec::new();
+        for line in &lines {
+            let Ok(Incoming::Solve(req)) = parse_incoming(line) else { panic!("a solve request") };
+            digest.extend_from_slice(format!("{:?}", req.instance).as_bytes());
+        }
+        let line_kb = lines.iter().map(String::len).sum::<usize>() as f64 / count / 1024.0;
+        let answer_bytes = answers.iter().map(|a| response_to_json(a).len()).sum::<usize>();
+        println!(
+            "deadline_ingest/{family:<16} request {line_kb:>6.1} KiB  parse_incoming {decode_us:>7.1} us  \
+             response {:>5} B  response_to_json {encode_us:>6.2} us  digest {:016x}",
+            answer_bytes / DEADLINE_INSTANCES as usize,
+            fnv1a64(&digest),
+        );
+        all.extend_from_slice(&digest);
+    }
+    println!("deadline_ingest/all-families digest {:016x}", fnv1a64(&all));
+}
+
 fn bench(c: &mut Criterion) {
     decode_table();
     serve_mixed_workload();
+    deadline_rows();
     // Criterion tracking of the two decode primitives on the biggest
     // family, for run-over-run comparison.
     let (_, instance) = families().pop().expect("families non-empty");

@@ -112,13 +112,7 @@ pub mod json {
         }
 
         fn skip_ws(&mut self) {
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
+            self.pos = skip_ws_from(self.bytes, self.pos);
         }
 
         fn peek(&self) -> Option<u8> {
@@ -296,18 +290,8 @@ pub mod json {
         /// else (a negative, fractional or out-of-range number included).
         pub fn u64(&mut self) -> Option<u64> {
             self.skip_ws();
-            let start = self.pos;
-            let mut v: u64 = 0;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if !b.is_ascii_digit() {
-                    break;
-                }
-                v = v.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
-                self.pos += 1;
-            }
-            if self.pos == start || matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-                return None;
-            }
+            let (v, end) = uint_at(self.bytes, self.pos)?;
+            self.pos = end;
             Some(v)
         }
 
@@ -349,15 +333,82 @@ pub mod json {
 
         /// Appends the array of unsigned integers at the parser to `out`
         /// and returns how many it held; `None` when the value is not such
-        /// an array (what was appended before the mismatch stays).
+        /// an array (and `out` is left as it was).
         pub fn u64_array_into(&mut self, out: &mut Vec<u64>) -> Option<usize> {
             let before = out.len();
-            self.array(|p| {
-                out.push(p.u64().ok_or_else(String::new)?);
-                Ok(())
-            })
-            .ok()?;
-            Some(out.len() - before)
+            let read = self.u64_cells_into(out);
+            if read.is_none() {
+                out.truncate(before);
+            }
+            read.map(|()| out.len() - before)
+        }
+
+        /// [`Parser::u64_array_into`] without the count and without the
+        /// truncation on failure.
+        ///
+        /// One loop over the bytes, with the syntax and nesting rules of
+        /// [`Parser::items`] over [`Parser::u64`] reads. It keeps a bit
+        /// mask of which of the next 64 bytes are digits ([`digit_mask`]),
+        /// so a cell's length is a count of trailing ones rather than a
+        /// load-and-test per byte, and a cell of up to eight digits is
+        /// read in one go ([`digits_value`]). A longer cell, and any
+        /// whitespace other than the `", "` the writers put between cells,
+        /// take the general step ([`uint_at`], [`skip_ws_from`]).
+        fn u64_cells_into(&mut self, out: &mut Vec<u64>) -> Option<()> {
+            self.skip_ws();
+            // The array would be one level deeper than the parser.
+            if self.depth >= MAX_DEPTH || self.peek() != Some(b'[') {
+                return None;
+            }
+            let bytes = self.bytes;
+            let mut pos = skip_ws_from(bytes, self.pos + 1);
+            if bytes.get(pos) == Some(&b']') {
+                self.pos = pos + 1;
+                return Some(());
+            }
+            // Bit k of `digits`: `bytes[base + k]` is a digit. Refilled
+            // while 16 bytes are left, so an eight-digit run and the byte
+            // after it always lie inside the window.
+            let (mut base, mut digits) = (pos, digit_mask(bytes, pos));
+            loop {
+                if pos - base > 48 {
+                    (base, digits) = (pos, digit_mask(bytes, pos));
+                }
+                let run = (!(digits >> (pos - base))).trailing_zeros() as usize;
+                // A run of up to eight digits is read whole, and `∞` is
+                // matched as text.
+                let end = match (run, bytes.get(pos..pos + 8)) {
+                    (1..=8, Some(block)) => {
+                        let word = u64::from_le_bytes(block.try_into().expect("eight bytes"));
+                        out.push(digits_value(word, run));
+                        pos + run
+                    }
+                    // A number that goes on past these 20 digits fails at
+                    // the separator check below, as it fails in `uint_at`.
+                    (9.., _) if bytes.get(pos..pos + 20) == Some(INF_DIGITS) => {
+                        out.push(u64::MAX);
+                        pos + 20
+                    }
+                    _ => {
+                        let (v, end) = uint_at(bytes, skip_ws_from(bytes, pos))?;
+                        out.push(v);
+                        end
+                    }
+                };
+                if bytes.get(end..end + 2) == Some(b", ") {
+                    pos = end + 2;
+                    continue;
+                }
+                pos = skip_ws_from(bytes, end);
+                match bytes.get(pos) {
+                    Some(b',') => pos += 1,
+                    Some(b']') => {
+                        self.pos = pos + 1;
+                        return Some(());
+                    }
+                    _ => return None,
+                }
+            }
         }
 
         /// Consumes a string, borrowing its text when it holds no escapes.
@@ -469,6 +520,88 @@ pub mod json {
         }
     }
 
+    /// The offset of the first non-whitespace byte at or after `pos`.
+    #[inline]
+    fn skip_ws_from(bytes: &[u8], mut pos: usize) -> usize {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(pos) {
+            pos += 1;
+        }
+        pos
+    }
+
+    /// Reads the unsigned integer whose digits start at `start` and returns
+    /// it with the offset past it; `None` when there is no digit, the
+    /// number goes on with a fraction or exponent, or it exceeds `u64`.
+    /// Any 19 digits fit in a `u64`, so only digits past the 19th pay
+    /// checked arithmetic (and fail only if the value, not the digit
+    /// count, exceeds `u64`: `0…01` still fits).
+    #[inline]
+    fn uint_at(bytes: &[u8], start: usize) -> Option<(u64, usize)> {
+        let mut pos = start;
+        let mut v: u64 = 0;
+        while let Some(&b) = bytes.get(pos) {
+            if !b.is_ascii_digit() {
+                break;
+            }
+            let d = u64::from(b - b'0');
+            v = if pos - start < 19 { v * 10 + d } else { v.checked_mul(10)?.checked_add(d)? };
+            pos += 1;
+        }
+        if pos == start || matches!(bytes.get(pos), Some(b'.' | b'e' | b'E')) {
+            return None;
+        }
+        Some((v, pos))
+    }
+
+    /// The digits of `u64::MAX`, the `∞` sentinel of the instance format.
+    const INF_DIGITS: &[u8] = b"18446744073709551615";
+
+    /// Bit `k` set iff `bytes[base + k]` is an ASCII digit, for the 64
+    /// bytes from `base` (bytes past the end count as non-digits).
+    #[inline]
+    fn digit_mask(bytes: &[u8], base: usize) -> u64 {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        let mut mask = 0;
+        for k in 0..8 {
+            let at = base + 8 * k;
+            let digits = match bytes.get(at..at + 8) {
+                Some(block) => {
+                    // High bit of each byte: `byte ^ '0'` is 10 or more.
+                    let x =
+                        u64::from_le_bytes(block.try_into().expect("eight bytes")) ^ (0x30 * ONES);
+                    let high = ((x & (0x7F * ONES)).wrapping_add(0x76 * ONES) | x) & (0x80 * ONES);
+                    // Gather the eight high bits into the top byte, inverted.
+                    !(high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+                }
+                None => bytes
+                    .get(at..)
+                    .unwrap_or_default()
+                    .iter()
+                    .rev()
+                    .fold(0, |bits, b| (bits << 1) | u64::from(b.is_ascii_digit())),
+            };
+            mask |= (digits & 0xFF) << (8 * k);
+        }
+        mask
+    }
+
+    /// The value of the first `run` (1 to 8) digit bytes of `word`. They
+    /// are shifted to the top of the word, so the vacated low bytes read
+    /// as leading zeros, and the eight digits are combined pairwise in
+    /// three multiplications.
+    #[inline]
+    fn digits_value(word: u64, run: usize) -> u64 {
+        // Bytes past the run may borrow, but only into higher bytes, which
+        // the shift drops.
+        let d = word.wrapping_sub(0x3030_3030_3030_3030) << (8 * (8 - run));
+        let pairs = d.wrapping_mul(10).wrapping_add(d >> 8);
+        let mask = 0x0000_00FF_0000_00FF;
+        let quads = (pairs & mask)
+            .wrapping_mul(100 + (1_000_000 << 32))
+            .wrapping_add(((pairs >> 16) & mask).wrapping_mul(1 + (10_000 << 32)));
+        quads >> 32
+    }
+
     /// Displays a string with its JSON escapes, without the quotes: the
     /// one string escaper of every JSON writer.
     pub struct Escaped<'s>(pub &'s str);
@@ -490,14 +623,33 @@ pub mod json {
         }
     }
 
+    /// Appends the decimal digits of `x`: what `write!(out, "{x}")` writes,
+    /// formatted in place without the `fmt` machinery.
+    #[inline]
+    pub fn write_u64(out: &mut String, x: u64) {
+        if x < 10 {
+            out.push(char::from(b'0' + x as u8));
+            return;
+        }
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = x;
+        while rest > 0 {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    }
+
     /// Serializes a `u64` array on one line: `[1, 2, 3]`.
     pub fn write_u64_array(out: &mut String, xs: &[u64]) {
         out.push('[');
-        for (i, x) in xs.iter().enumerate() {
+        for (i, &x) in xs.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "{x}");
+            write_u64(out, x);
         }
         out.push(']');
     }
@@ -505,11 +657,11 @@ pub mod json {
     /// Serializes a `usize` array on one line.
     pub fn write_usize_array(out: &mut String, xs: &[usize]) {
         out.push('[');
-        for (i, x) in xs.iter().enumerate() {
+        for (i, &x) in xs.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "{x}");
+            write_u64(out, x as u64);
         }
         out.push(']');
     }
@@ -521,14 +673,16 @@ const INSTANCE_FIELDS: [&str; 8] =
 
 /// One instance object located in its text by a single syntax-checking
 /// scan: where each schema field's value starts (the last duplicate key
-/// wins; unknown keys are skipped). The `p_ij` / `s_ik` matrices are read
-/// into flat row-major buffers during that scan, so their digits are
-/// visited once. The kind decoders then check the fields in schema order —
-/// header first, so a wrong `version` or `kind` is a format error even when
-/// later fields are malformed — and end in one constructor validation.
+/// wins; unknown keys are skipped). The `p_ij` / `s_ik` matrices and the
+/// `job_class` array are read into flat row-major buffers during that
+/// scan, so their digits are visited once. The kind decoders then check
+/// the fields in schema order — header first, so a wrong `version` or
+/// `kind` is a format error even when later fields are malformed — and
+/// end in one constructor validation.
 pub struct InstanceDoc<'a> {
     text: json::Parser<'a>,
     at: [Option<usize>; INSTANCE_FIELDS.len()],
+    job_class: Option<Vec<u64>>,
     ptimes: Option<Rows>,
     setups: Option<Rows>,
     jobs: Option<Vec<Job>>,
@@ -544,10 +698,13 @@ struct Rows {
 }
 
 impl Rows {
-    /// Reads an array of unsigned-integer rows.
+    /// Reads an array of unsigned-integer rows, each by
+    /// [`json::Parser::u64_array_into`] into room reserved from the widest
+    /// row so far.
     fn read(p: &mut json::Parser<'_>) -> Result<Rows, String> {
         let mut m = Rows { flat: Vec::new(), rows: 0, min_len: usize::MAX, max_len: 0 };
         p.array(|p| {
+            m.flat.reserve(m.max_len);
             let len = p.u64_array_into(&mut m.flat).ok_or_else(String::new)?;
             m.rows += 1;
             m.min_len = m.min_len.min(len);
@@ -591,6 +748,13 @@ fn read_jobs(p: &mut json::Parser<'_>) -> Result<Vec<Job>, String> {
     Ok(jobs)
 }
 
+/// Reads an array of unsigned integers.
+fn read_u64s(p: &mut json::Parser<'_>) -> Result<Vec<u64>, String> {
+    let mut out = Vec::new();
+    p.u64_array_into(&mut out).ok_or_else(String::new)?;
+    Ok(out)
+}
+
 /// Reads the value at `p` with `read`. When `read` fails — a value of
 /// another shape, or a syntax error `skip_value` then reports — the parser
 /// rewinds and skips the value instead, and the answer is `None`.
@@ -620,6 +784,7 @@ impl<'a> InstanceDoc<'a> {
         let mut doc = InstanceDoc {
             text: *p,
             at: [None; INSTANCE_FIELDS.len()],
+            job_class: None,
             ptimes: None,
             setups: None,
             jobs: None,
@@ -630,6 +795,7 @@ impl<'a> InstanceDoc<'a> {
             };
             doc.at[i] = Some(p.pos());
             match key {
+                "job_class" => doc.job_class = read_or_skip(p, read_u64s)?,
                 "ptimes" => doc.ptimes = read_or_skip(p, Rows::read)?,
                 "setups" => doc.setups = read_or_skip(p, Rows::read)?,
                 "jobs" => doc.jobs = read_or_skip(p, read_jobs)?,
@@ -717,8 +883,11 @@ impl<'a> InstanceDoc<'a> {
         self.check_header(kind)?;
         let m = usize::try_from(self.uint("m")?)
             .map_err(|_| IoError::Json("m out of range".to_string()))?;
-        let job_class = self
-            .u64_vec("job_class")?
+        self.field("job_class")?;
+        let job_class = self.job_class.take().ok_or_else(|| {
+            IoError::Json("field 'job_class' must be an array of unsigned integers".to_string())
+        })?;
+        let job_class = job_class
             .into_iter()
             .map(usize::try_from)
             .collect::<Result<Vec<usize>, _>>()

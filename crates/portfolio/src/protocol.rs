@@ -324,11 +324,13 @@ fn write_f64(out: &mut String, x: f64) {
 
 pub(crate) fn write_cost(out: &mut String, cost: &Cost) {
     match cost {
-        Cost::Time(t) => {
-            let _ = write!(out, "{t}");
-        }
+        Cost::Time(t) => json::write_u64(out, *t),
         Cost::Frac(r) => {
-            let _ = write!(out, "{{\"num\": {}, \"den\": {}}}", r.numer(), r.denom());
+            out.push_str("{\"num\": ");
+            json::write_u64(out, r.numer());
+            out.push_str(", \"den\": ");
+            json::write_u64(out, r.denom());
+            out.push('}');
         }
         Cost::Real(x) => write_f64(out, *x),
     }
@@ -650,7 +652,9 @@ pub(crate) fn write_solution(out: &mut String, solution: &Solution) {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    let _ = write!(out, "{{\"machine\": {}, \"fraction\": ", share.machine);
+                    out.push_str("{\"machine\": ");
+                    json::write_u64(out, share.machine as u64);
+                    out.push_str(", \"fraction\": ");
                     write_f64(out, share.fraction);
                     out.push('}');
                 }
@@ -680,16 +684,32 @@ pub(crate) fn shares_at(p: Parser<'_>) -> Result<SplitSchedule, IoError> {
     Ok(SplitSchedule::new(rows.collect::<Result<_, _>>()?))
 }
 
-/// Serializes a response to one NDJSON line.
+/// Bytes reserved per response line beyond its assignment: the envelope,
+/// the solver rows and the newline [`crate::service`] appends, so a
+/// typical line is written without growing its buffer.
+const RESPONSE_SLACK: usize = 512;
+
+/// Serializes a response to one NDJSON line (without the newline). The
+/// integers of the OK, error and session lines go through
+/// [`json::write_u64`].
 pub fn response_to_json(resp: &Response) -> String {
-    let mut out = String::new();
+    let jobs = match resp {
+        Response::Ok { solution: Solution::Assignment(s), .. } => s.assignment().len(),
+        _ => 0,
+    };
+    // Up to two digits and the ", " separator per job.
+    let mut out = String::with_capacity(RESPONSE_SLACK + 4 * jobs);
     match resp {
         Response::Ok { id, kind, solver, micros, makespan, solution, solvers } => {
+            out.push_str("{\"id\": ");
+            json::write_u64(&mut out, *id);
             let _ = write!(
                 out,
-                "{{\"id\": {id}, \"status\": \"ok\", \"kind\": \"{kind}\", \"solver\": \"{}\", \"micros\": {micros}, \"makespan\": ",
+                ", \"status\": \"ok\", \"kind\": \"{kind}\", \"solver\": \"{}\", \"micros\": ",
                 Escaped(solver)
             );
+            json::write_u64(&mut out, *micros);
+            out.push_str(", \"makespan\": ");
             write_cost(&mut out, makespan);
             out.push_str(", ");
             write_solution(&mut out, solution);
@@ -703,23 +723,32 @@ pub fn response_to_json(resp: &Response) -> String {
                     Some(c) => write_cost(&mut out, c),
                     None => out.push_str("null"),
                 }
-                let _ = write!(out, ", \"micros\": {}, \"completed\": {}}}", s.micros, s.completed);
+                out.push_str(", \"micros\": ");
+                json::write_u64(&mut out, s.micros);
+                out.push_str(if s.completed {
+                    ", \"completed\": true}"
+                } else {
+                    ", \"completed\": false}"
+                });
             }
             out.push_str("]}");
         }
         Response::Error { id, message } => {
             out.push('{');
             if let Some(id) = id {
-                let _ = write!(out, "\"id\": {id}, ");
+                out.push_str("\"id\": ");
+                json::write_u64(&mut out, *id);
+                out.push_str(", ");
             }
             let _ = write!(out, "\"status\": \"error\", \"message\": \"{}\"}}", Escaped(message));
         }
         Response::Session { id, sid, verb, live, makespan } => {
-            let _ = write!(
-                out,
-                "{{\"id\": {id}, \"status\": \"session\", \"sid\": {sid}, \"verb\": \"{}\", \"live\": {live}",
-                Escaped(verb)
-            );
+            out.push_str("{\"id\": ");
+            json::write_u64(&mut out, *id);
+            out.push_str(", \"status\": \"session\", \"sid\": ");
+            json::write_u64(&mut out, *sid);
+            let _ = write!(out, ", \"verb\": \"{}\", \"live\": ", Escaped(verb));
+            json::write_u64(&mut out, *live);
             if let Some(cost) = makespan {
                 out.push_str(", \"makespan\": ");
                 write_cost(&mut out, cost);

@@ -394,16 +394,15 @@ fn full_summary(
     summary
 }
 
-fn write_line(out: &SharedWriter, line: &str) {
+fn write_line(out: &SharedWriter, mut line: String) {
     // One write_all for payload + newline: `writeln!` would issue two
     // write calls, letting concurrently finishing workers interleave
-    // bytes when their writers share an underlying sink.
-    let mut payload = String::with_capacity(line.len() + 1);
-    payload.push_str(line);
-    payload.push('\n');
+    // bytes when their writers share an underlying sink. The newline goes
+    // on the end of the line itself (response lines reserve room for it).
+    line.push('\n');
     let mut w = out.lock();
     // A vanished client (closed connection) is not a service error.
-    let _ = w.write_all(payload.as_bytes());
+    let _ = w.write_all(line.as_bytes());
     let _ = w.flush();
 }
 
@@ -420,7 +419,7 @@ fn write_frame(out: &SharedWriter, frame: &[u8]) {
 /// callers, a packed frame for binary ones.
 fn write_response(job: &Job, resp: &Response) {
     match job.codec() {
-        Codec::Json => write_line(&job.out, &response_to_json(resp)),
+        Codec::Json => write_line(&job.out, response_to_json(resp)),
         Codec::Binary => write_frame(&job.out, &crate::wire::encode_response(resp)),
     }
 }
@@ -1006,6 +1005,13 @@ impl Service {
         write_frame(out, &crate::wire::encode_response(&resp));
     }
 
+    /// Answers an NDJSON line the connection driver refuses (one longer
+    /// than [`MAX_LINE`]) with an error line and counts it.
+    fn line_error(&self, out: &SharedWriter, message: String) {
+        self.metrics.telemetry.incr(REQUESTS_ERROR);
+        write_line(out, response_to_json(&Response::Error { id: None, message }));
+    }
+
     /// The running metrics summary (latency counters plus session stats
     /// and win-rate standings).
     pub fn metrics(&self) -> MetricsSummary {
@@ -1054,6 +1060,27 @@ fn flush_durable_store(sessions: &SessionStore) {
     }
 }
 
+/// The longest NDJSON line [`drive_connection`] reads, its newline
+/// excluded: the payload cap of a binary frame.
+pub const MAX_LINE: usize = sst_core::wire::MAX_PAYLOAD as usize;
+
+/// Lines longer than this are never the upgrade handshake.
+const UPGRADE_MAX_LEN: usize = 256;
+
+/// Whether an NDJSON line is the upgrade handshake: a JSON object with a
+/// top-level `upgrade` member, whatever its value and its other members.
+/// An `upgrade` key or string anywhere deeper (inside an instance, say)
+/// does not count. Only a line of at most [`UPGRADE_MAX_LEN`] bytes is
+/// parsed for it, so request lines (an instance is kilobytes) are
+/// scanned once, by the worker that decodes them.
+fn is_upgrade(line: &str) -> bool {
+    if line.len() > UPGRADE_MAX_LEN {
+        return false;
+    }
+    let mut p = Parser::new(line);
+    matches!(p.fields(["upgrade"]), Ok(Some([Some(_)]))) && p.finish().is_ok()
+}
+
 /// Drives one connection carrying mixed NDJSON and binary-frame traffic
 /// until EOF, sniffing each message by its first byte: `'S'` (the frame
 /// magic's first byte, which can never open a JSON value) starts a frame,
@@ -1066,19 +1093,24 @@ fn flush_durable_store(sessions: &SessionStore) {
 /// nothing — the ack is written by the driver itself) after which the
 /// client starts sending frames. Since sniffing is per-message, the verb
 /// is a handshake confirming the server speaks the format, not a mode
-/// latch: NDJSON lines keep working after it.
+/// latch: NDJSON lines keep working after it. Only a top-level `upgrade`
+/// member makes a line the handshake, and only lines of at most 256 bytes
+/// are parsed for it, so a request line is not scanned twice.
 ///
 /// Malformed frames answer a structured [`Response::Error`] frame and the
 /// connection stays alive: a bad magic or oversized length consumes only
 /// the 20-byte header, a checksum mismatch or unknown type consumes its
 /// frame, and a payload truncated by EOF is answered before the driver
-/// returns. Nothing panics; nothing hangs the client.
+/// returns. An NDJSON line longer than [`MAX_LINE`] bytes is read no
+/// further: it is answered with an error line and, like a truncated
+/// frame, ends the connection. Nothing panics; nothing hangs the client.
 pub fn drive_connection<R: std::io::BufRead>(
     svc: &Service,
     reader: &mut R,
     out: &SharedWriter,
 ) -> std::io::Result<()> {
     use sst_core::wire::{FrameHeader, WireError, HEADER_LEN, MAGIC};
+    use std::io::{BufRead as _, Read as _};
     loop {
         let first = {
             let Ok(buf) = reader.fill_buf() else { return Ok(()) };
@@ -1119,14 +1151,19 @@ pub fn drive_connection<R: std::io::BufRead>(
             }
             svc.dispatch_frame(parsed.frame_type, payload, Arc::clone(out));
         } else {
-            let mut line = String::new();
-            match reader.read_line(&mut line) {
+            let mut bytes = Vec::new();
+            match reader.by_ref().take(MAX_LINE as u64 + 1).read_until(b'\n', &mut bytes) {
                 Ok(0) | Err(_) => return Ok(()),
                 Ok(_) => {}
             }
-            let trimmed = line.trim();
-            if trimmed.starts_with('{') && trimmed.contains("\"upgrade\"") {
-                write_line(out, "{\"upgrade\": \"binary\", \"ok\": true}");
+            if bytes.len() > MAX_LINE && bytes.last() != Some(&b'\n') {
+                svc.line_error(out, format!("line longer than {MAX_LINE} bytes"));
+                return Ok(());
+            }
+            // A line that is not UTF-8 ends the connection.
+            let Ok(line) = String::from_utf8(bytes) else { return Ok(()) };
+            if is_upgrade(&line) {
+                write_line(out, "{\"upgrade\": \"binary\", \"ok\": true}".to_string());
                 continue;
             }
             svc.dispatch(line, Arc::clone(out));
@@ -1756,6 +1793,68 @@ mod tests {
             matches!(&resp, Response::Error { message, .. } if message.contains("fault-injection")),
             "{resp:?}"
         );
+    }
+
+    #[test]
+    fn only_a_top_level_upgrade_key_is_the_handshake() {
+        let svc = Service::start(ServeConfig { workers: 2, ..Default::default() });
+        let req = |id| {
+            request_to_json(&Request {
+                id,
+                instance: small_instance(id),
+                budget_ms: Some(20),
+                top_k: Some(1),
+                seed: Some(id),
+            })
+        };
+        // An unknown `upgrade` key inside the instance, and the string
+        // "upgrade" as a value: both are solves.
+        let nested = req(1).replacen("\"version\"", "\"upgrade\": \"binary\", \"version\"", 1);
+        let valued = req(2).replacen("{\"id\": 2", "{\"id\": 2, \"note\": \"upgrade\"", 1);
+        assert!(nested.contains("\"upgrade\"") && valued.contains("\"upgrade\""));
+        let input = format!("{nested}\n{valued}\n{{\"upgrade\": \"binary\"}}\n");
+        let (buffer, out) = buffer_writer();
+        drive_connection(&svc, &mut input.as_bytes(), &out).unwrap();
+        let summary = svc.shutdown();
+        assert_eq!((summary.count, summary.errors), (2, 0));
+        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let mut ids: Vec<u64> = text
+            .lines()
+            .filter(|line| !line.contains("\"upgrade\""))
+            .map(|line| match parse_response(line) {
+                Ok(Response::Ok { id, .. }) => id,
+                other => panic!("not a solve answer: {other:?}"),
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2], "{text}");
+        let acks: Vec<&str> = text.lines().filter(|line| line.contains("\"upgrade\"")).collect();
+        assert_eq!(acks, ["{\"upgrade\": \"binary\", \"ok\": true}"], "{text}");
+    }
+
+    #[test]
+    fn a_line_past_the_cap_is_answered_and_ends_the_connection() {
+        /// An endless line: no newline ever comes.
+        struct Endless;
+        impl std::io::Read for Endless {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                buf.fill(b' ');
+                Ok(buf.len())
+            }
+        }
+        let svc = Service::start(ServeConfig { workers: 1, ..Default::default() });
+        let (buffer, out) = buffer_writer();
+        let mut reader = std::io::BufReader::with_capacity(1 << 16, Endless);
+        drive_connection(&svc, &mut reader, &out).unwrap();
+        let summary = svc.shutdown();
+        assert_eq!((summary.count, summary.errors), (0, 1));
+        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1, "{text}");
+        let Ok(Response::Error { id: None, message }) = parse_response(lines[0]) else {
+            panic!("not an error line: {text}");
+        };
+        assert_eq!(message, format!("line longer than {MAX_LINE} bytes"));
     }
 
     /// A tiny uniform instance whose greedy differs per sid (for traffic).
