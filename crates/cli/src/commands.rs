@@ -15,8 +15,8 @@ use sst_core::bounds::{uniform_lower_bound, unrelated_lower_bound};
 use sst_core::io;
 use sst_core::schedule::{uniform_makespan, unrelated_makespan, Schedule};
 use sst_core::timeline::{render_gantt, render_gantt_svg, Timeline};
-use sst_core::wire;
 use sst_gen::{SetupWeight, SpeedProfile, UniformParams, UnrelatedParams};
+use sst_portfolio::{protocol, wire, ProblemInstance, SplittableInstance};
 
 /// A CLI failure with a user-facing message.
 #[derive(Debug)]
@@ -57,58 +57,31 @@ impl From<io::IoError> for CliError {
     }
 }
 
-/// Either kind of instance, as loaded from disk.
-pub enum AnyInstance {
-    /// Uniformly related machines.
-    Uniform(sst_core::UniformInstance),
-    /// Unrelated machines (including restricted assignment).
-    Unrelated(sst_core::UnrelatedInstance),
-}
-
 /// Loads an instance file, sniffing its format by the first byte (`S`
 /// of the frame magic = packed container, anything else = JSON with a
-/// `kind` field). Splittable-kind files share the unrelated payload; the
-/// integral commands (solve, evaluate, info, …) treat them as unrelated
-/// data — the split *solution space* is served by `sst serve`
-/// (`instance.kind: "splittable"`).
-pub fn load_instance(path: &str) -> Result<AnyInstance, CliError> {
+/// `kind` field). Both formats go through the decoders `sst serve` uses
+/// ([`wire::instance_from_container`], [`protocol::instance_from_doc`]),
+/// so a file gets the errors a request would. Splittable-kind files share
+/// the unrelated payload; the integral commands (solve, evaluate, info, …)
+/// treat them as unrelated data — the split *solution space* is served by
+/// `sst serve` (`instance.kind: "splittable"`).
+pub fn load_instance(path: &str) -> Result<ProblemInstance, CliError> {
     let bytes = std::fs::read(path)?;
-    let packed = if bytes.first() == Some(&wire::MAGIC[0]) {
-        wire::instance_from_container(&bytes)
-            .map_err(|e| CliError::Failed(format!("{path}: {e}")))?
-    } else {
-        packed_from_json(
-            &String::from_utf8(bytes).map_err(|e| CliError::Failed(format!("{path}: {e}")))?,
-        )?
-    };
-    Ok(match packed {
-        wire::PackedInstance::Uniform(u) => AnyInstance::Uniform(u),
-        wire::PackedInstance::Unrelated(u) | wire::PackedInstance::Splittable(u) => {
-            AnyInstance::Unrelated(u)
-        }
-    })
+    if bytes.first() == Some(&sst_core::wire::MAGIC[0]) {
+        return wire::instance_from_container(&bytes)
+            .map_err(|e| CliError::Failed(format!("{path}: {e}")));
+    }
+    let text = String::from_utf8(bytes).map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
+    Ok(protocol::instance_from_doc(Some(io::InstanceDoc::parse(&text)?))?)
 }
 
-/// Parses JSON instance text into a kind-preserving [`wire::PackedInstance`],
-/// dispatching on its `kind` tag (a document without a known tag is read
-/// as unrelated, whose decoder then names the mismatch).
-fn packed_from_json(text: &str) -> Result<wire::PackedInstance, CliError> {
-    let doc = io::InstanceDoc::parse(text)?;
-    Ok(match doc.kind().as_deref() {
-        Some("uniform") => wire::PackedInstance::Uniform(doc.uniform()?),
-        Some("splittable") => wire::PackedInstance::Splittable(doc.unrelated("splittable")?),
-        _ => wire::PackedInstance::Unrelated(doc.unrelated("unrelated")?),
-    })
-}
-
-/// `sst pack <in.json> <out.sst>` — converts a JSON instance file to the
+/// `sst pack <in.json> <out.sst>` — converts an instance file to the
 /// packed container format, preserving the kind tag.
 pub fn pack(args: &Args) -> Result<String, CliError> {
     args.reject_unknown_flags(&[])?;
     let input = args.pos(0, "instance.json")?;
     let output = args.pos(1, "out.sst")?;
-    let text = std::fs::read_to_string(input)?;
-    let inst = packed_from_json(&text)?;
+    let inst = load_instance(input)?;
     let bytes = wire::instance_to_container(&inst);
     std::fs::write(output, &bytes)?;
     Ok(format!("packed {} instance {input} -> {output} ({} bytes)", inst.kind(), bytes.len()))
@@ -123,12 +96,7 @@ pub fn unpack(args: &Args) -> Result<String, CliError> {
     let bytes = std::fs::read(input)?;
     let inst = wire::instance_from_container(&bytes)
         .map_err(|e| CliError::Failed(format!("{input}: {e}")))?;
-    let json = match &inst {
-        wire::PackedInstance::Uniform(u) => io::uniform_to_json(u),
-        wire::PackedInstance::Unrelated(u) => io::unrelated_to_json(u),
-        wire::PackedInstance::Splittable(u) => io::splittable_to_json(u),
-    };
-    std::fs::write(output, &json)?;
+    std::fs::write(output, protocol::instance_to_json(&inst, true))?;
     Ok(format!("unpacked {} instance {input} -> {output}", inst.kind()))
 }
 
@@ -155,7 +123,9 @@ USAGE
   sst gantt <instance.json> <schedule.json> [--width W] [--svg FILE]
   sst info <instance.json>
   sst bound <instance.json> [--max-t T]
-      lower-bound chain: combinatorial / assignment-LP / configuration-LP
+      separately certified lower bounds, one per line: combinatorial,
+      assignment-LP, configuration-LP (the last is weaker when a guess
+      hits a column or round limit)
   sst compare <instance.json> [--seed S] [--q Q] [--nodes N]
   sst sweep --family uniform|identical|unrelated|ra|cupt --algo ALGO
             [--n-list 20,40,80] [--m M] [--k K] [--seeds S] [--setups W]
@@ -567,7 +537,8 @@ fn trace_summarize(path: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `sst generate` — writes an instance JSON and reports its shape.
+/// `sst generate` — builds an instance once, writes it as JSON or as a
+/// packed container (`--format`), and reports its shape.
 pub fn generate(args: &Args) -> Result<String, CliError> {
     args.reject_unknown_flags(&[
         "out",
@@ -594,8 +565,12 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
         "heavy" => SetupWeight::Heavy,
         other => return Err(CliError::Failed(format!("unknown --setups '{other}'"))),
     };
-    let json = match family {
-        "uniform" => io::uniform_to_json(&sst_gen::uniform(&UniformParams {
+    let uniform = |inst| Some(ProblemInstance::Uniform(inst));
+    let unrelated = |inst| Some(ProblemInstance::Unrelated(inst));
+    let splittable = |inst| Some(ProblemInstance::Splittable(SplittableInstance(inst)));
+    // `None`: the family writes no single instance (dynamic-queue).
+    let instance = match family {
+        "uniform" => uniform(sst_gen::uniform(&UniformParams {
             n,
             m,
             k,
@@ -603,7 +578,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
             seed,
             ..Default::default()
         })),
-        "identical" => io::uniform_to_json(&sst_gen::uniform(&UniformParams {
+        "identical" => uniform(sst_gen::uniform(&UniformParams {
             n,
             m,
             k,
@@ -612,7 +587,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
             speeds: SpeedProfile::Identical,
             ..Default::default()
         })),
-        "unrelated" => io::unrelated_to_json(&sst_gen::unrelated(&UnrelatedParams {
+        "unrelated" => unrelated(sst_gen::unrelated(&UnrelatedParams {
             n,
             m,
             k,
@@ -622,89 +597,86 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
         })),
         "ra" => {
             let eligible: usize = args.flag_parse("eligible", 3)?;
-            io::unrelated_to_json(&sst_gen::ra_class_uniform(
-                n,
-                m,
-                k,
-                eligible,
-                (1, 40),
-                setups,
-                seed,
-            ))
+            unrelated(sst_gen::ra_class_uniform(n, m, k, eligible, (1, 40), setups, seed))
         }
-        "cupt" => {
-            io::unrelated_to_json(&sst_gen::class_uniform_ptimes(n, m, k, (1, 40), setups, seed))
-        }
-        "production-line" => {
-            io::uniform_to_json(&sst_gen::scenarios::production_line(n, m, k, seed))
-        }
-        "compute-cluster" => {
-            io::unrelated_to_json(&sst_gen::scenarios::compute_cluster(n, m, k, seed))
-        }
-        "print-shop" => io::unrelated_to_json(&sst_gen::scenarios::print_shop(n, m, k, seed)),
-        "ci-build-farm" => io::unrelated_to_json(&sst_gen::scenarios::ci_build_farm(n, m, k, seed)),
-        "cdn-transcode" => {
-            io::splittable_to_json(&sst_gen::scenarios::cdn_transcode(n, m, k, seed))
-        }
+        "cupt" => unrelated(sst_gen::class_uniform_ptimes(n, m, k, (1, 40), setups, seed)),
+        "production-line" => uniform(sst_gen::scenarios::production_line(n, m, k, seed)),
+        "compute-cluster" => unrelated(sst_gen::scenarios::compute_cluster(n, m, k, seed)),
+        "print-shop" => unrelated(sst_gen::scenarios::print_shop(n, m, k, seed)),
+        "ci-build-farm" => unrelated(sst_gen::scenarios::ci_build_farm(n, m, k, seed)),
+        "cdn-transcode" => splittable(sst_gen::scenarios::cdn_transcode(n, m, k, seed)),
+        // n is taken as jobs-per-class × classes via k; keep the CLI
+        // contract n ≈ total jobs.
         "splittable-stress" => {
-            // n is taken as jobs-per-class × classes via k; keep the CLI
-            // contract n ≈ total jobs.
-            io::splittable_to_json(&sst_gen::splittable_stress(k, m, n.div_ceil(k.max(1)), seed))
+            splittable(sst_gen::splittable_stress(k, m, n.div_ceil(k.max(1)), seed))
         }
-        "dynamic-queue" => {
-            let base = match args.flag("base").unwrap_or("unrelated") {
-                "uniform" => sst_gen::DynamicBase::Uniform,
-                "unrelated" => sst_gen::DynamicBase::Unrelated,
-                other => return Err(CliError::Failed(format!("unknown --base '{other}'"))),
-            };
-            let params = sst_gen::DynamicQueueParams {
-                base,
-                n,
-                m,
-                k,
-                steps: args.flag_parse("steps", 8usize)?,
-                deltas_per_step: args.flag_parse("deltas-per-step", 4usize)?,
-                setups,
-                seed,
-            };
-            let (inst, trace) = sst_gen::dynamic_queue(&params);
-            let base_json = match &inst {
-                sst_gen::DynamicInstance::Uniform(u) => io::uniform_to_json_line(u),
-                sst_gen::DynamicInstance::Unrelated(r) => io::unrelated_to_json_line(r),
-            };
-            let mut out = format!(
-                "{{\n  \"version\": 1,\n  \"kind\": \"dynamic-queue\",\n  \"base\": {base_json},\n  \"trace\": ["
-            );
-            for (i, step) in trace.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"at_ms\": {}, \"deltas\": {}}}",
-                    step.at_ms,
-                    sst_core::delta::deltas_to_json(&step.deltas)
-                ));
-            }
-            out.push_str("\n  ]\n}");
-            out
-        }
+        "dynamic-queue" => None,
         other => return Err(CliError::Failed(format!("unknown family '{other}'; see `sst help`"))),
     };
-    match args.flag("format").unwrap_or("json") {
-        "json" => std::fs::write(out, &json)?,
-        "packed" => {
-            if family == "dynamic-queue" {
-                return Err(CliError::Failed(
-                    "dynamic-queue writes a delta trace, which has no packed container; \
-                     use --format json"
-                        .into(),
-                ));
-            }
-            std::fs::write(out, wire::instance_to_container(&packed_from_json(&json)?))?;
+    let bytes = match (args.flag("format").unwrap_or("json"), &instance) {
+        ("json", Some(inst)) => protocol::instance_to_json(inst, true).into_bytes(),
+        ("json", None) => dynamic_queue_json(args, n, m, k, setups, seed)?.into_bytes(),
+        ("packed", Some(inst)) => wire::instance_to_container(inst),
+        ("packed", None) => {
+            return Err(CliError::Failed(
+                "dynamic-queue writes a delta trace, which has no packed container; \
+                 use --format json"
+                    .into(),
+            ))
         }
-        other => return Err(CliError::Failed(format!("unknown --format '{other}' (json|packed)"))),
-    }
+        (other, _) => {
+            return Err(CliError::Failed(format!("unknown --format '{other}' (json|packed)")))
+        }
+    };
+    std::fs::write(out, bytes)?;
     Ok(format!("wrote {family} instance (n={n}, m={m}, K={k}, seed={seed}) to {out}"))
+}
+
+/// The `dynamic-queue` file: a base instance line plus a timed delta
+/// trace (the session workload), as JSON.
+fn dynamic_queue_json(
+    args: &Args,
+    n: usize,
+    m: usize,
+    k: usize,
+    setups: SetupWeight,
+    seed: u64,
+) -> Result<String, CliError> {
+    let base = match args.flag("base").unwrap_or("unrelated") {
+        "uniform" => sst_gen::DynamicBase::Uniform,
+        "unrelated" => sst_gen::DynamicBase::Unrelated,
+        other => return Err(CliError::Failed(format!("unknown --base '{other}'"))),
+    };
+    let params = sst_gen::DynamicQueueParams {
+        base,
+        n,
+        m,
+        k,
+        steps: args.flag_parse("steps", 8usize)?,
+        deltas_per_step: args.flag_parse("deltas-per-step", 4usize)?,
+        setups,
+        seed,
+    };
+    let (inst, trace) = sst_gen::dynamic_queue(&params);
+    let base_json = match &inst {
+        sst_gen::DynamicInstance::Uniform(u) => io::uniform_to_json(u, false),
+        sst_gen::DynamicInstance::Unrelated(r) => io::unrelated_to_json(r, "unrelated", false),
+    };
+    let mut out = format!(
+        "{{\n  \"version\": 1,\n  \"kind\": \"dynamic-queue\",\n  \"base\": {base_json},\n  \"trace\": ["
+    );
+    for (i, step) in trace.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "\n    {{\"at_ms\": {}, \"deltas\": {}}}",
+            step.at_ms,
+            sst_core::delta::deltas_to_json(&step.deltas)
+        ));
+    }
+    out.push_str("\n  ]\n}");
+    Ok(out)
 }
 
 /// `sst solve` — runs an algorithm and reports/persists the schedule.
@@ -717,7 +689,7 @@ pub fn solve(args: &Args) -> Result<String, CliError> {
     let nodes: u64 = args.flag_parse("nodes", 1 << 24)?;
     let mut out = String::new();
     let schedule: Schedule = match load_instance(path)? {
-        AnyInstance::Uniform(inst) => {
+        ProblemInstance::Uniform(inst) => {
             let lb = uniform_lower_bound(&inst);
             let algo = if algo == "auto" { "lpt" } else { algo };
             let (sched, label) = match algo {
@@ -758,7 +730,8 @@ pub fn solve(args: &Args) -> Result<String, CliError> {
             ));
             sched
         }
-        AnyInstance::Unrelated(inst) => {
+        ProblemInstance::Unrelated(inst)
+        | ProblemInstance::Splittable(SplittableInstance(inst)) => {
             let lb = unrelated_lower_bound(&inst);
             let algo = if algo == "auto" { "rounding" } else { algo };
             let (sched, label, cert): (Schedule, String, Option<u64>) = match algo {
@@ -820,7 +793,7 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
     let sched_path = args.pos(1, "schedule.json")?;
     let sched = io::schedule_from_json(&std::fs::read_to_string(sched_path)?)?;
     match load_instance(inst_path)? {
-        AnyInstance::Uniform(inst) => {
+        ProblemInstance::Uniform(inst) => {
             let loads = sst_core::schedule::uniform_loads(&inst, &sched)
                 .map_err(|e| CliError::Failed(format!("invalid schedule: {e}")))?;
             let ms = uniform_makespan(&inst, &sched).expect("loads computed");
@@ -834,7 +807,8 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        AnyInstance::Unrelated(inst) => {
+        ProblemInstance::Unrelated(inst)
+        | ProblemInstance::Splittable(SplittableInstance(inst)) => {
             let loads = sst_core::schedule::unrelated_loads(&inst, &sched)
                 .map_err(|e| CliError::Failed(format!("invalid schedule: {e}")))?;
             let ms = loads.iter().copied().max().unwrap_or(0);
@@ -852,7 +826,7 @@ pub fn info(args: &Args) -> Result<String, CliError> {
     args.reject_unknown_flags(&[])?;
     let path = args.pos(0, "instance.json")?;
     match load_instance(path)? {
-        AnyInstance::Uniform(inst) => Ok(format!(
+        ProblemInstance::Uniform(inst) => Ok(format!(
             "kind: uniform\nn: {}\nm: {}\nK: {}\nspeeds: {:?}\ntotal work (jobs+min setups): {}\nlower bound: {}\n{}\n",
             inst.n(),
             inst.m(),
@@ -862,7 +836,7 @@ pub fn info(args: &Args) -> Result<String, CliError> {
             uniform_lower_bound(&inst),
             sst_core::stats::uniform_stats(&inst),
         )),
-        AnyInstance::Unrelated(inst) => {
+        ProblemInstance::Unrelated(inst) | ProblemInstance::Splittable(SplittableInstance(inst)) => {
             let mut out = format!(
                 "kind: unrelated\nn: {}\nm: {}\nK: {}\nlower bound: {}\n",
                 inst.n(),
@@ -891,7 +865,7 @@ pub fn compare(args: &Args) -> Result<String, CliError> {
     let nodes: u64 = args.flag_parse("nodes", 1 << 22)?;
     let mut rows: Vec<(String, f64, String)> = Vec::new();
     match load_instance(path)? {
-        AnyInstance::Uniform(inst) => {
+        ProblemInstance::Uniform(inst) => {
             let lb = uniform_lower_bound(&inst).to_f64();
             let (_, lpt) = lpt_with_setups_makespan(&inst);
             rows.push(("lpt (Lemma 2.1)".into(), lpt.to_f64(), "≤4.74·Opt".into()));
@@ -920,7 +894,8 @@ pub fn compare(args: &Args) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        AnyInstance::Unrelated(inst) => {
+        ProblemInstance::Unrelated(inst)
+        | ProblemInstance::Splittable(SplittableInstance(inst)) => {
             let lb = unrelated_lower_bound(&inst);
             let rr = solve_unrelated_randomized(&inst, &RoundingConfig { c: 2.0, seed });
             rows.push((
@@ -976,7 +951,7 @@ pub fn gantt(args: &Args) -> Result<String, CliError> {
     let width: usize = args.flag_parse("width", 60)?;
     let sched = io::schedule_from_json(&std::fs::read_to_string(sched_path)?)?;
     let (mut out, svg) = match load_instance(inst_path)? {
-        AnyInstance::Uniform(inst) => {
+        ProblemInstance::Uniform(inst) => {
             let tl = Timeline::from_uniform(&inst, &sched)
                 .map_err(|e| CliError::Failed(format!("invalid schedule: {e}")))?;
             tl.validate()
@@ -985,7 +960,8 @@ pub fn gantt(args: &Args) -> Result<String, CliError> {
             let svg = render_gantt_svg(&tl, |j| inst.job(j).class, 800);
             (format!("{chart}makespan: {}\n", tl.makespan()), svg)
         }
-        AnyInstance::Unrelated(inst) => {
+        ProblemInstance::Unrelated(inst)
+        | ProblemInstance::Splittable(SplittableInstance(inst)) => {
             let tl = Timeline::from_unrelated(&inst, &sched)
                 .map_err(|e| CliError::Failed(format!("invalid schedule: {e}")))?;
             tl.validate()
@@ -1129,20 +1105,24 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `sst bound` — prints the lower-bound chain for an unrelated instance:
-/// combinatorial ≤ assignment-LP `T*` (Section 3.1) ≤ configuration-LP
-/// (the stronger relaxation of the restricted-assignment lineage). The
-/// configuration LP needs `n ≤ 64`; larger instances report the first two.
+/// `sst bound` — prints three lower bounds for an unrelated instance: the
+/// combinatorial bound, the assignment-LP `T*` (Section 3.1) and the
+/// configuration-LP bound (the configuration IP of Jansen, Klein, Maack
+/// and Rau, arXiv 1801.06460). Each line is a separately certified lower
+/// bound, not a chain: a configuration guess that hits the column or
+/// round limit counts as feasible, so under `ConfigLpLimits::default()`
+/// that line is often below the assignment LP. The configuration LP needs
+/// `n ≤ 64`; larger instances report the first two.
 pub fn bound(args: &Args) -> Result<String, CliError> {
     args.reject_unknown_flags(&["max-t"])?;
     let path = args.pos(0, "instance.json")?;
     let max_t: u64 = args.flag_parse("max-t", 1 << 13)?;
     match load_instance(path)? {
-        AnyInstance::Uniform(inst) => Ok(format!(
+        ProblemInstance::Uniform(inst) => Ok(format!(
             "kind: uniform\ncombinatorial lower bound: {}\n(LP bounds apply to unrelated instances; uniform bounds are exact rationals)\n",
             uniform_lower_bound(&inst)
         )),
-        AnyInstance::Unrelated(inst) => {
+        ProblemInstance::Unrelated(inst) | ProblemInstance::Splittable(SplittableInstance(inst)) => {
             let comb = unrelated_lower_bound(&inst);
             let assign = sst_algos::lp_relax::lp_makespan_lower_bound(&inst);
             let mut out = format!(
@@ -1287,58 +1267,48 @@ mod tests {
 
     #[test]
     fn packed_generate_pack_unpack_roundtrip() {
-        // generate --format packed produces a container every instance
-        // command can read directly.
-        let packed_path = tmp("p.sst");
-        let g = run(&parse(&toks(&[
-            "generate",
+        // For every single-instance family: generate --format packed writes
+        // the bytes `pack` makes of generate --format json, and `unpack`
+        // gives that JSON back byte for byte (the kind tag included).
+        for family in [
             "uniform",
-            "--out",
-            &packed_path,
-            "--n",
-            "10",
-            "--m",
-            "3",
-            "--format",
-            "packed",
-        ]))
-        .unwrap())
-        .unwrap();
-        assert!(g.contains("n=10"), "{g}");
-        assert_eq!(std::fs::read(&packed_path).unwrap()[..4], sst_core::wire::MAGIC);
+            "identical",
+            "unrelated",
+            "ra",
+            "cupt",
+            "production-line",
+            "compute-cluster",
+            "print-shop",
+            "ci-build-farm",
+            "cdn-transcode",
+            "splittable-stress",
+        ] {
+            let json_path = tmp(&format!("rt-{family}.json"));
+            let packed_path = tmp(&format!("rt-{family}.sst"));
+            let shape = ["--n", "12", "--m", "3", "--k", "4", "--seed", "3"];
+            for (path, format) in [(&json_path, "json"), (&packed_path, "packed")] {
+                let mut cmd = vec!["generate", family, "--out", path, "--format", format];
+                cmd.extend(shape);
+                let g = run(&parse(&toks(&cmd)).unwrap()).unwrap();
+                assert!(g.contains("n=12"), "{g}");
+            }
+            let packed = std::fs::read(&packed_path).unwrap();
+            assert_eq!(packed[..4], sst_core::wire::MAGIC, "{family}");
+
+            let repacked = tmp(&format!("rt-{family}-repacked.sst"));
+            let p = run(&parse(&toks(&["pack", &json_path, &repacked])).unwrap()).unwrap();
+            assert_eq!(packed, std::fs::read(&repacked).unwrap(), "{family}: {p}");
+
+            let unpacked = tmp(&format!("rt-{family}-unpacked.json"));
+            run(&parse(&toks(&["unpack", &packed_path, &unpacked])).unwrap()).unwrap();
+            let json = std::fs::read(&json_path).unwrap();
+            assert_eq!(json, std::fs::read(&unpacked).unwrap(), "{family}");
+        }
+
+        // `solve` reads a packed container directly.
+        let packed_path = tmp("rt-uniform.sst");
         let s = run(&parse(&toks(&["solve", &packed_path, "--algo", "lpt"])).unwrap()).unwrap();
         assert!(s.contains("makespan:"), "{s}");
-
-        // unpack -> pack roundtrips bit-identically and preserves kind.
-        let json_path = tmp("p_unpacked.json");
-        let u = run(&parse(&toks(&["unpack", &packed_path, &json_path])).unwrap()).unwrap();
-        assert!(u.contains("uniform"), "{u}");
-        let repacked = tmp("p_repacked.sst");
-        run(&parse(&toks(&["pack", &json_path, &repacked])).unwrap()).unwrap();
-        assert_eq!(std::fs::read(&packed_path).unwrap(), std::fs::read(&repacked).unwrap());
-
-        // splittable kind survives the conversion cycle.
-        let sp_json = tmp("sp.json");
-        run(&parse(&toks(&[
-            "generate",
-            "splittable-stress",
-            "--out",
-            &sp_json,
-            "--n",
-            "12",
-            "--m",
-            "3",
-            "--k",
-            "4",
-        ]))
-        .unwrap())
-        .unwrap();
-        let sp_packed = tmp("sp.sst");
-        let p = run(&parse(&toks(&["pack", &sp_json, &sp_packed])).unwrap()).unwrap();
-        assert!(p.contains("splittable"), "{p}");
-        let sp_back = tmp("sp_back.json");
-        run(&parse(&toks(&["unpack", &sp_packed, &sp_back])).unwrap()).unwrap();
-        assert!(std::fs::read_to_string(&sp_back).unwrap().contains("\"splittable\""));
 
         // dynamic-queue has no packed container.
         let err = run(&parse(&toks(&[
@@ -1352,6 +1322,31 @@ mod tests {
         .unwrap())
         .unwrap_err();
         assert!(err.to_string().contains("dynamic-queue"), "{err}");
+    }
+
+    #[test]
+    fn unhostable_splittable_file_gets_the_servers_error() {
+        // Valid unrelated data, but class 1 fits whole on no machine, which
+        // the splittable model requires (the fixture of the portfolio wire
+        // codec's `infeasible_splittable_is_rejected_like_json`).
+        let inner = sst_core::UnrelatedInstance::new(
+            2,
+            vec![0, 1, 1],
+            vec![vec![3, 9], vec![2, sst_core::INF], vec![sst_core::INF, 2]],
+            vec![vec![1, 2], vec![5, 7]],
+        )
+        .unwrap();
+        let line = io::unrelated_to_json(&inner, "splittable", false);
+        let request = format!("{{\"id\": 1, \"instance\": {line}}}");
+        let want = protocol::parse_incoming(&request).unwrap_err().to_string();
+        assert!(want.contains("host it whole"), "{want}");
+
+        let path = tmp("unhostable.json");
+        std::fs::write(&path, io::unrelated_to_json(&inner, "splittable", true)).unwrap();
+        for cmd in [vec!["info", path.as_str()], vec!["solve", path.as_str(), "--algo", "greedy"]] {
+            let err = run(&parse(&toks(&cmd)).unwrap()).unwrap_err();
+            assert_eq!(err.to_string(), want, "{cmd:?}");
+        }
     }
 
     #[test]
@@ -1377,26 +1372,22 @@ mod tests {
 
     #[test]
     fn generate_splittable_kind_and_info_loads_it() {
-        let inst_path = tmp("cdn.json");
-        run(&parse(&toks(&[
-            "generate",
-            "cdn-transcode",
-            "--out",
-            &inst_path,
-            "--n",
-            "20",
-            "--m",
-            "4",
-            "--k",
-            "5",
-        ]))
-        .unwrap())
-        .unwrap();
-        let text = std::fs::read_to_string(&inst_path).unwrap();
-        assert!(text.contains("\"kind\": \"splittable\""), "{text}");
-        // Integral commands read the shared payload as unrelated data.
-        let i = run(&parse(&toks(&["info", &inst_path])).unwrap()).unwrap();
-        assert!(i.contains("class-uniform ptimes: true"), "{i}");
+        for family in ["cdn-transcode", "splittable-stress"] {
+            let inst_path = tmp(&format!("{family}.json"));
+            run(&parse(&toks(&[
+                "generate", family, "--out", &inst_path, "--n", "20", "--m", "4", "--k", "5",
+            ]))
+            .unwrap())
+            .unwrap();
+            let text = std::fs::read_to_string(&inst_path).unwrap();
+            assert!(text.contains("\"kind\": \"splittable\""), "{text}");
+            // Integral commands read the shared payload as unrelated data.
+            let i = run(&parse(&toks(&["info", &inst_path])).unwrap()).unwrap();
+            assert!(i.contains("kind: unrelated"), "{family}: {i}");
+            if family == "cdn-transcode" {
+                assert!(i.contains("class-uniform ptimes: true"), "{i}");
+            }
+        }
     }
 
     #[test]

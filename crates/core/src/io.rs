@@ -915,10 +915,10 @@ impl<'a> InstanceDoc<'a> {
     }
 }
 
-/// Shared field-by-field writer behind the pretty and NDJSON encodings —
-/// one copy of the schema per instance kind, so a field change cannot
-/// silently diverge between the two formats.
-fn uniform_json(inst: &UniformInstance, pretty: bool) -> String {
+/// Serializes a uniform instance under `"kind": "uniform"`: pretty JSON
+/// for files, or one compact line (no newlines) for NDJSON. One writer for
+/// both layouts, so a field change cannot diverge between them.
+pub fn uniform_to_json(inst: &UniformInstance, pretty: bool) -> String {
     use std::fmt::Write as _;
     let (open, sep, pad) = if pretty { ("{\n  ", ",\n  ", " ") } else { ("{", ", ", "") };
     let mut out = String::new();
@@ -949,27 +949,12 @@ fn uniform_json(inst: &UniformInstance, pretty: bool) -> String {
     out
 }
 
-/// Serializes a uniform instance to pretty JSON.
-pub fn uniform_to_json(inst: &UniformInstance) -> String {
-    uniform_json(inst, true)
-}
-
-/// Serializes a uniform instance to one compact JSON line (same schema as
-/// [`uniform_to_json`], no newlines) — the NDJSON building block.
-pub fn uniform_to_json_line(inst: &UniformInstance) -> String {
-    uniform_json(inst, false)
-}
-
-/// Parses and validates a uniform instance from JSON.
-pub fn uniform_from_json(text: &str) -> Result<UniformInstance, IoError> {
-    InstanceDoc::parse(text)?.uniform()
-}
-
-/// Shared writer behind the unrelated-payload encodings (see
-/// [`uniform_json`]). `kind` is `"unrelated"` or `"splittable"` — the
-/// splittable model of Section 3.3 shares the unrelated instance data and
-/// differs only in its solution space, so the two kinds share one schema.
-fn unrelated_json(inst: &UnrelatedInstance, kind: &str, pretty: bool) -> String {
+/// Serializes an unrelated-schema instance under `"kind": kind` (see
+/// [`uniform_to_json`] for `pretty`). `kind` is `"unrelated"` or
+/// `"splittable"`: the splittable model of Section 3.3 shares the unrelated
+/// instance data and differs only in its solution space, so the two kinds
+/// share one schema.
+pub fn unrelated_to_json(inst: &UnrelatedInstance, kind: &str, pretty: bool) -> String {
     use std::fmt::Write as _;
     let (open, sep) = if pretty { ("{\n  ", ",\n  ") } else { ("{", ", ") };
     let mut out = String::new();
@@ -1006,39 +991,6 @@ fn unrelated_json(inst: &UnrelatedInstance, kind: &str, pretty: bool) -> String 
     out
 }
 
-/// Serializes an unrelated instance to pretty JSON.
-pub fn unrelated_to_json(inst: &UnrelatedInstance) -> String {
-    unrelated_json(inst, "unrelated", true)
-}
-
-/// Serializes an unrelated instance to one compact JSON line (same schema
-/// as [`unrelated_to_json`], no newlines) — the NDJSON building block.
-pub fn unrelated_to_json_line(inst: &UnrelatedInstance) -> String {
-    unrelated_json(inst, "unrelated", false)
-}
-
-/// Serializes an instance of the **splittable** model (Section 3.3's
-/// substrate: same data as an unrelated instance, class workloads may be
-/// split) to pretty JSON under `"kind": "splittable"`.
-pub fn splittable_to_json(inst: &UnrelatedInstance) -> String {
-    unrelated_json(inst, "splittable", true)
-}
-
-/// Serializes a splittable-model instance to one compact JSON line.
-pub fn splittable_to_json_line(inst: &UnrelatedInstance) -> String {
-    unrelated_json(inst, "splittable", false)
-}
-
-/// Parses and validates an unrelated instance from JSON.
-pub fn unrelated_from_json(text: &str) -> Result<UnrelatedInstance, IoError> {
-    InstanceDoc::parse(text)?.unrelated("unrelated")
-}
-
-/// Parses and validates a splittable-model instance from JSON.
-pub fn splittable_from_json(text: &str) -> Result<UnrelatedInstance, IoError> {
-    InstanceDoc::parse(text)?.unrelated("splittable")
-}
-
 /// Serializes a schedule (assignment vector) to JSON.
 pub fn schedule_to_json(sched: &Schedule) -> String {
     let mut out = String::new();
@@ -1069,13 +1021,21 @@ mod tests {
     use super::*;
     use crate::instance::INF;
 
+    fn decode_uniform(text: &str) -> Result<UniformInstance, IoError> {
+        InstanceDoc::parse(text)?.uniform()
+    }
+
+    fn decode_unrelated(text: &str, kind: &str) -> Result<UnrelatedInstance, IoError> {
+        InstanceDoc::parse(text)?.unrelated(kind)
+    }
+
     #[test]
     fn uniform_roundtrip() {
         let inst =
             UniformInstance::new(vec![2, 1], vec![3, 5], vec![Job::new(0, 4), Job::new(1, 6)])
                 .unwrap();
-        let json = uniform_to_json(&inst);
-        let back = uniform_from_json(&json).unwrap();
+        let json = uniform_to_json(&inst, true);
+        let back = decode_uniform(&json).unwrap();
         assert_eq!(inst, back);
     }
 
@@ -1088,8 +1048,8 @@ mod tests {
             vec![vec![1, 1], vec![2, 2]],
         )
         .unwrap();
-        let json = unrelated_to_json(&inst);
-        let back = unrelated_from_json(&json).unwrap();
+        let json = unrelated_to_json(&inst, "unrelated", true);
+        let back = decode_unrelated(&json, "unrelated").unwrap();
         assert_eq!(inst, back);
     }
 
@@ -1097,24 +1057,24 @@ mod tests {
     fn corrupted_data_is_rejected_not_trusted() {
         // Speed 0 fails validation even though the JSON parses.
         let bad = r#"{"version":1,"kind":"uniform","speeds":[0],"setups":[],"jobs":[]}"#;
-        assert!(matches!(uniform_from_json(bad), Err(IoError::Invalid(_))));
+        assert!(matches!(decode_uniform(bad), Err(IoError::Invalid(_))));
         // Wrong kind.
         let wrong = r#"{"version":1,"kind":"unrelated","speeds":[1],"setups":[],"jobs":[]}"#;
-        assert!(matches!(uniform_from_json(wrong), Err(IoError::Format(_))));
+        assert!(matches!(decode_uniform(wrong), Err(IoError::Format(_))));
         // Future version.
         let future = r#"{"version":9,"kind":"uniform","speeds":[1],"setups":[],"jobs":[]}"#;
-        assert!(matches!(uniform_from_json(future), Err(IoError::Format(_))));
+        assert!(matches!(decode_uniform(future), Err(IoError::Format(_))));
         // Garbage.
-        assert!(matches!(uniform_from_json("{nope"), Err(IoError::Json(_))));
+        assert!(matches!(decode_uniform("{nope"), Err(IoError::Json(_))));
     }
 
     #[test]
     fn json_line_is_single_line_and_parses_back() {
         let u = UniformInstance::new(vec![2, 1], vec![3, 5], vec![Job::new(0, 4), Job::new(1, 6)])
             .unwrap();
-        let line = uniform_to_json_line(&u);
+        let line = uniform_to_json(&u, false);
         assert!(!line.contains('\n'), "{line}");
-        assert_eq!(uniform_from_json(&line).unwrap(), u);
+        assert_eq!(decode_uniform(&line).unwrap(), u);
         let r = UnrelatedInstance::new(
             2,
             vec![0, 1],
@@ -1122,9 +1082,9 @@ mod tests {
             vec![vec![1, 1], vec![2, 2]],
         )
         .unwrap();
-        let line = unrelated_to_json_line(&r);
+        let line = unrelated_to_json(&r, "unrelated", false);
         assert!(!line.contains('\n'), "{line}");
-        assert_eq!(unrelated_from_json(&line).unwrap(), r);
+        assert_eq!(decode_unrelated(&line, "unrelated").unwrap(), r);
     }
 
     #[test]
@@ -1136,16 +1096,17 @@ mod tests {
             vec![vec![1, 1], vec![2, 2]],
         )
         .unwrap();
-        let json = splittable_to_json(&inst);
+        let json = unrelated_to_json(&inst, "splittable", true);
         assert!(json.contains("\"kind\": \"splittable\""), "{json}");
-        assert_eq!(splittable_from_json(&json).unwrap(), inst);
+        assert_eq!(decode_unrelated(&json, "splittable").unwrap(), inst);
         // The kinds are distinct on the wire even though the payload is
-        // shared: each parser rejects the other's tag.
-        assert!(matches!(unrelated_from_json(&json), Err(IoError::Format(_))));
-        assert!(matches!(splittable_from_json(&unrelated_to_json(&inst)), Err(IoError::Format(_))));
-        let line = splittable_to_json_line(&inst);
+        // shared: each decoder rejects the other's tag.
+        assert!(matches!(decode_unrelated(&json, "unrelated"), Err(IoError::Format(_))));
+        let unrelated = unrelated_to_json(&inst, "unrelated", true);
+        assert!(matches!(decode_unrelated(&unrelated, "splittable"), Err(IoError::Format(_))));
+        let line = unrelated_to_json(&inst, "splittable", false);
         assert!(!line.contains('\n'));
-        assert_eq!(splittable_from_json(&line).unwrap(), inst);
+        assert_eq!(decode_unrelated(&line, "splittable").unwrap(), inst);
     }
 
     #[test]
@@ -1158,7 +1119,7 @@ mod tests {
     #[test]
     fn deep_nesting_is_an_error_not_a_crash() {
         let deep = "[".repeat(100_000);
-        assert!(matches!(uniform_from_json(&deep), Err(IoError::Json(_))));
+        assert!(matches!(decode_uniform(&deep), Err(IoError::Json(_))));
         // At the limit boundary: 127 wrappers around a number still parse.
         let ok = format!("{}7{}", "[".repeat(127), "]".repeat(127));
         let mut p = json::Parser::new(&ok);

@@ -36,10 +36,13 @@
 //!
 //! ## Packed payloads
 //!
-//! This module owns the payload codecs for the core vocabulary: the three
-//! instance kinds ([`PackedInstance`]), delta batches, and schedules.
-//! Request/response framing on top of these lives in the portfolio crate
-//! (`sst_portfolio::wire`), which shares this header and type registry.
+//! This module owns the payload codecs for the core vocabulary: one per
+//! machine model ([`write_uniform`] / [`write_unrelated`] and their
+//! readers, without a kind byte), delta batches, and schedules. The
+//! kind-tagged instance — the `KIND_*` byte, then the model payload —
+//! belongs to `sst_portfolio::wire`, whose `ProblemInstance` is the one
+//! kind-tagged instance type; it also owns request/response framing and
+//! the on-disk container, on this header and type registry.
 //!
 //! Decode hot loops must not allocate per cell — bulk `u64` rows are read
 //! with one `Vec::with_capacity` + `chunks_exact` pass. `sst lint`
@@ -85,7 +88,8 @@ pub const FT_INSTANCE: u8 = 0x10;
 /// Packed per-session durable snapshot (`sst_portfolio::durable`).
 pub const FT_SNAPSHOT: u8 = 0x11;
 
-/// Instance kind tag inside packed payloads.
+/// Instance kind tag inside packed payloads (read and written by
+/// `sst_portfolio::wire`).
 pub const KIND_UNIFORM: u8 = 0;
 /// Instance kind tag: unrelated machines.
 pub const KIND_UNRELATED: u8 = 1;
@@ -435,31 +439,6 @@ impl<'a> Cursor<'a> {
 // Packed instances
 // ---------------------------------------------------------------------------
 
-/// A decoded packed instance with its model kind — the wire-level
-/// counterpart of the JSON `"kind"` header. The splittable model shares
-/// the unrelated payload schema (the model is an interpretation, not a
-/// different matrix).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PackedInstance {
-    /// Uniformly related machines.
-    Uniform(UniformInstance),
-    /// Unrelated machines (restricted assignment via `INF` entries).
-    Unrelated(UnrelatedInstance),
-    /// The splittable model of Section 3.3 (unrelated payload schema).
-    Splittable(UnrelatedInstance),
-}
-
-impl PackedInstance {
-    /// The JSON `"kind"` string for this instance.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            PackedInstance::Uniform(_) => "uniform",
-            PackedInstance::Unrelated(_) => "unrelated",
-            PackedInstance::Splittable(_) => "splittable",
-        }
-    }
-}
-
 /// Appends the packed encoding of a uniform instance (no kind byte):
 /// `m u32, K u32, n u32, speeds[m] u64, setups[K] u64, n × (class u32,
 /// size u64)`.
@@ -528,60 +507,6 @@ pub fn read_unrelated(cur: &mut Cursor<'_>) -> Result<UnrelatedInstance, WireErr
     let ptimes = cur.u64_vec(cells.0)?;
     let setups = cur.u64_vec(cells.1)?;
     Ok(UnrelatedInstance::from_flat(m, job_class, ptimes, setups)?)
-}
-
-/// Appends a kind-tagged packed instance (`KIND_*` byte, then the model
-/// payload).
-pub fn write_instance(out: &mut Vec<u8>, inst: &PackedInstance) {
-    match inst {
-        PackedInstance::Uniform(u) => {
-            put_u8(out, KIND_UNIFORM);
-            write_uniform(out, u);
-        }
-        PackedInstance::Unrelated(u) => {
-            put_u8(out, KIND_UNRELATED);
-            write_unrelated(out, u);
-        }
-        PackedInstance::Splittable(u) => {
-            put_u8(out, KIND_SPLITTABLE);
-            write_unrelated(out, u);
-        }
-    }
-}
-
-/// Reads a kind-tagged packed instance.
-///
-/// Model-level feasibility beyond instance validation (the splittable
-/// "every class hostable somewhere" gate) is the caller's contract, as it
-/// is for [`crate::io::splittable_from_json`] — the portfolio wire layer
-/// applies it when building a `ProblemInstance`.
-pub fn read_instance(cur: &mut Cursor<'_>) -> Result<PackedInstance, WireError> {
-    match cur.u8()? {
-        KIND_UNIFORM => Ok(PackedInstance::Uniform(read_uniform(cur)?)),
-        KIND_UNRELATED => Ok(PackedInstance::Unrelated(read_unrelated(cur)?)),
-        KIND_SPLITTABLE => Ok(PackedInstance::Splittable(read_unrelated(cur)?)),
-        t => Err(WireError::Malformed(format!("unknown instance kind tag {t}"))),
-    }
-}
-
-/// Encodes an instance as a standalone [`FT_INSTANCE`] container frame —
-/// the on-disk packed format (`sst generate --format packed`, `sst pack`).
-pub fn instance_to_container(inst: &PackedInstance) -> Vec<u8> {
-    let mut payload = Vec::new();
-    write_instance(&mut payload, inst);
-    encode_frame(FT_INSTANCE, &payload)
-}
-
-/// Decodes a packed container file produced by [`instance_to_container`].
-pub fn instance_from_container(bytes: &[u8]) -> Result<PackedInstance, WireError> {
-    let (frame_type, payload) = decode_frame(bytes)?;
-    if frame_type != FT_INSTANCE {
-        return Err(WireError::UnknownFrameType(frame_type));
-    }
-    let mut cur = Cursor::new(payload);
-    let inst = read_instance(&mut cur)?;
-    cur.finish()?;
-    Ok(inst)
 }
 
 // ---------------------------------------------------------------------------
@@ -822,17 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn container_roundtrip_preserves_kind() {
-        for inst in [
-            PackedInstance::Unrelated(unrelated_fixture()),
-            PackedInstance::Splittable(unrelated_fixture()),
-        ] {
-            let bytes = instance_to_container(&inst);
-            assert_eq!(instance_from_container(&bytes).unwrap(), inst);
-        }
-    }
-
-    #[test]
     fn invalid_instance_is_rejected_once_per_frame() {
         // Job 1's row is all-INF: structurally fine, semantically invalid.
         let mut buf = Vec::new();
@@ -884,8 +798,6 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_malformed_not_panics() {
-        let mut cur = Cursor::new(&[9u8]);
-        assert!(matches!(read_instance(&mut cur), Err(WireError::Malformed(_))));
         let mut cur = Cursor::new(&[9u8]);
         assert!(matches!(read_delta(&mut cur), Err(WireError::Malformed(_))));
     }

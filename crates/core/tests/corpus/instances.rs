@@ -7,7 +7,7 @@
 // list of top-level fields (duplicates allowed: the last one wins). The
 // `EXPECTED` table records, per case, the outcome of the tree-based JSON
 // decoder the streaming decoder replaced — through the kind's
-// `sst_core::io::*_from_json`, through `parse_incoming` on a one-shot
+// `sst_core::io::InstanceDoc` decoder, through `parse_incoming` on a one-shot
 // request line, and through `parse_incoming` on a session `create` line.
 // An outcome is the `IoError` variant name, or `ok:` followed by the
 // decoded instance re-encoded as one canonical JSON line.

@@ -12,7 +12,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sst_core::instance::INF;
 use sst_core::io::json::Parser;
-use sst_core::io::{schedule_from_json, uniform_from_json, unrelated_from_json};
+use sst_core::io::{schedule_from_json, InstanceDoc};
 
 #[allow(dead_code, clippy::all)]
 mod old {
@@ -900,13 +900,13 @@ fn same_array(text: &str) -> Result<(), TestCaseError> {
 fn same_doc(text: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         format!("{:?}", old::unrelated_from_json(text)),
-        format!("{:?}", unrelated_from_json(text)),
+        format!("{:?}", InstanceDoc::parse(text).and_then(|doc| doc.unrelated("unrelated"))),
         "{:?}",
         text
     );
     prop_assert_eq!(
         format!("{:?}", old::uniform_from_json(text)),
-        format!("{:?}", uniform_from_json(text)),
+        format!("{:?}", InstanceDoc::parse(text).and_then(|doc| doc.uniform())),
         "{:?}",
         text
     );

@@ -12,9 +12,7 @@ use sst_core::delta::{delta_at, delta_to_json, deltas_at, deltas_to_json};
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};
 use sst_core::io::json::Parser;
 use sst_core::io::{
-    schedule_from_json, schedule_to_json, splittable_from_json, splittable_to_json_line,
-    uniform_from_json, uniform_to_json, uniform_to_json_line, unrelated_from_json,
-    unrelated_to_json, unrelated_to_json_line, IoError,
+    schedule_from_json, schedule_to_json, uniform_to_json, unrelated_to_json, InstanceDoc, IoError,
 };
 use sst_core::schedule::Schedule;
 
@@ -32,12 +30,19 @@ fn notation(decoded: Result<String, IoError>) -> String {
     }
 }
 
+fn decode_uniform(text: &str) -> Result<UniformInstance, IoError> {
+    InstanceDoc::parse(text)?.uniform()
+}
+
+fn decode_unrelated(text: &str, kind: &str) -> Result<UnrelatedInstance, IoError> {
+    InstanceDoc::parse(text)?.unrelated(kind)
+}
+
 /// What decoding `doc` as `kind` gives, in the corpus's outcome notation.
 fn outcome(kind: &str, doc: &str) -> String {
     notation(match kind {
-        "uniform" => uniform_from_json(doc).map(|u| uniform_to_json_line(&u)),
-        "unrelated" => unrelated_from_json(doc).map(|u| unrelated_to_json_line(&u)),
-        _ => splittable_from_json(doc).map(|u| splittable_to_json_line(&u)),
+        "uniform" => decode_uniform(doc).map(|u| uniform_to_json(&u, false)),
+        _ => decode_unrelated(doc, kind).map(|u| unrelated_to_json(&u, kind, false)),
     })
 }
 
@@ -158,14 +163,14 @@ proptest! {
 
     #[test]
     fn uniform_roundtrip_is_identity(inst in uniform_instance()) {
-        let back = uniform_from_json(&uniform_to_json(&inst))
+        let back = decode_uniform(&uniform_to_json(&inst, true))
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(inst, back);
     }
 
     #[test]
     fn unrelated_roundtrip_preserves_infinities(inst in unrelated_instance()) {
-        let back = unrelated_from_json(&unrelated_to_json(&inst))
+        let back = decode_unrelated(&unrelated_to_json(&inst, "unrelated", true), "unrelated")
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(inst, back);
     }
@@ -185,16 +190,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let doc = uniform_case(&u).render_scrambled(seed);
-        prop_assert_eq!(uniform_from_json(&doc).map_err(|e| TestCaseError::fail(e.to_string()))?, u);
+        prop_assert_eq!(decode_uniform(&doc).map_err(|e| TestCaseError::fail(e.to_string()))?, u);
         let doc = unrelated_case("unrelated", &r).render_scrambled(seed);
-        prop_assert_eq!(&unrelated_from_json(&doc).map_err(|e| TestCaseError::fail(e.to_string()))?, &r);
+        prop_assert_eq!(&decode_unrelated(&doc, "unrelated").map_err(|e| TestCaseError::fail(e.to_string()))?, &r);
         let doc = unrelated_case("splittable", &r).render_scrambled(seed);
-        prop_assert_eq!(splittable_from_json(&doc).map_err(|e| TestCaseError::fail(e.to_string()))?, r);
+        prop_assert_eq!(decode_unrelated(&doc, "splittable").map_err(|e| TestCaseError::fail(e.to_string()))?, r);
     }
 
     #[test]
     fn cross_kind_parsing_always_errors(inst in uniform_instance()) {
         // A uniform file must never parse as an unrelated instance.
-        prop_assert!(unrelated_from_json(&uniform_to_json(&inst)).is_err());
+        prop_assert!(decode_unrelated(&uniform_to_json(&inst, true), "unrelated").is_err());
     }
 }

@@ -258,7 +258,7 @@ pub fn scan_journal(text: &str) -> (Vec<(u64, JournalRecord)>, Option<JournalTai
 pub fn encode_snapshot(sid: u64, seq: u64, entry: &SessionEntry) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"v\": 1, \"sid\": {sid}, \"seq\": {seq}, \"instance\": ");
-    out.push_str(&instance_to_json(&entry.instance));
+    out.push_str(&instance_to_json(&entry.instance, false));
     out.push_str(", \"cost\": ");
     write_cost(&mut out, &entry.cost);
     out.push_str(", ");

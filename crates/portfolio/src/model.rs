@@ -35,6 +35,18 @@ use crate::solver::{Cost, Outcome, ProblemInstance};
 pub struct SplittableInstance(pub UnrelatedInstance);
 
 impl SplittableInstance {
+    /// Wraps `inner` if every nonempty class fits *whole* on some machine:
+    /// the split model needs that, because a positive share pays the full
+    /// setup, so per-job schedulability is not enough. The gate both
+    /// instance decoders (JSON and packed) apply.
+    pub fn new(inner: UnrelatedInstance) -> Result<Self, &'static str> {
+        if splittable_feasible(&inner) {
+            Ok(SplittableInstance(inner))
+        } else {
+            Err("splittable instance has a class with no machine able to host it whole")
+        }
+    }
+
     /// The shared unrelated-shaped instance data.
     #[inline]
     pub fn inner(&self) -> &UnrelatedInstance {

@@ -1,7 +1,9 @@
 //! The NDJSON request/response codec of `sst serve`.
 //!
 //! One JSON object per line, both directions. Requests embed an instance
-//! in the same schema the `sst` file format uses (see [`sst_core::io`]);
+//! envelope, the schema of `sst` instance files too: [`instance_to_json`]
+//! writes it and [`instance_from_doc`] reads it, for the requests and for
+//! the CLI's files alike, on the per-model codecs of [`sst_core::io`];
 //! responses carry the winning solution, its exact makespan, and
 //! per-solver attribution. A uniform-machines makespan is an exact
 //! rational and serializes as `{"num": N, "den": D}`; an unrelated
@@ -48,10 +50,11 @@
 
 use std::fmt::Write as _;
 
-use sst_algos::splittable::{splittable_feasible, SplitSchedule, SplitShare};
+use sst_algos::splittable::{SplitSchedule, SplitShare};
 use sst_core::delta::{deltas_at, deltas_to_json, InstanceDelta};
 use sst_core::io::json::{self, Escaped, Parser};
 use sst_core::io::{self, InstanceDoc, IoError};
+use sst_core::model::{MachineModel, Splittable, Unrelated};
 use sst_core::ratio::Ratio;
 
 use crate::model::{Solution, SplittableInstance};
@@ -361,13 +364,16 @@ pub(crate) fn cost_at(p: Parser<'_>) -> Result<Cost, IoError> {
     Ok(Cost::Frac(Ratio::new(num, den)))
 }
 
-/// Serializes an instance envelope to one JSON line (the shared encoder
-/// of the request, session, journal and snapshot paths).
-pub(crate) fn instance_to_json(instance: &ProblemInstance) -> String {
+/// Serializes an instance envelope: one JSON line (the request, session,
+/// journal and snapshot paths) or, with `pretty`, the layout of an
+/// instance file (`sst generate`, `sst unpack`).
+pub fn instance_to_json(instance: &ProblemInstance, pretty: bool) -> String {
     match instance {
-        ProblemInstance::Uniform(u) => io::uniform_to_json_line(u),
-        ProblemInstance::Unrelated(r) => io::unrelated_to_json_line(r),
-        ProblemInstance::Splittable(s) => io::splittable_to_json_line(s.inner()),
+        ProblemInstance::Uniform(u) => io::uniform_to_json(u, pretty),
+        ProblemInstance::Unrelated(r) => io::unrelated_to_json(r, Unrelated::KIND, pretty),
+        ProblemInstance::Splittable(s) => {
+            io::unrelated_to_json(s.inner(), Splittable::KIND, pretty)
+        }
     }
 }
 
@@ -385,7 +391,7 @@ pub fn request_to_json(req: &Request) -> String {
         let _ = write!(out, ", \"seed\": {s}");
     }
     out.push_str(", \"instance\": ");
-    out.push_str(&instance_to_json(&req.instance));
+    out.push_str(&instance_to_json(&req.instance, false));
     out.push('}');
     out
 }
@@ -438,7 +444,8 @@ pub(crate) fn instance_at(mut p: Parser<'_>) -> Result<ProblemInstance, IoError>
 
 /// Builds the right model from a scanned instance envelope (`None`: the
 /// value was not an object), enforcing the splittable feasibility gate.
-fn instance_from_doc(doc: Option<InstanceDoc<'_>>) -> Result<ProblemInstance, IoError> {
+/// Request lines and instance files (`sst` commands) both decode here.
+pub fn instance_from_doc(doc: Option<InstanceDoc<'_>>) -> Result<ProblemInstance, IoError> {
     let doc = doc.ok_or_else(|| IoError::Json("field 'instance' must be an object".into()))?;
     let kind = doc.kind().ok_or_else(|| IoError::Json("instance.kind must be a string".into()))?;
     match kind.as_str() {
@@ -446,15 +453,8 @@ fn instance_from_doc(doc: Option<InstanceDoc<'_>>) -> Result<ProblemInstance, Io
         "unrelated" => Ok(ProblemInstance::Unrelated(doc.unrelated("unrelated")?)),
         "splittable" => {
             let inner = doc.unrelated("splittable")?;
-            // The split model needs every nonempty class hostable *whole*
-            // somewhere (a positive share pays the full setup); per-job
-            // schedulability is not enough.
-            if !splittable_feasible(&inner) {
-                return Err(IoError::Format(
-                    "splittable instance has a class with no machine able to host it whole".into(),
-                ));
-            }
-            Ok(ProblemInstance::Splittable(SplittableInstance(inner)))
+            let split = SplittableInstance::new(inner).map_err(|e| IoError::Format(e.into()))?;
+            Ok(ProblemInstance::Splittable(split))
         }
         other => Err(IoError::Format(format!("unknown instance kind '{other}'"))),
     }
@@ -585,7 +585,7 @@ pub(crate) fn write_verb(out: &mut String, verb: VerbRef<'_>) {
     match verb {
         VerbRef::Create { sid, instance } => {
             let _ = write!(out, "\"create\": {{\"sid\": {sid}, \"instance\": ");
-            out.push_str(&instance_to_json(instance));
+            out.push_str(&instance_to_json(instance, false));
             out.push('}');
         }
         VerbRef::Delta { sid, deltas } => {

@@ -1,6 +1,12 @@
 //! Binary request/response framing for the serve protocol — the
 //! portfolio-level half of the wire format whose header, checksum and
-//! packed core codecs live in [`sst_core::wire`].
+//! per-model payload codecs live in [`sst_core::wire`].
+//!
+//! The kind-tagged instance is read and written here only
+//! ([`write_problem_instance`] / [`read_problem_instance`]): the `KIND_*`
+//! byte, then the model payload. Requests, session creates, durable
+//! snapshots and the on-disk [`FT_INSTANCE`] container
+//! ([`instance_to_container`], the `--format packed` file) all carry it.
 //!
 //! Every NDJSON message of [`crate::protocol`] has a framed counterpart:
 //!
@@ -26,17 +32,19 @@
 //!
 //! Decoding enforces the same semantic gates as the JSON path: instances
 //! revalidate once per frame via the normal constructors, and splittable
-//! instances must pass the `splittable_feasible` hostability check.
+//! instances must pass [`SplittableInstance::new`]'s hostability gate.
 
-use sst_algos::splittable::{splittable_feasible, SplitSchedule, SplitShare};
+use sst_algos::splittable::{SplitSchedule, SplitShare};
+use sst_core::model::{MachineModel, Splittable, Uniform, Unrelated};
 use sst_core::ratio::Ratio;
 use sst_core::wire::{
-    encode_frame, put_str, put_u32, put_u64, put_u8, read_deltas, read_instance, read_schedule,
-    write_deltas, write_schedule, Cursor, PackedInstance, WireError,
+    decode_frame, encode_frame, put_str, put_u32, put_u64, put_u8, read_deltas, read_schedule,
+    read_uniform, read_unrelated, write_deltas, write_schedule, write_uniform, write_unrelated,
+    Cursor, WireError, KIND_SPLITTABLE, KIND_UNIFORM, KIND_UNRELATED,
 };
 pub use sst_core::wire::{
-    FT_JSON, FT_METRICS, FT_REQUEST, FT_RESPONSE_ERROR, FT_RESPONSE_OK, FT_RESPONSE_SESSION,
-    FT_SESSION,
+    FT_INSTANCE, FT_JSON, FT_METRICS, FT_REQUEST, FT_RESPONSE_ERROR, FT_RESPONSE_OK,
+    FT_RESPONSE_SESSION, FT_SESSION,
 };
 
 use crate::model::{Solution, SplittableInstance};
@@ -58,47 +66,70 @@ const COST_REAL: u8 = 2;
 const SOLUTION_ASSIGNMENT: u8 = 0;
 const SOLUTION_SPLIT: u8 = 1;
 
-const KIND_BYTE: [(&str, u8); 3] = [("uniform", 0), ("unrelated", 1), ("splittable", 2)];
+/// Each instance kind's protocol name and packed tag byte: the one table
+/// between the two, read by the response codec.
+const KINDS: [(&str, u8); 3] = [
+    (Uniform::KIND, KIND_UNIFORM),
+    (Unrelated::KIND, KIND_UNRELATED),
+    (Splittable::KIND, KIND_SPLITTABLE),
+];
 
 // ---------------------------------------------------------------------------
 // Shared value codecs (also used by the packed durable snapshots)
 // ---------------------------------------------------------------------------
 
-pub(crate) fn write_problem_instance(out: &mut Vec<u8>, instance: &ProblemInstance) {
-    // Writes the kind-tagged payload directly (no PackedInstance detour:
-    // that would clone the instance per encoded frame).
+/// Appends a kind-tagged packed instance: the `KIND_*` byte, then the
+/// model payload of [`sst_core::wire`] (the splittable model shares the
+/// unrelated one).
+pub fn write_problem_instance(out: &mut Vec<u8>, instance: &ProblemInstance) {
     match instance {
         ProblemInstance::Uniform(u) => {
-            put_u8(out, 0);
-            sst_core::wire::write_uniform(out, u);
+            put_u8(out, KIND_UNIFORM);
+            write_uniform(out, u);
         }
         ProblemInstance::Unrelated(u) => {
-            put_u8(out, 1);
-            sst_core::wire::write_unrelated(out, u);
+            put_u8(out, KIND_UNRELATED);
+            write_unrelated(out, u);
         }
         ProblemInstance::Splittable(s) => {
-            put_u8(out, 2);
-            sst_core::wire::write_unrelated(out, s.inner());
+            put_u8(out, KIND_SPLITTABLE);
+            write_unrelated(out, s.inner());
         }
     }
 }
 
-/// Reads a kind-tagged instance and applies the model-level gates the
-/// JSON path applies (`instance_at`): splittable instances must
-/// have every nonempty class hostable whole on some machine.
-pub(crate) fn read_problem_instance(cur: &mut Cursor<'_>) -> Result<ProblemInstance, WireError> {
-    match read_instance(cur)? {
-        PackedInstance::Uniform(u) => Ok(ProblemInstance::Uniform(u)),
-        PackedInstance::Unrelated(u) => Ok(ProblemInstance::Unrelated(u)),
-        PackedInstance::Splittable(inner) => {
-            if !splittable_feasible(&inner) {
-                return Err(WireError::Malformed(
-                    "splittable instance has a class with no machine able to host it whole".into(),
-                ));
-            }
-            Ok(ProblemInstance::Splittable(SplittableInstance(inner)))
-        }
+/// Reads a kind-tagged packed instance, with the gate the JSON decoder
+/// ([`crate::protocol::instance_from_doc`]) applies: a splittable instance
+/// must have every nonempty class hostable whole on some machine.
+pub fn read_problem_instance(cur: &mut Cursor<'_>) -> Result<ProblemInstance, WireError> {
+    match cur.u8()? {
+        KIND_UNIFORM => Ok(ProblemInstance::Uniform(read_uniform(cur)?)),
+        KIND_UNRELATED => Ok(ProblemInstance::Unrelated(read_unrelated(cur)?)),
+        KIND_SPLITTABLE => SplittableInstance::new(read_unrelated(cur)?)
+            .map(ProblemInstance::Splittable)
+            .map_err(|e| WireError::Malformed(e.into())),
+        t => Err(WireError::Malformed(format!("unknown instance kind tag {t}"))),
     }
+}
+
+/// Encodes an instance as a standalone [`FT_INSTANCE`] container frame —
+/// the on-disk packed format (`sst generate --format packed`, `sst pack`).
+pub fn instance_to_container(instance: &ProblemInstance) -> Vec<u8> {
+    let mut payload = Vec::new();
+    write_problem_instance(&mut payload, instance);
+    encode_frame(FT_INSTANCE, &payload)
+}
+
+/// Decodes a packed container file produced by [`instance_to_container`].
+pub fn instance_from_container(bytes: &[u8]) -> Result<ProblemInstance, WireError> {
+    let (frame_type, payload) = decode_frame(bytes)?;
+    if frame_type != FT_INSTANCE {
+        return Err(WireError::UnknownFrameType(frame_type));
+    }
+    let mut cur = Cursor::new(payload);
+    let instance = read_problem_instance(&mut cur)?;
+    cur.finish()?;
+    Ok(instance)
 }
 
 pub(crate) fn write_cost(out: &mut Vec<u8>, cost: &Cost) {
@@ -197,7 +228,7 @@ pub(crate) fn read_solution(cur: &mut Cursor<'_>) -> Result<Solution, WireError>
 }
 
 fn kind_to_byte(kind: &str) -> Result<u8, WireError> {
-    KIND_BYTE
+    KINDS
         .iter()
         .find(|(k, _)| *k == kind)
         .map(|(_, b)| *b)
@@ -205,7 +236,7 @@ fn kind_to_byte(kind: &str) -> Result<u8, WireError> {
 }
 
 fn kind_from_byte(b: u8) -> Result<&'static str, WireError> {
-    KIND_BYTE
+    KINDS
         .iter()
         .find(|(_, v)| *v == b)
         .map(|(k, _)| *k)
@@ -480,7 +511,6 @@ pub fn session_sid(frame_type: u8, payload: &[u8]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sst_core::wire::decode_frame;
     use sst_core::{InstanceDelta, Schedule, UniformInstance, UnrelatedInstance, INF};
 
     fn unrelated() -> UnrelatedInstance {
@@ -570,13 +600,28 @@ mod tests {
             vec![vec![1, 2], vec![5, 7]],
         )
         .unwrap();
-        assert!(!splittable_feasible(&inner));
+        assert!(SplittableInstance::new(inner.clone()).is_err());
         let mut payload = Vec::new();
         put_u64(&mut payload, 1);
         write_options(&mut payload, None, None, None);
-        put_u8(&mut payload, 2); // splittable kind tag
-        sst_core::wire::write_unrelated(&mut payload, &inner);
+        put_u8(&mut payload, KIND_SPLITTABLE);
+        write_unrelated(&mut payload, &inner);
         assert!(matches!(decode_incoming(FT_REQUEST, &payload), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn container_roundtrip_preserves_kind() {
+        for instance in [
+            ProblemInstance::Uniform(uniform()),
+            ProblemInstance::Unrelated(unrelated()),
+            ProblemInstance::Splittable(SplittableInstance(unrelated())),
+        ] {
+            let bytes = instance_to_container(&instance);
+            assert_eq!(instance_from_container(&bytes).unwrap(), instance);
+        }
+        // An unknown kind tag is malformed, not a panic.
+        let mut cur = Cursor::new(&[9u8]);
+        assert!(matches!(read_problem_instance(&mut cur), Err(WireError::Malformed(_))));
     }
 
     #[test]

@@ -11,12 +11,12 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sst_algos::splittable::{SplitSchedule, SplitShare};
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};
-use sst_core::io::{self, IoError};
+use sst_core::io::IoError;
 use sst_core::ratio::Ratio;
 use sst_core::schedule::Schedule;
 use sst_portfolio::protocol::{
-    extract_request_id, parse_incoming, parse_response, request_to_json, response_to_json,
-    Incoming, Request, Response, SessionVerb, SolverLine,
+    extract_request_id, instance_to_json, parse_incoming, parse_response, request_to_json,
+    response_to_json, Incoming, Request, Response, SessionVerb, SolverLine,
 };
 use sst_portfolio::{Cost, ProblemInstance, Solution, SplittableInstance};
 
@@ -31,21 +31,15 @@ fn variant(e: &IoError) -> String {
     }
 }
 
-fn instance_line(inst: &ProblemInstance) -> String {
-    match inst {
-        ProblemInstance::Uniform(u) => io::uniform_to_json_line(u),
-        ProblemInstance::Unrelated(r) => io::unrelated_to_json_line(r),
-        ProblemInstance::Splittable(s) => io::splittable_to_json_line(&s.0),
-    }
-}
-
 /// What `parse_incoming` makes of `line`, in the corpus's outcome notation
 /// (`ok:` plus the decoded instance for solve and session-create lines).
 fn outcome(line: &str) -> String {
     match parse_incoming(line) {
-        Ok(Incoming::Solve(req)) => format!("ok:{}", instance_line(&req.instance)),
+        Ok(Incoming::Solve(req)) => format!("ok:{}", instance_to_json(&req.instance, false)),
         Ok(Incoming::Session(req)) => match req.verb {
-            SessionVerb::Create { instance, .. } => format!("ok:{}", instance_line(&instance)),
+            SessionVerb::Create { instance, .. } => {
+                format!("ok:{}", instance_to_json(&instance, false))
+            }
             other => format!("{other:?}"),
         },
         Ok(other) => format!("{other:?}"),
