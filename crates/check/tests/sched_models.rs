@@ -1,4 +1,4 @@
-//! Deterministic interleaving models of the four riskiest serve-path
+//! Deterministic interleaving models of the riskiest serve-path
 //! protocols, explored with `sst_check::sched` (loom-style). Each model is
 //! a few virtual threads with explicit yield points; the exhaustive runs
 //! enumerate *every* schedule, so a passing test is a proof over the model,
@@ -15,98 +15,151 @@ use std::sync::Arc;
 use sst_check::sched::{explore, yield_now, FailureKind, Strategy, VCell, VCondvar, VMutex};
 
 // ---------------------------------------------------------------------------
-// Model 1: injector / per-worker deque with steal-back-half handoff
-// (pool.rs dispatch). A victim claims the whole injector batch; a thief
-// finds the injector empty and steals back half of the victim's local
-// queue. Property: every task is executed exactly once, no matter how the
-// claim and the steal interleave.
+// Model 1: dispatch vs. the last worker's death vs. shutdown (pool.rs). One
+// queue, one `closed` flag and one alive count share a mutex. The lone
+// worker takes one job, runs it outside the lock and dies (the kill probe);
+// the dying last worker drains the queue to the orphan path; shutdown
+// closes the pool, joins the worker and orphans whatever is left. The
+// dispatcher is not ordered against shutdown here, a stronger setting than
+// the service's, where shutdown takes the pool by value. Property: every
+// dispatched job is run, orphaned or rejected, exactly once. The broken
+// variant reads the alive count in its own lock tenure before pushing: the
+// worker can die and shutdown can finish in the gap, and the pushed job is
+// stranded.
 // ---------------------------------------------------------------------------
 
 #[derive(Default)]
-struct PoolDone {
-    done: Vec<u32>,
+struct PoolSt {
+    queue: Vec<u32>,
+    closed: bool,
+    alive: u32,
+    /// The worker thread has returned (what `shutdown`'s join waits for).
+    exited: bool,
+    ran: Vec<u32>,
+    orphaned: Vec<u32>,
+    rejected: Vec<u32>,
     exits: u32,
 }
 
-#[test]
-fn pool_steal_back_half_handoff_loses_no_task() {
-    let stats = explore(Strategy::Exhaustive { max_executions: 100_000 }, |run| {
-        let injector = Arc::new(VMutex::new(vec![1u32, 2, 3]));
-        let victim_local = Arc::new(VMutex::new(Vec::<u32>::new()));
-        let state = Arc::new(VMutex::new(PoolDone::default()));
+/// Counts a model thread's exit (inside its last lock tenure); the last
+/// one checks the property.
+fn pool_finish(g: &mut PoolSt) {
+    g.exits += 1;
+    if g.exits == 3 {
+        let mut seen = [g.ran.clone(), g.orphaned.clone(), g.rejected.clone()].concat();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            vec![1, 2],
+            "each job run, orphaned or rejected exactly once: ran {:?}, orphaned {:?}, \
+             rejected {:?}",
+            g.ran,
+            g.orphaned,
+            g.rejected
+        );
+    }
+}
 
-        let finish = |state: &Arc<VMutex<PoolDone>>, mine: Vec<u32>| {
-            let mut st = state.lock();
-            st.done.extend(mine);
-            st.exits += 1;
-            if st.exits == 2 {
-                let mut done = st.done.clone();
-                done.sort_unstable();
-                assert_eq!(done, vec![1, 2, 3], "each task exactly once");
-            }
-        };
-
+fn pool_model(
+    alive_check_under_push_lock: bool,
+) -> Result<sst_check::sched::Stats, Box<sst_check::sched::Failure>> {
+    explore(Strategy::Exhaustive { max_executions: 500_000 }, move |run| {
+        let st = Arc::new(VMutex::new(PoolSt { alive: 1, ..PoolSt::default() }));
+        let cv = Arc::new(VCondvar::new()); // work queued or pool closed
+        let joined = Arc::new(VCondvar::new()); // worker exit → shutdown's join
         {
-            let (injector, local, state) =
-                (Arc::clone(&injector), Arc::clone(&victim_local), Arc::clone(&state));
-            run.spawn("victim", move || {
-                // Claim the batch: pop one to run, park the rest in the
-                // local deque (pool.rs claim path).
-                let mut mine = Vec::new();
-                let rest = {
-                    let mut inj = injector.lock();
-                    if let Some(first) = inj.pop() {
-                        mine.push(first);
+            let (st, cv) = (Arc::clone(&st), Arc::clone(&cv));
+            run.spawn("dispatcher", move || {
+                for job in [1u32, 2] {
+                    let (alive, mut g) = if alive_check_under_push_lock {
+                        let g = st.lock();
+                        (g.alive, g)
+                    } else {
+                        // Broken: the check has a lock tenure of its own.
+                        let alive = st.lock().alive;
+                        (alive, st.lock())
+                    };
+                    if alive == 0 {
+                        g.rejected.push(job);
+                    } else {
+                        g.queue.push(job);
+                        cv.notify_one();
                     }
-                    std::mem::take(&mut *inj)
-                };
-                victim_locked_extend(&local, rest);
-                // Drain whatever the thief left us.
-                loop {
-                    let next = local.lock().pop();
-                    match next {
-                        Some(t) => mine.push(t),
-                        None => break,
+                    if job == 2 {
+                        pool_finish(&mut g);
                     }
                 }
-                finish(&state, mine);
             });
         }
         {
-            let (injector, local, state) =
-                (Arc::clone(&injector), Arc::clone(&victim_local), Arc::clone(&state));
-            run.spawn("thief", move || {
-                let mut mine = Vec::new();
-                if let Some(t) = injector.lock().pop() {
-                    // Beat the victim to the injector: run one task and
-                    // leave the rest (the victim claims them).
-                    mine.push(t);
-                } else {
-                    // Injector empty: steal back half of the victim's
-                    // local queue (pool.rs steal path).
-                    let mut v = local.lock();
-                    let keep = v.len() - v.len() / 2;
-                    mine = v.split_off(keep);
+            let (st, cv, joined) = (Arc::clone(&st), Arc::clone(&cv), Arc::clone(&joined));
+            run.spawn("worker", move || {
+                let job = {
+                    let mut g = st.lock();
+                    loop {
+                        if !g.queue.is_empty() {
+                            break Some(g.queue.remove(0));
+                        }
+                        if g.closed {
+                            break None;
+                        }
+                        cv.wait(&mut g);
+                    }
+                };
+                // The handler ran outside the lock (its result is recorded
+                // in this tenure); then the worker dies and, as the last
+                // one, drains the queue to the orphan path.
+                let mut g = st.lock();
+                g.ran.extend(job);
+                g.alive -= 1;
+                if g.alive == 0 {
+                    let orphans = std::mem::take(&mut g.queue);
+                    g.orphaned.extend(orphans);
                 }
-                finish(&state, mine);
+                g.exited = true;
+                joined.notify_all();
+                pool_finish(&mut g);
+            });
+        }
+        {
+            let (st, cv, joined) = (Arc::clone(&st), Arc::clone(&cv), Arc::clone(&joined));
+            run.spawn("shutdown", move || {
+                let mut g = st.lock();
+                g.closed = true;
+                cv.notify_all();
+                while !g.exited {
+                    joined.wait(&mut g);
+                }
+                let leftovers = std::mem::take(&mut g.queue);
+                g.orphaned.extend(leftovers);
+                pool_finish(&mut g);
             });
         }
     })
-    .expect("no schedule may lose or duplicate a task");
+}
+
+#[test]
+fn pool_death_and_shutdown_answer_every_dispatch_once() {
+    let stats = pool_model(true).expect("no schedule may lose or duplicate a job");
     assert!(stats.complete, "exhaustive space must be fully enumerated");
 }
 
-/// Victim-side helper: one lock tenure to deposit the claimed batch.
-fn victim_locked_extend(local: &Arc<VMutex<Vec<u32>>>, rest: Vec<u32>) {
-    if !rest.is_empty() {
-        local.lock().extend(rest);
+#[test]
+fn alive_check_outside_the_push_lock_strands_a_job() {
+    let failure = pool_model(false).expect_err("some schedule must strand a pushed job");
+    match &failure.kind {
+        FailureKind::Panic { message, .. } => {
+            assert!(message.contains("exactly once"), "{failure}")
+        }
+        other => panic!("expected the exactly-once assert, got {other:?}"),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Model 2: condvar park vs. wake (pool.rs:330 lost-wakeup comment). The
-// fixed protocol keeps the work flag inside the sleep mutex and re-checks
-// it before waiting; the buggy variant checks a racy flag outside the lock
+// Model 2: condvar park vs. wake (pool.rs `worker_loop`, whose empty check
+// and wait share the queue lock's tenure with `dispatch`'s push and
+// notify). The fixed protocol keeps the work flag inside the mutex and
+// re-checks it before waiting; the buggy variant checks a racy flag outside the lock
 // and then parks — the dispatcher's notify can land in the gap and the
 // worker sleeps forever. The explorer must find that deadlock.
 // ---------------------------------------------------------------------------

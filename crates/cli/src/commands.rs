@@ -152,7 +152,7 @@ USAGE
       delta answers with the repaired incumbent (solver \"delta-repair\");
       solve races warm from that floor and can only improve on it. The
       store is LRU-bounded at --max-sessions. Session verbs run on
-      --session-lanes ordered lanes keyed by sid (per-session order
+      --session-lanes one-worker lanes keyed by sid (per-session order
       preserved, distinct sessions concurrent). With --data-dir DIR
       sessions are durable: accepted verbs hit a write-ahead journal
       before the response, capacity spills LRU victims to snapshots
@@ -167,9 +167,10 @@ USAGE
       records (default 64; 1 = one record per commit), with an optional
       --group-commit-us linger window to let a batch fill. Responses
       still wait for their own record to be durable.
-      Requests flow through a work-stealing worker pool (adaptive top-k:
-      a scored win-rate × recency ranking demotes members whose score
-      decays). Beyond --max-queue pending requests the service answers
+      Requests flow through a worker pool over one shared FIFO queue
+      (adaptive top-k: a scored win-rate × recency ranking demotes
+      members whose score decays). Beyond --max-queue pending requests
+      (per lane for session verbs) the service answers
       with overload errors instead of queueing. --fault-injection true
       honors {\"kill_worker\": true} and process-aborting
       {\"crash\": true} chaos probes. Default reads stdin until EOF;
@@ -821,13 +822,29 @@ pub fn evaluate(args: &Args) -> Result<String, CliError> {
     }
 }
 
+/// The `kind:` line of `sst info` and `sst bound`. A splittable file also
+/// says that the integral commands read its data as unrelated machines, so
+/// their bounds are not bounds on a split schedule.
+fn kind_header(inst: &ProblemInstance) -> String {
+    let mut out = format!("kind: {}\n", inst.kind());
+    if let ProblemInstance::Splittable(_) = inst {
+        out.push_str(
+            "(read as unrelated machines: the bounds below are for integral schedules, \
+             and a split schedule can be shorter)\n",
+        );
+    }
+    out
+}
+
 /// `sst info` — instance statistics and bounds.
 pub fn info(args: &Args) -> Result<String, CliError> {
     args.reject_unknown_flags(&[])?;
     let path = args.pos(0, "instance.json")?;
-    match load_instance(path)? {
+    let inst = load_instance(path)?;
+    let header = kind_header(&inst);
+    match inst {
         ProblemInstance::Uniform(inst) => Ok(format!(
-            "kind: uniform\nn: {}\nm: {}\nK: {}\nspeeds: {:?}\ntotal work (jobs+min setups): {}\nlower bound: {}\n{}\n",
+            "{header}n: {}\nm: {}\nK: {}\nspeeds: {:?}\ntotal work (jobs+min setups): {}\nlower bound: {}\n{}\n",
             inst.n(),
             inst.m(),
             inst.num_classes(),
@@ -838,7 +855,7 @@ pub fn info(args: &Args) -> Result<String, CliError> {
         )),
         ProblemInstance::Unrelated(inst) | ProblemInstance::Splittable(SplittableInstance(inst)) => {
             let mut out = format!(
-                "kind: unrelated\nn: {}\nm: {}\nK: {}\nlower bound: {}\n",
+                "{header}n: {}\nm: {}\nK: {}\nlower bound: {}\n",
                 inst.n(),
                 inst.m(),
                 inst.num_classes(),
@@ -1117,16 +1134,18 @@ pub fn bound(args: &Args) -> Result<String, CliError> {
     args.reject_unknown_flags(&["max-t"])?;
     let path = args.pos(0, "instance.json")?;
     let max_t: u64 = args.flag_parse("max-t", 1 << 13)?;
-    match load_instance(path)? {
+    let inst = load_instance(path)?;
+    let header = kind_header(&inst);
+    match inst {
         ProblemInstance::Uniform(inst) => Ok(format!(
-            "kind: uniform\ncombinatorial lower bound: {}\n(LP bounds apply to unrelated instances; uniform bounds are exact rationals)\n",
+            "{header}combinatorial lower bound: {}\n(LP bounds apply to unrelated instances; uniform bounds are exact rationals)\n",
             uniform_lower_bound(&inst)
         )),
         ProblemInstance::Unrelated(inst) | ProblemInstance::Splittable(SplittableInstance(inst)) => {
             let comb = unrelated_lower_bound(&inst);
             let assign = sst_algos::lp_relax::lp_makespan_lower_bound(&inst);
             let mut out = format!(
-                "kind: unrelated\ncombinatorial lower bound: {comb}\nassignment-LP T* (Sec 3.1): {assign}\n"
+                "{header}combinatorial lower bound: {comb}\nassignment-LP T* (Sec 3.1): {assign}\n"
             );
             if inst.n() <= 64 {
                 let limits = sst_algos::configlp::ConfigLpLimits {
@@ -1381,9 +1400,18 @@ mod tests {
             .unwrap();
             let text = std::fs::read_to_string(&inst_path).unwrap();
             assert!(text.contains("\"kind\": \"splittable\""), "{text}");
-            // Integral commands read the shared payload as unrelated data.
+            // Integral commands name the kind, and say they read the
+            // shared payload as unrelated data.
             let i = run(&parse(&toks(&["info", &inst_path])).unwrap()).unwrap();
-            assert!(i.contains("kind: unrelated"), "{family}: {i}");
+            assert!(
+                i.starts_with("kind: splittable\n(read as unrelated machines"),
+                "{family}: {i}"
+            );
+            let b = run(&parse(&toks(&["bound", &inst_path])).unwrap()).unwrap();
+            assert!(
+                b.starts_with("kind: splittable\n(read as unrelated machines"),
+                "{family}: {b}"
+            );
             if family == "cdn-transcode" {
                 assert!(i.contains("class-uniform ptimes: true"), "{i}");
             }
@@ -1463,7 +1491,7 @@ mod tests {
     }
 
     #[test]
-    fn bound_prints_monotone_chain() {
+    fn bound_lines_are_lower_bounds_on_the_exact_optimum() {
         let inst_path = tmp("b.json");
         run(&parse(&toks(&[
             "generate",
@@ -1490,7 +1518,19 @@ mod tests {
         let comb = grab("combinatorial");
         let assign = grab("assignment-LP");
         let config = grab("configuration-LP");
-        assert!(comb <= assign && assign <= config + 1, "{b}");
+        let ProblemInstance::Unrelated(inst) = load_instance(&inst_path).unwrap() else {
+            panic!("an unrelated instance")
+        };
+        let opt = sst_algos::exact::exact_unrelated(&inst, 1 << 24);
+        assert!(opt.complete, "9 jobs on 3 machines solve to optimality");
+        for (line, value) in
+            [("combinatorial", comb), ("assignment-LP", assign), ("config", config)]
+        {
+            assert!(value <= opt.makespan, "{line} {value} > optimum {}: {b}", opt.makespan);
+        }
+        // The LP bisection starts at the combinatorial bound, so it never
+        // reports less.
+        assert!(comb <= assign, "{b}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Chaos test of `sst serve --tcp` under a killed-worker fault (the CI
-//! gate behind the work-stealing pool's reliability claims): spawn the
+//! gate behind the worker pool's reliability claims): spawn the
 //! real binary with 2 workers and fault injection enabled, kill one worker
 //! with the `{"kill_worker": true}` probe, then fire a batch of mixed
 //! requests and require that

@@ -103,7 +103,7 @@ fn serve_tcp_answers_100_concurrent_mixed_requests() {
                 writeln!(writer, "{}", request_to_json(&req)).expect("send");
             }
             writer.flush().expect("flush");
-            // Responses may arrive out of order (work-stealing pool), but
+            // Responses may arrive out of order (several pool workers), but
             // each connection receives exactly its own PER_CLIENT responses.
             (0..PER_CLIENT)
                 .map(|_| {

@@ -1,7 +1,7 @@
 //! End-to-end telemetry: a unified metrics registry plus a structured
 //! NDJSON trace-event sink.
 //!
-//! `sst serve` spans dispatch → keyed lane / stealing pool → race →
+//! `sst serve` spans dispatch → keyed lane / shared pool queue → race →
 //! session repair → durable journal; until this module the only window
 //! into that path was one mutex-guarded latency histogram. This module
 //! provides the two halves of a first-class observability layer, both

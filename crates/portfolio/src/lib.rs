@@ -36,9 +36,9 @@
 //!    with its write-ahead journal / snapshot-spill durability layer
 //!    ([`durable::DurableStore`]: accepted verbs are journaled before the
 //!    response, crashes recover by replay, capacity spills to disk
-//!    instead of destroying sessions), and a work-stealing worker pool
-//!    (shared injector queue, per-worker deques, idle stealing,
-//!    backpressure and dead-worker error paths) serving it over stdin or
+//!    instead of destroying sessions), and a worker pool (one shared FIFO
+//!    queue, backpressure and dead-worker error paths; session verbs on
+//!    one-worker pools keyed by session id) serving it over stdin or
 //!    TCP with running throughput/latency percentile metrics
 //!    ([`sst_core::stats::LatencyHistogram`]) and end-to-end telemetry
 //!    ([`sst_core::telemetry`]): a unified metrics registry (per-stage

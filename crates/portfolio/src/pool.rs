@@ -1,5 +1,6 @@
-//! A work-stealing worker pool: one shared injector queue, per-worker
-//! deques, and idle-time stealing.
+//! A worker pool over one shared FIFO queue: list scheduling on
+//! `workers` identical machines, where each job goes to the next worker
+//! that falls idle.
 //!
 //! The PR 2 serve front end ran one `mpsc` queue per shard with
 //! round-robin dispatch. That shape has two failure modes on multi-core
@@ -8,26 +9,23 @@
 //! silently swallows whatever round-robin keeps sending it. This pool
 //! replaces it:
 //!
-//! * **dispatch** pushes onto a single bounded injector queue (or returns
-//!   the job to the caller when the queue is full or no worker is alive —
-//!   backpressure instead of a silent drop);
-//! * **workers** pop their own deque first, then grab a small batch from
-//!   the injector, then steal the back half of a peer's deque; only when
-//!   all three are empty do they park on a condvar;
+//! * **dispatch** pushes onto the bounded queue (or returns the job to the
+//!   caller when the queue is full or no worker is alive — backpressure
+//!   instead of a silent drop);
+//! * **workers** pop the queue's front, and park on the condvar while it
+//!   is empty, so an idle worker always takes the oldest waiting job;
 //! * **death** is a first-class event: a worker told to die (fault
-//!   injection, see [`Directive::Die`]) drains its deque back to the
-//!   injector so peers pick the work up, and the last worker to die hands
-//!   every queued job to the orphan callback so no client ever hangs on a
-//!   request the pool has already accepted.
+//!   injection, see [`Directive::Die`]) leaves the queue to its peers, and
+//!   the last worker to die hands every queued job to the orphan callback
+//!   so no client ever hangs on a request the pool has already accepted.
 //!
-//! FIFO order is exact per worker queue and approximate globally: a steal
-//! moves the *back* half of a peer's deque, so stolen jobs keep their
-//! relative order but may finish before older jobs still in flight
-//! elsewhere. Clients correlate by request id, so the serve protocol is
-//! indifferent to completion order.
+//! The queue, the `closed` flag and the alive count live under one mutex
+//! with one condvar beside it, so every decision (accept or reject, park
+//! or exit, orphan or not) reads them together. Jobs start in dispatch
+//! order; they may finish in any order, and clients correlate by request
+//! id. No handler or orphan callback runs under the lock.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -37,8 +35,8 @@ use parking_lot::{Condvar, Mutex};
 pub enum Directive {
     /// Keep serving.
     Continue,
-    /// Exit this worker thread (fault injection / controlled kill). The
-    /// worker re-queues its remaining local jobs before exiting.
+    /// Exit this worker thread (fault injection / controlled kill). Queued
+    /// jobs stay for the other workers.
     Die,
 }
 
@@ -74,28 +72,25 @@ pub struct Rejected<J> {
     pub job: J,
     /// Why it was not queued.
     pub reason: RejectReason,
-    /// Backlog depth observed when the rejection was decided (diagnostics;
-    /// re-reading the live counter later could contradict the reason).
+    /// Backlog depth when the rejection was decided (diagnostics).
     pub queued: usize,
 }
 
-/// Jobs a worker pulls from the injector into its own deque in one lock
-/// acquisition, beyond the one it runs immediately (small, so a burst
-/// spreads across workers instead of being claimed by the first one awake).
-const INJECTOR_BATCH_EXTRA: usize = 3;
+/// Everything a pool decision reads, under [`Shared::state`].
+struct State<J> {
+    /// Accepted, unstarted jobs in dispatch order; its length is the
+    /// backlog `max_queue` caps.
+    queue: VecDeque<J>,
+    /// Set by [`Pool::shutdown`]: workers exit once the queue is empty.
+    closed: bool,
+    /// Workers still running.
+    alive: usize,
+}
 
 struct Shared<J> {
-    injector: Mutex<VecDeque<J>>,
-    locals: Vec<Mutex<VecDeque<J>>>,
-    /// Pairs with `cv`. `dispatch` pushes while holding it, workers
-    /// re-check for claimable work while holding it before parking (no
-    /// lost wakeups), and the death protocol runs entirely under it — so a
-    /// dispatch can never slip a job past the last worker's final drain.
-    sleep: Mutex<()>,
+    state: Mutex<State<J>>,
+    /// Workers park here while the queue is empty and the pool is open.
     cv: Condvar,
-    closed: AtomicBool,
-    alive: AtomicUsize,
-    queued: AtomicUsize,
     max_queue: usize,
     /// Receives jobs no worker will ever run (all workers dead, or left
     /// over at shutdown); the service answers their clients with an error.
@@ -103,109 +98,25 @@ struct Shared<J> {
 }
 
 impl<J: Send + 'static> Shared<J> {
-    /// Work worker `w` could claim: its own deque, the injector, or a
-    /// peer's deque to steal from.
-    fn has_claimable_work(&self, w: usize) -> bool {
-        // One queue lock at a time (a `||` chain would hold the first
-        // guard while acquiring the next).
-        let own = !self.locals[w].lock().is_empty();
-        if own {
-            return true;
-        }
-        let injector = !self.injector.lock().is_empty();
-        if injector {
-            return true;
-        }
-        self.locals.iter().enumerate().any(|(p, q)| p != w && !q.lock().is_empty())
-    }
-
-    /// Claims the next job for worker `w`: own deque, then injector
-    /// (+ batch), then the back half of a peer's deque.
-    fn next_job(&self, w: usize) -> Option<J> {
-        if let Some(job) = self.locals[w].lock().pop_front() {
-            return Some(job);
-        }
-        {
-            let mut inj = self.injector.lock();
-            if let Some(job) = inj.pop_front() {
-                let extra =
-                    (inj.len() / self.locals.len()).min(INJECTOR_BATCH_EXTRA).min(inj.len());
-                if extra > 0 {
-                    let mut local = self.locals[w].lock();
-                    local.extend(inj.drain(..extra));
-                }
-                return Some(job);
-            }
-        }
-        for p in (0..self.locals.len()).filter(|&p| p != w) {
-            let stolen: Vec<J> = {
-                let mut peer = self.locals[p].lock();
-                let keep = peer.len() / 2;
-                peer.split_off(keep).into()
-            };
-            if !stolen.is_empty() {
-                let mut local = self.locals[w].lock();
-                local.extend(stolen);
-                return local.pop_front();
-            }
-        }
-        None
-    }
-
-    /// Worker `w` is gone: re-queue its deque, and if it was the last one,
-    /// orphan everything still queued so no client hangs. The bookkeeping
-    /// runs under the sleep lock to serialize against `dispatch` — either a
-    /// dispatch's alive re-check sees the death (and rejects), or its push
-    /// lands before the final collection here (and the job is orphaned) —
-    /// but the orphan callbacks themselves run *after* the lock is
-    /// released: they may block on client I/O, and a blocked callback must
-    /// not wedge every other dispatcher.
-    fn on_worker_death(&self, w: usize) {
+    /// A worker is gone. If it was the last one, everything still queued
+    /// is orphaned: the decrement and the drain share one lock tenure with
+    /// `dispatch`'s alive check, so either a dispatch sees the death (and
+    /// rejects) or its job is queued before the drain (and is orphaned).
+    /// The orphan callbacks run after the lock is released: they may block
+    /// on client I/O, and a blocked callback must not wedge dispatchers.
+    fn on_worker_death(&self) {
         let orphans: Vec<J> = {
-            let _g = self.sleep.lock();
-            let leftovers: Vec<J> = {
-                let mut local = self.locals[w].lock();
-                local.drain(..).collect()
-            };
-            if !leftovers.is_empty() {
-                let mut inj = self.injector.lock();
-                for job in leftovers.into_iter().rev() {
-                    inj.push_front(job);
-                }
-            }
-            // ordering: AcqRel — the Release half publishes this worker's
-            // re-queueing to whoever reads `alive` with Acquire; the Acquire
-            // half makes the last decrementer see every earlier death's
-            // re-queueing before it collects orphans.
-            let orphans = if self.alive.fetch_sub(1, Ordering::AcqRel) == 1 {
-                self.collect_orphans()
+            let mut st = self.state.lock();
+            st.alive -= 1;
+            if st.alive == 0 {
+                st.queue.drain(..).collect()
             } else {
                 Vec::new()
-            };
-            self.cv.notify_all();
-            orphans
+            }
         };
         for job in orphans {
             (self.orphan)(job);
         }
-    }
-
-    /// Empties every queue, returning the jobs for the caller to orphan
-    /// (outside any pool lock).
-    fn collect_orphans(&self) -> Vec<J> {
-        let mut orphans = Vec::new();
-        loop {
-            let job = { self.injector.lock().pop_front() };
-            let job = job.or_else(|| self.locals.iter().find_map(|q| q.lock().pop_front()));
-            match job {
-                Some(job) => {
-                    self.queued.fetch_sub(1, Ordering::Relaxed);
-                    orphans.push(job);
-                }
-                None => break,
-            }
-        }
-        orphans
     }
 }
 
@@ -225,14 +136,10 @@ impl<J: Send + 'static> Pool<J> {
         O: Fn(J) + Send + Sync + 'static,
     {
         let workers = cfg.workers.max(1);
+        let state = State { queue: VecDeque::new(), closed: false, alive: workers };
         let shared = Arc::new(Shared {
-            injector: Mutex::named("pool.injector", VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::named("pool.local", VecDeque::new())).collect(),
-            sleep: Mutex::named("pool.sleep", ()),
+            state: Mutex::named("pool.queue", state),
             cv: Condvar::new(),
-            closed: AtomicBool::new(false),
-            alive: AtomicUsize::new(workers),
-            queued: AtomicUsize::new(0),
             max_queue: cfg.max_queue.max(1),
             orphan: Box::new(orphan),
         });
@@ -252,67 +159,45 @@ impl<J: Send + 'static> Pool<J> {
     /// caller can answer the client instead of letting it hang.
     pub fn dispatch(&self, job: J) -> Result<(), Rejected<J>> {
         let s = &self.shared;
-        // Fast-path rejection without the lock; both conditions are
-        // re-checked under the sleep lock below, where they are exact.
-        // ordering: Acquire pairs with the AcqRel decrement in
-        // `on_worker_death` so a zero read implies the queues were drained.
-        if s.alive.load(Ordering::Acquire) == 0 {
-            let queued = s.queued.load(Ordering::Relaxed);
+        let mut st = s.state.lock();
+        let queued = st.queue.len();
+        // Both checks are exact under the lock: the death protocol runs
+        // under it, and every push goes through here, so concurrent
+        // dispatchers cannot overshoot `max_queue`.
+        if st.alive == 0 {
             return Err(Rejected { job, reason: RejectReason::NoWorkers, queued });
         }
-        let _g = s.sleep.lock();
-        // The last worker may have died between the check above and here,
-        // after which nothing would ever drain the queue; the death
-        // protocol runs under this lock, so the re-check is exact.
-        // ordering: Acquire, same pairing as the fast-path check above.
-        if s.alive.load(Ordering::Acquire) == 0 {
-            let queued = s.queued.load(Ordering::Relaxed);
-            return Err(Rejected { job, reason: RejectReason::NoWorkers, queued });
-        }
-        // Backlog cap, also under the lock: every push goes through here,
-        // so concurrent dispatchers cannot overshoot `max_queue`.
-        if s.queued.load(Ordering::Relaxed) >= s.max_queue {
-            let queued = s.queued.load(Ordering::Relaxed);
+        if queued >= s.max_queue {
             return Err(Rejected { job, reason: RejectReason::QueueFull, queued });
         }
-        s.injector.lock().push_back(job);
-        s.queued.fetch_add(1, Ordering::Relaxed);
-        // One new claimable-by-anyone job: waking one parked worker
-        // suffices, and avoids a thundering herd of N workers re-taking
-        // this mutex per dispatch.
+        st.queue.push_back(job);
+        // One new job: waking one parked worker suffices, and avoids a
+        // thundering herd of N workers re-taking this mutex per dispatch.
         s.cv.notify_one();
         Ok(())
     }
 
     /// Workers still running.
     pub fn alive(&self) -> usize {
-        // ordering: Acquire pairs with the AcqRel decrement in
-        // `on_worker_death`; a caller reading 0 sees the final drain.
-        self.shared.alive.load(Ordering::Acquire)
+        self.shared.state.lock().alive
     }
 
     /// Jobs accepted but not yet started.
     pub fn queued(&self) -> usize {
-        self.shared.queued.load(Ordering::Relaxed)
+        self.shared.state.lock().queue.len()
     }
 
-    /// Closes the pool: workers drain all queues, then exit; any job no
+    /// Closes the pool: workers drain the queue, then exit; any job no
     /// worker can run goes to the orphan callback.
     pub fn shutdown(self) {
-        // ordering: Release pairs with the Acquire load in `worker_loop`'s
-        // park path — a worker that observes `closed` also observes every
-        // job dispatched before shutdown began.
-        self.shared.closed.store(true, Ordering::Release);
-        {
-            let _g = self.shared.sleep.lock();
-            self.shared.cv.notify_all();
-        }
+        self.shared.state.lock().closed = true;
+        self.shared.cv.notify_all();
         for h in self.handles {
             let _ = h.join();
         }
-        // All workers are gone; anything left (every worker died before
-        // shutdown) must still be answered.
-        for job in self.shared.collect_orphans() {
+        // All workers are gone; anything left must still be answered.
+        let orphans: Vec<J> = self.shared.state.lock().queue.drain(..).collect();
+        for job in orphans {
             (self.shared.orphan)(job);
         }
     }
@@ -326,38 +211,30 @@ fn worker_loop<J: Send + 'static>(
     /// Runs the death protocol on every exit path — including a panicking
     /// handler — so a lost worker never strands queued jobs or leaves
     /// `dispatch` believing capacity exists.
-    struct DeathWatch<'a, J: Send + 'static> {
-        shared: &'a Shared<J>,
-        w: usize,
-    }
+    struct DeathWatch<'a, J: Send + 'static>(&'a Shared<J>);
     impl<J: Send + 'static> Drop for DeathWatch<'_, J> {
         fn drop(&mut self) {
-            self.shared.on_worker_death(self.w);
+            self.0.on_worker_death();
         }
     }
-    let _watch = DeathWatch { shared, w };
+    let _watch = DeathWatch(shared);
     loop {
-        match shared.next_job(w) {
-            Some(job) => {
-                shared.queued.fetch_sub(1, Ordering::Relaxed);
-                match handler(w, job) {
-                    Directive::Continue => {}
-                    Directive::Die => return,
+        let job = {
+            let mut st = shared.state.lock();
+            loop {
+                if let Some(job) = st.queue.pop_front() {
+                    break job;
                 }
-            }
-            None => {
-                let mut guard = shared.sleep.lock();
-                if shared.has_claimable_work(w) {
-                    continue;
-                }
-                // ordering: Acquire pairs with the Release store in
-                // `shutdown`; seeing `closed` here implies seeing every
-                // dispatch that preceded it.
-                if shared.closed.load(Ordering::Acquire) {
+                if st.closed {
                     return;
                 }
-                shared.cv.wait(&mut guard);
+                // The empty check and the wait share this lock tenure with
+                // `dispatch`'s push and notify, so no wakeup is lost.
+                shared.cv.wait(&mut st);
             }
+        };
+        if handler(w, job) == Directive::Die {
+            return;
         }
     }
 }
@@ -369,11 +246,13 @@ mod tests {
     use std::time::Duration;
 
     /// Jobs for the tests: record `Run(i)`, park on `Block` until released,
-    /// or kill the worker.
+    /// record `Gated(i, ..)` and then park until released, or kill the
+    /// worker.
     #[derive(Debug)]
     enum TestJob {
         Run(usize),
         Block(mpsc::Receiver<()>),
+        Gated(usize, mpsc::Receiver<()>),
         Kill,
     }
 
@@ -390,6 +269,11 @@ mod tests {
                     Directive::Continue
                 }
                 TestJob::Block(gate) => {
+                    let _ = gate.recv_timeout(Duration::from_secs(10));
+                    Directive::Continue
+                }
+                TestJob::Gated(i, gate) => {
+                    done_tx.send(i).unwrap();
                     let _ = gate.recv_timeout(Duration::from_secs(10));
                     Directive::Continue
                 }
@@ -417,7 +301,48 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_past_a_blocked_peer() {
+    fn jobs_start_in_dispatch_order() {
+        // One worker: the start order is the dispatch order, exactly.
+        let (pool, done, _orphans) = record_pool(PoolConfig { workers: 1, ..Default::default() });
+        for i in 0..50 {
+            pool.dispatch(TestJob::Run(i)).unwrap();
+        }
+        pool.shutdown();
+        assert_eq!(done.try_iter().collect::<Vec<_>>(), (0..50).collect::<Vec<_>>());
+
+        // Three workers: every job reports its start, then holds its
+        // worker until its gate opens. Occupy all three workers, queue the
+        // rest, then free one worker at a time: the freed worker is the
+        // only idle one, so the job it starts must be the oldest queued.
+        let (pool, started, _orphans) =
+            record_pool(PoolConfig { workers: 3, ..Default::default() });
+        let mut gates = Vec::new();
+        let mut gated = |i| {
+            let (open, gate) = mpsc::channel();
+            gates.push(open);
+            TestJob::Gated(i, gate)
+        };
+        let wait = Duration::from_secs(10);
+        for i in 0..3 {
+            pool.dispatch(gated(i)).unwrap();
+            assert_eq!(started.recv_timeout(wait), Ok(i));
+        }
+        let jobs: Vec<TestJob> = (3..40).map(&mut gated).collect();
+        for job in jobs {
+            pool.dispatch(job).unwrap();
+        }
+        for i in 3..40 {
+            gates[i - 3].send(()).unwrap();
+            assert_eq!(started.recv_timeout(wait), Ok(i), "the freed worker starts job {i}");
+        }
+        for open in &gates[37..] {
+            open.send(()).unwrap();
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn idle_worker_serves_past_a_blocked_peer() {
         let (pool, done, _orphans) = record_pool(PoolConfig { workers: 2, ..Default::default() });
         let (release_tx, release_rx) = mpsc::channel();
         pool.dispatch(TestJob::Block(release_rx)).unwrap();
@@ -427,7 +352,7 @@ mod tests {
         // The second worker must drain all 20 while the first is blocked.
         let mut got = Vec::new();
         for _ in 0..20 {
-            got.push(done.recv_timeout(Duration::from_secs(10)).expect("stolen and run"));
+            got.push(done.recv_timeout(Duration::from_secs(10)).expect("served by the peer"));
         }
         got.sort_unstable();
         assert_eq!(got, (0..20).collect::<Vec<_>>());
@@ -461,13 +386,19 @@ mod tests {
             pool.dispatch(TestJob::Run(i)).unwrap();
         }
         pool.dispatch(TestJob::Kill).unwrap();
-        release_tx.send(()).unwrap();
-        // After the kill drains, 0..5 run or orphan depending on queue
-        // position: everything before the kill runs, nothing hangs.
-        let mut served: Vec<usize> = Vec::new();
-        for _ in 0..5 {
-            served.push(done.recv_timeout(Duration::from_secs(10)).expect("ran before kill"));
+        for i in 5..8 {
+            pool.dispatch(TestJob::Run(i)).unwrap();
         }
+        release_tx.send(()).unwrap();
+        // Everything before the kill runs; everything behind it is
+        // orphaned by the dying last worker. Nothing hangs.
+        let wait = Duration::from_secs(10);
+        let served: Vec<usize> =
+            (0..5).map(|_| done.recv_timeout(wait).expect("ran before kill")).collect();
+        assert_eq!(served, (0..5).collect::<Vec<_>>());
+        let orphaned: Vec<usize> =
+            (5..8).map(|_| orphans.recv_timeout(wait).expect("orphaned at death")).collect();
+        assert_eq!(orphaned, (5..8).collect::<Vec<_>>());
         // Wait for death to be observable, then dispatch must reject.
         for _ in 0..1000 {
             if pool.alive() == 0 {
@@ -480,7 +411,8 @@ mod tests {
         assert_eq!(err.reason, RejectReason::NoWorkers);
         assert!(matches!(err.job, TestJob::Run(99)));
         pool.shutdown();
-        assert!(orphans.try_iter().next().is_none(), "nothing queued was stranded");
+        assert!(orphans.try_iter().next().is_none(), "each job orphaned once");
+        assert!(done.try_iter().next().is_none(), "no job ran after the kill");
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The serve front end: a work-stealing worker pool speaking the NDJSON
-//! protocol over stdin or TCP.
+//! The serve front end: a worker pool speaking the NDJSON protocol over
+//! stdin or TCP.
 //!
-//! Requests flow through the [`crate::pool`] work-stealing pool: dispatch
-//! pushes onto one shared injector queue, workers pull from it and steal
-//! from each other when idle, so a slow request can no longer head-of-line
-//! block the requests queued behind it while other workers sit idle.
+//! Requests flow through the [`crate::pool`] pool: dispatch pushes onto
+//! one shared FIFO queue and the next idle worker takes its front, so a
+//! slow request can no longer head-of-line block the requests queued
+//! behind it while other workers sit idle.
 //! Each worker parses, races the portfolio ([`crate::race`](mod@crate::race)),
 //! and writes the response line to the request's origin (stdout, or the
 //! originating TCP connection).
@@ -15,12 +15,13 @@
 //! queueing; jobs already queued when the last worker dies are answered
 //! with error lines by the pool's orphan path.
 //!
-//! **Session verbs run on keyed ordered lanes.** The stealing pool
-//! preserves no order for in-flight requests — correct for independent
-//! one-shot solves, wrong for stateful create → delta → solve sequences
-//! pipelined blindly (stdin batch mode cannot await responses). Dispatch
-//! therefore routes session-shaped lines through [`ServeConfig::session_lanes`]
-//! dedicated FIFO workers, keyed by a hash of the session id: every verb
+//! **Session verbs run on keyed ordered lanes.** The pool runs several
+//! requests at once, so requests in flight together may finish in any
+//! order — correct for independent one-shot solves, wrong for stateful
+//! create → delta → solve sequences pipelined blindly (stdin batch mode
+//! cannot await responses). Dispatch therefore routes session-shaped lines
+//! through [`ServeConfig::session_lanes`] one-worker pools running the
+//! same handler, keyed by a hash of the session id: every verb
 //! of one session lands on the same lane (arrival order preserved where
 //! it matters), while verbs of distinct sessions run concurrently on
 //! different lanes. A session `solve` still parallelizes internally (its
@@ -79,7 +80,7 @@ use crate::session::{SessionEntry, SessionStore};
 const REQUESTS_OK: &str = "requests.ok";
 /// Registry counter: requests answered with an error line.
 const REQUESTS_ERROR: &str = "requests.error";
-/// Registry gauge: accepted-but-unstarted requests in the stealing pool.
+/// Registry gauge: accepted-but-unstarted requests in the pool.
 const POOL_QUEUED: &str = "pool.queued";
 /// Registry gauge: pool workers still alive.
 const POOL_WORKERS_ALIVE: &str = "pool.workers_alive";
@@ -348,18 +349,17 @@ impl Metrics {
 /// job's [`SharedWriter`].
 pub struct Service {
     pool: Pool<Job>,
-    /// The **session lanes**: FIFO workers dedicated to session verbs,
-    /// keyed by a hash of the session id. The stealing pool deliberately
-    /// preserves no order for in-flight requests, but session verbs are
-    /// stateful — `create` → `delta` → `solve` pipelined blindly (stdin
-    /// batch mode cannot await responses) must execute in arrival order.
-    /// Hashing the sid onto one ordered channel guarantees that per
-    /// session while distinct sessions run concurrently on different
-    /// lanes; a session `solve` still parallelizes internally (its race
-    /// spawns `top_k` solver threads), and one-shot solves keep the full
-    /// pool.
-    session_lanes: Vec<std::sync::mpsc::SyncSender<Job>>,
-    lane_handles: Vec<std::thread::JoinHandle<()>>,
+    /// The **session lanes**: one-worker pools dedicated to session verbs,
+    /// keyed by a hash of the session id. The pool starts jobs in dispatch
+    /// order but runs several at once, so two verbs of one session could
+    /// still overlap or finish out of order; session verbs are stateful —
+    /// `create` → `delta` → `solve` pipelined blindly (stdin batch mode
+    /// cannot await responses) must execute in arrival order. Hashing the
+    /// sid onto one single-worker lane guarantees that per session while
+    /// distinct sessions run concurrently on different lanes; a session
+    /// `solve` still parallelizes internally (its race spawns `top_k`
+    /// solver threads), and one-shot solves keep the full pool.
+    session_lanes: Vec<Pool<Job>>,
     metrics: Arc<Metrics>,
     tracker: Arc<WinRateTracker>,
     sessions: Arc<SessionStore>,
@@ -687,8 +687,8 @@ fn handle_job(
         }
         Ok(Incoming::KillWorker) => {
             if cfg.fault_injection {
-                // The chaos probe: this worker exits. Its queued jobs are
-                // re-queued by the pool; no response line for the probe.
+                // The chaos probe: this worker exits and the queue stays
+                // with its peers; no response line for the probe.
                 return Directive::Die;
             }
             write_error(metrics, job, "kill_worker requires --fault-injection true".into());
@@ -793,13 +793,16 @@ impl Service {
                 Arc::new(sessions)
             }
         };
-        let pool_cfg = PoolConfig { workers: cfg.workers.max(1), max_queue: cfg.max_queue.max(1) };
-        let handler = {
+        let workers = cfg.workers.max(1);
+        let max_queue = cfg.max_queue.max(1);
+        // One handler for pool workers and session lanes; `worker` is the
+        // index dequeue events report.
+        let serve = {
             let cfg = cfg.clone();
             let metrics = Arc::clone(&metrics);
             let tracker = Arc::clone(&tracker);
             let sessions = Arc::clone(&sessions);
-            move |w: usize, job: Job| {
+            move |worker: usize, job: Job| {
                 // A panicking solver must not strand the in-flight request
                 // (the claimed job never reaches the pool's death path) nor
                 // cost a worker: answer with an error line and keep
@@ -807,7 +810,7 @@ impl Service {
                 // owns it — no hot-path copies; the id is extracted only
                 // if the panic actually happens.
                 let run = std::panic::AssertUnwindSafe(|| {
-                    handle_job(&cfg, &metrics, &tracker, &sessions, &job, w as u64)
+                    handle_job(&cfg, &metrics, &tracker, &sessions, &job, worker as u64)
                 });
                 match std::panic::catch_unwind(run) {
                     Ok(directive) => directive,
@@ -828,39 +831,25 @@ impl Service {
                 write_error(&metrics, &job, "service unavailable: request was never started".into())
             }
         };
-        let pool = Pool::start(pool_cfg, handler, orphan);
-        // The keyed session lanes (see the `Service` field docs). Each runs
-        // the same handler as the pool workers — a misrouted line is
-        // still answered correctly, just in FIFO order.
-        let lane_count = cfg.session_lanes.max(1);
-        let mut session_lanes = Vec::with_capacity(lane_count);
-        let mut lane_handles = Vec::with_capacity(lane_count);
-        for lane in 0..lane_count {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(cfg.max_queue.max(1));
-            // Lanes report as workers above the pool's index range, so
-            // dequeue events distinguish pool workers from session lanes.
-            let worker = (cfg.workers.max(1) + lane) as u64;
-            let cfg = cfg.clone();
-            let metrics = Arc::clone(&metrics);
-            let tracker = Arc::clone(&tracker);
-            let sessions = Arc::clone(&sessions);
-            lane_handles.push(std::thread::spawn(move || {
-                for job in rx {
-                    let run = std::panic::AssertUnwindSafe(|| {
-                        handle_job(&cfg, &metrics, &tracker, &sessions, &job, worker)
-                    });
-                    if std::panic::catch_unwind(run).is_err() {
-                        write_error(
-                            &metrics,
-                            &job,
-                            "internal error: request handler panicked".into(),
-                        );
-                    }
-                }
-            }));
-            session_lanes.push(tx);
-        }
-        Ok(Service { pool, session_lanes, lane_handles, metrics, tracker, sessions })
+        let pool = Pool::start(PoolConfig { workers, max_queue }, serve.clone(), orphan.clone());
+        // The keyed session lanes (see the `Service` field docs): one-worker
+        // pools running the same handler. A lane never dies — it answers a
+        // kill probe by carrying on — and reports as a worker above the
+        // pool's index range, so dequeue events tell the two apart.
+        let session_lanes = (0..cfg.session_lanes.max(1))
+            .map(|lane| {
+                let serve = serve.clone();
+                Pool::start(
+                    PoolConfig { workers: 1, max_queue },
+                    move |_, job| {
+                        serve(workers + lane, job);
+                        Directive::Continue
+                    },
+                    orphan.clone(),
+                )
+            })
+            .collect();
+        Ok(Service { pool, session_lanes, metrics, tracker, sessions })
     }
 
     /// The lane a session id maps to: splitmix64 finalizer mod lane count.
@@ -897,7 +886,7 @@ impl Service {
     /// Session verbs route through the ordered lane keyed by their
     /// session id (per-session arrival order preserved, so pipelined
     /// create/delta/solve sequences are safe); everything else goes to
-    /// the work-stealing pool. When a queue cannot take the request —
+    /// the pool. When a queue cannot take the request —
     /// backlog full, or every worker dead — the client gets an immediate
     /// error line instead of a silent drop (the PR 2
     /// `let _ = sender.send(..)` bug left it hanging forever).
@@ -970,14 +959,7 @@ impl Service {
     }
 
     fn dispatch_to_lane(&self, lane: usize, job: Job) {
-        let tx = &self.session_lanes[lane];
-        if let Err(e) = tx.try_send(job) {
-            let (job, what) = match e {
-                std::sync::mpsc::TrySendError::Full(job) => (job, "backlog full"),
-                std::sync::mpsc::TrySendError::Disconnected(job) => (job, "lane closed"),
-            };
-            write_error(&self.metrics, &job, format!("overloaded: session {what}"));
-        }
+        self.answer_rejection(self.session_lanes[lane].dispatch(job));
     }
 
     fn dispatch_to_pool(&self, job: Job) {
@@ -985,6 +967,11 @@ impl Service {
         let result = self.pool.dispatch(job);
         telemetry.registry().gauge(POOL_QUEUED).set(self.pool.queued() as u64);
         telemetry.registry().gauge(POOL_WORKERS_ALIVE).set(self.pool.alive() as u64);
+        self.answer_rejection(result);
+    }
+
+    /// Answers a job its pool or lane refused with an overload error line.
+    fn answer_rejection(&self, result: Result<(), Rejected<Job>>) {
         if let Err(Rejected { job, reason, queued }) = result {
             let message = match reason {
                 RejectReason::NoWorkers => "overloaded: no live workers".to_string(),
@@ -1025,12 +1012,10 @@ impl Service {
 
     /// Closes the queues, drains in-flight work, checkpoints every hot
     /// session (durable mode) and returns final metrics.
-    pub fn shutdown(mut self) -> MetricsSummary {
-        // Close and drain the session lanes first (dropping the senders
-        // ends their loops), then the pool, then persist.
-        self.session_lanes.clear();
-        for lane in self.lane_handles.drain(..) {
-            let _ = lane.join();
+    pub fn shutdown(self) -> MetricsSummary {
+        // Drain the session lanes first, then the pool, then persist.
+        for lane in self.session_lanes {
+            lane.shutdown();
         }
         self.pool.shutdown();
         flush_durable_store(&self.sessions);
@@ -1520,7 +1505,7 @@ mod tests {
     }
 
     /// With ≥ 2 workers, killing one must not lose capacity for queued
-    /// work: the survivor steals the dead worker's backlog.
+    /// work: the survivor serves the whole shared queue.
     #[test]
     fn killed_worker_hands_its_backlog_to_survivors() {
         let svc =

@@ -46,9 +46,10 @@
 //! a replaced entry is freed outside the lock.
 //! Two concurrent requests on the *same* session id are last-write-wins.
 //!
-//! **Ordering:** session verbs do not ride the work-stealing pool (which
-//! preserves no order for in-flight requests) — the service routes them
-//! through FIFO lanes keyed by session id, so each session's
+//! **Ordering:** session verbs do not ride the shared pool (whose workers
+//! run several requests at once, so they may finish in any order) — the
+//! service routes them through one-worker lanes keyed by session id, so
+//! each session's
 //! `create`/`delta`/`solve` sequence executes in arrival order while
 //! distinct sessions run in parallel (see [`crate::service`]).
 

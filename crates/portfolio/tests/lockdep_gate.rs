@@ -73,7 +73,7 @@ fn session_lifecycle(sid: u64, base_id: u64) -> Vec<SessionRequest> {
 }
 
 /// Mixed traffic over every locking subsystem at once — solves racing on
-/// the stealing pool, durable session verbs on keyed lanes (journal +
+/// the shared pool, durable session verbs on keyed lanes (journal +
 /// spill), the metrics probe, a trace sink — then the lockdep gate.
 #[test]
 fn full_serve_path_lock_graph_is_acyclic() {
