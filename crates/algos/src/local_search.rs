@@ -18,7 +18,7 @@
 //!
 //! Candidate moves are evaluated **incrementally** through
 //! [`sst_core::tracker::LoadTracker`]: a job-move candidate costs
-//! `O(1)` instead of the `O(n)` full makespan recompute, so one descent
+//! `O(1)` instead of an `O(n)` full makespan recompute, so one descent
 //! sweep is `O(n_bottleneck · m)` instead of `O(n² · m)`. There is
 //! exactly one descent loop — [`improve_budgeted`] — generic over the
 //! machine model; `improve_uniform*` / `improve_unrelated*` are thin
@@ -26,13 +26,12 @@
 //! unchanged, and `crates/algos/tests/golden_search.rs` pins the generic
 //! code bit-identical to the pre-refactor per-model implementations.
 //!
-//! The historical full-recompute baseline is likewise one generic function
-//! ([`improve_full_recompute`]) — it is the differential-test oracle and
-//! the benchmark baseline, not an API anyone should pick for speed.
+//! The pre-tracker full-recompute descent survives only as the test
+//! oracle; its last measured timings are recorded in `ROADMAP.md`.
 
 use sst_core::cancel::CancelToken;
 use sst_core::instance::{UniformInstance, UnrelatedInstance};
-use sst_core::model::{self, MachineModel, Uniform, Unrelated};
+use sst_core::model::{MachineModel, Uniform, Unrelated};
 use sst_core::schedule::Schedule;
 use sst_core::tracker::LoadTracker;
 
@@ -143,105 +142,85 @@ pub fn improve_unrelated(
     improve::<Unrelated>(inst, start, max_moves)
 }
 
-/// The pre-tracker descent: every candidate move re-evaluates the full
-/// makespan in `O(n)` through [`sst_core::model::loads`]. Kept — once,
-/// generically — as the differential-test oracle and benchmark baseline.
-pub fn improve_full_recompute<M: MachineModel>(
-    inst: &M::Instance,
-    start: &Schedule,
-    max_moves: usize,
-) -> LocalSearchResult {
-    let mut sched = start.clone();
-    let mut best = model::makespan_key::<M>(inst, &sched).expect("valid input schedule");
-    let mut moves = 0usize;
-    'outer: while moves < max_moves {
-        let loads = model::loads::<M>(inst, &sched).expect("valid");
-        let bottleneck = (0..M::m(inst))
-            .max_by(|&a, &b| M::key(inst, a, loads[a]).cmp(&M::key(inst, b, loads[b])))
-            .expect("non-empty");
-        for j in 0..M::n(inst) {
-            if sched.machine_of(j) != bottleneck {
-                continue;
-            }
-            let k = M::class_of(inst, j);
-            for i in 0..M::m(inst) {
-                if i == bottleneck
-                    || M::job_time(inst, i, j).is_none()
-                    || M::setup_time(inst, i, k).is_none()
-                {
-                    continue;
-                }
-                let old = sched.machine_of(j);
-                sched.set(j, i);
-                let ms = model::makespan_key::<M>(inst, &sched).expect("still valid");
-                if ms < best {
-                    best = ms;
-                    moves += 1;
-                    continue 'outer;
-                }
-                sched.set(j, old);
-            }
-        }
-        for k in 0..M::num_classes(inst) {
-            let batch: Vec<usize> = (0..M::n(inst))
-                .filter(|&j| sched.machine_of(j) == bottleneck && M::class_of(inst, j) == k)
-                .collect();
-            if batch.is_empty() {
-                continue;
-            }
-            for i in 0..M::m(inst) {
-                if i == bottleneck || M::setup_time(inst, i, k).is_none() {
-                    continue;
-                }
-                if batch.iter().any(|&j| M::job_time(inst, i, j).is_none()) {
-                    continue;
-                }
-                for &j in &batch {
-                    sched.set(j, i);
-                }
-                let ms = model::makespan_key::<M>(inst, &sched).expect("still valid");
-                if ms < best {
-                    best = ms;
-                    moves += 1;
-                    continue 'outer;
-                }
-                for &j in &batch {
-                    sched.set(j, bottleneck);
-                }
-            }
-        }
-        break; // local optimum
-    }
-    LocalSearchResult { schedule: sched, moves }
-}
-
-/// The full-recompute oracle for uniform instances (see
-/// [`improve_full_recompute`]).
-pub fn improve_uniform_full_recompute(
-    inst: &UniformInstance,
-    start: &Schedule,
-    max_moves: usize,
-) -> LocalSearchResult {
-    improve_full_recompute::<Uniform>(inst, start, max_moves)
-}
-
-/// The full-recompute oracle for unrelated instances (see
-/// [`improve_full_recompute`]).
-pub fn improve_unrelated_full_recompute(
-    inst: &UnrelatedInstance,
-    start: &Schedule,
-    max_moves: usize,
-) -> LocalSearchResult {
-    improve_full_recompute::<Unrelated>(inst, start, max_moves)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sst_core::instance::{Job, INF};
-    use sst_core::model::Splittable;
+    use sst_core::model::{self, Splittable};
     use sst_core::ratio::Ratio;
     use sst_core::schedule::{uniform_makespan, unrelated_makespan};
+
+    /// The pre-tracker descent: every candidate move re-evaluates the full
+    /// makespan in `O(n)` through [`model::loads`] — the oracle the
+    /// incremental descent is checked against.
+    fn full_recompute<M: MachineModel>(
+        inst: &M::Instance,
+        start: &Schedule,
+        max_moves: usize,
+    ) -> LocalSearchResult {
+        let mut sched = start.clone();
+        let mut best = model::makespan_key::<M>(inst, &sched).expect("valid input schedule");
+        let mut moves = 0usize;
+        'outer: while moves < max_moves {
+            let loads = model::loads::<M>(inst, &sched).expect("valid");
+            let bottleneck = (0..M::m(inst))
+                .max_by(|&a, &b| M::key(inst, a, loads[a]).cmp(&M::key(inst, b, loads[b])))
+                .expect("non-empty");
+            for j in 0..M::n(inst) {
+                if sched.machine_of(j) != bottleneck {
+                    continue;
+                }
+                let k = M::class_of(inst, j);
+                for i in 0..M::m(inst) {
+                    if i == bottleneck
+                        || M::job_time(inst, i, j).is_none()
+                        || M::setup_time(inst, i, k).is_none()
+                    {
+                        continue;
+                    }
+                    let old = sched.machine_of(j);
+                    sched.set(j, i);
+                    let ms = model::makespan_key::<M>(inst, &sched).expect("still valid");
+                    if ms < best {
+                        best = ms;
+                        moves += 1;
+                        continue 'outer;
+                    }
+                    sched.set(j, old);
+                }
+            }
+            for k in 0..M::num_classes(inst) {
+                let batch: Vec<usize> = (0..M::n(inst))
+                    .filter(|&j| sched.machine_of(j) == bottleneck && M::class_of(inst, j) == k)
+                    .collect();
+                if batch.is_empty() {
+                    continue;
+                }
+                for i in 0..M::m(inst) {
+                    if i == bottleneck || M::setup_time(inst, i, k).is_none() {
+                        continue;
+                    }
+                    if batch.iter().any(|&j| M::job_time(inst, i, j).is_none()) {
+                        continue;
+                    }
+                    for &j in &batch {
+                        sched.set(j, i);
+                    }
+                    let ms = model::makespan_key::<M>(inst, &sched).expect("still valid");
+                    if ms < best {
+                        best = ms;
+                        moves += 1;
+                        continue 'outer;
+                    }
+                    for &j in &batch {
+                        sched.set(j, bottleneck);
+                    }
+                }
+            }
+            break; // local optimum
+        }
+        LocalSearchResult { schedule: sched, moves }
+    }
 
     #[test]
     fn never_worsens_uniform() {
@@ -324,7 +303,7 @@ mod tests {
         .unwrap();
         let start = Schedule::new(vec![0, 0, 0, 0, 0, 0]);
         let fast = improve_uniform(&inst, &start, 1000);
-        let slow = improve_uniform_full_recompute(&inst, &start, 1000);
+        let slow = full_recompute::<Uniform>(&inst, &start, 1000);
         let fast_ms = uniform_makespan(&inst, &fast.schedule).unwrap();
         let slow_ms = uniform_makespan(&inst, &slow.schedule).unwrap();
         // Both are local optima of the same neighborhood started from the
@@ -333,7 +312,7 @@ mod tests {
         let start_ms = uniform_makespan(&inst, &start).unwrap();
         assert!(fast_ms <= start_ms);
         assert!(slow_ms <= start_ms);
-        let refine_fast = improve_uniform_full_recompute(&inst, &fast.schedule, 1000);
+        let refine_fast = full_recompute::<Uniform>(&inst, &fast.schedule, 1000);
         assert_eq!(refine_fast.moves, 0, "incremental result must be a local optimum");
     }
 

@@ -32,7 +32,7 @@
 //! near-identical quality from any start, so there the repaired incumbent
 //! lands within ~1% either side of the stateless answer; the serve path's
 //! `solve` verb closes that gap by racing *both* floors (see
-//! `race_with_floor`).
+//! `race_observed`).
 //!
 //! A second section replays a `dynamic-queue` trace through the real
 //! `Service` session verbs (create → delta → solve per step) and asserts

@@ -134,8 +134,7 @@ USAGE
             [--seed S] [--max-queue N] [--max-sessions N]
             [--fault-injection true]
             [--data-dir DIR] [--durability none|flush|fsync]
-            [--session-lanes N] [--journal-batch N] [--group-commit-us US]
-            [--trace-out FILE|stderr]
+            [--session-lanes N] [--trace-out FILE|stderr]
       solver-portfolio service speaking NDJSON: one request object per
       line ({\"id\": .., \"instance\": {..}, \"budget_ms\": ..}), one
       response per line; instance.kind is uniform | unrelated |
@@ -163,9 +162,7 @@ USAGE
       session store is sharded per lane, each shard behind its own
       lock, so distinct lanes never contend on a read; journal appends
       from concurrent lanes coalesce into group commits — one write
-      and one flush/fsync per batch of up to --journal-batch
-      records (default 64; 1 = one record per commit), with an optional
-      --group-commit-us linger window to let a batch fill. Responses
+      and one flush/fsync per batch of up to 64 records. Responses
       still wait for their own record to be durable.
       Requests flow through a worker pool over one shared FIFO queue
       (adaptive top-k: a scored win-rate × recency ranking demotes
@@ -221,26 +218,28 @@ pub fn usage(command: Option<&str>) -> String {
     ["usage:", first].into_iter().chain(rest).collect::<Vec<_>>().join("\n")
 }
 
+/// The flags `sst serve` accepts; its synopsis in [`help`] names exactly
+/// these.
+const SERVE_FLAGS: &[&str] = &[
+    "tcp",
+    "workers",
+    "top-k",
+    "budget-ms",
+    "seed",
+    "max-queue",
+    "max-sessions",
+    "fault-injection",
+    "data-dir",
+    "durability",
+    "session-lanes",
+    "trace-out",
+];
+
 /// `sst serve` — the portfolio service (see `sst_portfolio::service`).
 /// Stdin mode returns the final metrics summary as its output; TCP mode
 /// runs until killed.
 pub fn serve(args: &Args) -> Result<String, CliError> {
-    args.reject_unknown_flags(&[
-        "tcp",
-        "workers",
-        "top-k",
-        "budget-ms",
-        "seed",
-        "max-queue",
-        "max-sessions",
-        "fault-injection",
-        "data-dir",
-        "durability",
-        "session-lanes",
-        "journal-batch",
-        "group-commit-us",
-        "trace-out",
-    ])?;
+    args.reject_unknown_flags(SERVE_FLAGS)?;
     let data_dir = args.flag("data-dir").map(std::path::PathBuf::from);
     let durability = match args.flag("durability") {
         None => sst_portfolio::Durability::default(),
@@ -259,19 +258,18 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
                 .map_err(|e| CliError::Failed(format!("--trace-out {path}: {e}")))?,
         ),
     };
+    let defaults = sst_portfolio::service::ServeConfig::default();
     let cfg = sst_portfolio::service::ServeConfig {
-        workers: args.flag_parse("workers", 4usize)?.max(1),
-        top_k: args.flag_parse("top-k", 3usize)?.max(1),
-        budget_ms: args.flag_parse("budget-ms", 200u64)?,
-        seed: args.flag_parse("seed", 1u64)?,
-        max_queue: args.flag_parse("max-queue", 1024usize)?.max(1),
-        max_sessions: args.flag_parse("max-sessions", 64usize)?.max(1),
-        fault_injection: args.flag_parse("fault-injection", false)?,
+        workers: args.flag_parse("workers", defaults.workers)?,
+        top_k: args.flag_parse("top-k", defaults.top_k)?,
+        budget_ms: args.flag_parse("budget-ms", defaults.budget_ms)?,
+        seed: args.flag_parse("seed", defaults.seed)?,
+        max_queue: args.flag_parse("max-queue", defaults.max_queue)?,
+        max_sessions: args.flag_parse("max-sessions", defaults.max_sessions)?,
+        fault_injection: args.flag_parse("fault-injection", defaults.fault_injection)?,
         data_dir,
         durability,
-        session_lanes: args.flag_parse("session-lanes", 4usize)?.max(1),
-        journal_batch: args.flag_parse("journal-batch", 64usize)?.max(1),
-        group_commit_us: args.flag_parse("group-commit-us", 0u64)?,
+        session_lanes: args.flag_parse("session-lanes", defaults.session_lanes)?,
         trace,
     };
     match args.flag("tcp") {
@@ -1263,6 +1261,33 @@ mod tests {
         let dir = std::env::temp_dir().join("sst-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn serve_help_names_exactly_the_accepted_flags() {
+        let flags_in = |text: &str| -> std::collections::BTreeSet<String> {
+            text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"))
+                .map(str::to_string)
+                .collect()
+        };
+        let accepted: std::collections::BTreeSet<String> =
+            SERVE_FLAGS.iter().map(|f| f.to_string()).collect();
+        // The synopsis names every accepted flag and no other.
+        assert_eq!(flags_in(&usage(Some("serve"))), accepted);
+        // The description below it mentions no flag serve rejects.
+        let help = help();
+        let section: Vec<&str> = help
+            .lines()
+            .skip_while(|l| !l.starts_with("  sst serve"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("  sst "))
+            .collect();
+        let stale: Vec<String> =
+            flags_in(&section.join("\n")).difference(&accepted).cloned().collect();
+        assert!(stale.is_empty(), "help mentions flags serve rejects: {stale:?}");
+        let removed = serve(&parse(&toks(&["serve", "--journal-batch", "1"])).unwrap());
+        assert!(matches!(removed, Err(CliError::Usage(_))), "{removed:?}");
     }
 
     #[test]

@@ -227,7 +227,8 @@ fn crash_probe_aborts_the_process_and_the_journal_replays() {
 }
 
 /// The graceful-shutdown flush pin (SIGTERM-equivalent): stdin mode under
-/// `--durability fsync` with group commit enabled, closed by stdin EOF.
+/// `--durability fsync`, whose appends go through the group-commit
+/// committer, closed by stdin EOF.
 /// Shutdown must drain the in-flight commit batch *before* the final
 /// checkpoint runs, so a restart recovers every session — a committer
 /// that discards its batch on exit would lose the last verbs and fail
@@ -248,10 +249,6 @@ fn stdin_eof_shutdown_flushes_the_commit_batch_under_fsync() {
             dir.to_str().expect("utf-8 temp path"),
             "--durability",
             "fsync",
-            "--journal-batch",
-            "64",
-            "--group-commit-us",
-            "2000",
         ])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())

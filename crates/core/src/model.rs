@@ -344,8 +344,8 @@ impl MachineModel for Splittable {
 /// Per-machine raw loads of `sched` under model `M` — the `O(n)`
 /// full-recompute evaluator, written once against the trait. Agrees with
 /// [`crate::schedule::uniform_loads`] / [`crate::schedule::unrelated_loads`]
-/// on their models (pinned by the tracker proptests) and backs the generic
-/// full-recompute search baselines.
+/// on their models (pinned by the tracker proptests) and is the oracle
+/// the incremental tracker and the descent are tested against.
 pub fn loads<M: MachineModel>(
     inst: &M::Instance,
     sched: &Schedule,

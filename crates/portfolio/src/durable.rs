@@ -12,8 +12,9 @@
 //!   lost. `solve` is deliberately not journaled: it changes only the
 //!   incumbent (an optimization, re-derivable), never the instance.
 //! * **Snapshots** (`<data-dir>/sessions/<sid>.snap`): a full session image
-//!   — instance, incumbent, cost, proxy — stamped with the journal
-//!   sequence number it folds in. Written atomically (temp file + rename)
+//!   — instance, incumbent, cost, proxy — in one checksummed packed frame
+//!   ([`encode_snapshot_packed`]), stamped with the journal sequence
+//!   number it folds in. Written atomically (temp file + rename)
 //!   on spill, periodically every [`SNAPSHOT_EVERY`] journaled verbs, and
 //!   at graceful shutdown. A snapshot truncates *replay*: only
 //!   journal records with `seq` greater than the snapshot's are applied on
@@ -44,18 +45,17 @@
 //! do not write the file themselves — they encode their record, enqueue
 //! it on a batch buffer with the next sequence number, and park until a
 //! dedicated *committer* thread has made it durable. The committer drains
-//! up to `--journal-batch` records at a time, appends them as **one**
-//! coalesced write, pays one flush/fsync for the whole batch, then wakes
-//! every waiting lane. An appender returns (and the service responds)
-//! only after its record is on storage at the configured durability; the
-//! flush/fsync cost is amortized across every lane that joined the batch,
-//! which is what makes contended `fsync` traffic scale. Batches form
-//! naturally (records pile up while the committer is inside a flush);
-//! `--group-commit-us` optionally lets the committer linger for
-//! stragglers when a batch is not yet full. `--journal-batch 1` is the
-//! same path with one record per commit. The on-disk bytes do not depend
-//! on the batch size, so recovery is oblivious to batching — a property
-//! pinned by the differential proptests in `proptest_journal.rs`.
+//! up to 64 records at a time, appends them as **one** coalesced write,
+//! pays one flush/fsync for the whole batch, then wakes every waiting
+//! lane. An appender returns (and the service responds) only after its
+//! record is on storage at the configured durability; the flush/fsync
+//! cost is amortized across every lane that joined the batch, which is
+//! what makes contended `fsync` traffic scale. Batches form naturally
+//! (records pile up while the committer is inside a flush); the builder
+//! can also cap the batch or let the committer linger for stragglers.
+//! The on-disk bytes do not depend on the batch size, so recovery is
+//! oblivious to batching — a property pinned by the differential
+//! proptests in `proptest_journal.rs`.
 //!
 //! **Fail-stop.** The first failed journal write, flush or fsync poisons
 //! the store: the buffered bytes are discarded unwritten, every pending
@@ -65,7 +65,6 @@
 //! record can land after a torn line, where replay would never reach it.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -74,16 +73,12 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 use sst_core::delta::InstanceDelta;
-use sst_core::io::json::{self, Parser};
-use sst_core::io::{self as core_io, IoError};
+use sst_core::io::json::Parser;
+use sst_core::io::IoError;
 use sst_core::telemetry::{stage, Telemetry, TraceEvent};
 use sst_core::wire::{self, fnv1a64, Cursor};
 
-use crate::model::Solution;
-use crate::protocol::{
-    cost_at, instance_at, instance_to_json, req_uint, shares_at, verb_at, write_cost,
-    write_solution, write_verb, SessionVerb, VerbRef,
-};
+use crate::protocol::{req_uint, verb_at, write_verb, SessionVerb, VerbRef};
 use crate::session::SessionEntry;
 
 /// How hard an accepted verb is pushed toward stable storage before the
@@ -217,34 +212,35 @@ pub struct JournalTail {
     pub reason: String,
 }
 
-/// Scans a whole journal text, returning every record of the longest
+/// Scans a whole journal, returning every record of the longest
 /// well-formed prefix, plus a [`JournalTail`] describing the dropped
 /// suffix when the scan stopped early (torn final line after a crash, a
-/// corrupted line, …). Never panics on malformed input.
-pub fn scan_journal(text: &str) -> (Vec<(u64, JournalRecord)>, Option<JournalTail>) {
+/// corrupted line, a line that is not UTF-8, …). Never panics on
+/// malformed input.
+pub fn scan_journal(bytes: &[u8]) -> (Vec<(u64, JournalRecord)>, Option<JournalTail>) {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    for piece in text.split_inclusive('\n') {
-        let (body, complete) = match piece.strip_suffix('\n') {
+    for piece in bytes.split_inclusive(|&b| b == b'\n') {
+        let (body, complete) = match piece.strip_suffix(b"\n") {
             Some(b) => (b, true),
             None => (piece, false),
         };
-        let body = body.strip_suffix('\r').unwrap_or(body);
+        let body = body.strip_suffix(b"\r").unwrap_or(body);
         if body.is_empty() {
             offset += piece.len();
             continue;
         }
-        if !complete {
-            let tail = JournalTail {
-                dropped_bytes: (text.len() - offset) as u64,
-                reason: "torn final line (no newline)".into(),
-            };
-            return (records, Some(tail));
-        }
-        match parse_journal_line(body) {
+        let parsed = if complete {
+            std::str::from_utf8(body)
+                .map_err(|_| "journal line is not UTF-8".to_string())
+                .and_then(parse_journal_line)
+        } else {
+            Err("torn final line (no newline)".to_string())
+        };
+        match parsed {
             Ok(rec) => records.push(rec),
             Err(reason) => {
-                let tail = JournalTail { dropped_bytes: (text.len() - offset) as u64, reason };
+                let tail = JournalTail { dropped_bytes: (bytes.len() - offset) as u64, reason };
                 return (records, Some(tail));
             }
         }
@@ -253,30 +249,11 @@ pub fn scan_journal(text: &str) -> (Vec<(u64, JournalRecord)>, Option<JournalTai
     (records, None)
 }
 
-/// Encodes a session snapshot: the full session image stamped with the
-/// last journal sequence number folded into it.
-pub fn encode_snapshot(sid: u64, seq: u64, entry: &SessionEntry) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"v\": 1, \"sid\": {sid}, \"seq\": {seq}, \"instance\": ");
-    out.push_str(&instance_to_json(&entry.instance, false));
-    out.push_str(", \"cost\": ");
-    write_cost(&mut out, &entry.cost);
-    out.push_str(", ");
-    write_solution(&mut out, &entry.incumbent);
-    if let Some(proxy) = &entry.proxy {
-        out.push_str(", \"proxy\": ");
-        json::write_usize_array(&mut out, proxy.assignment());
-    }
-    out.push('}');
-    out
-}
-
 /// Encodes a session snapshot as a packed [`wire::FT_SNAPSHOT`] frame:
 /// `sid u64, seq u64`, the kind-tagged packed instance, the cost, the
 /// incumbent solution, and an optional proxy schedule. The frame checksum
-/// gives packed snapshots the torn-write detection JSON snapshots get
-/// from the atomic rename alone; a corrupt file fails the checksum and
-/// recovery falls back to journal replay.
+/// detects a torn or corrupt file; recovery then counts it as a snapshot
+/// error and falls back to journal replay.
 pub fn encode_snapshot_packed(sid: u64, seq: u64, entry: &SessionEntry) -> Vec<u8> {
     let mut payload = Vec::new();
     wire::put_u64(&mut payload, sid);
@@ -320,51 +297,6 @@ pub fn parse_snapshot_packed(bytes: &[u8]) -> Result<(u64, u64, SessionEntry), I
         Ok((sid, seq, SessionEntry { instance: Arc::new(instance), incumbent, cost, proxy }))
     };
     inner(&mut cur).map_err(bad)
-}
-
-/// Parses a snapshot file of either format, sniffing the first byte: JSON
-/// snapshots open with `{`, packed ones with the frame magic — the same
-/// discipline as the serve socket. Old JSON snapshots stay readable for
-/// recovery compatibility.
-pub fn parse_snapshot_bytes(bytes: &[u8]) -> Result<(u64, u64, SessionEntry), IoError> {
-    if bytes.first() == Some(&b'{') {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| IoError::Format("snapshot is not UTF-8".into()))?;
-        parse_snapshot(text)
-    } else {
-        parse_snapshot_packed(bytes)
-    }
-}
-
-/// Parses a snapshot file back into `(sid, seq, entry)`.
-pub fn parse_snapshot(text: &str) -> Result<(u64, u64, SessionEntry), IoError> {
-    let mut p = Parser::new(text);
-    let fields = p
-        .fields(["v", "sid", "seq", "instance", "cost", "assignment", "shares", "proxy"])
-        .map_err(IoError::Json)?;
-    p.finish().map_err(IoError::Json)?;
-    let [v, sid, seq, instance, cost, assignment, shares, proxy] =
-        fields.ok_or_else(|| IoError::Json("snapshot must be a JSON object".into()))?;
-    let schedule = |p, what: &str| {
-        core_io::schedule_at(p).map_err(|_| IoError::Json(format!("bad snapshot '{what}'")))
-    };
-    if req_uint(v, "v")? != 1 {
-        return Err(IoError::Format("unknown snapshot version".into()));
-    }
-    let sid = req_uint(sid, "sid")?;
-    let seq = req_uint(seq, "seq")?;
-    let instance =
-        instance_at(instance.ok_or_else(|| IoError::Json("snapshot missing 'instance'".into()))?)?;
-    let cost = cost_at(cost.ok_or_else(|| IoError::Json("snapshot missing 'cost'".into()))?)?;
-    let incumbent = if let Some(p) = assignment {
-        Solution::Assignment(schedule(p, "assignment")?)
-    } else if let Some(p) = shares {
-        Solution::Split(shares_at(p)?)
-    } else {
-        return Err(IoError::Json("snapshot missing 'assignment' or 'shares'".into()));
-    };
-    let proxy = proxy.map(|p| schedule(p, "proxy")).transpose()?;
-    Ok((sid, seq, SessionEntry { instance: Arc::new(instance), incumbent, cost, proxy }))
 }
 
 /// A session entry rebuilt with the *claimed* state double-checked: the
@@ -730,7 +662,7 @@ impl DurableStore {
     /// or unusable.
     pub fn load_snapshot(&self, sid: u64) -> Option<(SessionEntry, u64)> {
         let bytes = fs::read(self.snapshot_path(sid)).ok()?;
-        let (file_sid, seq, entry) = parse_snapshot_bytes(&bytes).ok()?;
+        let (file_sid, seq, entry) = parse_snapshot_packed(&bytes).ok()?;
         if file_sid != sid {
             return None;
         }
@@ -787,11 +719,17 @@ impl DurableStore {
     /// then compacts: fresh snapshots for everything recovered, journal
     /// truncated, sequence counter resumed past everything seen. Torn or
     /// corrupt journal suffixes are dropped (reported in the returned
-    /// [`Recovery`]), never fatal.
+    /// [`Recovery`]), never fatal. A missing journal reads as empty; any
+    /// other journal read error fails recovery before a file is changed.
     pub fn recover(&self) -> std::io::Result<Recovery> {
         // Recovery runs at quiescent points, but drain defensively so the
         // journal read below cannot miss an enqueued record.
         self.drain_commits();
+        let journal = match fs::read(&self.journal_path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(e),
+        };
         let mut live: BTreeMap<u64, (u64, SessionEntry)> = BTreeMap::new();
         let mut snapshots_loaded = 0u64;
         let mut snapshot_errors = 0u64;
@@ -810,7 +748,7 @@ impl DurableStore {
                 snapshot_errors += 1;
                 continue;
             };
-            match fs::read(&path).ok().and_then(|b| parse_snapshot_bytes(&b).ok()) {
+            match fs::read(&path).ok().and_then(|b| parse_snapshot_packed(&b).ok()) {
                 Some((file_sid, seq, entry)) if file_sid == sid => {
                     live.insert(sid, (seq, sanitize(entry)));
                     snapshots_loaded += 1;
@@ -818,8 +756,7 @@ impl DurableStore {
                 _ => snapshot_errors += 1,
             }
         }
-        let text = fs::read_to_string(&self.journal_path).unwrap_or_default();
-        let (records, dropped) = scan_journal(&text);
+        let (records, dropped) = scan_journal(&journal);
         let mut replayed = 0u64;
         let mut replay_errors = 0u64;
         let mut max_seq = live.values().map(|(seq, _)| *seq).max().unwrap_or(0);
@@ -1070,7 +1007,7 @@ mod tests {
         let l2 = encode_journal_line(2, &JournalRecord::Close { sid: 1 });
         // Torn tail: second line cut mid-payload, no newline.
         let torn = format!("{l1}\n{}", &l2[..l2.len() / 2]);
-        let (records, tail) = scan_journal(&torn);
+        let (records, tail) = scan_journal(torn.as_bytes());
         assert_eq!(records.len(), 1);
         let tail = tail.expect("torn tail reported");
         assert!(tail.reason.contains("torn"), "{tail:?}");
@@ -1079,45 +1016,20 @@ mod tests {
         let mut corrupted = format!("{l1}\n{l2}\n").into_bytes();
         let flip = l1.len() + 1 + l2.len() / 2;
         corrupted[flip] = corrupted[flip].wrapping_add(1);
-        let (records, tail) = scan_journal(&String::from_utf8_lossy(&corrupted));
+        let (records, tail) = scan_journal(&corrupted);
         assert_eq!(records.len(), 1);
         assert!(tail.unwrap().reason.contains("checksum"), "corruption must be detected");
         // Clean journal: no tail.
-        let (records, tail) = scan_journal(&format!("{l1}\n{l2}\n"));
+        let (records, tail) = scan_journal(format!("{l1}\n{l2}\n").as_bytes());
         assert_eq!((records.len(), tail), (2, None));
     }
 
     #[test]
     fn snapshot_roundtrips_all_solution_shapes() {
-        let integral = entry_of(uniform_instance(1));
-        let text = encode_snapshot(9, 42, &integral);
-        let (sid, seq, parsed) = parse_snapshot(&text).unwrap();
-        assert_eq!((sid, seq), (9, 42));
-        assert_eq!(parsed.instance.as_ref(), integral.instance.as_ref());
-        assert_eq!(parsed.cost, integral.cost);
-
-        let split_inst = ProblemInstance::Splittable(crate::model::SplittableInstance(
-            UnrelatedInstance::new(
-                2,
-                vec![0, 1],
-                vec![vec![3, 5], vec![6, 4]],
-                vec![vec![1, 1], vec![2, 2]],
-            )
-            .unwrap(),
-        ));
-        let split = entry_of(split_inst);
-        let text = encode_snapshot(3, 7, &split);
-        let (sid, seq, parsed) = parse_snapshot(&text).unwrap();
-        assert_eq!((sid, seq), (3, 7));
-        assert!(matches!(parsed.incumbent, Solution::Split(_)));
-    }
-
-    #[test]
-    fn packed_snapshot_roundtrips_and_sniffs_both_formats() {
         let mut with_proxy = entry_of(uniform_instance(1));
         with_proxy.proxy = Some(sst_core::schedule::Schedule::new(vec![0, 1, 0, 1, 0]));
         let bytes = encode_snapshot_packed(9, 42, &with_proxy);
-        let (sid, seq, parsed) = parse_snapshot_bytes(&bytes).unwrap();
+        let (sid, seq, parsed) = parse_snapshot_packed(&bytes).unwrap();
         assert_eq!((sid, seq), (9, 42));
         assert_eq!(parsed.instance.as_ref(), with_proxy.instance.as_ref());
         assert_eq!(parsed.cost, with_proxy.cost);
@@ -1134,14 +1046,9 @@ mod tests {
         ));
         let split = entry_of(split_inst);
         let bytes = encode_snapshot_packed(3, 7, &split);
-        let (sid, seq, parsed) = parse_snapshot_bytes(&bytes).unwrap();
+        let (sid, seq, parsed) = parse_snapshot_packed(&bytes).unwrap();
         assert_eq!((sid, seq), (3, 7));
-        assert!(matches!(parsed.incumbent, Solution::Split(_)));
-
-        // The sniffing reader still takes the PR-6 JSON schema.
-        let text = encode_snapshot(5, 11, &with_proxy);
-        let (sid, seq, _) = parse_snapshot_bytes(text.as_bytes()).unwrap();
-        assert_eq!((sid, seq), (5, 11));
+        assert!(matches!(parsed.incumbent, crate::model::Solution::Split(_)));
     }
 
     #[test]
@@ -1150,34 +1057,34 @@ mod tests {
         let bytes = encode_snapshot_packed(1, 2, &entry);
         // Torn tail: every strict prefix must fail, never panic.
         for cut in 0..bytes.len() {
-            assert!(parse_snapshot_bytes(&bytes[..cut]).is_err(), "prefix of {cut} accepted");
+            assert!(parse_snapshot_packed(&bytes[..cut]).is_err(), "prefix of {cut} accepted");
         }
         // Any single flipped byte is caught by the frame checksum (or the
         // header validators for the first 20 bytes).
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
-            assert!(parse_snapshot_bytes(&bad).is_err(), "flip at {i} accepted");
+            assert!(parse_snapshot_packed(&bad).is_err(), "flip at {i} accepted");
         }
     }
 
     #[test]
-    fn recover_reads_snapshots_of_either_format() {
-        let dir = tmp_dir("mixed-format");
-        // One packed snapshot written by the store, and one JSON snapshot
-        // as a data dir from before packed snapshots holds it; a fresh
-        // store must recover both.
+    fn recover_counts_a_json_snapshot_as_unreadable() {
+        let dir = tmp_dir("json-snapshot");
+        // A packed snapshot written by the store, and a JSON one in the
+        // schema that builds before packed snapshots used: the JSON file
+        // fails the frame magic and counts as a snapshot error.
         let store = DurableStore::open(&dir, Durability::Flush).unwrap();
         store.write_snapshot(1, 0, &entry_of(uniform_instance(0))).unwrap();
-        drop(store);
-        let json = encode_snapshot(2, 0, &entry_of(uniform_instance(1)));
+        let json = "{\"v\": 1, \"sid\": 2, \"seq\": 0, \"instance\": {\"version\": 1, \
+                    \"kind\": \"uniform\", \"speeds\": [1], \"setups\": [0], \"jobs\": []}, \
+                    \"cost\": {\"num\": 0, \"den\": 1}, \"assignment\": []}";
         fs::write(dir.join("sessions").join("2.snap"), json).unwrap();
-
-        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
         let rec = store.recover().unwrap();
-        let mut sids: Vec<u64> = rec.sessions.iter().map(|(sid, _, _)| *sid).collect();
-        sids.sort_unstable();
-        assert_eq!(sids, vec![1, 2]);
+        let sids: Vec<u64> = rec.sessions.iter().map(|(sid, _, _)| *sid).collect();
+        assert_eq!(sids, vec![1]);
+        assert_eq!((rec.snapshots_loaded, rec.snapshot_errors), (1, 1));
+        drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1240,6 +1147,91 @@ mod tests {
         assert!(tail.dropped_bytes > 0);
         assert_eq!(rec.sessions.len(), 1, "the prefix (the create) is kept");
         assert_eq!(rec.sessions[0].2.instance.n(), 5, "the torn delta was dropped");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recover_keeps_the_prefix_before_a_non_utf8_record() {
+        let dir = tmp_dir("non-utf8");
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
+        store.append_create(1, &uniform_instance(0)).unwrap();
+        store.append_create(2, &uniform_instance(1)).unwrap();
+        drop(store);
+        let path = dir.join("journal.log");
+        let mut bytes = fs::read(&path).unwrap();
+        let second = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let damaged = second + (bytes.len() - second) / 2;
+        bytes[damaged] = 0xFF;
+        fs::write(&path, &bytes).unwrap();
+
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
+        let rec = store.recover().unwrap();
+        let sids: Vec<u64> = rec.sessions.iter().map(|(sid, _, _)| *sid).collect();
+        assert_eq!(sids, vec![1], "the intact first record is kept");
+        let tail = rec.dropped.expect("the damaged record is reported");
+        assert_eq!(tail.dropped_bytes as usize, bytes.len() - second);
+        assert!(tail.reason.contains("UTF-8"), "{tail:?}");
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failing_journal_read_fails_recovery_and_changes_nothing() {
+        let dir = tmp_dir("unreadable");
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
+        store.write_snapshot(1, 0, &entry_of(uniform_instance(0))).unwrap();
+        store.append_create(2, &uniform_instance(1)).unwrap();
+        drop(store);
+        let path = dir.join("journal.log");
+        let journal = fs::read(&path).unwrap();
+        let snap = dir.join("sessions").join("1.snap");
+        let snap_bytes = fs::read(&snap).unwrap();
+        let leftover = dir.join("sessions").join("3.snap.tmp");
+        fs::write(&leftover, b"half-written").unwrap();
+        // A directory in the journal's place: opening it succeeds, reading
+        // it fails.
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
+        fs::remove_file(&path).unwrap();
+        fs::create_dir(&path).unwrap();
+        assert!(store.recover().is_err(), "an unreadable journal is not an empty one");
+        assert_eq!(fs::read(&snap).unwrap(), snap_bytes);
+        assert!(leftover.exists(), "recovery stopped before touching the sessions dir");
+        drop(store);
+        // With the journal back, recovery sees both sessions.
+        fs::remove_dir(&path).unwrap();
+        fs::write(&path, &journal).unwrap();
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
+        let rec = store.recover().unwrap();
+        let sids: Vec<u64> = rec.sessions.iter().map(|(sid, _, _)| *sid).collect();
+        assert_eq!(sids, vec![1, 2]);
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lingering_group_commit_lands_every_record_through_flush_and_drop() {
+        let dir = tmp_dir("linger");
+        let path = dir.join("journal.log");
+        // A 2 ms linger: the committer waits for stragglers on every
+        // non-full batch, so concurrent appenders share batches.
+        let store =
+            DurableStore::open(&dir, Durability::Fsync).unwrap().with_group_commit(64, 2000);
+        std::thread::scope(|scope| {
+            for sid in 1..=4u64 {
+                let store = &store;
+                scope.spawn(move || store.append_create(sid, &uniform_instance(sid)).unwrap());
+            }
+        });
+        store.flush_journal().unwrap();
+        let (records, tail) = scan_journal(&fs::read(&path).unwrap());
+        assert_eq!((records.len(), tail), (4, None));
+        // Dropping the store stops the committer (waking it if it is
+        // lingering) and leaves every acknowledged record on the file.
+        store.append_close(4).unwrap();
+        drop(store);
+        let (records, tail) = scan_journal(&fs::read(&path).unwrap());
+        let seqs: Vec<u64> = records.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!((seqs, tail), (vec![1, 2, 3, 4, 5], None));
         let _ = fs::remove_dir_all(&dir);
     }
 

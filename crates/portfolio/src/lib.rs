@@ -26,9 +26,9 @@
 //! 4. **[`race`](mod@race)** — a racing executor running the top-k portfolio members
 //!    concurrently with a cross-seeded incumbent: the best-known makespan
 //!    prunes the branch-and-bound and warm-starts the search heuristics;
-//!    [`race::race_adaptive`] feeds results back into the win-rate
-//!    tracker, and [`race::race_with_floor`] pre-publishes a session's
-//!    repaired incumbent so a warm re-solve can only improve on it;
+//!    [`race::race_observed`] feeds results back into the win-rate
+//!    tracker and pre-publishes a session's repaired incumbent so a warm
+//!    re-solve can only improve on it;
 //! 5. **[`protocol`] + [`pool`] + [`session`] + [`durable`] +
 //!    [`service`]** — an NDJSON request/response codec (one-shot solves
 //!    *and* the stateful create/delta/solve/close session verbs riding
@@ -68,9 +68,9 @@ pub use features::{extract_features, Features, ModelKind};
 pub use model::{EvalError, ModelOps, Repaired, Solution, SplittableInstance};
 pub use pool::{Pool, PoolConfig};
 pub use race::{
-    race, race_adaptive, race_observed, race_with_floor, Incumbent, RaceConfig, RaceObserver,
-    RaceResult, SolverReport, WARM_INCUMBENT,
+    race, race_observed, Incumbent, RaceConfig, RaceObserver, RaceResult, SolverReport,
+    WARM_INCUMBENT,
 };
-pub use select::{select, select_adaptive, select_portfolio, Portfolio, WinRateTracker, WinStats};
+pub use select::{select, select_portfolio, Portfolio, WinRateTracker, WinStats};
 pub use session::{SessionEntry, SessionStats, SessionStore};
 pub use solver::{Cost, Outcome, ProblemInstance, SolveContext, Solver};

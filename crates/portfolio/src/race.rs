@@ -137,7 +137,7 @@ pub struct RaceResult {
 }
 
 /// Name under which a session's repaired incumbent is pre-published as a
-/// race floor (see [`race_with_floor`]); reported as the winner when no
+/// race floor (see [`race_observed`]); reported as the winner when no
 /// raced member improves on it.
 pub const WARM_INCUMBENT: &str = "warm-incumbent";
 
@@ -179,58 +179,41 @@ impl RaceObserver<'_> {
     }
 }
 
-/// Races the top-k selected solvers on `inst` under `cfg.budget`.
+/// Races the top-k selected solvers on `inst` under `cfg.budget`: no
+/// win-rate tracker, no floor, no observer.
 pub fn race(inst: &ProblemInstance, cfg: &RaceConfig) -> RaceResult {
-    race_with_floor(inst, cfg, None, None)
+    race_observed(inst, cfg, None, None, None)
 }
 
-/// [`race`] with the adaptive-selection feedback loop: the portfolio
-/// ranking consults `tracker`'s per-family win-rate scores — recent
-/// winners rank first, members whose score decayed out demote and shrink
-/// the raced top-k (never below one) — and the race's outcome is recorded
-/// back so future selections learn from it. With `None` this is exactly
-/// [`race`].
-pub fn race_adaptive(
-    inst: &ProblemInstance,
-    cfg: &RaceConfig,
-    tracker: Option<&WinRateTracker>,
-) -> RaceResult {
-    race_with_floor(inst, cfg, tracker, None)
-}
-
-/// [`race_adaptive`] with a pre-published incumbent floor — the warm
-/// re-solve mode of a scheduling session. The `floor` (a session's
-/// repaired incumbent and its exact cost) is offered to the shared
-/// incumbent *before* the greedy baseline and before any member starts:
-/// the race can only improve on it, the integral search heuristics
-/// warm-start from it ([`Incumbent::snapshot`]), and its cost prunes the
-/// unrelated branch-and-bound — so a re-solve after a small delta spends
-/// its whole budget ahead of, never re-deriving, the previous solution.
-/// A floor win (no member improved) is attributed to [`WARM_INCUMBENT`]
-/// and is not demotion evidence against the raced members beyond the
-/// usual no-winner decay.
-pub fn race_with_floor(
-    inst: &ProblemInstance,
-    cfg: &RaceConfig,
-    tracker: Option<&WinRateTracker>,
-    floor: Option<(Solution, Cost)>,
-) -> RaceResult {
-    race_observed(inst, cfg, tracker, floor, None)
-}
-
-/// [`race_with_floor`] with trace/metrics instrumentation: when `obs` is
-/// set, the race emits a `race_start` event, per-member
-/// `solver_start`/`solver_end` spans (outcome `completed`, `cancelled`, or
-/// `declined`), an `incumbent` event for every improving offer (including
-/// the floor and baseline pre-publishes), and a `cancel` event carrying
-/// the cancellation latency — how far past the shared deadline a cut-off
-/// member kept running — of every member that did not finish naturally.
-/// The registry side records per-solver improvement counts,
-/// time-to-first-incumbent histograms, win counters, and the
-/// [`stage::CANCEL_US`] histogram, and the serial prologue before any
-/// member starts (features, selection, floors) feeds [`stage::FLOOR_US`].
-/// With `None` this is exactly
-/// [`race_with_floor`] — the observer sits entirely off the solve path.
+/// The race the server runs, with its three optional inputs:
+///
+/// * `tracker` — the adaptive-selection feedback loop: the portfolio
+///   ranking consults the tracker's per-family win-rate scores — recent
+///   winners rank first, members whose score decayed out demote and
+///   shrink the raced top-k (never below one) — and the race's outcome is
+///   recorded back so future selections learn from it.
+/// * `floor` — the warm re-solve mode of a scheduling session. The floor
+///   (a session's repaired incumbent and its exact cost) is offered to the
+///   shared incumbent *before* the greedy baseline and before any member
+///   starts: the race can only improve on it, the integral search
+///   heuristics warm-start from it ([`Incumbent::snapshot`]), and its cost
+///   prunes the unrelated branch-and-bound — so a re-solve after a small
+///   delta spends its whole budget ahead of, never re-deriving, the
+///   previous solution. A floor win (no member improved) is attributed to
+///   [`WARM_INCUMBENT`] and is not demotion evidence against the raced
+///   members beyond the usual no-winner decay.
+/// * `obs` — trace/metrics instrumentation: when set, the race emits a
+///   `race_start` event, per-member `solver_start`/`solver_end` spans
+///   (outcome `completed`, `cancelled`, or `declined`), an `incumbent`
+///   event for every improving offer (including the floor and baseline
+///   pre-publishes), and a `cancel` event carrying the cancellation
+///   latency — how far past the shared deadline a cut-off member kept
+///   running — of every member that did not finish naturally. The registry side records
+///   per-solver improvement counts, time-to-first-incumbent histograms,
+///   win counters, and the [`stage::CANCEL_US`] histogram, and the serial
+///   prologue before any member starts (features, selection, floors)
+///   feeds [`stage::FLOOR_US`]. The observer sits entirely off the solve
+///   path: with `None` the race runs the same way, unrecorded.
 pub fn race_observed(
     inst: &ProblemInstance,
     cfg: &RaceConfig,
@@ -472,7 +455,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let res = race_adaptive(&inst, &RaceConfig::default(), Some(&tracker));
+        let res = race_observed(&inst, &RaceConfig::default(), Some(&tracker), None, None);
         let feat = crate::features::extract_features(&inst);
         let family = WinRateTracker::family_key(&feat);
         let mut wins = 0;
@@ -508,8 +491,8 @@ mod tests {
                 tracker.record(&family, &[s.name()], None);
             }
         }
-        let res =
-            race_adaptive(&inst, &RaceConfig { top_k: 3, ..Default::default() }, Some(&tracker));
+        let cfg = RaceConfig { top_k: 3, ..Default::default() };
+        let res = race_observed(&inst, &cfg, Some(&tracker), None, None);
         assert_eq!(res.reports.len(), 1, "top-k must shrink to the good-standing prefix");
         assert_eq!(res.reports[0].name, survivor);
         // The greedy floor still holds even with one racer.
@@ -531,11 +514,8 @@ mod tests {
             )
             .unwrap(),
         );
-        let res = race_adaptive(
-            &inst,
-            &RaceConfig { top_k: 3, budget: Duration::ZERO, seed: 5 },
-            Some(&tracker),
-        );
+        let cfg = RaceConfig { top_k: 3, budget: Duration::ZERO, seed: 5 };
+        let res = race_observed(&inst, &cfg, Some(&tracker), None, None);
         if res.winner == "greedy-baseline" && res.reports.iter().all(|r| !r.completed) {
             let feat = crate::features::extract_features(&inst);
             let family = WinRateTracker::family_key(&feat);
@@ -566,12 +546,9 @@ mod tests {
         // nothing can strictly improve it, so the floor is the winner.
         let first = race(&inst, &RaceConfig { top_k: 4, ..Default::default() });
         assert_eq!(first.cost, Cost::Time(6));
-        let res = race_with_floor(
-            &inst,
-            &RaceConfig { top_k: 4, ..Default::default() },
-            None,
-            Some((first.solution.clone(), first.cost)),
-        );
+        let cfg = RaceConfig { top_k: 4, ..Default::default() };
+        let res =
+            race_observed(&inst, &cfg, None, Some((first.solution.clone(), first.cost)), None);
         assert_eq!(res.cost, Cost::Time(6));
         assert_eq!(res.winner, WARM_INCUMBENT, "unbeaten floor must be attributed");
         assert_eq!(inst.evaluate(&res.solution).unwrap(), res.cost);
@@ -582,12 +559,7 @@ mod tests {
             Cost::Time(t) => t + 100,
             _ => unreachable!("unrelated greedy is a time cost"),
         });
-        let res = race_with_floor(
-            &inst,
-            &RaceConfig { top_k: 4, ..Default::default() },
-            None,
-            Some((bad.solution, worse_cost)),
-        );
+        let res = race_observed(&inst, &cfg, None, Some((bad.solution, worse_cost)), None);
         assert!(!bad.cost.better_than(&res.cost), "bad floors must not cap quality");
     }
 
@@ -670,7 +642,8 @@ mod tests {
     }
 
     #[test]
-    fn unobserved_race_is_exactly_race_with_floor() {
+    fn observer_does_not_change_the_race_answer() {
+        use sst_core::telemetry::Telemetry;
         let inst = ProblemInstance::Unrelated(
             UnrelatedInstance::new(
                 2,
@@ -681,8 +654,10 @@ mod tests {
             .unwrap(),
         );
         let cfg = RaceConfig { top_k: 4, ..Default::default() };
-        let a = race_with_floor(&inst, &cfg, None, None);
-        let b = race_observed(&inst, &cfg, None, None, None);
+        let tel = Telemetry::new(None);
+        let obs = RaceObserver { telemetry: &tel, id: 1 };
+        let a = race_observed(&inst, &cfg, None, None, Some(obs));
+        let b = race(&inst, &cfg);
         assert_eq!(a.cost, b.cost, "deterministic optimum either way");
     }
 

@@ -193,7 +193,7 @@ impl WinStats {
 }
 
 /// Per-family solver win rates, fed back from race results
-/// ([`crate::race::race_adaptive`]) and consulted by [`select_portfolio`].
+/// ([`crate::race::race_observed`]) and consulted by [`select_portfolio`].
 ///
 /// Thread-safe and shared across a serve pool's workers: every worker
 /// records into the same tracker, so demotion decisions reflect the whole
@@ -337,16 +337,6 @@ pub fn select_portfolio(feat: &Features, tracker: Option<&WinRateTracker>) -> Po
     Portfolio { ranked: kept.into_iter().chain(demoted).collect(), active }
 }
 
-/// The ranking of [`select_portfolio`] without the active count (demoted
-/// members reordered to the back, capacity not shrunk). Kept for callers
-/// that want the full ranking; the racer uses [`select_portfolio`].
-pub fn select_adaptive(
-    feat: &Features,
-    tracker: Option<&WinRateTracker>,
-) -> Vec<&'static dyn Solver> {
-    select_portfolio(feat, tracker).ranked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,9 +478,9 @@ mod tests {
         let feat = extract_features(&inst);
         let base = names(&select(&feat));
         // No tracker, or a tracker with no history: identical to select().
-        assert_eq!(names(&select_adaptive(&feat, None)), base);
+        assert_eq!(names(&select_portfolio(&feat, None).ranked), base);
         let t = WinRateTracker::new();
-        assert_eq!(names(&select_adaptive(&feat, Some(&t))), base);
+        assert_eq!(names(&select_portfolio(&feat, Some(&t)).ranked), base);
         // 8 races: anneal wins them all, the statically-first member never
         // does. Oracle: anneal (proven, score ≈ 0.83) jumps to the front,
         // the unproven members keep their static relative order at the
@@ -503,7 +493,7 @@ mod tests {
         }
         assert!(t.stats(&fam, "anneal").ranking_score() > DEMOTION_SCORE);
         assert!(t.stats(&fam, first).demoted());
-        let adapted = names(&select_adaptive(&feat, Some(&t)));
+        let adapted = names(&select_portfolio(&feat, Some(&t)).ranked);
         let mut expected: Vec<&str> = vec!["anneal"];
         expected.extend(base.iter().copied().filter(|n| *n != first && *n != "anneal"));
         expected.push(first);

@@ -40,7 +40,7 @@
 //! Selection is **adaptive**: all workers share one
 //! [`WinRateTracker`], so portfolio members that never win their feature
 //! family are demoted out of the default top-k as evidence accumulates
-//! (see [`crate::select::select_adaptive`]).
+//! (see [`crate::select::select_portfolio`]).
 //!
 //! Latency and throughput are tracked per stage in the shared telemetry
 //! registry ([`sst_core::stats::LatencyHistogram`]s whose percentiles
@@ -118,13 +118,6 @@ pub struct ServeConfig {
     /// store is sharded with the same hash, one shard per lane, so lanes
     /// never contend on a store lock either.
     pub session_lanes: usize,
-    /// Group-commit batch bound (`--journal-batch`): journal records from
-    /// all lanes coalesce into batches of at most this many records, one
-    /// flush/fsync per batch. `1` commits one record per batch.
-    pub journal_batch: usize,
-    /// Group-commit linger (`--group-commit-us`): extra time the committer
-    /// waits for stragglers on a non-full batch. `0` = natural batching.
-    pub group_commit_us: u64,
     /// Structured trace-event sink (`--trace-out`): every request's span
     /// chain (enqueue → dequeue → race → respond), incumbent improvements,
     /// and durability events stream to it as NDJSON. `None` disables
@@ -145,8 +138,6 @@ impl Default for ServeConfig {
             data_dir: None,
             durability: Durability::default(),
             session_lanes: 4,
-            journal_batch: 64,
-            group_commit_us: 0,
             trace: None,
         }
     }
@@ -425,14 +416,14 @@ fn write_response(job: &Job, resp: &Response) {
 }
 
 /// Writes an error response (echoing the id when the payload carried
-/// one), counts it, and closes the request's trace span with a failed
+/// one), then counts it and closes the request's trace span with a failed
 /// `respond` event.
 fn write_error(metrics: &Metrics, job: &Job, message: String) {
-    metrics.telemetry.incr(REQUESTS_ERROR);
     let id = job.request_id();
+    write_response(job, &Response::Error { id, message });
+    metrics.telemetry.incr(REQUESTS_ERROR);
     let total_us = job.enqueued.elapsed().as_micros() as u64;
     metrics.telemetry.emit(TraceEvent::Respond { id: id.unwrap_or(0), ok: false, total_us });
-    write_response(job, &Response::Error { id, message });
 }
 
 /// Packages a race result as an OK response line.
@@ -457,12 +448,13 @@ fn ok_response(id: u64, kind: &str, micros: u64, result: RaceResult) -> Response
     }
 }
 
-/// Counts a served response and records its latencies: the handler work
-/// time (race or repair) feeds `stage.race_us`, while the full
-/// enqueue→respond time feeds `stage.total_us`; a `respond` event closes
-/// the request's span. Verbs with no handler work time (create/close acks)
-/// pass `None`.
-fn record_ok(metrics: &Metrics, job: &Job, id: u64, race_micros: Option<u64>) {
+/// Writes a served response, then counts it and records its latencies:
+/// the handler work time (race or repair) feeds `stage.race_us`, while
+/// the full enqueue→respond time, encoding and writing included, feeds
+/// `stage.total_us`; a `respond` event closes the request's span. Verbs
+/// with no handler work time (create/close acks) pass `None`.
+fn respond_ok(metrics: &Metrics, job: &Job, id: u64, race_micros: Option<u64>, resp: &Response) {
+    write_response(job, resp);
     let total_us = job.enqueued.elapsed().as_micros() as u64;
     metrics.telemetry.incr(REQUESTS_OK);
     if let Some(micros) = race_micros {
@@ -470,6 +462,27 @@ fn record_ok(metrics: &Metrics, job: &Job, id: u64, race_micros: Option<u64>) {
     }
     metrics.telemetry.record(stage::TOTAL_US, total_us);
     metrics.telemetry.emit(TraceEvent::Respond { id, ok: true, total_us });
+}
+
+/// Journals an accepted session verb through `append` when the store
+/// persists. Returns the record's sequence number (0 without a durable
+/// store), or `None` after answering the job with an error line when the
+/// append failed.
+fn journal(
+    metrics: &Metrics,
+    job: &Job,
+    sessions: &SessionStore,
+    sid: u64,
+    append: impl FnOnce(&DurableStore) -> std::io::Result<u64>,
+) -> Option<u64> {
+    let Some(store) = sessions.persist() else { return Some(0) };
+    match append(store) {
+        Ok(seq) => Some(seq),
+        Err(e) => {
+            write_error(metrics, job, format!("session {sid} journal append: {e}"));
+            None
+        }
+    }
 }
 
 /// The session verbs (see [`crate::protocol::SessionRequest`]): create
@@ -496,15 +509,10 @@ fn handle_session(
     let id = req.id;
     match req.verb {
         SessionVerb::Create { sid, instance } => {
-            let seq = match sessions.persist() {
-                Some(p) => match p.append_create(sid, &instance) {
-                    Ok(seq) => seq,
-                    Err(e) => {
-                        write_error(metrics, job, format!("session {sid} journal append: {e}"));
-                        return;
-                    }
-                },
-                None => 0,
+            let Some(seq) =
+                journal(metrics, job, sessions, sid, |p| p.append_create(sid, &instance))
+            else {
+                return;
             };
             let greedy = instance.greedy();
             let entry = SessionEntry {
@@ -516,7 +524,6 @@ fn handle_session(
             let cost = entry.cost;
             let (live, _displaced) = sessions.create(sid, entry, seq);
             sessions.maybe_snapshot(sid);
-            record_ok(metrics, job, id, None);
             let resp = Response::Session {
                 id,
                 sid,
@@ -524,7 +531,7 @@ fn handle_session(
                 live: live as u64,
                 makespan: Some(cost),
             };
-            write_response(job, &resp);
+            respond_ok(metrics, job, id, None, &resp);
         }
         SessionVerb::Delta { sid, deltas } => {
             let Some(entry) = sessions.snapshot(sid) else {
@@ -542,19 +549,10 @@ fn handle_session(
                 Ok(repaired) => {
                     // The repair validated the deltas; only now do they
                     // enter the journal.
-                    let seq = match sessions.persist() {
-                        Some(p) => match p.append_delta(sid, &deltas) {
-                            Ok(seq) => seq,
-                            Err(e) => {
-                                write_error(
-                                    metrics,
-                                    job,
-                                    format!("session {sid} journal append: {e}"),
-                                );
-                                return;
-                            }
-                        },
-                        None => 0,
+                    let Some(seq) =
+                        journal(metrics, job, sessions, sid, |p| p.append_delta(sid, &deltas))
+                    else {
+                        return;
                     };
                     let micros = t0.elapsed().as_micros() as u64;
                     // The repaired incumbent is the response *and* the floor
@@ -579,8 +577,7 @@ fn handle_session(
                         seq,
                     );
                     sessions.maybe_snapshot(sid);
-                    record_ok(metrics, job, id, Some(micros));
-                    write_response(job, &resp);
+                    respond_ok(metrics, job, id, Some(micros), &resp);
                 }
             }
         }
@@ -614,25 +611,20 @@ fn handle_session(
             // crash recovers the last durable state and re-clamps to the
             // greedy floor.
             sessions.update_incumbent(sid, updated);
-            record_ok(metrics, job, id, Some(micros));
-            write_response(job, &resp);
+            respond_ok(metrics, job, id, Some(micros), &resp);
         }
         SessionVerb::Close { sid } => {
             if sessions.close(sid) {
                 // Journal the close after applying it: even if the append
                 // fails, the snapshot file is already gone, so recovery
                 // cannot resurrect the session.
-                if let Some(p) = sessions.persist() {
-                    if let Err(e) = p.append_close(sid) {
-                        write_error(metrics, job, format!("session {sid} journal append: {e}"));
-                        return;
-                    }
+                if journal(metrics, job, sessions, sid, |p| p.append_close(sid)).is_none() {
+                    return;
                 }
-                record_ok(metrics, job, id, None);
                 let live = sessions.live() as u64;
                 let resp =
                     Response::Session { id, sid, verb: "close".into(), live, makespan: None };
-                write_response(job, &resp);
+                respond_ok(metrics, job, id, None, &resp);
             } else {
                 write_error(metrics, job, format!("unknown session {sid}"));
             }
@@ -714,8 +706,7 @@ fn handle_job(
             let result = race_observed(&req.instance, &race_cfg, Some(tracker), None, Some(obs));
             let micros = t0.elapsed().as_micros() as u64;
             let resp = ok_response(req.id, req.instance.kind(), micros, result);
-            record_ok(metrics, job, req.id, Some(micros));
-            write_response(job, &resp);
+            respond_ok(metrics, job, req.id, Some(micros), &resp);
         }
         Err(e) => write_error(metrics, job, e),
     }
@@ -735,19 +726,26 @@ impl Service {
     /// session lanes. With [`ServeConfig::data_dir`] set this opens the
     /// durability root and **recovers every live session** (snapshots +
     /// journal replay) before accepting traffic, logging one summary line
-    /// to stderr.
+    /// to stderr. Counts of 0 in `cfg` serve as 1.
     pub fn try_start(cfg: ServeConfig) -> std::io::Result<Service> {
+        let cfg = ServeConfig {
+            workers: cfg.workers.max(1),
+            top_k: cfg.top_k.max(1),
+            max_queue: cfg.max_queue.max(1),
+            max_sessions: cfg.max_sessions.max(1),
+            session_lanes: cfg.session_lanes.max(1),
+            ..cfg
+        };
         let telemetry = Telemetry::new(cfg.trace.clone());
         let metrics = Arc::new(Metrics::new(telemetry.clone()));
         let tracker = Arc::new(WinRateTracker::new());
         let sessions = match &cfg.data_dir {
             Some(root) => {
-                let mut store = DurableStore::open(root, cfg.durability)?
-                    .with_group_commit(cfg.journal_batch, cfg.group_commit_us);
+                let mut store = DurableStore::open(root, cfg.durability)?;
                 store.set_telemetry(telemetry.clone());
                 let store = Arc::new(store);
                 let mut sessions = SessionStore::durable(cfg.max_sessions, Arc::clone(&store))
-                    .with_shards(cfg.session_lanes.max(1));
+                    .with_shards(cfg.session_lanes);
                 sessions.set_telemetry(telemetry.clone());
                 let sessions = Arc::new(sessions);
                 let rec_t0 = Instant::now();
@@ -788,13 +786,12 @@ impl Service {
             }
             None => {
                 let mut sessions =
-                    SessionStore::new(cfg.max_sessions).with_shards(cfg.session_lanes.max(1));
+                    SessionStore::new(cfg.max_sessions).with_shards(cfg.session_lanes);
                 sessions.set_telemetry(telemetry.clone());
                 Arc::new(sessions)
             }
         };
-        let workers = cfg.workers.max(1);
-        let max_queue = cfg.max_queue.max(1);
+        let (workers, max_queue) = (cfg.workers, cfg.max_queue);
         // One handler for pool workers and session lanes; `worker` is the
         // index dequeue events report.
         let serve = {
@@ -836,7 +833,7 @@ impl Service {
         // pools running the same handler. A lane never dies — it answers a
         // kill probe by carrying on — and reports as a worker above the
         // pool's index range, so dequeue events tell the two apart.
-        let session_lanes = (0..cfg.session_lanes.max(1))
+        let session_lanes = (0..cfg.session_lanes)
             .map(|lane| {
                 let serve = serve.clone();
                 Pool::start(
@@ -1307,8 +1304,7 @@ mod tests {
         let summary = svc.shutdown();
         assert_eq!(summary.errors, 0);
         // Per-stage histograms: queue-wait, race and total are all
-        // first-class rows now (satellite: record_ok only recorded race
-        // wall time before).
+        // first-class rows.
         let stage = |name: &str| summary.stages.iter().find(|s| s.stage == name);
         assert_eq!(stage("queue_wait_us").expect("queue_wait row").count, reqs.len() as u64);
         assert_eq!(stage("race_us").expect("race row").count, reqs.len() as u64);

@@ -7,7 +7,7 @@
 //! it: the `delta` verb routes through
 //! [`ModelOps::repair_deltas`](crate::model::ModelOps::repair_deltas) and
 //! the `solve` verb races with the repaired incumbent pre-published as the
-//! floor ([`crate::race::race_with_floor`]).
+//! floor ([`crate::race::race_observed`]).
 //!
 //! The store is **LRU-bounded** at `max_sessions` (the `--max-sessions`
 //! flag). What the bound means depends on durability:

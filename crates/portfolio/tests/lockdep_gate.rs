@@ -170,8 +170,6 @@ fn cross_shard_spills_and_group_commit_keep_the_lock_graph_acyclic() {
         max_sessions: 3,  // far fewer slots than sessions: constant spills
         data_dir: Some(dir.clone()),
         durability: sst_portfolio::Durability::Fsync,
-        journal_batch: 8,
-        group_commit_us: 200,
         ..Default::default()
     });
     let (buffer, _) = buffer_writer();

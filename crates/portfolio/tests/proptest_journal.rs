@@ -12,10 +12,11 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sst_core::delta::InstanceDelta;
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance};
-use sst_portfolio::durable::{
-    encode_journal_line, encode_snapshot, parse_journal_line, scan_journal,
+use sst_portfolio::durable::{encode_journal_line, parse_journal_line, scan_journal};
+use sst_portfolio::protocol::instance_to_json;
+use sst_portfolio::{
+    Cost, Durability, DurableStore, JournalRecord, ProblemInstance, SessionEntry, Solution,
 };
-use sst_portfolio::{Durability, DurableStore, JournalRecord, ProblemInstance};
 
 include!("corpus/records.rs");
 
@@ -38,12 +39,62 @@ fn append_record(store: &DurableStore, rec: &JournalRecord) -> std::io::Result<u
     }
 }
 
-/// Canonical deep-comparable form of a recovery: the snapshot encoding is
+/// A float the way the serve tier's JSON writers print it: integral
+/// values keep one decimal.
+fn render_f64(x: f64) -> String {
+    if x == x.trunc() && x.is_finite() {
+        format!("{x:.1}")
+    } else {
+        format!("{x}")
+    }
+}
+
+/// One recovered session in the JSON snapshot schema that builds before
+/// packed snapshots used: `{"v": 1, "sid", "seq", "instance", "cost",
+/// "assignment" | "shares", "proxy"?}`.
+fn render_session(sid: u64, seq: u64, e: &SessionEntry) -> String {
+    let cost = match e.cost {
+        Cost::Time(t) => t.to_string(),
+        Cost::Frac(r) => format!("{{\"num\": {}, \"den\": {}}}", r.numer(), r.denom()),
+        Cost::Real(x) => render_f64(x),
+    };
+    let solution = match &e.incumbent {
+        Solution::Assignment(s) => format!("\"assignment\": {:?}", s.assignment()),
+        Solution::Split(split) => {
+            let rows: Vec<String> = split
+                .shares()
+                .iter()
+                .map(|row| {
+                    let shares: Vec<String> = row
+                        .iter()
+                        .map(|sh| {
+                            let fraction = render_f64(sh.fraction);
+                            format!("{{\"machine\": {}, \"fraction\": {fraction}}}", sh.machine)
+                        })
+                        .collect();
+                    format!("[{}]", shares.join(", "))
+                })
+                .collect();
+            format!("\"shares\": [{}]", rows.join(", "))
+        }
+    };
+    let proxy = match &e.proxy {
+        Some(p) => format!(", \"proxy\": {:?}", p.assignment()),
+        None => String::new(),
+    };
+    let instance = instance_to_json(&e.instance, false);
+    format!(
+        "{{\"v\": 1, \"sid\": {sid}, \"seq\": {seq}, \"instance\": {instance}, \
+         \"cost\": {cost}, {solution}{proxy}}}"
+    )
+}
+
+/// Canonical deep-comparable form of a recovery: the rendering is
 /// deterministic, so equal strings mean equal recovered state.
 fn recovered_state(store: &DurableStore) -> Vec<String> {
     let rec = store.recover().expect("recover");
     let mut lines: Vec<String> =
-        rec.sessions.iter().map(|(sid, seq, e)| encode_snapshot(*sid, *seq, e)).collect();
+        rec.sessions.iter().map(|(sid, seq, e)| render_session(*sid, *seq, e)).collect();
     lines.sort();
     lines
 }
@@ -62,7 +113,7 @@ fn journal_lines_decode_as_recorded() {
 #[test]
 fn golden_journal_reencodes_byte_for_byte_and_recovers_the_recorded_sessions() {
     let golden = include_str!("corpus/golden_journal.log");
-    let (records, tail) = scan_journal(golden);
+    let (records, tail) = scan_journal(golden.as_bytes());
     assert_eq!(tail, None);
     let reencoded: String =
         records.iter().map(|(seq, rec)| encode_journal_line(*seq, rec) + "\n").collect();
@@ -158,7 +209,7 @@ proptest! {
         }
         let cut = cut.min(text.len());
         let torn = &text[..text.len() - cut];
-        let (kept, tail) = scan_journal(torn);
+        let (kept, tail) = scan_journal(torn.as_bytes());
         // The kept prefix is byte-identical state: record i parses back to
         // records[i].
         for (i, (seq, rec)) in kept.iter().enumerate() {
@@ -183,6 +234,7 @@ proptest! {
         records in vec(any_record(), 2..6),
         victim_sel in 0usize..1000,
         flip_sel in 0usize..1000,
+        flip in 1u8..=255,
     ) {
         let lines: Vec<String> = records
             .iter()
@@ -190,15 +242,14 @@ proptest! {
             .map(|(i, rec)| encode_journal_line(i as u64 + 1, rec))
             .collect();
         let victim = victim_sel % lines.len();
-        let mut corrupted = lines.clone();
-        // Flip one payload byte to a different JSON-visible character: the
-        // checksum must catch it.
-        let bytes = corrupted[victim].clone().into_bytes();
+        let mut corrupted: Vec<Vec<u8>> = lines.iter().map(|l| l.clone().into_bytes()).collect();
+        // Change one payload byte to any other value: the checksum (or,
+        // for a byte that breaks UTF-8, the UTF-8 check) must catch it.
+        let bytes = &mut corrupted[victim];
         let pos = 18 + flip_sel % (bytes.len() - 18);
-        let mut bytes = bytes;
-        bytes[pos] = if bytes[pos] == b'~' { b'!' } else { b'~' };
-        corrupted[victim] = String::from_utf8(bytes).expect("ascii flip stays utf-8");
-        let text = corrupted.join("\n") + "\n";
+        bytes[pos] ^= flip;
+        let mut text = corrupted.join(&b'\n');
+        text.push(b'\n');
         let (kept, tail) = scan_journal(&text);
         prop_assert_eq!(kept.len(), victim, "scan stops exactly at the damaged record");
         for (i, (_, rec)) in kept.iter().enumerate() {
@@ -261,7 +312,7 @@ proptest! {
             lanes.into_iter().map(|lane| lane.join().unwrap()).collect()
         });
         store.flush_journal().unwrap();
-        let text = std::fs::read_to_string(dir.join("journal.log")).unwrap();
+        let text = std::fs::read(dir.join("journal.log")).unwrap();
         let (kept, tail) = scan_journal(&text);
         prop_assert!(tail.is_none(), "concurrent batches must stay line-framed");
         let on_disk: Vec<u64> = kept.iter().map(|(seq, _)| *seq).collect();
@@ -293,7 +344,7 @@ proptest! {
         let text = std::fs::read_to_string(dir.join("journal.log")).unwrap();
         let cut = cut.min(text.len());
         let torn = &text[..text.len() - cut];
-        let (kept, tail) = scan_journal(torn);
+        let (kept, tail) = scan_journal(torn.as_bytes());
         for (i, (seq, rec)) in kept.iter().enumerate() {
             prop_assert_eq!(*seq, i as u64 + 1);
             prop_assert_eq!(rec, &records[i]);

@@ -1,35 +1,16 @@
 //! Property tests of the packed snapshot codec
-//! (`sst_portfolio::durable::{encode_snapshot_packed, parse_snapshot_bytes}`):
+//! (`sst_portfolio::durable::{encode_snapshot_packed, parse_snapshot_packed}`):
 //! arbitrary session entries roundtrip bit-identically through the packed
-//! frame AND through the legacy JSON schema via the same format-sniffing
-//! reader; every torn tail and every single corrupted byte is rejected —
+//! frame; every torn tail and every single corrupted byte is rejected —
 //! the recovery path must treat a damaged snapshot as absent, never panic.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance};
-use sst_core::io::IoError;
 use sst_core::schedule::Schedule;
-use sst_portfolio::durable::{
-    encode_snapshot, encode_snapshot_packed, parse_snapshot, parse_snapshot_bytes,
-};
+use sst_portfolio::durable::{encode_snapshot_packed, parse_snapshot_packed};
 use sst_portfolio::{ProblemInstance, SessionEntry};
 use std::sync::Arc;
-
-include!("corpus/records.rs");
-
-#[test]
-fn json_snapshots_decode_as_recorded() {
-    for &(text, want) in recorded::SNAPSHOTS {
-        let got = match parse_snapshot(text) {
-            Ok((sid, seq, entry)) => format!("ok:{}", encode_snapshot(sid, seq, &entry)),
-            Err(IoError::Json(_)) => "Json".into(),
-            Err(IoError::Format(_)) => "Format".into(),
-            Err(IoError::Invalid(_)) => "Invalid".into(),
-        };
-        assert_eq!(got, want, "{text}");
-    }
-}
 
 fn uniform_instance() -> impl Strategy<Value = ProblemInstance> {
     (vec(1u64..50, 1..4), vec(0u64..60, 1..4), vec((0usize..100, 1u64..200), 0..12)).prop_map(
@@ -84,20 +65,11 @@ proptest! {
         entry in any_entry(),
     ) {
         let bytes = encode_snapshot_packed(sid, seq, &entry);
-        let (got_sid, got_seq, got) = parse_snapshot_bytes(&bytes).expect("own bytes parse");
+        let (got_sid, got_seq, got) = parse_snapshot_packed(&bytes).expect("own bytes parse");
         prop_assert_eq!((got_sid, got_seq), (sid, seq));
         prop_assert_eq!(got.instance.as_ref(), entry.instance.as_ref());
         prop_assert_eq!(got.cost, entry.cost);
         prop_assert_eq!(got.proxy, entry.proxy);
-
-        // The sniffing reader accepts the JSON schema for the same entry
-        // and decodes the same state.
-        let text = encode_snapshot(sid, seq, &entry);
-        let (json_sid, json_seq, via_json) =
-            parse_snapshot_bytes(text.as_bytes()).expect("json snapshot parses");
-        prop_assert_eq!((json_sid, json_seq), (sid, seq));
-        prop_assert_eq!(via_json.instance.as_ref(), got.instance.as_ref());
-        prop_assert_eq!(via_json.cost, got.cost);
     }
 
     #[test]
@@ -107,7 +79,7 @@ proptest! {
     ) {
         let bytes = encode_snapshot_packed(3, 9, &entry);
         let cut = cut_sel % bytes.len();
-        prop_assert!(parse_snapshot_bytes(&bytes[..cut]).is_err());
+        prop_assert!(parse_snapshot_packed(&bytes[..cut]).is_err());
     }
 
     #[test]
@@ -120,6 +92,6 @@ proptest! {
         let pos = pos_sel % bytes.len();
         let mut bad = bytes.clone();
         bad[pos] ^= flip;
-        prop_assert!(parse_snapshot_bytes(&bad).is_err(), "flip {flip:#x} at {pos} accepted");
+        prop_assert!(parse_snapshot_packed(&bad).is_err(), "flip {flip:#x} at {pos} accepted");
     }
 }
