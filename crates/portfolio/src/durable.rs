@@ -1026,14 +1026,13 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_all_solution_shapes() {
-        let mut with_proxy = entry_of(uniform_instance(1));
-        with_proxy.proxy = Some(sst_core::schedule::Schedule::new(vec![0, 1, 0, 1, 0]));
-        let bytes = encode_snapshot_packed(9, 42, &with_proxy);
+        let integral = entry_of(uniform_instance(1));
+        let bytes = encode_snapshot_packed(9, 42, &integral);
         let (sid, seq, parsed) = parse_snapshot_packed(&bytes).unwrap();
         assert_eq!((sid, seq), (9, 42));
-        assert_eq!(parsed.instance.as_ref(), with_proxy.instance.as_ref());
-        assert_eq!(parsed.cost, with_proxy.cost);
-        assert_eq!(parsed.proxy, with_proxy.proxy);
+        assert_eq!(parsed.instance.as_ref(), integral.instance.as_ref());
+        assert_eq!(parsed.cost, integral.cost);
+        assert!(matches!(parsed.incumbent, crate::model::Solution::Assignment(_)));
 
         let split_inst = ProblemInstance::Splittable(crate::model::SplittableInstance(
             UnrelatedInstance::new(
@@ -1049,6 +1048,27 @@ mod tests {
         let (sid, seq, parsed) = parse_snapshot_packed(&bytes).unwrap();
         assert_eq!((sid, seq), (3, 7));
         assert!(matches!(parsed.incumbent, crate::model::Solution::Split(_)));
+    }
+
+    #[test]
+    fn packed_snapshot_roundtrips_and_sniffs_both_formats() {
+        let mut with_proxy = entry_of(uniform_instance(1));
+        with_proxy.proxy = Some(sst_core::schedule::Schedule::new(vec![0, 1, 0, 1, 0]));
+        let bytes = encode_snapshot_packed(9, 42, &with_proxy);
+        let (sid, seq, parsed) = parse_snapshot_packed(&bytes).unwrap();
+        assert_eq!((sid, seq), (9, 42));
+        assert_eq!(parsed.instance.as_ref(), with_proxy.instance.as_ref());
+        assert_eq!(parsed.cost, with_proxy.cost);
+        assert_eq!(parsed.proxy, with_proxy.proxy);
+
+        // The frame magic tells the formats apart: a JSON snapshot in the
+        // schema of builds before packed snapshots is refused as a format
+        // error, never half-read.
+        let json = "{\"v\": 1, \"sid\": 5, \"seq\": 11, \"instance\": {\"version\": 1, \
+                    \"kind\": \"uniform\", \"speeds\": [1], \"setups\": [0], \"jobs\": []}, \
+                    \"cost\": {\"num\": 0, \"den\": 1}, \"assignment\": []}";
+        let err = parse_snapshot_packed(json.as_bytes()).unwrap_err();
+        assert!(matches!(err, IoError::Format(_)), "{err:?}");
     }
 
     #[test]
