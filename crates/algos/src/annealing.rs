@@ -90,6 +90,18 @@
 //! whose draws are exactly `gen_range`'s but whose rejection zone is
 //! computed once per walk instead of once per draw.
 //!
+//! **Stall stop.** [`AnnealConfig::stall_sweeps`] (off by default) ends the
+//! walk, in either phase, once `stall_sweeps` neighbourhoods' worth of
+//! proposals in a row — `stall_sweeps · (m−1)(n + min(n, m·K))`, the unit
+//! the frozen exit's patience uses — pass without a new best. Unlike the
+//! frozen exit it can change the answer: a walk that would still have
+//! improved its best after the window returns the best seen so far. It
+//! stops exactly one window after its last new best (or after its start),
+//! and returns the same schedule, `accepted` and `improvements` as the
+//! walk without the stop given exactly that many iterations. The window
+//! is folded into the loop bound, so it costs the proposal loop nothing;
+//! [`AnnealResult::exit`] says which exit ended the walk.
+//!
 //! ```
 //! use sst_algos::annealing::{anneal_uniform, AnnealConfig};
 //! use sst_algos::lpt::lpt_with_setups;
@@ -150,6 +162,11 @@ pub struct AnnealConfig {
     pub class_move_prob: f64,
     /// RNG seed (the run is a pure function of instance, start and config).
     pub seed: u64,
+    /// Stall stop (module docs): end the walk once this many
+    /// neighbourhoods' worth of proposals in a row pass without a new
+    /// best. `None` runs until `iterations`, a frozen state or the cancel
+    /// token.
+    pub stall_sweeps: Option<u32>,
 }
 
 impl Default for AnnealConfig {
@@ -160,6 +177,7 @@ impl Default for AnnealConfig {
             cooling: 0.9995,
             class_move_prob: 0.25,
             seed: 0,
+            stall_sweeps: None,
         }
     }
 }
@@ -174,16 +192,33 @@ pub struct AnnealResult {
     /// Accepted proposals that strictly improved the incumbent best.
     pub improvements: usize,
     /// Iterations actually run, in both phases: fewer than
-    /// [`AnnealConfig::iterations`] when the cancel token fired or the state
-    /// froze. Unlike the three fields above it is not a function of the
-    /// walk alone: a frozen state found at plateau entry stops at once,
-    /// where the Metropolis loop would have waited out its patience.
+    /// [`AnnealConfig::iterations`] when the cancel token fired, the state
+    /// froze or the best stalled. Unlike the three fields above it is not a
+    /// function of the walk alone: a frozen state found at plateau entry
+    /// stops at once, where the Metropolis loop would have waited out its
+    /// patience.
     pub proposals: usize,
+    /// Which exit ended the walk.
+    pub exit: AnnealExit,
     /// The iteration at which the plateau phase began (module docs);
     /// `None` when the walk never entered it.
     pub plateau_entry: Option<usize>,
     /// Of `accepted`, the proposals accepted in the plateau phase.
     pub plateau_accepted: usize,
+}
+
+/// Why an annealing walk stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnnealExit {
+    /// It ran [`AnnealConfig::iterations`] proposals.
+    Iterations,
+    /// No later proposal could be accepted (module docs), or the instance
+    /// has no move at all (no job, or a single machine).
+    Frozen,
+    /// [`AnnealConfig::stall_sweeps`]' window passed without a new best.
+    Stalled,
+    /// The cancel token fired.
+    Cancelled,
 }
 
 /// A proposed move, shared by every machine model.
@@ -197,9 +232,9 @@ enum Proposal {
 /// (module docs). Deltas are measured in the model's key arithmetic
 /// projected to `f64` ([`MachineModel::key_to_f64`]); acceptance and
 /// cooling follow the classic geometric schedule. Early exit (the `cancel`
-/// token) returns the best schedule seen so far, which never degrades the
-/// start; the frozen-state exit (module docs) returns exactly what running
-/// every iteration would.
+/// token, or the stall stop) returns the best schedule seen so far, which
+/// never degrades the start; the frozen-state exit (module docs) returns
+/// exactly what running every iteration would.
 ///
 /// # Panics
 /// Panics if `start` is not a valid schedule for `inst`.
@@ -216,6 +251,9 @@ pub fn anneal_budgeted<M: MachineModel>(
         accepted: 0,
         improvements: 0,
         proposals: 0,
+        // Kept by an instance without moves and by a plateau phase that
+        // starts frozen; every other exit overwrites it.
+        exit: AnnealExit::Frozen,
         plateau_entry: None,
         plateau_accepted: 0,
     };
@@ -223,13 +261,14 @@ pub fn anneal_budgeted<M: MachineModel>(
         return res;
     }
     let cools = (0.0..=1.0).contains(&cfg.cooling);
+    let neighbourhood = (m - 1) * (n + n.min(m * M::num_classes(inst)));
     // Rejections in a row before a frozen-state scan; never, when cooling
     // outside [0, 1] can make the temperature rise again.
-    let patience = if cools {
-        FROZEN_PATIENCE * (m - 1) * (n + n.min(m * M::num_classes(inst)))
-    } else {
-        usize::MAX
-    };
+    let patience = if cools { FROZEN_PATIENCE * neighbourhood } else { usize::MAX };
+    // Proposals in a row without a new best before the stall stop, folded
+    // into the loop bound: `limit` moves on with every new best.
+    let window = cfg.stall_sweeps.map_or(usize::MAX, |s| neighbourhood.saturating_mul(s as usize));
+    let mut limit = cfg.iterations.min(window);
     // Makespans below this may enter the plateau phase.
     let headroom = if cools && M::key_as_load(tracker.makespan()).is_some() {
         EXACT_F64_LOADS.checked_sub(largest_finite_cells::<M>(inst))
@@ -248,18 +287,21 @@ pub fn anneal_budgeted<M: MachineModel>(
     // The smallest rise out of the current state, once a scan has found
     // that every move rises; cleared by the next accepted move.
     let mut frozen: Option<f64> = None;
-    // The Metropolis phase.
-    while res.proposals < cfg.iterations {
+    // The Metropolis phase; it ends the walk, or breaks `None` to enter
+    // the plateau phase.
+    let exit = loop {
+        if res.proposals >= limit {
+            break Some(bound_exit(res.proposals, cfg.iterations));
+        }
         let below = |h: u64| M::key_as_load(cur_ms).is_some_and(|load| load < h);
         if temp * 1000.0 < 1.0 && headroom.is_some_and(below) {
-            res.plateau_entry = Some(res.proposals);
-            break;
+            break None;
         }
         if res.proposals & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
-            break;
+            break Some(AnnealExit::Cancelled);
         }
         if frozen.is_some_and(|rise| temp <= 0.0 || -rise / temp < EXP_UNDERFLOW) {
-            break;
+            break Some(AnnealExit::Frozen);
         }
         res.proposals += 1;
         // A target key at or above the makespan is the new makespan
@@ -295,6 +337,7 @@ pub fn anneal_budgeted<M: MachineModel>(
                     best_ms = new_ms;
                     res.schedule = tracker.schedule();
                     res.improvements += 1;
+                    limit = cfg.iterations.min(res.proposals.saturating_add(window));
                 }
                 rejected = 0;
                 frozen = None;
@@ -308,17 +351,25 @@ pub fn anneal_budgeted<M: MachineModel>(
             }
         }
         temp *= cfg.cooling;
+    };
+    if let Some(exit) = exit {
+        res.exit = exit;
+        return res;
     }
     // The plateau phase: a proposal passes iff it is feasible and its
     // target key is at most the makespan. A frozen state, found at entry
     // or after the patience, ends the walk: no rising proposal can pass
     // any more.
-    if res.plateau_entry.is_none() || min_rise(&tracker, cur_ms, cancel).is_some() {
+    res.plateau_entry = Some(res.proposals);
+    if min_rise(&tracker, cur_ms, cancel).is_some() {
         return res;
     }
-    while res.proposals < cfg.iterations {
+    res.exit = loop {
+        if res.proposals >= limit {
+            break bound_exit(res.proposals, cfg.iterations);
+        }
         if res.proposals & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
-            break;
+            break AnnealExit::Cancelled;
         }
         res.proposals += 1;
         match draws.propose(&mut rng, &tracker, cfg.class_move_prob) {
@@ -331,6 +382,7 @@ pub fn anneal_budgeted<M: MachineModel>(
                     best_ms = cur_ms;
                     res.schedule = tracker.schedule();
                     res.improvements += 1;
+                    limit = cfg.iterations.min(res.proposals.saturating_add(window));
                 }
                 rejected = 0;
             }
@@ -344,14 +396,24 @@ pub fn anneal_budgeted<M: MachineModel>(
                 if rejected >= patience {
                     rejected = 0;
                     if min_rise(&tracker, cur_ms, cancel).is_some() {
-                        break;
+                        break AnnealExit::Frozen;
                     }
                 }
             }
         }
         temp *= cfg.cooling;
-    }
+    };
     res
+}
+
+/// The exit of a walk that reached its loop bound: `iterations`, or the
+/// stall stop's window when that came first.
+fn bound_exit(proposals: usize, iterations: usize) -> AnnealExit {
+    if proposals >= iterations {
+        AnnealExit::Iterations
+    } else {
+        AnnealExit::Stalled
+    }
 }
 
 /// The job and machine draws of `gen_range(0..n)` and `gen_range(0..m)`,
@@ -768,6 +830,7 @@ mod tests {
                 cooling: 1.0,               // never cools
                 class_move_prob: 0.0,
                 seed: 5,
+                stall_sweeps: None,
             },
         );
         // Best possible split is 10/10.

@@ -15,15 +15,21 @@
 //! families plus a 100 000-proposal run at the solve-deadline shape; the
 //! exit must actually fire on the families whose walk freezes.
 //!
+//! The stall stop is the one shortcut that may change the answer, so the
+//! reference applies the same rule: with `stall_sweeps` set, the annealer
+//! must still return the reference's schedule, `accepted` and
+//! `improvements`, and stop where the reference stops. The long runs also
+//! run `AnnealSolver`'s configuration (stall stop at 256 neighbourhoods).
+//!
 //! `cargo test --release -p sst-algos --test anneal_exit -- --nocapture`
-//! prints the proposals each long run used and where its plateau phase
-//! began.
+//! prints the proposals each long run used, where its plateau phase
+//! began, and where the served configuration's stall stop fired.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sst_algos::annealing::{anneal, AnnealConfig, AnnealResult};
+use sst_algos::annealing::{anneal, AnnealConfig, AnnealExit, AnnealResult};
 use sst_algos::list::{greedy_uniform, greedy_unrelated};
 use sst_algos::local_search::improve;
 use sst_core::cancel::CancelToken;
@@ -35,19 +41,24 @@ use sst_gen::{scenarios, UnrelatedParams};
 
 const CANCEL_CHECK_MASK: usize = 0xFF;
 
+/// `AnnealSolver`'s stall stop, in neighbourhoods.
+const SERVED_STALL_SWEEPS: u32 = 256;
+
 enum Proposal {
     Job(usize, usize),
     Class(usize, usize, usize),
 }
 
-/// The annealer without the frozen-state exit: `(schedule, accepted,
-/// improvements)`.
+/// The annealer without the frozen-state exit, plus the stall stop's rule
+/// (the walk ends once `stall_sweeps` neighbourhoods' worth of iterations
+/// in a row found no new best): `(schedule, accepted, improvements,
+/// iterations run)`.
 fn reference_anneal<M: MachineModel>(
     inst: &M::Instance,
     start: &Schedule,
     cfg: &AnnealConfig,
     cancel: &CancelToken,
-) -> (Schedule, usize, usize) {
+) -> (Schedule, usize, usize, usize) {
     let mut tracker = LoadTracker::<M>::new(inst, start).expect("valid start schedule");
     let m = M::m(inst);
     let mut cur_ms = tracker.makespan();
@@ -58,10 +69,20 @@ fn reference_anneal<M: MachineModel>(
     let mut accepted = 0usize;
     let mut improvements = 0usize;
     if M::n(inst) == 0 || m < 2 {
-        return (best, accepted, improvements);
+        return (best, accepted, improvements, 0);
     }
+    let n = M::n(inst);
+    let neighbourhood = (m - 1) * (n + n.min(m * M::num_classes(inst)));
+    let window = cfg.stall_sweeps.map_or(usize::MAX, |s| neighbourhood * s as usize);
+    let mut last_best = 0usize;
+    let mut ran = cfg.iterations;
     for it in 0..cfg.iterations {
+        if it - last_best >= window {
+            ran = it;
+            break;
+        }
         if it & CANCEL_CHECK_MASK == 0 && cancel.is_cancelled() {
+            ran = it;
             break;
         }
         let class_move = rng.gen::<f64>() < cfg.class_move_prob;
@@ -99,24 +120,39 @@ fn reference_anneal<M: MachineModel>(
                 best_ms = new_ms;
                 best = tracker.schedule();
                 improvements += 1;
+                last_best = it + 1;
             }
         }
         temp *= cfg.cooling;
     }
-    (best, accepted, improvements)
+    (best, accepted, improvements, ran)
 }
 
-/// Runs both loops; fails unless they agree. Returns the annealer's
-/// result.
+/// Runs both loops; fails unless they agree, and unless a walk that ended
+/// on its iteration count or its stall stop ran as many proposals as the
+/// reference. Returns the annealer's result.
 fn assert_exact<M: MachineModel>(
     inst: &M::Instance,
     start: &Schedule,
     cfg: &AnnealConfig,
 ) -> Result<AnnealResult, TestCaseError> {
     let got = anneal::<M>(inst, start, cfg);
-    let want = reference_anneal::<M>(inst, start, cfg, &CancelToken::new());
-    prop_assert_eq!((got.schedule.clone(), got.accepted, got.improvements), want);
+    let (schedule, accepted, improvements, ran) =
+        reference_anneal::<M>(inst, start, cfg, &CancelToken::new());
+    prop_assert_eq!(
+        (got.schedule.clone(), got.accepted, got.improvements),
+        (schedule, accepted, improvements)
+    );
     prop_assert!(got.proposals <= cfg.iterations);
+    match got.exit {
+        AnnealExit::Iterations => prop_assert_eq!(got.proposals, cfg.iterations),
+        AnnealExit::Stalled => {
+            prop_assert!(cfg.stall_sweeps.is_some() && got.proposals < cfg.iterations);
+            prop_assert_eq!(got.proposals, ran);
+        }
+        AnnealExit::Frozen => prop_assert!(got.proposals <= ran),
+        AnnealExit::Cancelled => prop_assert!(false, "nothing cancels these walks"),
+    }
     if let Some(entry) = got.plateau_entry {
         prop_assert!(entry <= got.proposals);
         prop_assert!(got.plateau_accepted <= got.accepted);
@@ -136,8 +172,16 @@ fn config() -> impl Strategy<Value = AnnealConfig> {
             initial_temp_fraction: [0.0, 1e-7, 0.05, 0.2, 2.0][hot],
             class_move_prob: [0.0, 0.25, 1.0][mix],
             seed,
+            stall_sweeps: None,
         },
     )
+}
+
+/// [`config`] with the stall stop set to 0–5 neighbourhoods: on these
+/// instances of at most a few hundred neighbours it fires well inside
+/// the 6 000 iterations.
+fn stalled_config() -> impl Strategy<Value = AnnealConfig> {
+    (config(), 0u32..6).prop_map(|(cfg, sweeps)| AnnealConfig { stall_sweeps: Some(sweeps), ..cfg })
 }
 
 fn uniform_instance() -> impl Strategy<Value = UniformInstance> {
@@ -239,35 +283,138 @@ proptest! {
         let start = Schedule::new(vec![0, 1, 2, 1]);
         assert_exact::<Unrelated>(&inst, &start, &cfg)?;
     }
+
+    #[test]
+    fn stalled_walks_are_exact(
+        uniform in uniform_instance(),
+        unrelated in unrelated_instance(),
+        restricted in restricted_instance(),
+        cfg in stalled_config(),
+    ) {
+        assert_exact::<Uniform>(&uniform, &greedy_uniform(&uniform), &cfg)?;
+        for inst in [&unrelated, &restricted] {
+            let start = greedy_unrelated(inst);
+            assert_exact::<Unrelated>(inst, &start, &cfg)?;
+            assert_exact::<Splittable>(inst, &start, &cfg)?;
+        }
+    }
 }
 
-/// Runs both loops with the race's annealer configuration
-/// (`AnnealSolver`) for `iterations` proposals from `greedy` and from its
-/// descent, the race's usual warm start. Returns the run from `greedy`.
+/// Checks that a walk under `cfg` that ended on its stall stop did so
+/// exactly one window after its last new best. Without the stop, the walk
+/// cut at the same proposal returns the same schedule, `accepted` and
+/// `improvements`; cut one window earlier, the same schedule and
+/// `improvements`; one proposal before that, one improvement fewer.
+/// Returns the stalled walk.
+fn assert_stalls_one_window_after_its_last_best<M: MachineModel>(
+    inst: &M::Instance,
+    start: &Schedule,
+    cfg: &AnnealConfig,
+) -> AnnealResult {
+    let (n, m) = (M::n(inst), M::m(inst));
+    let window = cfg.stall_sweeps.expect("a stall stop") as usize
+        * (m - 1)
+        * (n + n.min(m * M::num_classes(inst)));
+    let res = anneal::<M>(inst, start, cfg);
+    assert_eq!(res.exit, AnnealExit::Stalled);
+    let cut = |iterations| {
+        anneal::<M>(inst, start, &AnnealConfig { iterations, stall_sweeps: None, ..*cfg })
+    };
+    let same = cut(res.proposals);
+    assert_eq!(
+        (&same.schedule, same.accepted, same.improvements),
+        (&res.schedule, res.accepted, res.improvements)
+    );
+    let last_best = res.proposals - window;
+    let upto = cut(last_best);
+    assert_eq!((&upto.schedule, upto.improvements), (&res.schedule, res.improvements));
+    if last_best > 0 {
+        assert_eq!(cut(last_best - 1).improvements + 1, res.improvements);
+    } else {
+        assert_eq!((res.improvements, &res.schedule), (0, start));
+    }
+    res
+}
+
+#[test]
+fn a_stalled_walk_stops_one_window_after_its_last_new_best() {
+    // The served configuration on a solve-complete family, from greedy as
+    // the race warm-starts a sole annealer: the best improves early, then
+    // stalls.
+    let inst = scenarios::print_shop(48, 5, 6, 1);
+    let served = AnnealConfig {
+        iterations: 400_000,
+        seed: 41,
+        stall_sweeps: Some(SERVED_STALL_SWEEPS),
+        ..AnnealConfig::default()
+    };
+    let res = assert_stalls_one_window_after_its_last_best::<Unrelated>(
+        &inst,
+        &greedy_unrelated(&inst),
+        &served,
+    );
+    assert!(res.improvements > 0, "greedy leaves room on print-shop");
+    // A hot walk that never cools out of the Metropolis phase.
+    let hot = AnnealConfig {
+        iterations: 50_000,
+        initial_temp_fraction: 0.5,
+        cooling: 1.0,
+        seed: 3,
+        stall_sweeps: Some(1),
+        ..AnnealConfig::default()
+    };
+    let line = scenarios::production_line(12, 3, 3, 5);
+    let res = assert_stalls_one_window_after_its_last_best::<Uniform>(
+        &line,
+        &greedy_uniform(&line),
+        &hot,
+    );
+    assert_eq!(res.plateau_entry, None);
+    // No new best at all: a zero-temperature walk from the descent (ratio
+    // keys, so no plateau phase, and its frozen scan waits 16 windows)
+    // stops one window after its start.
+    let descent = improve::<Uniform>(&line, &greedy_uniform(&line), usize::MAX).schedule;
+    let cold = AnnealConfig { initial_temp_fraction: 0.0, ..hot };
+    let res = assert_stalls_one_window_after_its_last_best::<Uniform>(&line, &descent, &cold);
+    assert_eq!((res.proposals, res.improvements), (2 * (12 + 9), 0));
+}
+
+/// Runs both loops for `iterations` proposals from `greedy` and from its
+/// descent, the race's usual warm starts, with the default configuration
+/// and with `AnnealSolver`'s (the same plus the stall stop). Returns the
+/// two runs from `greedy`: default, then served.
 fn long_runs<M: MachineModel>(
     name: &str,
     inst: &M::Instance,
     greedy: &Schedule,
     iterations: usize,
-) -> AnnealResult {
+) -> [AnnealResult; 2] {
     let cfg = AnnealConfig { iterations, seed: 41, ..AnnealConfig::default() };
+    let served = AnnealConfig { stall_sweeps: Some(SERVED_STALL_SWEEPS), ..cfg };
     let descent = improve::<M>(inst, greedy, usize::MAX).schedule;
-    let runs = [("greedy", greedy), ("descent", &descent)].map(|(label, start)| {
-        assert_exact::<M>(inst, start, &cfg)
-            .unwrap_or_else(|e| panic!("{name} from {label}: the answer changed: {e:?}"))
-    });
+    let runs = |cfg: &AnnealConfig| {
+        [("greedy", greedy), ("descent", &descent)].map(|(label, start)| {
+            assert_exact::<M>(inst, start, cfg)
+                .unwrap_or_else(|e| panic!("{name} from {label}: the answer changed: {e:?}"))
+        })
+    };
+    let [plain, plain_descent] = runs(&cfg);
+    let [stalled, stalled_descent] = runs(&served);
     let entry = |r: &AnnealResult| r.plateau_entry.map_or("-".to_string(), |e| e.to_string());
     println!(
         "{name:<22} proposals {:>6} from greedy, {:>6} from the descent, of {}; \
          plateau from {} / {}",
-        runs[0].proposals,
-        runs[1].proposals,
+        plain.proposals,
+        plain_descent.proposals,
         cfg.iterations,
-        entry(&runs[0]),
-        entry(&runs[1]),
+        entry(&plain),
+        entry(&plain_descent),
     );
-    let [from_greedy, _] = runs;
-    from_greedy
+    println!(
+        "{:<22} served: {:>6} ({:?}) from greedy, {:>6} ({:?}) from the descent",
+        "", stalled.proposals, stalled.exit, stalled_descent.proposals, stalled_descent.exit,
+    );
+    [plain, stalled]
 }
 
 #[test]
@@ -284,14 +431,15 @@ fn long_runs_on_the_solve_complete_families_exit_exactly() {
     ];
     let mut fired = 0;
     for (name, inst) in &families {
-        if long_runs::<Unrelated>(name, inst, &greedy_unrelated(inst), 400_000).proposals < 400_000
-        {
+        let [plain, _] = long_runs::<Unrelated>(name, inst, &greedy_unrelated(inst), 400_000);
+        if plain.exit == AnnealExit::Frozen {
             fired += 1;
         }
     }
     assert!(fired >= 3, "the frozen exit fired on only {fired} of 4 families");
     let line = scenarios::production_line(n, m, k, 15);
-    let uniform = long_runs::<Uniform>("production-line", &line, &greedy_uniform(&line), 400_000);
+    let [uniform, _] =
+        long_runs::<Uniform>("production-line", &line, &greedy_uniform(&line), 400_000);
     assert_eq!(uniform.plateau_entry, None, "ratio keys stay in the Metropolis loop");
     let cdn = scenarios::cdn_transcode(n, m, k, 16);
     long_runs::<Splittable>("cdn-transcode", &cdn, &greedy_unrelated(&cdn), 400_000);
@@ -300,7 +448,9 @@ fn long_runs_on_the_solve_complete_families_exit_exactly() {
 #[test]
 fn a_long_run_at_the_solve_deadline_shape_is_exact() {
     let shop = scenarios::print_shop(800, 10, 16, 17);
-    let run =
+    let [run, served] =
         long_runs::<Unrelated>("print-shop 800x10x16", &shop, &greedy_unrelated(&shop), 100_000);
     assert!(run.plateau_entry.is_some(), "the walk must reach the plateau phase");
+    // The served window (2.2 M proposals at this shape) is beyond the walk.
+    assert_eq!((served.proposals, served.exit), (run.proposals, run.exit));
 }

@@ -16,7 +16,10 @@
 //! `accepted`, `improvements`). Read the µs per anneal first: a walk that
 //! stops earlier raises ns/proposal without costing more. Timing is
 //! reported, not gated; the digest must not change unless the walk itself
-//! is meant to.
+//! is meant to. Under each family's line, an `anneal_served` line runs
+//! the same walks with `AnnealSolver`'s configuration (the same plus the
+//! stall stop) and prints the µs per anneal, the proposals run, how many
+//! walks the stall stop ended, and the digest of those answers.
 //!
 //! The race-prologue row times the serial work before a served race's
 //! members start — feature extraction and the model's greedy floor — on
@@ -28,13 +31,14 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sst_algos::annealing::{anneal, AnnealConfig};
+use sst_algos::annealing::{anneal, AnnealConfig, AnnealExit};
 use sst_algos::list::{greedy_uniform, greedy_unrelated};
 use sst_algos::local_search::{improve, improve_unrelated};
 use sst_core::model::{MachineModel, Uniform, Unrelated};
 use sst_core::schedule::Schedule;
 use sst_core::wire::fnv1a64;
 use sst_gen::{scenarios, SetupWeight, UnrelatedParams};
+use sst_portfolio::solver::AnnealSolver;
 use sst_portfolio::{extract_features, ProblemInstance};
 
 fn params(n: usize, m: usize, k: usize) -> UnrelatedParams {
@@ -83,19 +87,20 @@ struct AnnealRow {
     plateau_entries: usize,
     plateau_proposals: usize,
     plateau_accepted: usize,
+    /// Walks the stall stop ended.
+    stalled: usize,
     digest: Vec<u8>,
 }
 
 impl AnnealRow {
-    /// Anneals `inst` from the descent of `greedy`, as the race does.
-    fn run<M: MachineModel>(&mut self, inst: &M::Instance, greedy: &Schedule) {
-        let start = improve::<M>(inst, greedy, usize::MAX).schedule;
-        let cfg = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
+    /// Anneals `inst` from `start` under `cfg`.
+    fn run<M: MachineModel>(&mut self, inst: &M::Instance, start: &Schedule, cfg: &AnnealConfig) {
         let t0 = Instant::now();
-        let res = anneal::<M>(inst, &start, &cfg);
+        let res = anneal::<M>(inst, start, cfg);
         self.nanos += t0.elapsed().as_nanos();
         self.anneals += 1;
         self.proposals += res.proposals;
+        self.stalled += usize::from(res.exit == AnnealExit::Stalled);
         if let Some(entry) = res.plateau_entry {
             self.plateau_walks += 1;
             self.plateau_entries += entry;
@@ -111,9 +116,24 @@ impl AnnealRow {
     }
 }
 
+/// Anneals `inst` from the descent of `greedy`, as the race does, once
+/// with the default configuration (400 000 proposals) into `row` and once
+/// with the served one into `served`.
+fn anneal_both<M: MachineModel>(
+    row: &mut AnnealRow,
+    served: &mut AnnealRow,
+    inst: &M::Instance,
+    greedy: &Schedule,
+) {
+    let start = improve::<M>(inst, greedy, usize::MAX).schedule;
+    let cfg = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
+    row.run::<M>(inst, &start, &cfg);
+    served.run::<M>(inst, &start, &AnnealSolver::config(41));
+}
+
 fn anneal_row(_c: &mut Criterion) {
     let (n, m, k) = (48, 5, 6);
-    let mut all = Vec::new();
+    let (mut all, mut all_served) = (Vec::new(), Vec::new());
     for family in [
         "production-line",
         "compute-cluster",
@@ -121,11 +141,11 @@ fn anneal_row(_c: &mut Criterion) {
         "ci-build-farm",
         "unrelated-correlated",
     ] {
-        let mut row = AnnealRow::default();
+        let (mut row, mut served) = (AnnealRow::default(), AnnealRow::default());
         for seed in 1..=ANNEAL_INSTANCES {
             if family == "production-line" {
                 let inst = scenarios::production_line(n, m, k, seed);
-                row.run::<Uniform>(&inst, &greedy_uniform(&inst));
+                anneal_both::<Uniform>(&mut row, &mut served, &inst, &greedy_uniform(&inst));
                 continue;
             }
             let inst = match family {
@@ -134,7 +154,7 @@ fn anneal_row(_c: &mut Criterion) {
                 "ci-build-farm" => scenarios::ci_build_farm(n, m, k, seed),
                 _ => sst_gen::unrelated(&UnrelatedParams { n, m, k, seed, ..Default::default() }),
             };
-            row.run::<Unrelated>(&inst, &greedy_unrelated(&inst));
+            anneal_both::<Unrelated>(&mut row, &mut served, &inst, &greedy_unrelated(&inst));
         }
         let ratio = |a: usize, b: usize| a as f64 / b.max(1) as f64;
         println!(
@@ -150,9 +170,20 @@ fn anneal_row(_c: &mut Criterion) {
             100.0 * ratio(row.plateau_accepted, row.plateau_proposals),
             fnv1a64(&row.digest),
         );
+        println!(
+            "anneal_served/{family:<20} {:>8.1} us/anneal  proposals {:>8}  stalled {:>2}/{}  \
+             digest {:016x}",
+            served.nanos as f64 / 1e3 / served.anneals.max(1) as f64,
+            served.proposals,
+            served.stalled,
+            served.anneals,
+            fnv1a64(&served.digest),
+        );
         all.extend_from_slice(&row.digest);
+        all_served.extend_from_slice(&served.digest);
     }
     println!("anneal_400k/all-families digest {:016x}", fnv1a64(&all));
+    println!("anneal_served/all-families digest {:016x}", fnv1a64(&all_served));
 }
 
 fn race_prologue_row(_c: &mut Criterion) {

@@ -720,7 +720,9 @@ impl DurableStore {
     /// truncated, sequence counter resumed past everything seen. Torn or
     /// corrupt journal suffixes are dropped (reported in the returned
     /// [`Recovery`]), never fatal. A missing journal reads as empty; any
-    /// other journal read error fails recovery before a file is changed.
+    /// other journal read error, and any snapshot read error, fails
+    /// recovery before a file is changed. A snapshot that reads but does
+    /// not parse counts in `snapshot_errors`.
     pub fn recover(&self) -> std::io::Result<Recovery> {
         // Recovery runs at quiescent points, but drain defensively so the
         // journal read below cannot miss an enqueued record.
@@ -733,6 +735,7 @@ impl DurableStore {
         let mut live: BTreeMap<u64, (u64, SessionEntry)> = BTreeMap::new();
         let mut snapshots_loaded = 0u64;
         let mut snapshot_errors = 0u64;
+        let mut leftovers = Vec::new();
         for dirent in fs::read_dir(&self.sessions_dir)? {
             let path = dirent?.path();
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
@@ -740,7 +743,7 @@ impl DurableStore {
                 // Leftover `.snap.tmp` from a crash mid-write: the rename
                 // never happened, so the old `.snap` (if any) is intact.
                 if name.ends_with(".snap.tmp") {
-                    let _ = fs::remove_file(&path);
+                    leftovers.push(path);
                 }
                 continue;
             };
@@ -748,13 +751,19 @@ impl DurableStore {
                 snapshot_errors += 1;
                 continue;
             };
-            match fs::read(&path).ok().and_then(|b| parse_snapshot_packed(&b).ok()) {
-                Some((file_sid, seq, entry)) if file_sid == sid => {
+            // A snapshot that cannot be read is not a corrupt one: counting
+            // it as corrupt would skip its session's journal deltas, and the
+            // compaction below would truncate them away.
+            match parse_snapshot_packed(&fs::read(&path)?) {
+                Ok((file_sid, seq, entry)) if file_sid == sid => {
                     live.insert(sid, (seq, sanitize(entry)));
                     snapshots_loaded += 1;
                 }
                 _ => snapshot_errors += 1,
             }
+        }
+        for path in leftovers {
+            let _ = fs::remove_file(path);
         }
         let (records, dropped) = scan_journal(&journal);
         let mut replayed = 0u64;
@@ -1224,6 +1233,42 @@ mod tests {
         let rec = store.recover().unwrap();
         let sids: Vec<u64> = rec.sessions.iter().map(|(sid, _, _)| *sid).collect();
         assert_eq!(sids, vec![1, 2]);
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failing_snapshot_read_fails_recovery_and_keeps_the_journal() {
+        let dir = tmp_dir("unreadable-snap");
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
+        store.append_create(1, &uniform_instance(0)).unwrap();
+        store.recover().unwrap(); // compacts: 1.snap written, journal emptied
+        store.append_delta(1, &[InstanceDelta::AddJob { class: 0, times: vec![6] }]).unwrap();
+        drop(store);
+        let path = dir.join("journal.log");
+        let journal = fs::read(&path).unwrap();
+        assert!(!journal.is_empty());
+        let snap = dir.join("sessions").join("1.snap");
+        let snap_bytes = fs::read(&snap).unwrap();
+        let leftover = dir.join("sessions").join("3.snap.tmp");
+        fs::write(&leftover, b"half-written").unwrap();
+        // A directory in the snapshot's place: listing it succeeds,
+        // reading it fails.
+        fs::remove_file(&snap).unwrap();
+        fs::create_dir(&snap).unwrap();
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
+        assert!(store.recover().is_err(), "an unreadable snapshot is not a corrupt one");
+        assert_eq!(fs::read(&path).unwrap(), journal, "the delta is still journaled");
+        assert!(leftover.exists(), "recovery stopped before changing a file");
+        drop(store);
+        // With the snapshot back, recovery replays the delta onto it.
+        fs::remove_dir(&snap).unwrap();
+        fs::write(&snap, &snap_bytes).unwrap();
+        let store = DurableStore::open(&dir, Durability::Flush).unwrap();
+        let rec = store.recover().unwrap();
+        assert_eq!((rec.snapshots_loaded, rec.snapshot_errors, rec.replayed), (1, 0, 1));
+        assert_eq!(rec.sessions[0].2.instance.n(), uniform_instance(0).n() + 1);
+        assert!(!leftover.exists(), "a successful recovery removes leftovers");
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }

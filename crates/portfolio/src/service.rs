@@ -1102,11 +1102,14 @@ pub fn drive_connection<R: std::io::BufRead>(
             buf[0]
         };
         if first == MAGIC[0] {
-            let mut header = [0u8; HEADER_LEN];
-            if reader.read_exact(&mut header).is_err() {
+            let header = read_up_to(reader, HEADER_LEN);
+            if header.len() < HEADER_LEN {
                 // EOF (or a dead socket) inside a header: answer what can
                 // still be answered and end the connection.
-                svc.frame_error(out, &WireError::Truncated { needed: HEADER_LEN, got: 0 });
+                svc.frame_error(
+                    out,
+                    &WireError::Truncated { needed: HEADER_LEN, got: header.len() },
+                );
                 return Ok(());
             }
             let parsed = match FrameHeader::parse(&header) {
@@ -1120,9 +1123,12 @@ pub fn drive_connection<R: std::io::BufRead>(
                     continue;
                 }
             };
-            let mut payload = vec![0u8; parsed.len as usize];
-            if reader.read_exact(&mut payload).is_err() {
-                svc.frame_error(out, &WireError::Truncated { needed: parsed.len as usize, got: 0 });
+            // The claimed length is only a bound: the buffer grows as bytes
+            // arrive, so a header alone cannot make the server allocate.
+            let needed = parsed.len as usize;
+            let payload = read_up_to(reader, needed);
+            if payload.len() < needed {
+                svc.frame_error(out, &WireError::Truncated { needed, got: payload.len() });
                 return Ok(());
             }
             if let Err(e) = parsed.verify(&payload) {
@@ -1151,6 +1157,17 @@ pub fn drive_connection<R: std::io::BufRead>(
             svc.dispatch(line, Arc::clone(out));
         }
     }
+}
+
+/// Reads up to `len` bytes, fewer at EOF or on a read error, into a buffer
+/// that grows as they arrive.
+fn read_up_to<R: std::io::Read>(reader: &mut R, len: usize) -> Vec<u8> {
+    use std::io::Read as _;
+    let mut buf = Vec::new();
+    // An error leaves the bytes read before it in `buf`; the short length
+    // reports it.
+    let _ = reader.take(len as u64).read_to_end(&mut buf);
+    buf
 }
 
 /// Serves NDJSON and binary-frame requests from stdin to stdout until
@@ -1836,6 +1853,36 @@ mod tests {
             panic!("not an error line: {text}");
         };
         assert_eq!(message, format!("line longer than {MAX_LINE} bytes"));
+    }
+
+    #[test]
+    fn a_frame_cut_by_eof_reports_the_bytes_that_arrived() {
+        use sst_core::wire::{FrameHeader, WireError, FT_REQUEST, HEADER_LEN, MAGIC, MAX_PAYLOAD};
+        // The error frame `drive_connection` answers `input` with.
+        let answer = |input: &[u8]| {
+            let svc = Service::start(ServeConfig { workers: 1, ..Default::default() });
+            let (buffer, out) = buffer_writer();
+            drive_connection(&svc, &mut &input[..], &out).unwrap();
+            assert_eq!(svc.shutdown().errors, 1);
+            let bytes = buffer.lock().clone();
+            let header = FrameHeader::parse(&bytes).unwrap();
+            match crate::wire::decode_response(header.frame_type, &bytes[HEADER_LEN..]) {
+                Ok(Response::Error { id: None, message }) => message,
+                other => panic!("not an error frame: {other:?}"),
+            }
+        };
+        // A header claiming the largest payload, then seven bytes and EOF.
+        let mut frame = MAGIC.to_vec();
+        frame.extend_from_slice(&[FT_REQUEST, 0, 0, 0]);
+        frame.extend_from_slice(&MAX_PAYLOAD.to_le_bytes());
+        frame.extend_from_slice(&[0; 8]);
+        frame.extend_from_slice(b"payload");
+        let needed = MAX_PAYLOAD as usize;
+        let want = WireError::Truncated { needed, got: 7 };
+        assert_eq!(answer(&frame), format!("bad frame: {want}"));
+        // EOF inside the header.
+        let want = WireError::Truncated { needed: HEADER_LEN, got: 9 };
+        assert_eq!(answer(&frame[..9]), format!("bad frame: {want}"));
     }
 
     /// A tiny uniform instance whose greedy differs per sid (for traffic).

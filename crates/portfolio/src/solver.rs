@@ -446,10 +446,26 @@ impl Solver for LocalSearchSolver {
 }
 
 /// Seeded Metropolis annealer (integral models), warm-started from the
-/// race incumbent; it stops at the deadline, after 400 000 proposals, or
-/// earlier once its state is provably frozen (no later proposal could be
-/// accepted, so the answer is the same as running on).
+/// race incumbent; it stops at the deadline, after 400 000 proposals,
+/// once its state is provably frozen (no later proposal could be
+/// accepted, so the answer is the same as running on), or once 256
+/// neighbourhoods' worth of proposals in a row found no new best (the
+/// stall stop of [`sst_algos::annealing`], which returns the best seen so
+/// far). At n=48, m=5, K=6 that window is 79 872 proposals; at n=800,
+/// m=10, K=16 it is 2.2 M, beyond the 400 000 cap.
 pub struct AnnealSolver;
+
+impl AnnealSolver {
+    /// The served walk's configuration for solver seed `seed`.
+    pub fn config(seed: u64) -> AnnealConfig {
+        AnnealConfig {
+            iterations: 400_000,
+            seed,
+            stall_sweeps: Some(256),
+            ..AnnealConfig::default()
+        }
+    }
+}
 
 impl Solver for AnnealSolver {
     fn name(&self) -> &'static str {
@@ -461,7 +477,7 @@ impl Solver for AnnealSolver {
     }
 
     fn solve(&self, inst: &ProblemInstance, ctx: &SolveContext<'_>) -> Option<Outcome> {
-        let cfg = AnnealConfig { iterations: 400_000, seed: ctx.seed, ..AnnealConfig::default() };
+        let cfg = Self::config(ctx.seed);
         let schedule = match inst {
             ProblemInstance::Uniform(u) => {
                 let start = warm_start(inst, ctx);
