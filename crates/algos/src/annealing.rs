@@ -90,17 +90,19 @@
 //! whose draws are exactly `gen_range`'s but whose rejection zone is
 //! computed once per walk instead of once per draw.
 //!
-//! **Stall stop.** [`AnnealConfig::stall_sweeps`] (off by default) ends the
-//! walk, in either phase, once `stall_sweeps` neighbourhoods' worth of
-//! proposals in a row — `stall_sweeps · (m−1)(n + min(n, m·K))`, the unit
-//! the frozen exit's patience uses — pass without a new best. Unlike the
-//! frozen exit it can change the answer: a walk that would still have
-//! improved its best after the window returns the best seen so far. It
-//! stops exactly one window after its last new best (or after its start),
-//! and returns the same schedule, `accepted` and `improvements` as the
-//! walk without the stop given exactly that many iterations. The window
-//! is folded into the loop bound, so it costs the proposal loop nothing;
-//! [`AnnealResult::exit`] says which exit ended the walk.
+//! **Stall stop.** Every walk ends, in either phase, once 256
+//! neighbourhoods' worth of proposals in a row — `256 · (m−1)(n + min(n,
+//! m·K))`, the unit the frozen exit's patience uses — pass without a new
+//! best. Unlike the frozen exit it can change the answer: a walk that
+//! would still have improved its best after the window returns the best
+//! seen so far. It stops exactly one window after its last new best (or
+//! after its start), with the schedule, `accepted` and `improvements` of
+//! the same walk cut at that iteration. The window is 79 872 proposals at
+//! n=48, m=5, K=6, where it ends most of the served race's 400 000-proposal
+//! walks at a quarter of their length, and 2.2 M at n=800, m=10, K=16,
+//! beyond any walk run there. It is folded into the loop bound, so it costs
+//! the proposal loop nothing; [`AnnealResult::exit`] says which exit ended
+//! the walk.
 //!
 //! ```
 //! use sst_algos::annealing::{anneal_uniform, AnnealConfig};
@@ -139,6 +141,10 @@ const CANCEL_CHECK_MASK: usize = 0xFF;
 /// 1/16 of the rejected proposals they follow.
 const FROZEN_PATIENCE: usize = 16;
 
+/// Proposals in a row without a new best, in multiples of the
+/// neighbourhood size, before the stall stop ends the walk (module docs).
+const STALL_SWEEPS: usize = 256;
+
 /// `f64::exp` returns exactly `0.0` below about -745.2, so a worsening
 /// proposal whose Metropolis exponent `-delta / temp` is under this can
 /// never pass `u < exp(-delta / temp)`, not even for `u == 0.0`; the loop
@@ -162,11 +168,6 @@ pub struct AnnealConfig {
     pub class_move_prob: f64,
     /// RNG seed (the run is a pure function of instance, start and config).
     pub seed: u64,
-    /// Stall stop (module docs): end the walk once this many
-    /// neighbourhoods' worth of proposals in a row pass without a new
-    /// best. `None` runs until `iterations`, a frozen state or the cancel
-    /// token.
-    pub stall_sweeps: Option<u32>,
 }
 
 impl Default for AnnealConfig {
@@ -177,7 +178,6 @@ impl Default for AnnealConfig {
             cooling: 0.9995,
             class_move_prob: 0.25,
             seed: 0,
-            stall_sweeps: None,
         }
     }
 }
@@ -215,7 +215,7 @@ pub enum AnnealExit {
     /// No later proposal could be accepted (module docs), or the instance
     /// has no move at all (no job, or a single machine).
     Frozen,
-    /// [`AnnealConfig::stall_sweeps`]' window passed without a new best.
+    /// The stall stop's window (module docs) passed without a new best.
     Stalled,
     /// The cancel token fired.
     Cancelled,
@@ -267,7 +267,7 @@ pub fn anneal_budgeted<M: MachineModel>(
     let patience = if cools { FROZEN_PATIENCE * neighbourhood } else { usize::MAX };
     // Proposals in a row without a new best before the stall stop, folded
     // into the loop bound: `limit` moves on with every new best.
-    let window = cfg.stall_sweeps.map_or(usize::MAX, |s| neighbourhood.saturating_mul(s as usize));
+    let window = STALL_SWEEPS * neighbourhood;
     let mut limit = cfg.iterations.min(window);
     // Makespans below this may enter the plateau phase.
     let headroom = if cools && M::key_as_load(tracker.makespan()).is_some() {
@@ -337,7 +337,7 @@ pub fn anneal_budgeted<M: MachineModel>(
                     best_ms = new_ms;
                     res.schedule = tracker.schedule();
                     res.improvements += 1;
-                    limit = cfg.iterations.min(res.proposals.saturating_add(window));
+                    limit = cfg.iterations.min(res.proposals + window);
                 }
                 rejected = 0;
                 frozen = None;
@@ -382,7 +382,7 @@ pub fn anneal_budgeted<M: MachineModel>(
                     best_ms = cur_ms;
                     res.schedule = tracker.schedule();
                     res.improvements += 1;
-                    limit = cfg.iterations.min(res.proposals.saturating_add(window));
+                    limit = cfg.iterations.min(res.proposals + window);
                 }
                 rejected = 0;
             }
@@ -710,22 +710,21 @@ mod tests {
     #[test]
     fn no_exit_while_the_temperature_holds_or_rises() {
         // Every move rises by at least 8 while the temperature stays at
-        // 0.95, so a proposal passes with probability about e^-8.4: rare,
-        // but some do over the run, so no iteration may be skipped.
+        // 1.9, so a proposal passes with probability about e^-4.2: rare,
+        // but some do over the run, so no iteration may be skipped. The
+        // start is optimal, so no new best comes: the walk ends on the
+        // stall stop, one window (256 neighbourhoods of 8) after its start.
         let (inst, start) = strict_local_optimum();
-        let hold = AnnealConfig {
-            iterations: 50_000,
-            initial_temp_fraction: 0.05,
-            cooling: 1.0,
-            ..cfg(4)
-        };
+        let window = STALL_SWEEPS * 8;
+        let hold =
+            AnnealConfig { iterations: 50_000, initial_temp_fraction: 0.1, cooling: 1.0, ..cfg(4) };
         let res = anneal_uniform(&inst, &start, &hold);
-        assert_eq!(res.proposals, 50_000);
+        assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, window));
         assert!(res.accepted > 0, "a worsening move must have passed");
         // Frozen at the start, but heating: later proposals pass.
-        let heat = AnnealConfig { initial_temp_fraction: 1e-6, cooling: 1.001, ..hold };
+        let heat = AnnealConfig { initial_temp_fraction: 1e-6, cooling: 1.01, ..hold };
         let res = anneal_uniform(&inst, &start, &heat);
-        assert_eq!(res.proposals, 50_000);
+        assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, window));
         assert!(res.accepted > 0, "a heated walk must leave the optimum");
     }
 
@@ -733,7 +732,9 @@ mod tests {
     fn no_exit_on_a_zero_rise_plateau() {
         // Machine 0 holds the makespan alone; the two small jobs can move
         // between machines 1 and 2 without changing it, so some move
-        // always has a zero rise and the walk never freezes.
+        // always has a zero rise and the walk never freezes. The start is
+        // optimal, so the stall stop ends the walk one window (256
+        // neighbourhoods of 12) after its start.
         let inst = UniformInstance::identical(
             3,
             vec![0, 0],
@@ -744,7 +745,7 @@ mod tests {
         let tracker = LoadTracker::<Uniform>::new(&inst, &start).unwrap();
         assert_eq!(min_rise(&tracker, tracker.makespan(), &CancelToken::new()), None);
         let res = anneal_uniform(&inst, &start, &AnnealConfig { iterations: 50_000, ..cfg(6) });
-        assert_eq!(res.proposals, 50_000);
+        assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, STALL_SWEEPS * 12));
         assert!(res.accepted > 0);
     }
 
@@ -791,8 +792,9 @@ mod tests {
         // same f64 as 2^53: a zero delta the Metropolis loop accepts at zero
         // temperature, where the integer comparison would reject it, so the
         // guard must keep the walk out of the plateau phase. Some zero-delta
-        // move exists in every state the walk reaches, so it never freezes
-        // and runs every iteration.
+        // move exists in every state the walk reaches, so it never freezes;
+        // it finds no new best, so the stall stop ends it one window (256
+        // neighbourhoods of 6) after its start.
         let big = 1u64 << 53;
         let inst = UnrelatedInstance::new(
             2,
@@ -805,7 +807,7 @@ mod tests {
         let cold = AnnealConfig { initial_temp_fraction: 0.0, cooling: 1.0, ..cfg(8) };
         let res = anneal_unrelated(&inst, &start, &cold);
         assert_eq!(res.plateau_entry, None);
-        assert_eq!(res.proposals, cold.iterations);
+        assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, STALL_SWEEPS * 6));
         assert!(res.accepted > 0, "float-equal rises must pass");
         assert_eq!((res.improvements, &res.schedule), (0, &start));
     }
@@ -830,7 +832,6 @@ mod tests {
                 cooling: 1.0,               // never cools
                 class_move_prob: 0.0,
                 seed: 5,
-                stall_sweeps: None,
             },
         );
         // Best possible split is 10/10.

@@ -16,14 +16,17 @@
 //! exit must actually fire on the families whose walk freezes.
 //!
 //! The stall stop is the one shortcut that may change the answer, so the
-//! reference applies the same rule: with `stall_sweeps` set, the annealer
-//! must still return the reference's schedule, `accepted` and
-//! `improvements`, and stop where the reference stops. The long runs also
-//! run `AnnealSolver`'s configuration (stall stop at 256 neighbourhoods).
+//! reference applies the same rule (256 neighbourhoods' worth of
+//! iterations in a row without a new best end the walk): the annealer must
+//! return the reference's schedule, `accepted` and `improvements`, and a
+//! stalled walk must stop where the reference stops; on instances of a
+//! few jobs the window is short enough to fire inside the walk.
 //!
 //! `cargo test --release -p sst-algos --test anneal_exit -- --nocapture`
 //! prints the proposals each long run used, where its plateau phase
-//! began, and where the served configuration's stall stop fired.
+//! began, and which exit ended it.
+
+use std::ops::Range;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -41,8 +44,8 @@ use sst_gen::{scenarios, UnrelatedParams};
 
 const CANCEL_CHECK_MASK: usize = 0xFF;
 
-/// `AnnealSolver`'s stall stop, in neighbourhoods.
-const SERVED_STALL_SWEEPS: u32 = 256;
+/// The stall stop's window, in neighbourhoods.
+const STALL_SWEEPS: usize = 256;
 
 enum Proposal {
     Job(usize, usize),
@@ -50,9 +53,9 @@ enum Proposal {
 }
 
 /// The annealer without the frozen-state exit, plus the stall stop's rule
-/// (the walk ends once `stall_sweeps` neighbourhoods' worth of iterations
-/// in a row found no new best): `(schedule, accepted, improvements,
-/// iterations run)`.
+/// (the walk ends once 256 neighbourhoods' worth of iterations in a row
+/// found no new best): `(schedule, accepted, improvements, iterations
+/// run)`.
 fn reference_anneal<M: MachineModel>(
     inst: &M::Instance,
     start: &Schedule,
@@ -73,7 +76,7 @@ fn reference_anneal<M: MachineModel>(
     }
     let n = M::n(inst);
     let neighbourhood = (m - 1) * (n + n.min(m * M::num_classes(inst)));
-    let window = cfg.stall_sweeps.map_or(usize::MAX, |s| neighbourhood * s as usize);
+    let window = STALL_SWEEPS * neighbourhood;
     let mut last_best = 0usize;
     let mut ran = cfg.iterations;
     for it in 0..cfg.iterations {
@@ -147,7 +150,7 @@ fn assert_exact<M: MachineModel>(
     match got.exit {
         AnnealExit::Iterations => prop_assert_eq!(got.proposals, cfg.iterations),
         AnnealExit::Stalled => {
-            prop_assert!(cfg.stall_sweeps.is_some() && got.proposals < cfg.iterations);
+            prop_assert!(got.proposals < cfg.iterations);
             prop_assert_eq!(got.proposals, ran);
         }
         AnnealExit::Frozen => prop_assert!(got.proposals <= ran),
@@ -160,32 +163,41 @@ fn assert_exact<M: MachineModel>(
     Ok(got)
 }
 
-/// A config mixing the knobs the exit's and the plateau phase's conditions
-/// depend on: cooling at and below 1 (0.5 reaches the plateau phase within
-/// a few dozen iterations), a zero or near-zero start temperature (1e-7
-/// starts in the plateau phase), and pure job or class moves.
-fn config() -> impl Strategy<Value = AnnealConfig> {
-    (0usize..6_000, 0usize..5, 0usize..5, 0usize..3, any::<u64>()).prop_map(
+/// A config of up to `max_iterations` mixing the knobs the exit's and the
+/// plateau phase's conditions depend on: cooling at and below 1 (0.5
+/// reaches the plateau phase within a few dozen iterations), a zero or
+/// near-zero start temperature (1e-7 starts in the plateau phase), and
+/// pure job or class moves.
+fn config_of(max_iterations: usize) -> impl Strategy<Value = AnnealConfig> {
+    (0..max_iterations, 0usize..5, 0usize..5, 0usize..3, any::<u64>()).prop_map(
         |(iterations, cool, hot, mix, seed)| AnnealConfig {
             iterations,
             cooling: [1.0, 0.999, 0.99, 0.9, 0.5][cool],
             initial_temp_fraction: [0.0, 1e-7, 0.05, 0.2, 2.0][hot],
             class_move_prob: [0.0, 0.25, 1.0][mix],
             seed,
-            stall_sweeps: None,
         },
     )
 }
 
-/// [`config`] with the stall stop set to 0–5 neighbourhoods: on these
-/// instances of at most a few hundred neighbours it fires well inside
-/// the 6 000 iterations.
-fn stalled_config() -> impl Strategy<Value = AnnealConfig> {
-    (config(), 0u32..6).prop_map(|(cfg, sweeps)| AnnealConfig { stall_sweeps: Some(sweeps), ..cfg })
+fn config() -> impl Strategy<Value = AnnealConfig> {
+    config_of(6_000)
 }
 
 fn uniform_instance() -> impl Strategy<Value = UniformInstance> {
-    (vec(1u64..4, 2..5), vec(0u64..12, 1..4), vec((0usize..4, 1u64..30), 1..12)).prop_map(
+    uniform_instance_of(1..12)
+}
+
+fn unrelated_instance() -> impl Strategy<Value = UnrelatedInstance> {
+    unrelated_instance_of(1..12)
+}
+
+fn restricted_instance() -> impl Strategy<Value = UnrelatedInstance> {
+    restricted_instance_of(1..14)
+}
+
+fn uniform_instance_of(jobs: Range<usize>) -> impl Strategy<Value = UniformInstance> {
+    (vec(1u64..4, 2..5), vec(0u64..12, 1..4), vec((0usize..4, 1u64..30), jobs)).prop_map(
         |(speeds, setups, raw)| {
             let k = setups.len();
             let jobs = raw.into_iter().map(|(c, p)| Job::new(c % k, p)).collect();
@@ -196,8 +208,8 @@ fn uniform_instance() -> impl Strategy<Value = UniformInstance> {
 
 /// An unrelated instance with some infinite cells; machine 0 stays finite
 /// for every job and class so each job has a home.
-fn unrelated_instance() -> impl Strategy<Value = UnrelatedInstance> {
-    (2usize..5, 1usize..4, vec((0usize..4, vec(0u64..30, 4)), 1..12), vec(vec(0u64..12, 4), 4))
+fn unrelated_instance_of(jobs: Range<usize>) -> impl Strategy<Value = UnrelatedInstance> {
+    (2usize..5, 1usize..4, vec((0usize..4, vec(0u64..30, 4)), jobs), vec(vec(0u64..12, 4), 4))
         .prop_map(|(m, k, raw, setup_rows)| {
             let cell = |i: usize, v: u64| if i > 0 && v == 0 { INF } else { v.max(1) };
             let job_class: Vec<usize> = raw.iter().map(|&(c, _)| c % k).collect();
@@ -217,11 +229,11 @@ fn unrelated_instance() -> impl Strategy<Value = UnrelatedInstance> {
 /// machines: each cell beyond machine 0 is infinite with probability 3/4,
 /// and each setup beyond machine 0 with probability 1/4. Machine 0 stays
 /// finite for every job and class so each job has a home.
-fn restricted_instance() -> impl Strategy<Value = UnrelatedInstance> {
+fn restricted_instance_of(jobs: Range<usize>) -> impl Strategy<Value = UnrelatedInstance> {
     (
         2usize..7,
         1usize..4,
-        vec((0usize..4, 1u64..30, vec(0u8..4, 6)), 1..14),
+        vec((0usize..4, 1u64..30, vec(0u8..4, 6)), jobs),
         vec(vec(0u64..16, 6), 4),
     )
         .prop_map(|(m, k, raw, setup_rows)| {
@@ -284,12 +296,14 @@ proptest! {
         assert_exact::<Unrelated>(&inst, &start, &cfg)?;
     }
 
+    /// Instances of at most four jobs have windows of at most 10 240
+    /// iterations, so the stall stop ends most of these walks.
     #[test]
     fn stalled_walks_are_exact(
-        uniform in uniform_instance(),
-        unrelated in unrelated_instance(),
-        restricted in restricted_instance(),
-        cfg in stalled_config(),
+        uniform in uniform_instance_of(1..5),
+        unrelated in unrelated_instance_of(1..5),
+        restricted in restricted_instance_of(1..5),
+        cfg in config_of(20_000),
     ) {
         assert_exact::<Uniform>(&uniform, &greedy_uniform(&uniform), &cfg)?;
         for inst in [&unrelated, &restricted] {
@@ -300,26 +314,21 @@ proptest! {
     }
 }
 
-/// Checks that a walk under `cfg` that ended on its stall stop did so
-/// exactly one window after its last new best. Without the stop, the walk
-/// cut at the same proposal returns the same schedule, `accepted` and
-/// `improvements`; cut one window earlier, the same schedule and
-/// `improvements`; one proposal before that, one improvement fewer.
-/// Returns the stalled walk.
+/// Checks that the walk under `cfg` ended on its stall stop exactly one
+/// window after its last new best. The walk cut at the same proposal
+/// returns the same schedule, `accepted` and `improvements`; cut one
+/// window earlier, the same schedule and `improvements`; one proposal
+/// before that, one improvement fewer. Returns the stalled walk.
 fn assert_stalls_one_window_after_its_last_best<M: MachineModel>(
     inst: &M::Instance,
     start: &Schedule,
     cfg: &AnnealConfig,
 ) -> AnnealResult {
     let (n, m) = (M::n(inst), M::m(inst));
-    let window = cfg.stall_sweeps.expect("a stall stop") as usize
-        * (m - 1)
-        * (n + n.min(m * M::num_classes(inst)));
+    let window = STALL_SWEEPS * (m - 1) * (n + n.min(m * M::num_classes(inst)));
     let res = anneal::<M>(inst, start, cfg);
     assert_eq!(res.exit, AnnealExit::Stalled);
-    let cut = |iterations| {
-        anneal::<M>(inst, start, &AnnealConfig { iterations, stall_sweeps: None, ..*cfg })
-    };
+    let cut = |iterations| anneal::<M>(inst, start, &AnnealConfig { iterations, ..*cfg });
     let same = cut(res.proposals);
     assert_eq!(
         (&same.schedule, same.accepted, same.improvements),
@@ -338,16 +347,10 @@ fn assert_stalls_one_window_after_its_last_best<M: MachineModel>(
 
 #[test]
 fn a_stalled_walk_stops_one_window_after_its_last_new_best() {
-    // The served configuration on a solve-complete family, from greedy as
-    // the race warm-starts a sole annealer: the best improves early, then
-    // stalls.
+    // The served walk on a solve-complete family, from greedy as the race
+    // warm-starts a sole annealer: the best improves early, then stalls.
     let inst = scenarios::print_shop(48, 5, 6, 1);
-    let served = AnnealConfig {
-        iterations: 400_000,
-        seed: 41,
-        stall_sweeps: Some(SERVED_STALL_SWEEPS),
-        ..AnnealConfig::default()
-    };
+    let served = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
     let res = assert_stalls_one_window_after_its_last_best::<Unrelated>(
         &inst,
         &greedy_unrelated(&inst),
@@ -356,11 +359,10 @@ fn a_stalled_walk_stops_one_window_after_its_last_new_best() {
     assert!(res.improvements > 0, "greedy leaves room on print-shop");
     // A hot walk that never cools out of the Metropolis phase.
     let hot = AnnealConfig {
-        iterations: 50_000,
+        iterations: 200_000,
         initial_temp_fraction: 0.5,
         cooling: 1.0,
         seed: 3,
-        stall_sweeps: Some(1),
         ..AnnealConfig::default()
     };
     let line = scenarios::production_line(12, 3, 3, 5);
@@ -371,50 +373,41 @@ fn a_stalled_walk_stops_one_window_after_its_last_new_best() {
     );
     assert_eq!(res.plateau_entry, None);
     // No new best at all: a zero-temperature walk from the descent (ratio
-    // keys, so no plateau phase, and its frozen scan waits 16 windows)
-    // stops one window after its start.
+    // keys, so no plateau phase, and cooling above 1 turns the frozen
+    // scan off) stops one window after its start.
     let descent = improve::<Uniform>(&line, &greedy_uniform(&line), usize::MAX).schedule;
-    let cold = AnnealConfig { initial_temp_fraction: 0.0, ..hot };
+    let cold = AnnealConfig { initial_temp_fraction: 0.0, cooling: 2.0, ..hot };
     let res = assert_stalls_one_window_after_its_last_best::<Uniform>(&line, &descent, &cold);
-    assert_eq!((res.proposals, res.improvements), (2 * (12 + 9), 0));
+    assert_eq!((res.proposals, res.improvements), (STALL_SWEEPS * 2 * (12 + 9), 0));
 }
 
 /// Runs both loops for `iterations` proposals from `greedy` and from its
-/// descent, the race's usual warm starts, with the default configuration
-/// and with `AnnealSolver`'s (the same plus the stall stop). Returns the
-/// two runs from `greedy`: default, then served.
+/// descent, the race's usual warm starts. Returns the run from `greedy`.
 fn long_runs<M: MachineModel>(
     name: &str,
     inst: &M::Instance,
     greedy: &Schedule,
     iterations: usize,
-) -> [AnnealResult; 2] {
+) -> AnnealResult {
     let cfg = AnnealConfig { iterations, seed: 41, ..AnnealConfig::default() };
-    let served = AnnealConfig { stall_sweeps: Some(SERVED_STALL_SWEEPS), ..cfg };
     let descent = improve::<M>(inst, greedy, usize::MAX).schedule;
-    let runs = |cfg: &AnnealConfig| {
-        [("greedy", greedy), ("descent", &descent)].map(|(label, start)| {
-            assert_exact::<M>(inst, start, cfg)
-                .unwrap_or_else(|e| panic!("{name} from {label}: the answer changed: {e:?}"))
-        })
-    };
-    let [plain, plain_descent] = runs(&cfg);
-    let [stalled, stalled_descent] = runs(&served);
+    let [run, from_descent] = [("greedy", greedy), ("descent", &descent)].map(|(label, start)| {
+        assert_exact::<M>(inst, start, &cfg)
+            .unwrap_or_else(|e| panic!("{name} from {label}: the answer changed: {e:?}"))
+    });
     let entry = |r: &AnnealResult| r.plateau_entry.map_or("-".to_string(), |e| e.to_string());
     println!(
-        "{name:<22} proposals {:>6} from greedy, {:>6} from the descent, of {}; \
+        "{name:<22} proposals {:>6} ({:?}) from greedy, {:>6} ({:?}) from the descent, of {}; \
          plateau from {} / {}",
-        plain.proposals,
-        plain_descent.proposals,
+        run.proposals,
+        run.exit,
+        from_descent.proposals,
+        from_descent.exit,
         cfg.iterations,
-        entry(&plain),
-        entry(&plain_descent),
+        entry(&run),
+        entry(&from_descent),
     );
-    println!(
-        "{:<22} served: {:>6} ({:?}) from greedy, {:>6} ({:?}) from the descent",
-        "", stalled.proposals, stalled.exit, stalled_descent.proposals, stalled_descent.exit,
-    );
-    [plain, stalled]
+    run
 }
 
 #[test]
@@ -431,15 +424,14 @@ fn long_runs_on_the_solve_complete_families_exit_exactly() {
     ];
     let mut fired = 0;
     for (name, inst) in &families {
-        let [plain, _] = long_runs::<Unrelated>(name, inst, &greedy_unrelated(inst), 400_000);
-        if plain.exit == AnnealExit::Frozen {
+        let run = long_runs::<Unrelated>(name, inst, &greedy_unrelated(inst), 400_000);
+        if run.exit == AnnealExit::Frozen {
             fired += 1;
         }
     }
     assert!(fired >= 3, "the frozen exit fired on only {fired} of 4 families");
     let line = scenarios::production_line(n, m, k, 15);
-    let [uniform, _] =
-        long_runs::<Uniform>("production-line", &line, &greedy_uniform(&line), 400_000);
+    let uniform = long_runs::<Uniform>("production-line", &line, &greedy_uniform(&line), 400_000);
     assert_eq!(uniform.plateau_entry, None, "ratio keys stay in the Metropolis loop");
     let cdn = scenarios::cdn_transcode(n, m, k, 16);
     long_runs::<Splittable>("cdn-transcode", &cdn, &greedy_unrelated(&cdn), 400_000);
@@ -448,9 +440,9 @@ fn long_runs_on_the_solve_complete_families_exit_exactly() {
 #[test]
 fn a_long_run_at_the_solve_deadline_shape_is_exact() {
     let shop = scenarios::print_shop(800, 10, 16, 17);
-    let [run, served] =
+    let run =
         long_runs::<Unrelated>("print-shop 800x10x16", &shop, &greedy_unrelated(&shop), 100_000);
     assert!(run.plateau_entry.is_some(), "the walk must reach the plateau phase");
-    // The served window (2.2 M proposals at this shape) is beyond the walk.
-    assert_eq!((served.proposals, served.exit), (run.proposals, run.exit));
+    // The stall window (2.2 M proposals at this shape) is beyond the walk.
+    assert_eq!((run.proposals, run.exit), (100_000, AnnealExit::Iterations));
 }

@@ -10,16 +10,13 @@
 //! proposals) from the descent of the greedy schedule on the five integral
 //! solve-complete families at 48×5×6, 16 instances each, and prints per
 //! family the mean µs per anneal, the nanoseconds per proposal, the
-//! proposals run, the plateau phase's mean entry iteration (over the walks
-//! that entered it, and how many did), its share of the proposals and its
-//! accept rate, and an FNV-1a digest of every answer (schedule,
-//! `accepted`, `improvements`). Read the µs per anneal first: a walk that
-//! stops earlier raises ns/proposal without costing more. Timing is
-//! reported, not gated; the digest must not change unless the walk itself
-//! is meant to. Under each family's line, an `anneal_served` line runs
-//! the same walks with `AnnealSolver`'s configuration (the same plus the
-//! stall stop) and prints the µs per anneal, the proposals run, how many
-//! walks the stall stop ended, and the digest of those answers.
+//! proposals run, how many walks the stall stop ended, the plateau phase's
+//! mean entry iteration (over the walks that entered it, and how many
+//! did), its share of the proposals and its accept rate, and an FNV-1a
+//! digest of every answer (schedule, `accepted`, `improvements`). Read the
+//! µs per anneal first: a walk that stops earlier raises ns/proposal
+//! without costing more. Timing is reported, not gated; the digest must
+//! not change unless the walk itself is meant to.
 //!
 //! The race-prologue row times the serial work before a served race's
 //! members start — feature extraction and the model's greedy floor — on
@@ -38,7 +35,6 @@ use sst_core::model::{MachineModel, Uniform, Unrelated};
 use sst_core::schedule::Schedule;
 use sst_core::wire::fnv1a64;
 use sst_gen::{scenarios, SetupWeight, UnrelatedParams};
-use sst_portfolio::solver::AnnealSolver;
 use sst_portfolio::{extract_features, ProblemInstance};
 
 fn params(n: usize, m: usize, k: usize) -> UnrelatedParams {
@@ -116,24 +112,21 @@ impl AnnealRow {
     }
 }
 
-/// Anneals `inst` from the descent of `greedy`, as the race does, once
-/// with the default configuration (400 000 proposals) into `row` and once
-/// with the served one into `served`.
-fn anneal_both<M: MachineModel>(
+/// Anneals `inst` from the descent of `greedy`, as the race does, into
+/// `row`.
+fn anneal_from_descent<M: MachineModel>(
     row: &mut AnnealRow,
-    served: &mut AnnealRow,
     inst: &M::Instance,
     greedy: &Schedule,
 ) {
     let start = improve::<M>(inst, greedy, usize::MAX).schedule;
     let cfg = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
     row.run::<M>(inst, &start, &cfg);
-    served.run::<M>(inst, &start, &AnnealSolver::config(41));
 }
 
 fn anneal_row(_c: &mut Criterion) {
     let (n, m, k) = (48, 5, 6);
-    let (mut all, mut all_served) = (Vec::new(), Vec::new());
+    let mut all = Vec::new();
     for family in [
         "production-line",
         "compute-cluster",
@@ -141,11 +134,11 @@ fn anneal_row(_c: &mut Criterion) {
         "ci-build-farm",
         "unrelated-correlated",
     ] {
-        let (mut row, mut served) = (AnnealRow::default(), AnnealRow::default());
+        let mut row = AnnealRow::default();
         for seed in 1..=ANNEAL_INSTANCES {
             if family == "production-line" {
                 let inst = scenarios::production_line(n, m, k, seed);
-                anneal_both::<Uniform>(&mut row, &mut served, &inst, &greedy_uniform(&inst));
+                anneal_from_descent::<Uniform>(&mut row, &inst, &greedy_uniform(&inst));
                 continue;
             }
             let inst = match family {
@@ -154,15 +147,18 @@ fn anneal_row(_c: &mut Criterion) {
                 "ci-build-farm" => scenarios::ci_build_farm(n, m, k, seed),
                 _ => sst_gen::unrelated(&UnrelatedParams { n, m, k, seed, ..Default::default() }),
             };
-            anneal_both::<Unrelated>(&mut row, &mut served, &inst, &greedy_unrelated(&inst));
+            anneal_from_descent::<Unrelated>(&mut row, &inst, &greedy_unrelated(&inst));
         }
         let ratio = |a: usize, b: usize| a as f64 / b.max(1) as f64;
         println!(
             "anneal_400k/{family:<22} {:>8.1} us/anneal  {:>6.1} ns/proposal  proposals {:>8}  \
-             plateau entry {:>7.0} ({:>2}/{}) share {:>5.1} %  accept {:>5.2} %  digest {:016x}",
+             stalled {:>2}/{}  plateau entry {:>7.0} ({:>2}/{}) share {:>5.1} %  \
+             accept {:>5.2} %  digest {:016x}",
             row.nanos as f64 / 1e3 / row.anneals.max(1) as f64,
             row.nanos as f64 / row.proposals.max(1) as f64,
             row.proposals,
+            row.stalled,
+            row.anneals,
             ratio(row.plateau_entries, row.plateau_walks),
             row.plateau_walks,
             row.anneals,
@@ -170,20 +166,9 @@ fn anneal_row(_c: &mut Criterion) {
             100.0 * ratio(row.plateau_accepted, row.plateau_proposals),
             fnv1a64(&row.digest),
         );
-        println!(
-            "anneal_served/{family:<20} {:>8.1} us/anneal  proposals {:>8}  stalled {:>2}/{}  \
-             digest {:016x}",
-            served.nanos as f64 / 1e3 / served.anneals.max(1) as f64,
-            served.proposals,
-            served.stalled,
-            served.anneals,
-            fnv1a64(&served.digest),
-        );
         all.extend_from_slice(&row.digest);
-        all_served.extend_from_slice(&served.digest);
     }
     println!("anneal_400k/all-families digest {:016x}", fnv1a64(&all));
-    println!("anneal_served/all-families digest {:016x}", fnv1a64(&all_served));
 }
 
 fn race_prologue_row(_c: &mut Criterion) {

@@ -1102,14 +1102,12 @@ pub fn drive_connection<R: std::io::BufRead>(
             buf[0]
         };
         if first == MAGIC[0] {
-            let header = read_up_to(reader, HEADER_LEN);
-            if header.len() < HEADER_LEN {
+            let mut header = [0u8; HEADER_LEN];
+            let got = read_full(reader, &mut header);
+            if got < HEADER_LEN {
                 // EOF (or a dead socket) inside a header: answer what can
                 // still be answered and end the connection.
-                svc.frame_error(
-                    out,
-                    &WireError::Truncated { needed: HEADER_LEN, got: header.len() },
-                );
+                svc.frame_error(out, &WireError::Truncated { needed: HEADER_LEN, got });
                 return Ok(());
             }
             let parsed = match FrameHeader::parse(&header) {
@@ -1123,8 +1121,9 @@ pub fn drive_connection<R: std::io::BufRead>(
                     continue;
                 }
             };
-            // The claimed length is only a bound: the buffer grows as bytes
-            // arrive, so a header alone cannot make the server allocate.
+            // The claimed length is only a bound: past 64 KiB the buffer
+            // grows as bytes arrive, so a header alone cannot make the
+            // server allocate much.
             let needed = parsed.len as usize;
             let payload = read_up_to(reader, needed);
             if payload.len() < needed {
@@ -1159,11 +1158,27 @@ pub fn drive_connection<R: std::io::BufRead>(
     }
 }
 
-/// Reads up to `len` bytes, fewer at EOF or on a read error, into a buffer
-/// that grows as they arrive.
+/// Reads into `buf` until it is full, at EOF or on a read error; returns
+/// the bytes read.
+fn read_full<R: std::io::Read>(reader: &mut R, buf: &mut [u8]) -> usize {
+    let mut got = 0;
+    while got < buf.len() {
+        match reader.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(k) => got += k,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    got
+}
+
+/// Reads up to `len` bytes, fewer at EOF or on a read error. The buffer
+/// starts at `len` or 64 KiB, whichever is smaller, and grows as bytes
+/// arrive.
 fn read_up_to<R: std::io::Read>(reader: &mut R, len: usize) -> Vec<u8> {
     use std::io::Read as _;
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(len.min(64 << 10));
     // An error leaves the bytes read before it in `buf`; the short length
     // reports it.
     let _ = reader.take(len as u64).read_to_end(&mut buf);

@@ -455,18 +455,6 @@ impl Solver for LocalSearchSolver {
 /// m=10, K=16 it is 2.2 M, beyond the 400 000 cap.
 pub struct AnnealSolver;
 
-impl AnnealSolver {
-    /// The served walk's configuration for solver seed `seed`.
-    pub fn config(seed: u64) -> AnnealConfig {
-        AnnealConfig {
-            iterations: 400_000,
-            seed,
-            stall_sweeps: Some(256),
-            ..AnnealConfig::default()
-        }
-    }
-}
-
 impl Solver for AnnealSolver {
     fn name(&self) -> &'static str {
         "anneal"
@@ -477,7 +465,7 @@ impl Solver for AnnealSolver {
     }
 
     fn solve(&self, inst: &ProblemInstance, ctx: &SolveContext<'_>) -> Option<Outcome> {
-        let cfg = Self::config(ctx.seed);
+        let cfg = AnnealConfig { iterations: 400_000, seed: ctx.seed, ..AnnealConfig::default() };
         let schedule = match inst {
             ProblemInstance::Uniform(u) => {
                 let start = warm_start(inst, ctx);
