@@ -4,13 +4,13 @@
 //!
 //! Section 1 (gated): concurrent lanes appending journal records under
 //! `--durability fsync` — the regime group commit exists for. The same
-//! workload runs through the committer capped at one record per batch
+//! workload runs with leaders capped at one record per batch
 //! (`journal_batch = 1`, one write + one fsync per record) and at 128
-//! (the committer coalesces whatever is pending into one write + one
+//! (each leader coalesces whatever is pending into one write + one
 //! fsync per batch). Both sides are best-of-[`TIMING_REPEATS`]; the CI
 //! gate requires grouped throughput ≥ 2× the batch-1 baseline —
-//! conservative, since each blocked appender lets the others enqueue,
-//! so real batches form even on a single core.
+//! conservative, since records pile up while a leader is inside its
+//! fsync, so real batches form even on a single core.
 //!
 //! Section 2 (direction gate): a read-heavy session workload against a
 //! global store (1 shard) vs a sharded store (8 shards). Every read and

@@ -428,212 +428,132 @@ fn close_without_notify_hangs_the_drainer() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 5: group-commit journal handoff (durable.rs append /
-// committer_loop). Appenders enqueue a record, wake the committer and wait
-// until their seq is durable; the committer drains a batch, writes it
-// outside the state lock, then publishes durable_seq and notifies. Two
-// properties, each pinned by a deliberately broken variant:
-//   (1) write-ahead — no appender releases its response before its own
-//       record is durable (a single `if`-wait instead of the `while` loop
-//       releases on a foreign batch's wakeup);
-//   (2) shutdown drains — the committer must commit the in-flight batch
-//       before exiting (returning on `shutdown` with records still
-//       pending strands every waiter).
-// The last appender to enqueue raises `shutdown` *before* waiting, so the
-// flag always races the in-flight batch — the exact graceful-shutdown
-// scenario the serve path must survive.
+// Model 5: leader/follower group commit (durable.rs `DurableStore::append`).
+// Each appender enqueues its record under the state lock. With no commit in
+// flight it becomes the leader: it takes up to `cap` pending records,
+// writes them outside the lock, then publishes `durable` (or, on a failed
+// write, poisons the store and drops what is still pending), clears its
+// `committing` flag and wakes every waiter. Otherwise it waits on `done` and
+// re-checks, leading the next batch itself if its record is still pending.
+// Three appenders, so a leader commits its followers' records and
+// leadership is handed on. Properties: (1) write-ahead — an appender is
+// acknowledged only if its own record was written; (2) every appender
+// returns — a stranded one shows up as a deadlock. Waiters check coverage
+// (`durable`) before the poison, which is sound because a poisoned store
+// never advances `durable`. The broken variants pin the shape of the code:
+//   * an `if`-wait releases an appender on a foreign batch's wakeup;
+//   * per-batch failure bookkeeping (remember the failed batch's last seq
+//     and keep committing): a waiter that sleeps through the failure wakes
+//     to a later batch's `durable`, which covers its lost record;
+//   * a leader that returns its write error straight away (through `?`)
+//     leaves its flag set and never wakes the followers parked on it;
+//   * a leader that clears its flag but skips the wakeup strands them too.
 // ---------------------------------------------------------------------------
+
+/// Which protocol the appenders run.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Commit {
+    /// durable.rs: `while`-wait, fail-stop poison, flag cleared and every
+    /// waiter woken after each batch.
+    Fixed,
+    /// Broken: release after a single wait.
+    IfWait,
+    /// Broken: record `failed_batch_seq` for a failed batch and carry on.
+    PerBatchSeq,
+    /// Broken: a failed leader returns at once, flag set, nobody woken.
+    ReturnsEarly,
+    /// Broken: a failed leader clears its flag but wakes nobody.
+    SkipsNotify,
+}
 
 struct CommitSt {
     assigned: u64,
     durable: u64,
     pending: Vec<u64>,
-    shutdown: bool,
+    committing: bool,
+    /// Records that actually reached the file.
+    written: Vec<u64>,
+    poisoned: bool,
+    failed_batch_seq: u64,
 }
 
+/// Runs the model with batches of at most `cap` records; the write of the
+/// batch holding record `failing` (if any) fails.
 fn group_commit_model(
     strategy: Strategy,
-    single_wait: bool,
-    drain_on_shutdown: bool,
+    cap: usize,
+    failing: Option<u64>,
+    protocol: Commit,
 ) -> Result<sst_check::sched::Stats, Box<sst_check::sched::Failure>> {
     explore(strategy, move |run| {
         let st = Arc::new(VMutex::new(CommitSt {
             assigned: 0,
             durable: 0,
             pending: Vec::new(),
-            shutdown: false,
-        }));
-        let work = Arc::new(VCondvar::new()); // appender → committer
-        let done = Arc::new(VCondvar::new()); // committer → appenders
-
-        for name in ["appender-a", "appender-b"] {
-            let (st, work, done) = (Arc::clone(&st), Arc::clone(&work), Arc::clone(&done));
-            run.spawn(name, move || {
-                let mut g = st.lock();
-                g.assigned += 1;
-                let seq = g.assigned;
-                g.pending.push(seq);
-                if seq == 2 {
-                    // Shutdown races the in-flight batch.
-                    g.shutdown = true;
-                }
-                work.notify_all();
-                if single_wait {
-                    // Broken: a wakeup for someone else's batch releases us.
-                    if g.durable < seq {
-                        done.wait(&mut g);
-                    }
-                } else {
-                    while g.durable < seq {
-                        done.wait(&mut g);
-                    }
-                }
-                // The write-ahead contract, checked at response release.
-                assert!(g.durable >= seq, "response released before its record is durable");
-            });
-        }
-        {
-            let (st, work, done) = (Arc::clone(&st), Arc::clone(&work), Arc::clone(&done));
-            run.spawn("committer", move || loop {
-                let batch = {
-                    let mut g = st.lock();
-                    loop {
-                        if !drain_on_shutdown && g.shutdown {
-                            // Broken: exit on shutdown with records pending.
-                            return;
-                        }
-                        if !g.pending.is_empty() {
-                            break;
-                        }
-                        if g.shutdown {
-                            assert_eq!(g.durable, g.assigned, "shutdown drained every record");
-                            return;
-                        }
-                        work.wait(&mut g);
-                    }
-                    // Batch cap 1: each record commits alone, so one
-                    // appender's wakeup can precede the other's commit.
-                    vec![g.pending.remove(0)]
-                };
-                yield_now(); // the coalesced write + fsync, outside the lock
-                let mut g = st.lock();
-                g.durable = *batch.last().unwrap();
-                done.notify_all();
-            });
-        }
-    })
-}
-
-#[test]
-#[ignore = "exhaustive, 30-250 s in debug; CI runs it in release with --include-ignored"]
-fn group_commit_releases_only_durable_responses() {
-    let stats = group_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, false, true)
-        .expect("write-ahead + drain-on-shutdown hold in every schedule");
-    assert!(stats.complete, "exhaustive space must be fully enumerated");
-}
-
-#[test]
-fn group_commit_random_walks_for_ci() {
-    group_commit_model(Strategy::Random { seed: 0x5357, walks: 200 }, false, true)
-        .expect("seeded walks agree with the exhaustive pass");
-}
-
-#[test]
-fn single_wait_release_breaks_the_durable_contract() {
-    let failure = group_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, true, true)
-        .expect_err("some schedule wakes an appender on a foreign batch");
-    assert!(
-        matches!(failure.kind, FailureKind::Panic { .. } | FailureKind::Deadlock { .. }),
-        "early release trips the release-time assert (or strands a waiter): {failure}"
-    );
-}
-
-#[test]
-fn committer_exit_without_drain_strands_appenders() {
-    let failure =
-        group_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, false, false)
-            .expect_err("exiting with a non-empty batch must deadlock some schedule");
-    match &failure.kind {
-        FailureKind::Deadlock { blocked } => assert!(
-            blocked.iter().any(|t| t.starts_with("appender")),
-            "an appender waits forever on its lost record: {failure}"
-        ),
-        other => panic!("expected a deadlock, got {other:?}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Model 5, failure path: the committer's first batch write fails. Property:
-// an appender is acknowledged only if its own record was written. The fixed
-// protocol is fail-stop — the failure poisons the store, every later batch
-// is refused unwritten, and waiters check coverage (`durable`) before the
-// poison, which is sound because a poisoned store never advances `durable`.
-// The broken variant is the earlier per-batch bookkeeping: remember the
-// failed batch's last seq and keep committing. A waiter that sleeps through
-// the failure then wakes to a later batch's `durable`, which covers its
-// seq, and is acknowledged for a record that never reached the file.
-// ---------------------------------------------------------------------------
-
-/// How the committer treats a failed batch write.
-#[derive(Clone, Copy)]
-enum OnFailure {
-    /// durable.rs: poison the store, refuse every later batch.
-    Poison,
-    /// Broken: record `failed_batch_seq` for the batch and carry on.
-    PerBatchSeq,
-}
-
-struct FailSt {
-    assigned: u64,
-    durable: u64,
-    pending: Vec<u64>,
-    /// Records that actually reached the file.
-    written: Vec<u64>,
-    poisoned: bool,
-    failed_batch_seq: u64,
-    shutdown: bool,
-}
-
-fn failing_commit_model(
-    strategy: Strategy,
-    on_failure: OnFailure,
-) -> Result<sst_check::sched::Stats, Box<sst_check::sched::Failure>> {
-    explore(strategy, move |run| {
-        let st = Arc::new(VMutex::new(FailSt {
-            assigned: 0,
-            durable: 0,
-            pending: Vec::new(),
+            committing: false,
             written: Vec::new(),
             poisoned: false,
             failed_batch_seq: 0,
-            shutdown: false,
         }));
-        let work = Arc::new(VCondvar::new());
         let done = Arc::new(VCondvar::new());
 
-        for name in ["appender-a", "appender-b"] {
-            let (st, work, done) = (Arc::clone(&st), Arc::clone(&work), Arc::clone(&done));
+        for name in ["appender-a", "appender-b", "appender-c"] {
+            let (st, done) = (Arc::clone(&st), Arc::clone(&done));
             run.spawn(name, move || {
                 let mut g = st.lock();
+                if g.poisoned {
+                    return; // refused before enqueueing
+                }
                 g.assigned += 1;
                 let seq = g.assigned;
                 g.pending.push(seq);
-                if seq == 2 {
-                    g.shutdown = true;
-                }
-                work.notify_all();
                 let acked = loop {
                     if g.durable >= seq {
                         break true;
                     }
-                    let refused = match on_failure {
-                        OnFailure::Poison => g.poisoned,
-                        OnFailure::PerBatchSeq => g.failed_batch_seq >= seq,
+                    let refused = match protocol {
+                        Commit::PerBatchSeq => g.failed_batch_seq >= seq,
+                        _ => g.poisoned,
                     };
                     if refused {
                         break false;
                     }
-                    done.wait(&mut g);
+                    if g.committing {
+                        done.wait(&mut g);
+                        if protocol == Commit::IfWait {
+                            break true;
+                        }
+                        continue;
+                    }
+                    // Lead: this record is still pending, so the batch is
+                    // never empty.
+                    g.committing = true;
+                    let take = g.pending.len().min(cap);
+                    let batch: Vec<u64> = g.pending.drain(..take).collect();
+                    let last = batch[batch.len() - 1];
+                    drop(g);
+                    yield_now(); // the coalesced write + flush/fsync, outside the lock
+                    let failed = failing.is_some_and(|f| batch.contains(&f));
+                    if failed && protocol != Commit::PerBatchSeq {
+                        // `with_writer` poisons the store in its own tenure.
+                        st.lock().poisoned = true;
+                        if protocol == Commit::ReturnsEarly {
+                            return;
+                        }
+                    }
+                    g = st.lock();
+                    if !failed {
+                        g.written.extend(&batch);
+                        g.durable = last;
+                    } else if protocol == Commit::PerBatchSeq {
+                        g.failed_batch_seq = last;
+                    } else {
+                        g.pending.clear();
+                    }
+                    g.committing = false;
+                    if !(failed && protocol == Commit::SkipsNotify) {
+                        done.notify_all();
+                    }
                 };
                 if acked {
                     assert!(
@@ -643,56 +563,65 @@ fn failing_commit_model(
                 }
             });
         }
-        {
-            let (st, work, done) = (Arc::clone(&st), Arc::clone(&work), Arc::clone(&done));
-            run.spawn("committer", move || loop {
-                let seq = {
-                    let mut g = st.lock();
-                    while g.pending.is_empty() {
-                        if g.shutdown {
-                            return;
-                        }
-                        work.wait(&mut g);
-                    }
-                    if g.poisoned {
-                        // Fail-stop: refuse the batch without writing it.
-                        g.pending.clear();
-                        continue;
-                    }
-                    g.pending.remove(0)
-                };
-                yield_now(); // the write attempt, outside the lock
-                let mut g = st.lock();
-                if seq == 1 {
-                    // The first batch write fails.
-                    match on_failure {
-                        OnFailure::Poison => g.poisoned = true,
-                        OnFailure::PerBatchSeq => g.failed_batch_seq = seq,
-                    }
-                } else {
-                    g.written.push(seq);
-                    g.durable = seq;
-                }
-                done.notify_all();
-            });
-        }
     })
 }
 
 #[test]
 #[ignore = "exhaustive, 30-250 s in debug; CI runs it in release with --include-ignored"]
+fn group_commit_releases_only_durable_responses() {
+    let stats = group_commit_model(
+        Strategy::Exhaustive { max_executions: 500_000 },
+        2,
+        None,
+        Commit::Fixed,
+    )
+    .expect("write-ahead holds and every appender returns in every schedule");
+    assert!(stats.complete, "exhaustive space must be fully enumerated");
+}
+
+#[test]
+fn group_commit_random_walks_for_ci() {
+    group_commit_model(Strategy::Random { seed: 0x5357, walks: 200 }, 2, None, Commit::Fixed)
+        .expect("seeded walks agree with the exhaustive pass");
+}
+
+#[test]
+fn single_wait_release_breaks_the_durable_contract() {
+    let failure = group_commit_model(
+        Strategy::Exhaustive { max_executions: 500_000 },
+        2,
+        None,
+        Commit::IfWait,
+    )
+    .expect_err("some schedule wakes an appender on a foreign batch");
+    match &failure.kind {
+        FailureKind::Panic { message, .. } => {
+            assert!(message.contains("never written"), "{failure}")
+        }
+        other => panic!("expected the acknowledgement assert, got {other:?}"),
+    }
+}
+
+#[test]
+#[ignore = "exhaustive, 30-250 s in debug; CI runs it in release with --include-ignored"]
 fn failed_commit_is_never_acknowledged() {
-    let stats =
-        failing_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, OnFailure::Poison)
-            .expect("fail-stop acknowledges only written records in every schedule");
+    let stats = group_commit_model(
+        Strategy::Exhaustive { max_executions: 500_000 },
+        1,
+        Some(2),
+        Commit::Fixed,
+    )
+    .expect("fail-stop acknowledges only written records and returns every appender");
     assert!(stats.complete, "exhaustive space must be fully enumerated");
 }
 
 #[test]
 fn per_batch_failure_mark_acknowledges_a_lost_record() {
-    let failure = failing_commit_model(
+    let failure = group_commit_model(
         Strategy::Exhaustive { max_executions: 500_000 },
-        OnFailure::PerBatchSeq,
+        1,
+        Some(2),
+        Commit::PerBatchSeq,
     )
     .expect_err("some schedule wakes the failed appender after a later commit");
     match &failure.kind {
@@ -701,4 +630,28 @@ fn per_batch_failure_mark_acknowledges_a_lost_record() {
         }
         other => panic!("expected the acknowledgement assert, got {other:?}"),
     }
+}
+
+/// A failed leader that breaks the handoff must strand a follower.
+fn assert_strands_a_follower(protocol: Commit) {
+    let failure =
+        group_commit_model(Strategy::Exhaustive { max_executions: 500_000 }, 1, Some(2), protocol)
+            .expect_err("some follower sleeps through the failed batch");
+    match &failure.kind {
+        FailureKind::Deadlock { blocked } => assert!(
+            blocked.iter().any(|t| t.starts_with("appender")),
+            "an appender waits forever on a leader that is gone: {failure}"
+        ),
+        other => panic!("expected a deadlock, got {other:?}"),
+    }
+}
+
+#[test]
+fn leader_returning_its_write_error_strands_followers() {
+    assert_strands_a_follower(Commit::ReturnsEarly);
+}
+
+#[test]
+fn leader_skipping_the_wakeup_after_a_failed_write_strands_followers() {
+    assert_strands_a_follower(Commit::SkipsNotify);
 }

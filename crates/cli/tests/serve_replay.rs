@@ -227,11 +227,11 @@ fn crash_probe_aborts_the_process_and_the_journal_replays() {
 }
 
 /// The graceful-shutdown flush pin (SIGTERM-equivalent): stdin mode under
-/// `--durability fsync`, whose appends go through the group-commit
-/// committer, closed by stdin EOF.
-/// Shutdown must drain the in-flight commit batch *before* the final
-/// checkpoint runs, so a restart recovers every session — a committer
-/// that discards its batch on exit would lose the last verbs and fail
+/// `--durability fsync`, whose appends go through group commit, closed
+/// by stdin EOF.
+/// Every acknowledged verb must be on the journal *before* the final
+/// checkpoint runs, so a restart recovers every session — a shutdown
+/// that lost a pending commit batch would lose the last verbs and fail
 /// the replay assertions below.
 #[test]
 fn stdin_eof_shutdown_flushes_the_commit_batch_under_fsync() {

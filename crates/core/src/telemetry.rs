@@ -250,8 +250,9 @@ pub mod stage {
     /// decode — so ingest cost is visible per-stage instead of folded
     /// into [`TOTAL_US`].
     pub const DECODE_US: &str = "stage.decode_us";
-    /// A lane's wait for the group committer's durability acknowledgement
-    /// (enqueue → its record's batch flushed/synced).
+    /// A lane's wait for its journal record to become durable (enqueue →
+    /// its record's batch flushed/synced, by this lane as leader or by
+    /// another).
     pub const COMMIT_WAIT_US: &str = "stage.commit_wait_us";
     /// Records per coalesced group-commit batch. Deliberately *not*
     /// `stage.`-prefixed: it counts records, not microseconds, so it must
@@ -374,7 +375,7 @@ pub enum TraceEvent {
         /// Whether the policy synced the file (`--durability fsync`).
         fsync: bool,
     },
-    /// The group committer appended one coalesced batch of journal
+    /// A group-commit leader appended one coalesced batch of journal
     /// records (one write + one flush/fsync for the whole batch).
     JournalCommit {
         /// Records in the batch.

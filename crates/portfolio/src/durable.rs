@@ -42,20 +42,23 @@
 //! power loss).
 //!
 //! **Group commit** ([`DurableStore::with_group_commit`]): appending lanes
-//! do not write the file themselves — they encode their record, enqueue
-//! it on a batch buffer with the next sequence number, and park until a
-//! dedicated *committer* thread has made it durable. The committer drains
-//! up to 64 records at a time, appends them as **one** coalesced write,
-//! pays one flush/fsync for the whole batch, then wakes every waiting
-//! lane. An appender returns (and the service responds) only after its
-//! record is on storage at the configured durability; the flush/fsync
-//! cost is amortized across every lane that joined the batch, which is
-//! what makes contended `fsync` traffic scale. Batches form naturally
-//! (records pile up while the committer is inside a flush); the builder
-//! can also cap the batch or let the committer linger for stragglers.
-//! The on-disk bytes do not depend on the batch size, so recovery is
-//! oblivious to batching — a property pinned by the differential
-//! proptests in `proptest_journal.rs`.
+//! commit the journal themselves, leader/follower style. A lane encodes
+//! its record and enqueues it on a batch buffer with the next sequence
+//! number. If no commit is in flight it becomes the *leader*: it takes up
+//! to 64 pending records, appends them as **one** coalesced write, pays
+//! one flush/fsync for the whole batch, publishes the new durable horizon
+//! and wakes every waiting lane. Otherwise it waits until a leader has
+//! made its record durable, leading the next batch itself if its record
+//! is still pending when the leader finishes. An appender returns (and
+//! the service responds) only after its record is on storage at the
+//! configured durability; the flush/fsync cost is amortized across every
+//! lane that joined the batch, which is what makes contended `fsync`
+//! traffic scale. Batches form naturally (records pile up while a leader
+//! is inside a flush); the builder can also cap the batch or let the
+//! leader linger for stragglers. No background thread exists, so nothing
+//! is ever left to drain or join. The on-disk bytes do not depend on the
+//! batch size, so recovery is oblivious to batching — a property pinned
+//! by the differential proptests in `proptest_journal.rs`.
 //!
 //! **Fail-stop.** The first failed journal write, flush or fsync poisons
 //! the store: the buffered bytes are discarded unwritten, every pending
@@ -373,54 +376,10 @@ struct CommitState {
     durable_seq: u64,
     /// The first journal IO error; once set the journal is fail-stop.
     poisoned: Option<String>,
-    /// Set by `Drop`; the committer drains `pending` and exits.
-    shutdown: bool,
-    /// Encoded records awaiting the committer, in sequence order.
+    /// A leader is writing a batch; every other appender waits on `done`.
+    committing: bool,
+    /// Encoded records awaiting a leader, in sequence order.
     pending: Vec<PendingRecord>,
-}
-
-/// State shared between appending lanes and the committer thread.
-struct CommitShared {
-    /// Guards [`CommitState`]; never held across IO and never nested with
-    /// `writer` (both are released before the other is taken).
-    state: Mutex<CommitState>,
-    /// Appenders → committer: records are pending (or shutdown was set).
-    work: Condvar,
-    /// Committer → appenders: `durable_seq` advanced or the store was
-    /// poisoned.
-    done: Condvar,
-    /// The journal file itself. Held by the committer for the coalesced
-    /// batch write and by `flush_journal`/`truncate_journal` at quiescent
-    /// points. `None` once poisoned: the writer and its buffered bytes
-    /// were discarded.
-    writer: Mutex<Option<BufWriter<File>>>,
-}
-
-impl CommitShared {
-    /// Runs `op` on the journal writer, poisoning the store on failure:
-    /// the writer is dropped with its buffer discarded (so neither a later
-    /// flush nor `Drop` can write those bytes), and every waiter is woken
-    /// to see the error. Fails without running `op` once poisoned.
-    fn with_writer(
-        &self,
-        op: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
-    ) -> std::io::Result<()> {
-        let cause = {
-            let mut slot = self.writer.lock();
-            match slot.as_mut().map(op) {
-                Some(Ok(())) => return Ok(()),
-                Some(Err(e)) => {
-                    let _ = slot.take().map(BufWriter::into_parts);
-                    format!("journal failed: {e}")
-                }
-                None => "journal closed by an earlier failure".to_string(),
-            }
-        };
-        let mut st = self.state.lock();
-        let poison = st.poisoned.get_or_insert(cause).clone();
-        self.done.notify_all();
-        Err(std::io::Error::other(poison))
-    }
 }
 
 /// Pushes the writer's bytes toward storage as far as `durability` asks.
@@ -446,16 +405,20 @@ pub struct DurableStore {
     durability: Durability,
     /// Records per coalesced commit batch.
     journal_batch: usize,
-    /// Extra time the committer may wait for stragglers on a non-full
-    /// batch; 0 = natural batching only.
-    group_commit_us: u64,
-    commit: Arc<CommitShared>,
-    /// The committer thread, spawned lazily on the first append
-    /// (after `set_telemetry` and the builders have run) and joined by
-    /// `Drop` once the batch buffer is drained.
-    committer: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Fast-path flag mirroring `committer.is_some()`.
-    committer_up: std::sync::atomic::AtomicBool,
+    /// Extra time a leader may wait for stragglers on a non-full batch;
+    /// zero = natural batching only.
+    group_commit_window: std::time::Duration,
+    /// Guards [`CommitState`]; never held across IO and never nested with
+    /// `writer` (both are released before the other is taken).
+    state: Mutex<CommitState>,
+    /// Leader → followers: `durable_seq` advanced, the store was poisoned,
+    /// or the leader stepped down.
+    done: Condvar,
+    /// The journal file itself. Held by the leader for the coalesced
+    /// batch write and by `flush_journal`/`truncate_journal` at quiescent
+    /// points. `None` once poisoned: the writer and its buffered bytes
+    /// were discarded.
+    writer: Mutex<Option<BufWriter<File>>>,
     journal_appends: AtomicU64,
     journal_bytes: AtomicU64,
     snapshots: AtomicU64,
@@ -478,24 +441,19 @@ impl DurableStore {
             journal_path,
             durability,
             journal_batch: 64,
-            group_commit_us: 0,
-            commit: Arc::new(CommitShared {
-                state: Mutex::named(
-                    "durable.commit",
-                    CommitState {
-                        assigned_seq: 0,
-                        durable_seq: 0,
-                        poisoned: None,
-                        shutdown: false,
-                        pending: Vec::new(),
-                    },
-                ),
-                work: Condvar::new(),
-                done: Condvar::new(),
-                writer: Mutex::named("durable.journal", Some(BufWriter::new(file))),
-            }),
-            committer: Mutex::named("durable.committer", None),
-            committer_up: std::sync::atomic::AtomicBool::new(false),
+            group_commit_window: std::time::Duration::ZERO,
+            state: Mutex::named(
+                "durable.commit",
+                CommitState {
+                    assigned_seq: 0,
+                    durable_seq: 0,
+                    poisoned: None,
+                    committing: false,
+                    pending: Vec::new(),
+                },
+            ),
+            done: Condvar::new(),
+            writer: Mutex::named("durable.journal", Some(BufWriter::new(file))),
             journal_appends: AtomicU64::new(0),
             journal_bytes: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
@@ -505,16 +463,15 @@ impl DurableStore {
     }
 
     /// Configures the group-commit journal writer (builder-style; call
-    /// before the first append): lanes enqueue records into batches of at
-    /// most `batch` and a committer thread pays one flush/fsync per
-    /// batch. `batch <= 1` commits every record on its own (one write and
-    /// one flush/fsync per record). `window_us > 0` lets the committer
-    /// wait that long for stragglers when a batch is not yet full;
-    /// 0 (the default) commits whatever piled up while the previous
-    /// batch was being written.
+    /// before the first append): each leader commits at most `batch`
+    /// pending records with one write and one flush/fsync. `batch <= 1`
+    /// commits every record on its own (one write and one flush/fsync per
+    /// record). `window_us > 0` lets a leader wait that long for
+    /// stragglers when its batch is not yet full; 0 (the default) commits
+    /// whatever piled up while the previous batch was being written.
     pub fn with_group_commit(mut self, batch: usize, window_us: u64) -> DurableStore {
         self.journal_batch = batch.max(1);
-        self.group_commit_us = window_us;
+        self.group_commit_window = std::time::Duration::from_micros(window_us);
         self
     }
 
@@ -536,36 +493,62 @@ impl DurableStore {
     }
 
     /// The one journal append path: encode and enqueue under the state
-    /// lock, wake the committer, park until `durable_seq` covers the
-    /// record. Returns — i.e. the verb gets acknowledged — only once the
-    /// record is on storage at the configured durability; a poisoned store
-    /// refuses it.
+    /// lock, then either lead a commit (when none is in flight) or wait
+    /// for the leader, until `durable_seq` covers the record. Returns —
+    /// i.e. the verb gets acknowledged — only once the record is on
+    /// storage at the configured durability; a poisoned store refuses it.
     fn append(&self, sid: u64, verb: VerbRef<'_>) -> std::io::Result<u64> {
         let t0 = std::time::Instant::now();
-        self.ensure_committer();
-        let (seq, bytes, wait_us) = {
-            let mut st = self.commit.state.lock();
-            let seq = st.assigned_seq + 1;
-            st.assigned_seq = seq;
-            // Encoding under the state lock keeps `pending` in sequence
-            // order — the invariant that lets the committer write any
-            // prefix of the buffer as one contiguous byte range.
-            let mut line = journal_line(seq, verb);
-            line.push('\n');
-            let bytes = line.len() as u64;
-            st.pending.push(PendingRecord { seq, line });
-            self.commit.work.notify_one();
-            let wait_t0 = std::time::Instant::now();
-            // Coverage first is sound only because poisoning freezes
-            // `durable_seq`: a covered record really is on storage.
-            while st.durable_seq < seq {
-                if let Some(poison) = &st.poisoned {
-                    return Err(std::io::Error::other(poison.clone()));
-                }
-                self.commit.done.wait(&mut st);
+        let mut st = self.state.lock();
+        if let Some(poison) = &st.poisoned {
+            return Err(std::io::Error::other(poison.clone()));
+        }
+        let seq = st.assigned_seq + 1;
+        st.assigned_seq = seq;
+        // Encoding under the state lock keeps `pending` in sequence order
+        // — the invariant that lets a leader write any prefix of the
+        // buffer as one contiguous byte range.
+        let mut line = journal_line(seq, verb);
+        line.push('\n');
+        let bytes = line.len() as u64;
+        st.pending.push(PendingRecord { seq, line });
+        let wait_t0 = std::time::Instant::now();
+        // Coverage first is sound only because poisoning freezes
+        // `durable_seq`: a covered record really is on storage.
+        while st.durable_seq < seq {
+            if let Some(poison) = &st.poisoned {
+                return Err(std::io::Error::other(poison.clone()));
             }
-            (seq, bytes, wait_t0.elapsed().as_micros() as u64)
-        };
+            if st.committing {
+                self.done.wait(&mut st);
+                continue;
+            }
+            // Lead: no commit is in flight, so this record is still
+            // pending. Take the oldest records, write them outside the
+            // state lock, publish the outcome and wake every waiter.
+            st.committing = true;
+            if !self.group_commit_window.is_zero() && st.pending.len() < self.journal_batch {
+                // One bounded linger for stragglers; an early wakeup just
+                // commits a smaller batch.
+                self.done.wait_timeout(&mut st, self.group_commit_window);
+            }
+            let take = st.pending.len().min(self.journal_batch);
+            let batch: Vec<PendingRecord> = st.pending.drain(..take).collect();
+            drop(st);
+            let wrote = self.write_batch(&batch);
+            st = self.state.lock();
+            st.committing = false;
+            match wrote {
+                // This record was pending, so the batch is never empty.
+                Ok(()) => st.durable_seq = batch[batch.len() - 1].seq,
+                // Fail-stop: `write_batch` poisoned the store; the records
+                // still pending are refused unwritten.
+                Err(_) => st.pending.clear(),
+            }
+            self.done.notify_all();
+        }
+        drop(st);
+        let wait_us = wait_t0.elapsed().as_micros() as u64;
         let fsync = self.durability == Durability::Fsync;
         let micros = t0.elapsed().as_micros() as u64;
         self.journal_appends.fetch_add(1, Ordering::Relaxed);
@@ -576,45 +559,54 @@ impl DurableStore {
         Ok(seq)
     }
 
-    /// Spawns the committer thread on first use. Lazy so the builders and
-    /// `set_telemetry` have run by the time its configuration is cloned.
-    fn ensure_committer(&self) {
-        // ordering: Acquire pairs with the Release store below so a thread
-        // seeing `true` also sees the spawned committer's side effects;
-        // the slow path re-checks under the `durable.committer` lock.
-        if self.committer_up.load(Ordering::Acquire) {
-            return;
+    /// A leader's batch: one coalesced write and one flush/fsync, then
+    /// the batch telemetry and `journal_commit` trace event. Called with
+    /// the state lock released; a failure poisons the store.
+    fn write_batch(&self, batch: &[PendingRecord]) -> std::io::Result<()> {
+        let t0 = std::time::Instant::now();
+        let buf: String = batch.iter().map(|rec| rec.line.as_str()).collect();
+        let mut sync_us = 0u64;
+        self.with_writer(|file| {
+            file.write_all(buf.as_bytes())?;
+            let sync_t0 = std::time::Instant::now();
+            sync(file, self.durability)?;
+            sync_us = sync_t0.elapsed().as_micros() as u64;
+            Ok(())
+        })?;
+        let fsync = self.durability == Durability::Fsync;
+        self.telemetry.record(stage::JOURNAL_BATCH_LEN, batch.len() as u64);
+        if fsync {
+            self.telemetry.record(stage::JOURNAL_FSYNC_US, sync_us);
         }
-        let mut slot = self.committer.lock();
-        if slot.is_none() {
-            let shared = Arc::clone(&self.commit);
-            let durability = self.durability;
-            let batch_cap = self.journal_batch;
-            let window = std::time::Duration::from_micros(self.group_commit_us);
-            let telemetry = self.telemetry.clone();
-            *slot = Some(std::thread::spawn(move || {
-                committer_loop(&shared, durability, batch_cap, window, &telemetry)
-            }));
-            // ordering: Release publishes the spawn to Acquire loads above.
-            self.committer_up.store(true, Ordering::Release);
-        }
+        self.telemetry.emit(TraceEvent::JournalCommit {
+            batch: batch.len() as u64,
+            bytes: buf.len() as u64,
+            micros: t0.elapsed().as_micros() as u64,
+            fsync,
+        });
+        Ok(())
     }
 
-    /// Blocks until every enqueued record is resolved (durable, or
-    /// refused by a poisoned store). The flush/truncate/recover quiescent
-    /// points call this so the writer lock they take next covers a
-    /// fully-drained journal.
-    fn drain_commits(&self) {
-        // ordering: Acquire pairs with the Release in `ensure_committer`;
-        // no committer means nothing was ever enqueued.
-        if !self.committer_up.load(Ordering::Acquire) {
-            return;
-        }
-        let mut st = self.commit.state.lock();
-        while st.durable_seq < st.assigned_seq && st.poisoned.is_none() {
-            self.commit.work.notify_one();
-            self.commit.done.wait(&mut st);
-        }
+    /// Runs `op` on the journal writer, poisoning the store on failure:
+    /// the writer is dropped with its buffer discarded (so no later flush
+    /// can write those bytes). Fails without running `op` once poisoned.
+    fn with_writer(
+        &self,
+        op: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let cause = {
+            let mut slot = self.writer.lock();
+            match slot.as_mut().map(op) {
+                Some(Ok(())) => return Ok(()),
+                Some(Err(e)) => {
+                    let _ = slot.take().map(BufWriter::into_parts);
+                    format!("journal failed: {e}")
+                }
+                None => "journal closed by an earlier failure".to_string(),
+            }
+        };
+        let poison = self.state.lock().poisoned.get_or_insert(cause).clone();
+        Err(std::io::Error::other(poison))
     }
 
     /// Journals an accepted `create`. Returns the record's sequence number.
@@ -675,29 +667,24 @@ impl DurableStore {
     }
 
     /// Flushes the journal to the OS (and syncs under `fsync`) — the
-    /// graceful-shutdown path for `--durability none`. Drains the commit
-    /// batch first: an in-flight batch must reach the file before the
-    /// final snapshots and the trace `sink_close` are written. Fails with
-    /// the poison error once the journal has failed.
+    /// graceful-shutdown path for `--durability none`. Every acknowledged
+    /// append has already written its record, so this covers the whole
+    /// journal. Fails with the poison error once the journal has failed.
     pub fn flush_journal(&self) -> std::io::Result<()> {
-        self.drain_commits();
         let durability = match self.durability {
             Durability::None => Durability::Flush,
             d => d,
         };
-        self.commit.with_writer(|file| sync(file, durability))
+        self.with_writer(|file| sync(file, durability))
     }
 
     /// Truncates the journal file. Only sound at quiescent points (after
     /// recovery, at graceful shutdown) once every live session has a
-    /// snapshot at least as new as every journal record. Drains the
-    /// commit batch first so no enqueued record straddles the
-    /// truncation. The sequence counter keeps running — snapshot stamps
-    /// stay comparable. Fails with the poison error once the journal has
-    /// failed.
+    /// snapshot at least as new as every journal record. The sequence
+    /// counter keeps running — snapshot stamps stay comparable. Fails with
+    /// the poison error once the journal has failed.
     pub fn truncate_journal(&self) -> std::io::Result<()> {
-        self.drain_commits();
-        self.commit.with_writer(|file| {
+        self.with_writer(|file| {
             file.flush()?;
             OpenOptions::new().write(true).truncate(true).open(&self.journal_path)?;
             *file = BufWriter::new(OpenOptions::new().append(true).open(&self.journal_path)?);
@@ -724,9 +711,6 @@ impl DurableStore {
     /// recovery before a file is changed. A snapshot that reads but does
     /// not parse counts in `snapshot_errors`.
     pub fn recover(&self) -> std::io::Result<Recovery> {
-        // Recovery runs at quiescent points, but drain defensively so the
-        // journal read below cannot miss an enqueued record.
-        self.drain_commits();
         let journal = match fs::read(&self.journal_path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -842,9 +826,9 @@ impl DurableStore {
         {
             // The next record continues past everything seen. Never lower
             // the counter: snapshots can carry seqs older than records
-            // already appended this run. The batch buffer is drained, so
-            // both horizons move together.
-            let mut st = self.commit.state.lock();
+            // already appended this run. No append is in flight at a
+            // quiescent point, so both horizons move together.
+            let mut st = self.state.lock();
             st.assigned_seq = st.assigned_seq.max(max_seq);
             st.durable_seq = st.assigned_seq;
         }
@@ -857,98 +841,6 @@ impl DurableStore {
             replay_errors,
             dropped,
         })
-    }
-}
-
-impl Drop for DurableStore {
-    /// Stops the committer: sets shutdown, wakes it, and joins. The
-    /// committer drains the batch buffer before exiting, so a gracefully
-    /// dropped store never leaves an enqueued record unwritten.
-    fn drop(&mut self) {
-        let handle = self.committer.lock().take();
-        if let Some(handle) = handle {
-            {
-                let mut st = self.commit.state.lock();
-                st.shutdown = true;
-            }
-            self.commit.work.notify_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The committer thread: drain a batch from the buffer, append it as one
-/// coalesced write with one flush/fsync, publish the new durable horizon,
-/// wake every waiting lane; repeat. Once the store is poisoned every batch
-/// is refused without touching the file. On shutdown the buffer is drained
-/// before exiting. The `state` lock is never held across the file IO and
-/// never nested with the `writer` lock.
-fn committer_loop(
-    shared: &CommitShared,
-    durability: Durability,
-    batch_cap: usize,
-    window: std::time::Duration,
-    telemetry: &Telemetry,
-) {
-    loop {
-        let batch: Vec<PendingRecord> = {
-            let mut st = shared.state.lock();
-            while st.pending.is_empty() {
-                if st.shutdown {
-                    return;
-                }
-                shared.work.wait(&mut st);
-            }
-            if st.poisoned.is_some() {
-                // Fail-stop: refuse the records unwritten. Their appenders
-                // see the poison before they would wait.
-                st.pending.clear();
-                continue;
-            }
-            if !window.is_zero() && st.pending.len() < batch_cap && !st.shutdown {
-                // One bounded linger for stragglers; a spurious or early
-                // wakeup just commits a smaller batch.
-                shared.work.wait_timeout(&mut st, window);
-            }
-            let take = st.pending.len().min(batch_cap);
-            st.pending.drain(..take).collect()
-        };
-        let Some(last) = batch.last() else { continue };
-        let last_seq = last.seq;
-        let t0 = std::time::Instant::now();
-        let mut buf = String::new();
-        for rec in &batch {
-            buf.push_str(&rec.line);
-        }
-        let mut sync_us = 0u64;
-        let wrote = shared.with_writer(|file| {
-            file.write_all(buf.as_bytes())?;
-            let sync_t0 = std::time::Instant::now();
-            sync(file, durability)?;
-            sync_us = sync_t0.elapsed().as_micros() as u64;
-            Ok(())
-        });
-        if wrote.is_err() {
-            // `with_writer` poisoned the store and woke the waiters.
-            continue;
-        }
-        {
-            let mut st = shared.state.lock();
-            st.durable_seq = last_seq;
-            shared.done.notify_all();
-        }
-        let micros = t0.elapsed().as_micros() as u64;
-        let fsync = durability == Durability::Fsync;
-        telemetry.record(stage::JOURNAL_BATCH_LEN, batch.len() as u64);
-        if fsync {
-            telemetry.record(stage::JOURNAL_FSYNC_US, sync_us);
-        }
-        telemetry.emit(TraceEvent::JournalCommit {
-            batch: batch.len() as u64,
-            bytes: buf.len() as u64,
-            micros,
-            fsync,
-        });
     }
 }
 
@@ -1277,8 +1169,8 @@ mod tests {
     fn lingering_group_commit_lands_every_record_through_flush_and_drop() {
         let dir = tmp_dir("linger");
         let path = dir.join("journal.log");
-        // A 2 ms linger: the committer waits for stragglers on every
-        // non-full batch, so concurrent appenders share batches.
+        // A 2 ms linger: each leader waits for stragglers on a non-full
+        // batch, so concurrent appenders share batches.
         let store =
             DurableStore::open(&dir, Durability::Fsync).unwrap().with_group_commit(64, 2000);
         std::thread::scope(|scope| {
@@ -1290,8 +1182,8 @@ mod tests {
         store.flush_journal().unwrap();
         let (records, tail) = scan_journal(&fs::read(&path).unwrap());
         assert_eq!((records.len(), tail), (4, None));
-        // Dropping the store stops the committer (waking it if it is
-        // lingering) and leaves every acknowledged record on the file.
+        // An acknowledged append has written its record before it
+        // returns, so dropping the store leaves every record on the file.
         store.append_close(4).unwrap();
         drop(store);
         let (records, tail) = scan_journal(&fs::read(&path).unwrap());
@@ -1334,6 +1226,37 @@ mod tests {
         assert_eq!(store.truncate_journal().unwrap_err().to_string(), first);
         assert_eq!(store.counters().journal_appends, 0, "nothing was acknowledged");
         // The discarded buffer must not be written (or panic) on drop.
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_commit_refuses_every_concurrent_appender() {
+        let dir = tmp_dir("poison-concurrent");
+        fs::create_dir_all(&dir).unwrap();
+        std::os::unix::fs::symlink("/dev/full", dir.join("journal.log")).unwrap();
+        // A 1 ms linger holds the first leader's batch open, so the other
+        // appenders are waiting on it when its write fails.
+        let store =
+            DurableStore::open(&dir, Durability::Flush).unwrap().with_group_commit(64, 1000);
+        let barrier = std::sync::Barrier::new(8);
+        let errors: Vec<String> = std::thread::scope(|scope| {
+            let lanes: Vec<_> = (1..=8u64)
+                .map(|sid| {
+                    let (store, barrier) = (&store, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        store.append_create(sid, &uniform_instance(sid)).unwrap_err().to_string()
+                    })
+                })
+                .collect();
+            lanes.into_iter().map(|lane| lane.join().unwrap()).collect()
+        });
+        // Every lane returns, each with the one poison error.
+        assert!(errors[0].contains("journal failed"), "{errors:?}");
+        assert!(errors.iter().all(|e| *e == errors[0]), "{errors:?}");
+        assert_eq!(store.counters().journal_appends, 0, "nothing was acknowledged");
         drop(store);
         let _ = fs::remove_dir_all(&dir);
     }

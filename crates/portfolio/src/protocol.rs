@@ -240,7 +240,7 @@ pub struct MetricsSummary {
     pub rps_x1000: u64,
     /// Session-store counters (live/evicted/warm-start hit rate).
     pub sessions: SessionStats,
-    /// Group-commit batches flushed by the journal committer (0 when the
+    /// Group-commit batches written by appending leaders (0 when the
     /// store is non-durable).
     pub journal_batches: u64,
     /// Median records per committed batch.

@@ -913,18 +913,14 @@ impl Service {
     /// [`crate::wire::FT_JSON`] frames unwrap to their NDJSON line here
     /// so framed JSON verbs share the line path's routing (and are, like
     /// that path, answered in NDJSON).
-    pub fn dispatch_frame(&self, frame_type: u8, payload: Vec<u8>, out: SharedWriter) {
+    pub fn dispatch_frame(&self, frame_type: u8, mut payload: Vec<u8>, out: SharedWriter) {
         if frame_type == crate::wire::FT_JSON {
-            if let Ok(text) = String::from_utf8(payload) {
-                return self.dispatch(text, out);
+            match String::from_utf8(payload) {
+                Ok(text) => return self.dispatch(text, out),
+                // Not UTF-8: keep the bytes, so the worker's decode answers
+                // the encoding error in-frame.
+                Err(e) => payload = e.into_bytes(),
             }
-            // Not UTF-8: let the worker answer the decode error in-frame.
-            return self.dispatch_to_pool(Job {
-                payload: Payload::Frame { frame_type, payload: Vec::new() },
-                out,
-                enqueued: Instant::now(),
-                id: OnceCell::new(),
-            });
         }
         let telemetry = &self.metrics.telemetry;
         if telemetry.trace().is_some() {
@@ -990,7 +986,8 @@ impl Service {
     }
 
     /// Answers an NDJSON line the connection driver refuses (one longer
-    /// than [`MAX_LINE`]) with an error line and counts it.
+    /// than [`MAX_LINE`], or one that is not UTF-8) with an error line and
+    /// counts it.
     fn line_error(&self, out: &SharedWriter, message: String) {
         self.metrics.telemetry.incr(REQUESTS_ERROR);
         write_line(out, response_to_json(&Response::Error { id: None, message }));
@@ -1147,8 +1144,12 @@ pub fn drive_connection<R: std::io::BufRead>(
                 svc.line_error(out, format!("line longer than {MAX_LINE} bytes"));
                 return Ok(());
             }
-            // A line that is not UTF-8 ends the connection.
-            let Ok(line) = String::from_utf8(bytes) else { return Ok(()) };
+            // Its newline was found, so the stream is still aligned: answer
+            // a line that is not UTF-8 and keep serving.
+            let Ok(line) = String::from_utf8(bytes) else {
+                svc.line_error(out, "request line is not UTF-8".to_string());
+                continue;
+            };
             if is_upgrade(&line) {
                 write_line(out, "{\"upgrade\": \"binary\", \"ok\": true}".to_string());
                 continue;
@@ -1900,6 +1901,41 @@ mod tests {
         assert_eq!(answer(&frame[..9]), format!("bad frame: {want}"));
     }
 
+    #[test]
+    fn a_non_utf8_json_frame_reports_its_encoding() {
+        use sst_core::wire::{encode_frame, FrameHeader, FT_JSON, HEADER_LEN};
+        let svc = Service::start(ServeConfig { workers: 1, ..Default::default() });
+        let (buffer, out) = buffer_writer();
+        let frame = encode_frame(FT_JSON, b"{\xff\xfe}");
+        drive_connection(&svc, &mut &frame[..], &out).unwrap();
+        assert_eq!(svc.shutdown().errors, 1);
+        let bytes = buffer.lock().clone();
+        let header = FrameHeader::parse(&bytes).unwrap();
+        match crate::wire::decode_response(header.frame_type, &bytes[HEADER_LEN..]) {
+            Ok(Response::Error { id: None, message }) => {
+                assert!(message.ends_with("FT_JSON payload is not UTF-8"), "{message}")
+            }
+            other => panic!("not an error frame: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_answered_and_the_connection_keeps_serving() {
+        let svc = Service::start(ServeConfig { workers: 1, ..Default::default() });
+        let (buffer, out) = buffer_writer();
+        drive_connection(&svc, &mut &b"\xff\xfe\n{\"metrics\": true}\n"[..], &out).unwrap();
+        let summary = svc.shutdown();
+        assert_eq!(summary.errors, 1);
+        let text = String::from_utf8(buffer.lock().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        let Ok(Response::Error { id: None, message }) = parse_response(lines[0]) else {
+            panic!("not an error line: {text}");
+        };
+        assert_eq!(message, "request line is not UTF-8");
+        assert!(matches!(parse_response(lines[1]), Ok(Response::Metrics(_))), "{text}");
+    }
+
     /// A tiny uniform instance whose greedy differs per sid (for traffic).
     fn small_instance(salt: u64) -> ProblemInstance {
         ProblemInstance::Uniform(
@@ -2077,8 +2113,8 @@ mod tests {
         assert!(summary.sessions.spills >= 1, "3 creates into a 2-slot store must spill");
         assert!(summary.sessions.journal_appends >= 4);
         // Group commit is on by default: every append above went through
-        // the committer, so the batch histogram must surface in metrics.
-        assert!(summary.journal_batches >= 1, "committer flushed at least one batch");
+        // a leader's batch, so the batch histogram must surface in metrics.
+        assert!(summary.journal_batches >= 1, "a leader wrote at least one batch");
         assert!(summary.journal_batch_max >= 1, "batches contain records");
 
         // Same data dir: every session — hot at shutdown or spilled — must

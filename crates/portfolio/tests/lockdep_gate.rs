@@ -153,11 +153,12 @@ fn shutdown_closes_trace_after_final_checkpoint() {
     sst_check::lockdep::assert_acyclic();
 }
 
-/// Cross-shard traffic under the sharded store + group-commit committer:
-/// sessions spread over 4 lanes/shards with a tiny capacity, so spills
-/// pick LRU victims on *other* shards (shard-lock → snapshot IO → victim
+/// Cross-shard traffic under the sharded store + group commit: sessions
+/// spread over 4 lanes/shards with a tiny capacity, so spills pick LRU
+/// victims on *other* shards (shard-lock → snapshot IO → victim
 /// shard-lock revalidation) while every journal append funnels through
-/// the `durable.commit` / `durable.journal` committer locks under fsync.
+/// the `durable.commit` / `durable.journal` locks under fsync, taken by
+/// whichever lane leads the batch.
 /// All shard guards share one lockdep name ("session.shard"), so holding
 /// two shard locks at once would record a self-edge — a cycle — and the
 /// gate would bite.

@@ -288,7 +288,7 @@ proptest! {
     }
 
     /// Concurrent lanes: threads released together by a barrier append
-    /// to one batch-64 store, so the committer sees multi-record batches.
+    /// to one batch-64 store, so leaders commit multi-record batches.
     /// Every acknowledged record is in the journal exactly once, under the
     /// seq its appender was given, and the seqs are exactly `1..=N`.
     #[test]
