@@ -90,19 +90,22 @@
 //! whose draws are exactly `gen_range`'s but whose rejection zone is
 //! computed once per walk instead of once per draw.
 //!
-//! **Stall stop.** Every walk ends, in either phase, once 256
-//! neighbourhoods' worth of proposals in a row — `256 · (m−1)(n + min(n,
-//! m·K))`, the unit the frozen exit's patience uses — pass without a new
-//! best. Unlike the frozen exit it can change the answer: a walk that
-//! would still have improved its best after the window returns the best
-//! seen so far. It stops exactly one window after its last new best (or
-//! after its start), with the schedule, `accepted` and `improvements` of
-//! the same walk cut at that iteration. The window is 79 872 proposals at
-//! n=48, m=5, K=6, where it ends most of the served race's 400 000-proposal
-//! walks at a quarter of their length, and 2.2 M at n=800, m=10, K=16,
-//! beyond any walk run there. It is folded into the loop bound, so it costs
-//! the proposal loop nothing; [`AnnealResult::exit`] says which exit ended
-//! the walk.
+//! **Stall stop.** Every walk ends, in either phase, once a window of
+//! proposals in a row passes without a new best. The window is 256
+//! neighbourhoods' worth — `256 · (m−1)(n + min(n, m·K))`, the unit the
+//! frozen exit's patience uses — capped at 80 000 proposals. Unlike the
+//! frozen exit it can change the answer: a walk that would still have
+//! improved its best after the window returns the best seen so far. It
+//! stops exactly one window after its last new best (or after its start),
+//! with the schedule, `accepted` and `improvements` of the same walk cut at
+//! that iteration. At n=48, m=5, K=6 the window is 79 872 proposals, below
+//! the cap, and it ends most of the served race's 400 000-proposal walks at
+//! a quarter of their length. The cap sets the window on every shape whose
+//! 256 sweeps exceed it: at n=800, m=10, K=16 those are 2.2 M proposals,
+//! far beyond the ~300 000 a 10 ms walk runs, and the capped window ends a
+//! walk that has stopped improving a few milliseconds after its last new
+//! best. It is folded into the loop bound, so it costs the proposal loop
+//! nothing; [`AnnealResult::exit`] says which exit ended the walk.
 //!
 //! ```
 //! use sst_algos::annealing::{anneal_uniform, AnnealConfig};
@@ -144,6 +147,11 @@ const FROZEN_PATIENCE: usize = 16;
 /// Proposals in a row without a new best, in multiples of the
 /// neighbourhood size, before the stall stop ends the walk (module docs).
 const STALL_SWEEPS: usize = 256;
+
+/// The stall stop's window in proposals at most, whatever the
+/// neighbourhood (module docs): the 256 sweeps of n=48, m=5, K=6 (79 872),
+/// rounded up.
+const STALL_MAX_PROPOSALS: usize = 80_000;
 
 /// `f64::exp` returns exactly `0.0` below about -745.2, so a worsening
 /// proposal whose Metropolis exponent `-delta / temp` is under this can
@@ -267,7 +275,7 @@ pub fn anneal_budgeted<M: MachineModel>(
     let patience = if cools { FROZEN_PATIENCE * neighbourhood } else { usize::MAX };
     // Proposals in a row without a new best before the stall stop, folded
     // into the loop bound: `limit` moves on with every new best.
-    let window = STALL_SWEEPS * neighbourhood;
+    let window = (STALL_SWEEPS * neighbourhood).min(STALL_MAX_PROPOSALS);
     let mut limit = cfg.iterations.min(window);
     // Makespans below this may enter the plateau phase.
     let headroom = if cools && M::key_as_load(tracker.makespan()).is_some() {
@@ -726,6 +734,30 @@ mod tests {
         let res = anneal_uniform(&inst, &start, &heat);
         assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, window));
         assert!(res.accepted > 0, "a heated walk must leave the optimum");
+    }
+
+    #[test]
+    fn a_large_walk_without_a_new_best_stalls_at_the_cap() {
+        // Machine 0 holds the optimal makespan of 1000 alone, and 200 unit
+        // jobs share machines 1 and 2. 256 neighbourhoods of 2·(201 + 3)
+        // are 104 448 proposals, above the cap. A zero temperature that
+        // cooling above 1 keeps (so no frozen scan runs) finds no new best,
+        // and the stall stop ends the walk at the cap.
+        let mut jobs = vec![Job::new(0, 1000)];
+        jobs.extend((0..200).map(|_| Job::new(0, 1)));
+        let inst = UniformInstance::identical(3, vec![0], jobs).unwrap();
+        let start = Schedule::new((0..201).map(|j| if j == 0 { 0 } else { 1 + j % 2 }).collect());
+        const { assert!(STALL_SWEEPS * 2 * (201 + 3) > STALL_MAX_PROPOSALS) };
+        let cold = AnnealConfig {
+            iterations: 200_000,
+            initial_temp_fraction: 0.0,
+            cooling: 2.0,
+            ..cfg(5)
+        };
+        let res = anneal_uniform(&inst, &start, &cold);
+        assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, STALL_MAX_PROPOSALS));
+        assert_eq!((res.improvements, &res.schedule), (0, &start));
+        assert!(res.accepted > 0, "zero-rise moves between machines 1 and 2 pass");
     }
 
     #[test]

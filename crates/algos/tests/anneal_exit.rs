@@ -12,15 +12,16 @@
 //! instances dense with infinite cells, next to loads whose float view
 //! rounds (2^53), and on the long runs the serve race uses (400 000
 //! iterations, from greedy and from its descent) on all six solve-complete
-//! families plus a 100 000-proposal run at the solve-deadline shape; the
-//! exit must actually fire on the families whose walk freezes.
+//! families and on two print-shop instances at the solve-deadline shape;
+//! the exit must actually fire on the families whose walk freezes.
 //!
 //! The stall stop is the one shortcut that may change the answer, so the
 //! reference applies the same rule (256 neighbourhoods' worth of
-//! iterations in a row without a new best end the walk): the annealer must
-//! return the reference's schedule, `accepted` and `improvements`, and a
-//! stalled walk must stop where the reference stops; on instances of a
-//! few jobs the window is short enough to fire inside the walk.
+//! iterations in a row, at most 80 000, without a new best end the walk):
+//! the annealer must return the reference's schedule, `accepted` and
+//! `improvements`, and a stalled walk must stop where the reference stops.
+//! On instances of a few jobs the window is short enough to fire inside
+//! the walk; at the solve-deadline shape the cap sets it.
 //!
 //! `cargo test --release -p sst-algos --test anneal_exit -- --nocapture`
 //! prints the proposals each long run used, where its plateau phase
@@ -44,8 +45,17 @@ use sst_gen::{scenarios, UnrelatedParams};
 
 const CANCEL_CHECK_MASK: usize = 0xFF;
 
-/// The stall stop's window, in neighbourhoods.
+/// The stall stop's window, in neighbourhoods, and its cap in proposals.
 const STALL_SWEEPS: usize = 256;
+const STALL_MAX_PROPOSALS: usize = 80_000;
+
+/// The stall stop's window on `inst`: 256 neighbourhoods, at most 80 000
+/// proposals.
+fn stall_window<M: MachineModel>(inst: &M::Instance) -> usize {
+    let (n, m) = (M::n(inst), M::m(inst));
+    let neighbourhood = (m - 1) * (n + n.min(m * M::num_classes(inst)));
+    (STALL_SWEEPS * neighbourhood).min(STALL_MAX_PROPOSALS)
+}
 
 enum Proposal {
     Job(usize, usize),
@@ -53,9 +63,8 @@ enum Proposal {
 }
 
 /// The annealer without the frozen-state exit, plus the stall stop's rule
-/// (the walk ends once 256 neighbourhoods' worth of iterations in a row
-/// found no new best): `(schedule, accepted, improvements, iterations
-/// run)`.
+/// (the walk ends once [`stall_window`] iterations in a row found no new
+/// best): `(schedule, accepted, improvements, iterations run)`.
 fn reference_anneal<M: MachineModel>(
     inst: &M::Instance,
     start: &Schedule,
@@ -74,9 +83,7 @@ fn reference_anneal<M: MachineModel>(
     if M::n(inst) == 0 || m < 2 {
         return (best, accepted, improvements, 0);
     }
-    let n = M::n(inst);
-    let neighbourhood = (m - 1) * (n + n.min(m * M::num_classes(inst)));
-    let window = STALL_SWEEPS * neighbourhood;
+    let window = stall_window::<M>(inst);
     let mut last_best = 0usize;
     let mut ran = cfg.iterations;
     for it in 0..cfg.iterations {
@@ -324,8 +331,7 @@ fn assert_stalls_one_window_after_its_last_best<M: MachineModel>(
     start: &Schedule,
     cfg: &AnnealConfig,
 ) -> AnnealResult {
-    let (n, m) = (M::n(inst), M::m(inst));
-    let window = STALL_SWEEPS * (m - 1) * (n + n.min(m * M::num_classes(inst)));
+    let window = stall_window::<M>(inst);
     let res = anneal::<M>(inst, start, cfg);
     assert_eq!(res.exit, AnnealExit::Stalled);
     let cut = |iterations| anneal::<M>(inst, start, &AnnealConfig { iterations, ..*cfg });
@@ -437,12 +443,35 @@ fn long_runs_on_the_solve_complete_families_exit_exactly() {
     long_runs::<Splittable>("cdn-transcode", &cdn, &greedy_unrelated(&cdn), 400_000);
 }
 
+/// `perfbench`'s instance catalogue seed and its seed mixer: entry `i` of
+/// the solve-deadline catalogue is family `i % 5` (print-shop at 2) with
+/// generator seed `derive(CATALOGUE_SEED, 1000 + i)`.
+const CATALOGUE_SEED: u64 = 0x5e7_2019;
+
+fn derive(seed: u64, salt: u64) -> u64 {
+    let mut z = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt.wrapping_add(0xD1B5_4A32_D192_ED03);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[test]
 fn a_long_run_at_the_solve_deadline_shape_is_exact() {
+    // 256 neighbourhoods are 2.2 M proposals at this shape, so the 80 000
+    // cap sets the window, and a 400 000-proposal walk from greedy stalls
+    // where the reference stalls.
     let shop = scenarios::print_shop(800, 10, 16, 17);
+    assert_eq!(stall_window::<Unrelated>(&shop), STALL_MAX_PROPOSALS);
     let run =
-        long_runs::<Unrelated>("print-shop 800x10x16", &shop, &greedy_unrelated(&shop), 100_000);
+        long_runs::<Unrelated>("print-shop 800x10x16", &shop, &greedy_unrelated(&shop), 400_000);
     assert!(run.plateau_entry.is_some(), "the walk must reach the plateau phase");
-    // The stall window (2.2 M proposals at this shape) is beyond the walk.
-    assert_eq!((run.proposals, run.exit), (100_000, AnnealExit::Iterations));
+    assert_eq!(run.exit, AnnealExit::Stalled);
+    // Catalogue entry 12, a print-shop instance whose walk from greedy
+    // finds its last new best after 20 000 proposals.
+    let late = scenarios::print_shop(800, 10, 16, derive(CATALOGUE_SEED, 1000 + 12));
+    let run =
+        long_runs::<Unrelated>("print-shop catalogue 12", &late, &greedy_unrelated(&late), 400_000);
+    assert_eq!(run.exit, AnnealExit::Stalled);
+    assert!(run.improvements > 0);
+    assert!(run.proposals - STALL_MAX_PROPOSALS > 20_000, "last new best at {}", run.proposals);
 }

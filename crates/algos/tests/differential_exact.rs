@@ -1,12 +1,14 @@
 //! Differential testing of the branch-and-bound exact solvers against
 //! brute-force enumeration (`m^n` assignments) on tiny instances. The B&B
 //! is the reference every experiment's "vs-exact" column trusts, so it
-//! gets its own oracle.
+//! gets its own oracle. The B&B's optimum is in turn the oracle for the
+//! area lower bound of `sst_core::bounds`.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sst_algos::exact::{exact_uniform, exact_unrelated};
-use sst_core::instance::{Job, UniformInstance, UnrelatedInstance};
+use sst_core::bounds::{unrelated_area_lower_bound, unrelated_area_reject, unrelated_lower_bound};
+use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};
 use sst_core::ratio::Ratio;
 use sst_core::schedule::{uniform_makespan, unrelated_makespan, Schedule};
 
@@ -77,8 +79,43 @@ fn tiny_unrelated() -> impl Strategy<Value = UnrelatedInstance> {
     )
 }
 
+/// Up to ten jobs on 1–4 machines, with infinite cells and setups beyond
+/// machine 0 (which stays finite, so every job has a home).
+fn restricted_unrelated() -> impl Strategy<Value = UnrelatedInstance> {
+    (1usize..=4, vec((0usize..3, vec(0u64..=12, 4)), 1..=10), vec(vec(0u64..=8, 4), 3)).prop_map(
+        |(m, raw, setup_rows)| {
+            let cell = |i: usize, v: u64| if i > 0 && v == 0 { INF } else { v.max(1) };
+            let job_class: Vec<usize> = raw.iter().map(|&(c, _)| c).collect();
+            let ptimes: Vec<Vec<u64>> =
+                raw.iter().map(|(_, row)| (0..m).map(|i| cell(i, row[i])).collect()).collect();
+            let setups: Vec<Vec<u64>> = setup_rows
+                .into_iter()
+                .map(|row| {
+                    (0..m).map(|i| if i > 0 && row[i] == 8 { INF } else { row[i] }).collect()
+                })
+                .collect();
+            UnrelatedInstance::new(m, job_class, ptimes, setups).expect("valid")
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn area_lower_bound_lies_between_the_max_job_bound_and_the_optimum(
+        inst in restricted_unrelated(),
+    ) {
+        let (area, max_job) = (unrelated_area_lower_bound(&inst), unrelated_lower_bound(&inst));
+        prop_assert!(area >= max_job);
+        // The smallest guess the area test cannot reject, above the max-job
+        // bound.
+        prop_assert!(!unrelated_area_reject(&inst, area));
+        prop_assert!(area == max_job || unrelated_area_reject(&inst, area - 1));
+        let opt = exact_unrelated(&inst, 1 << 22);
+        prop_assume!(opt.complete);
+        prop_assert!(area <= opt.makespan, "area bound {area} > Opt {}", opt.makespan);
+    }
 
     #[test]
     fn bb_uniform_matches_brute_force(inst in tiny_uniform()) {

@@ -18,6 +18,13 @@
 //! without costing more. Timing is reported, not gated; the digest must
 //! not change unless the walk itself is meant to.
 //!
+//! The deadline anneal row runs the same configuration from greedy, the
+//! served start at that shape, on the four unrelated solve-deadline
+//! families at 800×10×16, 16 instances each, where the stall stop's
+//! window is its 80 000-proposal cap. It prints per family the mean µs per
+//! anneal, the proposals run, how many walks the stall stop ended, the
+//! mean makespan of the answers and their digest (same digest rule).
+//!
 //! The race-prologue row times the serial work before a served race's
 //! members start — feature extraction and the model's greedy floor — on
 //! the five solve-deadline families at 800×10×16, 16 instances each, and
@@ -31,8 +38,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sst_algos::annealing::{anneal, AnnealConfig, AnnealExit};
 use sst_algos::list::{greedy_uniform, greedy_unrelated};
 use sst_algos::local_search::{improve, improve_unrelated};
+use sst_core::instance::UnrelatedInstance;
 use sst_core::model::{MachineModel, Uniform, Unrelated};
-use sst_core::schedule::Schedule;
+use sst_core::schedule::{unrelated_makespan, Schedule};
 use sst_core::wire::fnv1a64;
 use sst_gen::{scenarios, SetupWeight, UnrelatedParams};
 use sst_portfolio::{extract_features, ProblemInstance};
@@ -89,8 +97,13 @@ struct AnnealRow {
 }
 
 impl AnnealRow {
-    /// Anneals `inst` from `start` under `cfg`.
-    fn run<M: MachineModel>(&mut self, inst: &M::Instance, start: &Schedule, cfg: &AnnealConfig) {
+    /// Anneals `inst` from `start` under `cfg`; returns the answer.
+    fn run<M: MachineModel>(
+        &mut self,
+        inst: &M::Instance,
+        start: &Schedule,
+        cfg: &AnnealConfig,
+    ) -> Schedule {
         let t0 = Instant::now();
         let res = anneal::<M>(inst, start, cfg);
         self.nanos += t0.elapsed().as_nanos();
@@ -109,6 +122,23 @@ impl AnnealRow {
         for v in [res.accepted, res.improvements] {
             self.digest.extend_from_slice(&(v as u64).to_le_bytes());
         }
+        res.schedule
+    }
+}
+
+/// The race's annealer configuration.
+fn served_config() -> AnnealConfig {
+    AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() }
+}
+
+/// Instance `seed` of an unrelated scenario family ("unrelated" and
+/// "unrelated-correlated" are both the correlated generator's defaults).
+fn unrelated_family(family: &str, n: usize, m: usize, k: usize, seed: u64) -> UnrelatedInstance {
+    match family {
+        "compute-cluster" => scenarios::compute_cluster(n, m, k, seed),
+        "print-shop" => scenarios::print_shop(n, m, k, seed),
+        "ci-build-farm" => scenarios::ci_build_farm(n, m, k, seed),
+        _ => sst_gen::unrelated(&UnrelatedParams { n, m, k, seed, ..Default::default() }),
     }
 }
 
@@ -120,8 +150,7 @@ fn anneal_from_descent<M: MachineModel>(
     greedy: &Schedule,
 ) {
     let start = improve::<M>(inst, greedy, usize::MAX).schedule;
-    let cfg = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
-    row.run::<M>(inst, &start, &cfg);
+    row.run::<M>(inst, &start, &served_config());
 }
 
 fn anneal_row(_c: &mut Criterion) {
@@ -141,12 +170,7 @@ fn anneal_row(_c: &mut Criterion) {
                 anneal_from_descent::<Uniform>(&mut row, &inst, &greedy_uniform(&inst));
                 continue;
             }
-            let inst = match family {
-                "compute-cluster" => scenarios::compute_cluster(n, m, k, seed),
-                "print-shop" => scenarios::print_shop(n, m, k, seed),
-                "ci-build-farm" => scenarios::ci_build_farm(n, m, k, seed),
-                _ => sst_gen::unrelated(&UnrelatedParams { n, m, k, seed, ..Default::default() }),
-            };
+            let inst = unrelated_family(family, n, m, k, seed);
             anneal_from_descent::<Unrelated>(&mut row, &inst, &greedy_unrelated(&inst));
         }
         let ratio = |a: usize, b: usize| a as f64 / b.max(1) as f64;
@@ -171,6 +195,32 @@ fn anneal_row(_c: &mut Criterion) {
     println!("anneal_400k/all-families digest {:016x}", fnv1a64(&all));
 }
 
+fn anneal_deadline_row(_c: &mut Criterion) {
+    let (n, m, k) = (800, 10, 16);
+    let mut all = Vec::new();
+    for family in ["compute-cluster", "print-shop", "ci-build-farm", "unrelated"] {
+        let mut row = AnnealRow::default();
+        let mut makespans = 0u64;
+        for seed in 1..=ANNEAL_INSTANCES {
+            let inst = unrelated_family(family, n, m, k, seed);
+            let answer = row.run::<Unrelated>(&inst, &greedy_unrelated(&inst), &served_config());
+            makespans += unrelated_makespan(&inst, &answer).expect("the annealer keeps it valid");
+        }
+        println!(
+            "anneal_400k/{n}x{m}x{k}/{family:<16} {:>8.1} us/anneal  proposals {:>8}  \
+             stalled {:>2}/{}  mean makespan {:>8.1}  digest {:016x}",
+            row.nanos as f64 / 1e3 / row.anneals.max(1) as f64,
+            row.proposals,
+            row.stalled,
+            row.anneals,
+            makespans as f64 / row.anneals.max(1) as f64,
+            fnv1a64(&row.digest),
+        );
+        all.extend_from_slice(&row.digest);
+    }
+    println!("anneal_400k/{n}x{m}x{k}/all-families digest {:016x}", fnv1a64(&all));
+}
+
 fn race_prologue_row(_c: &mut Criterion) {
     let (n, m, k) = (800, 10, 16);
     let mut all = Vec::new();
@@ -183,20 +233,7 @@ fn race_prologue_row(_c: &mut Criterion) {
                 "production-line" => {
                     ProblemInstance::Uniform(scenarios::production_line(n, m, k, seed))
                 }
-                "compute-cluster" => {
-                    ProblemInstance::Unrelated(scenarios::compute_cluster(n, m, k, seed))
-                }
-                "print-shop" => ProblemInstance::Unrelated(scenarios::print_shop(n, m, k, seed)),
-                "ci-build-farm" => {
-                    ProblemInstance::Unrelated(scenarios::ci_build_farm(n, m, k, seed))
-                }
-                _ => ProblemInstance::Unrelated(sst_gen::unrelated(&UnrelatedParams {
-                    n,
-                    m,
-                    k,
-                    seed,
-                    ..Default::default()
-                })),
+                _ => ProblemInstance::Unrelated(unrelated_family(family, n, m, k, seed)),
             };
             let t0 = Instant::now();
             let feat = extract_features(&inst);
@@ -219,5 +256,5 @@ fn race_prologue_row(_c: &mut Criterion) {
     println!("race_prologue/{n}x{m}x{k}/all-families digest {:016x}", fnv1a64(&all));
 }
 
-criterion_group!(benches, bench, anneal_row, race_prologue_row);
+criterion_group!(benches, bench, anneal_row, anneal_deadline_row, race_prologue_row);
 criterion_main!(benches);

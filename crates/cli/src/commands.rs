@@ -11,7 +11,7 @@ use sst_algos::lpt::lpt_with_setups_makespan;
 use sst_algos::ptas::{ptas_uniform, PtasConfig};
 use sst_algos::ra::solve_ra_class_uniform;
 use sst_algos::rounding::{solve_unrelated_randomized, RoundingConfig};
-use sst_core::bounds::{uniform_lower_bound, unrelated_lower_bound};
+use sst_core::bounds::{uniform_lower_bound, unrelated_area_lower_bound, unrelated_lower_bound};
 use sst_core::io;
 use sst_core::schedule::{uniform_makespan, unrelated_makespan, Schedule};
 use sst_core::timeline::{render_gantt, render_gantt_svg, Timeline};
@@ -731,7 +731,7 @@ pub fn solve(args: &Args) -> Result<String, CliError> {
         }
         ProblemInstance::Unrelated(inst)
         | ProblemInstance::Splittable(SplittableInstance(inst)) => {
-            let lb = unrelated_lower_bound(&inst);
+            let lb = unrelated_area_lower_bound(&inst);
             let algo = if algo == "auto" { "rounding" } else { algo };
             let (sched, label, cert): (Schedule, String, Option<u64>) = match algo {
                 "rounding" => {
@@ -857,7 +857,7 @@ pub fn info(args: &Args) -> Result<String, CliError> {
                 inst.n(),
                 inst.m(),
                 inst.num_classes(),
-                unrelated_lower_bound(&inst),
+                unrelated_area_lower_bound(&inst),
             );
             out.push_str(&format!(
                 "restricted assignment: {}\nclass-uniform restrictions: {}\nclass-uniform ptimes: {}\n",
@@ -911,7 +911,7 @@ pub fn compare(args: &Args) -> Result<String, CliError> {
         }
         ProblemInstance::Unrelated(inst)
         | ProblemInstance::Splittable(SplittableInstance(inst)) => {
-            let lb = unrelated_lower_bound(&inst);
+            let lb = unrelated_area_lower_bound(&inst);
             let rr = solve_unrelated_randomized(&inst, &RoundingConfig { c: 2.0, seed });
             rows.push((
                 "rounding (Thm 3.3)".into(),

@@ -87,6 +87,31 @@ pub fn unrelated_area_reject(inst: &UnrelatedInstance, t: u64) -> bool {
     total > inst.m() as u128 * t as u128
 }
 
+/// Area lower bound for unrelated instances: the smallest `T` that
+/// [`unrelated_area_reject`] cannot reject, and never below
+/// [`unrelated_lower_bound`]. Unlike the max-job bound it grows with the
+/// total work. The test is monotone in `T` (a larger guess admits more
+/// machines per job and more capacity), so a bisection finds it between
+/// the max-job bound and [`unrelated_upper_bound`], whose schedule the
+/// conservative test never rejects.
+pub fn unrelated_area_lower_bound(inst: &UnrelatedInstance) -> u64 {
+    let mut lo = unrelated_lower_bound(inst);
+    if !unrelated_area_reject(inst, lo) {
+        return lo;
+    }
+    // Invariant: reject(lo), !reject(hi).
+    let mut hi = unrelated_upper_bound(inst);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if unrelated_area_reject(inst, mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +164,23 @@ mod tests {
         assert_eq!(unrelated_lower_bound(&inst), 3);
         let ub = unrelated_upper_bound(&inst);
         assert!(ub >= 3);
+    }
+
+    #[test]
+    fn area_lower_bound_grows_with_the_work() {
+        // Ten unit jobs on two machines: the max-job bound is 1, the area
+        // bound 5, attained by a 5/5 split.
+        let inst =
+            UnrelatedInstance::new(2, vec![0; 10], vec![vec![1, 1]; 10], vec![vec![0, 0]]).unwrap();
+        assert_eq!(unrelated_lower_bound(&inst), 1);
+        assert_eq!(unrelated_area_lower_bound(&inst), 5);
+        // One job that dominates: the max-job bound holds.
+        let big =
+            UnrelatedInstance::new(2, vec![0, 0], vec![vec![9, 9], vec![1, 1]], vec![vec![2, 2]])
+                .unwrap();
+        assert_eq!(unrelated_area_lower_bound(&big), 11);
+        let empty = UnrelatedInstance::new(2, vec![], vec![], vec![]).unwrap();
+        assert_eq!(unrelated_area_lower_bound(&empty), 0);
     }
 
     #[test]

@@ -449,10 +449,11 @@ impl Solver for LocalSearchSolver {
 /// race incumbent; it stops at the deadline, after 400 000 proposals,
 /// once its state is provably frozen (no later proposal could be
 /// accepted, so the answer is the same as running on), or once 256
-/// neighbourhoods' worth of proposals in a row found no new best (the
-/// stall stop of [`sst_algos::annealing`], which returns the best seen so
-/// far). At n=48, m=5, K=6 that window is 79 872 proposals; at n=800,
-/// m=10, K=16 it is 2.2 M, beyond the 400 000 cap.
+/// neighbourhoods' worth of proposals in a row, at most 80 000, found no
+/// new best (the stall stop of [`sst_algos::annealing`], which returns the
+/// best seen so far). At n=48, m=5, K=6 that window is 79 872 proposals;
+/// at n=800, m=10, K=16 the 80 000 cap sets it, so a deadline walk that
+/// has stopped improving ends before its budget does.
 pub struct AnnealSolver;
 
 impl Solver for AnnealSolver {
