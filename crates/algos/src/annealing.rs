@@ -91,20 +91,29 @@
 //! computed once per walk instead of once per draw.
 //!
 //! **Stall stop.** Every walk ends, in either phase, once a window of
-//! proposals in a row passes without a new best. The window is 256
-//! neighbourhoods' worth — `256 · (m−1)(n + min(n, m·K))`, the unit the
-//! frozen exit's patience uses — capped at 80 000 proposals. Unlike the
-//! frozen exit it can change the answer: a walk that would still have
-//! improved its best after the window returns the best seen so far. It
-//! stops exactly one window after its last new best (or after its start),
-//! with the schedule, `accepted` and `improvements` of the same walk cut at
-//! that iteration. At n=48, m=5, K=6 the window is 79 872 proposals, below
-//! the cap, and it ends most of the served race's 400 000-proposal walks at
-//! a quarter of their length. The cap sets the window on every shape whose
-//! 256 sweeps exceed it: at n=800, m=10, K=16 those are 2.2 M proposals,
-//! far beyond the ~300 000 a 10 ms walk runs, and the capped window ends a
-//! walk that has stopped improving a few milliseconds after its last new
-//! best. It is folded into the loop bound, so it costs the proposal loop
+//! proposals in a row passes without a new best. After a new best at
+//! proposal `p` (`p = 0` at the start) the window is
+//! `min(256 · (m−1)(n + min(n, m·K)), clamp(2p, 20 000, 80 000))`: 256
+//! neighbourhoods' worth (the unit the frozen exit's patience uses), or
+//! twice the walk's time to that best, at least 20 000 and at most 80 000
+//! proposals, whichever is smaller. A walk that found its best early has
+//! shown what it is going to find and waits little; one still improving
+//! late waits up to the cap. Unlike the frozen exit the stop can change
+//! the answer: a walk that would still have improved its best after the
+//! window returns the best seen so far. It stops exactly one window after
+//! its last new best (or after its start), with the schedule, `accepted`
+//! and `improvements` of the same walk cut at that iteration.
+//!
+//! The sweep term sets the window whenever 256 sweeps are below 20 000
+//! proposals (neighbourhoods of at most 78, every instance of a few jobs),
+//! and no window is shorter than `min(256 sweeps, 20 000)`; so those walks,
+//! and every walk of at most 20 000 proposals, end exactly where a fixed
+//! window of 256 sweeps capped at 80 000 proposals ended them. At n=48,
+//! m=5, K=6 (256 sweeps are 79 872 proposals) and at n=800, m=10, K=16
+//! (2.2 M) the doubling term sets it:
+//! a served 400 000-proposal walk whose last new best came at proposal
+//! 8 000 ends at 28 000, and one that never beats its start ends at
+//! 20 000. It is folded into the loop bound, so it costs the proposal loop
 //! nothing; [`AnnealResult::exit`] says which exit ended the walk.
 //!
 //! ```
@@ -144,13 +153,16 @@ const CANCEL_CHECK_MASK: usize = 0xFF;
 /// 1/16 of the rejected proposals they follow.
 const FROZEN_PATIENCE: usize = 16;
 
-/// Proposals in a row without a new best, in multiples of the
-/// neighbourhood size, before the stall stop ends the walk (module docs).
+/// The stall stop's window at most, in multiples of the neighbourhood
+/// size (module docs).
 const STALL_SWEEPS: usize = 256;
 
-/// The stall stop's window in proposals at most, whatever the
-/// neighbourhood (module docs): the 256 sweeps of n=48, m=5, K=6 (79 872),
-/// rounded up.
+/// The stall stop's doubling term at least: the window at the start and
+/// after a new best before proposal 10 000 (module docs).
+const STALL_MIN_PROPOSALS: usize = 20_000;
+
+/// The stall stop's doubling term at most: the window after a new best at
+/// or after proposal 40 000 (module docs).
 const STALL_MAX_PROPOSALS: usize = 80_000;
 
 /// `f64::exp` returns exactly `0.0` below about -745.2, so a worsening
@@ -273,10 +285,10 @@ pub fn anneal_budgeted<M: MachineModel>(
     // Rejections in a row before a frozen-state scan; never, when cooling
     // outside [0, 1] can make the temperature rise again.
     let patience = if cools { FROZEN_PATIENCE * neighbourhood } else { usize::MAX };
-    // Proposals in a row without a new best before the stall stop, folded
-    // into the loop bound: `limit` moves on with every new best.
-    let window = (STALL_SWEEPS * neighbourhood).min(STALL_MAX_PROPOSALS);
-    let mut limit = cfg.iterations.min(window);
+    // The stall stop, folded into the loop bound: `limit` moves on with
+    // every new best.
+    let sweeps = STALL_SWEEPS * neighbourhood;
+    let mut limit = cfg.iterations.min(stall_window(sweeps, 0));
     // Makespans below this may enter the plateau phase.
     let headroom = if cools && M::key_as_load(tracker.makespan()).is_some() {
         EXACT_F64_LOADS.checked_sub(largest_finite_cells::<M>(inst))
@@ -345,7 +357,7 @@ pub fn anneal_budgeted<M: MachineModel>(
                     best_ms = new_ms;
                     res.schedule = tracker.schedule();
                     res.improvements += 1;
-                    limit = cfg.iterations.min(res.proposals + window);
+                    limit = cfg.iterations.min(res.proposals + stall_window(sweeps, res.proposals));
                 }
                 rejected = 0;
                 frozen = None;
@@ -390,7 +402,7 @@ pub fn anneal_budgeted<M: MachineModel>(
                     best_ms = cur_ms;
                     res.schedule = tracker.schedule();
                     res.improvements += 1;
-                    limit = cfg.iterations.min(res.proposals + window);
+                    limit = cfg.iterations.min(res.proposals + stall_window(sweeps, res.proposals));
                 }
                 rejected = 0;
             }
@@ -412,6 +424,13 @@ pub fn anneal_budgeted<M: MachineModel>(
         temp *= cfg.cooling;
     };
     res
+}
+
+/// Proposals in a row without a new best that end a walk whose last new
+/// best came at proposal `p` (module docs), given its `sweeps` (256
+/// neighbourhoods).
+fn stall_window(sweeps: usize, p: usize) -> usize {
+    sweeps.min(p.saturating_mul(2).clamp(STALL_MIN_PROPOSALS, STALL_MAX_PROPOSALS))
 }
 
 /// The exit of a walk that reached its loop bound: `iterations`, or the
@@ -737,17 +756,34 @@ mod tests {
     }
 
     #[test]
-    fn a_large_walk_without_a_new_best_stalls_at_the_cap() {
+    fn the_window_follows_the_last_new_best() {
+        // 256 sweeps below the floor (a neighbourhood of 42) set every
+        // window.
+        for p in [0, 5_000, 30_000, 100_000] {
+            assert_eq!(stall_window(STALL_SWEEPS * 42, p), 10_752);
+        }
+        // 256 sweeps of 408 are 104 448: the doubling term, clamped.
+        let sweeps = STALL_SWEEPS * 408;
+        let windows = [0, 9_999, 10_000, 16_780, 39_999, 40_000, 78_228, 300_000]
+            .map(|p| stall_window(sweeps, p));
+        assert_eq!(windows, [20_000, 20_000, 20_000, 33_560, 79_998, 80_000, 80_000, 80_000]);
+        // Between the floor and the cap, the sweeps when they are smaller
+        // (n=48, m=5, K=6).
+        assert_eq!(stall_window(79_872, 39_990), 79_872);
+    }
+
+    #[test]
+    fn a_large_walk_without_a_new_best_stalls_at_the_floor() {
         // Machine 0 holds the optimal makespan of 1000 alone, and 200 unit
         // jobs share machines 1 and 2. 256 neighbourhoods of 2·(201 + 3)
         // are 104 448 proposals, above the cap. A zero temperature that
         // cooling above 1 keeps (so no frozen scan runs) finds no new best,
-        // and the stall stop ends the walk at the cap.
+        // and the stall stop ends the walk at the floor.
         let mut jobs = vec![Job::new(0, 1000)];
         jobs.extend((0..200).map(|_| Job::new(0, 1)));
         let inst = UniformInstance::identical(3, vec![0], jobs).unwrap();
         let start = Schedule::new((0..201).map(|j| if j == 0 { 0 } else { 1 + j % 2 }).collect());
-        const { assert!(STALL_SWEEPS * 2 * (201 + 3) > STALL_MAX_PROPOSALS) };
+        const { assert!(STALL_SWEEPS * 2 * (201 + 3) > STALL_MIN_PROPOSALS) };
         let cold = AnnealConfig {
             iterations: 200_000,
             initial_temp_fraction: 0.0,
@@ -755,9 +791,43 @@ mod tests {
             ..cfg(5)
         };
         let res = anneal_uniform(&inst, &start, &cold);
-        assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, STALL_MAX_PROPOSALS));
+        assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, STALL_MIN_PROPOSALS));
         assert_eq!((res.improvements, &res.schedule), (0, &start));
         assert!(res.accepted > 0, "zero-rise moves between machines 1 and 2 pass");
+    }
+
+    /// Anneals 201 jobs of 1–1000 on 3 identical machines (256 sweeps of
+    /// 408 are 104 448 proposals, above the cap), all starting on machine
+    /// 0, under the default temperature and `cooling`, and asserts that the
+    /// walk's last new best came at proposal `p` (the walk cut there has
+    /// all its improvements and the same schedule, cut one proposal earlier
+    /// one improvement fewer) and that it stalled at `stop`.
+    fn assert_stalls_at(cooling: f64, p: usize, stop: usize) {
+        let jobs = (0..201).map(|j| Job::new(0, 1 + (j * 7919) % 1000)).collect();
+        let inst = UniformInstance::identical(3, vec![0], jobs).unwrap();
+        let start = Schedule::new(vec![0; 201]);
+        let walk = AnnealConfig { iterations: 400_000, cooling, ..cfg(0) };
+        let cut = |iterations| anneal_uniform(&inst, &start, &AnnealConfig { iterations, ..walk });
+        let res = anneal_uniform(&inst, &start, &walk);
+        assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, stop));
+        let upto = cut(p);
+        assert_eq!((&upto.schedule, upto.improvements), (&res.schedule, res.improvements));
+        assert_eq!(cut(p - 1).improvements + 1, res.improvements);
+    }
+
+    #[test]
+    fn a_walk_stalls_twice_its_time_to_best_after_it() {
+        // Cooling from hot, the walk's last new best comes at proposal
+        // 16 780, between half the floor and half the cap: the window is
+        // twice that, so the walk ends at three times it.
+        assert_stalls_at(0.9995, 16_780, 3 * 16_780);
+    }
+
+    #[test]
+    fn a_late_best_waits_the_cap() {
+        // Cooling slower, the last new best comes at proposal 78 228, past
+        // half the cap: the walk ends one cap after it.
+        assert_stalls_at(0.9999, 78_228, 78_228 + STALL_MAX_PROPOSALS);
     }
 
     #[test]
@@ -765,8 +835,9 @@ mod tests {
         // Machine 0 holds the makespan alone; the two small jobs can move
         // between machines 1 and 2 without changing it, so some move
         // always has a zero rise and the walk never freezes. The start is
-        // optimal, so the stall stop ends the walk one window (256
-        // neighbourhoods of 12) after its start.
+        // optimal, so the stall stop ends the walk one window after its
+        // start: 256 neighbourhoods of 12, the sweep term, which is below
+        // the floor on an instance this small.
         let inst = UniformInstance::identical(
             3,
             vec![0, 0],
@@ -776,6 +847,7 @@ mod tests {
         let start = Schedule::new(vec![0, 1, 2]);
         let tracker = LoadTracker::<Uniform>::new(&inst, &start).unwrap();
         assert_eq!(min_rise(&tracker, tracker.makespan(), &CancelToken::new()), None);
+        const { assert!(STALL_SWEEPS * 12 < STALL_MIN_PROPOSALS) };
         let res = anneal_uniform(&inst, &start, &AnnealConfig { iterations: 50_000, ..cfg(6) });
         assert_eq!((res.exit, res.proposals), (AnnealExit::Stalled, STALL_SWEEPS * 12));
         assert!(res.accepted > 0);

@@ -16,16 +16,27 @@
 //! the exit must actually fire on the families whose walk freezes.
 //!
 //! The stall stop is the one shortcut that may change the answer, so the
-//! reference applies the same rule (256 neighbourhoods' worth of
-//! iterations in a row, at most 80 000, without a new best end the walk):
-//! the annealer must return the reference's schedule, `accepted` and
-//! `improvements`, and a stalled walk must stop where the reference stops.
-//! On instances of a few jobs the window is short enough to fire inside
-//! the walk; at the solve-deadline shape the cap sets it.
+//! reference applies the same rule (after a new best at iteration `p`,
+//! `min(256 neighbourhoods, clamp(2p, 20 000, 80 000))` iterations in a
+//! row without another end the walk): the annealer must return the
+//! reference's schedule, `accepted` and `improvements`, and a stalled walk
+//! must stop where the reference stops. On instances of a few jobs the
+//! 256-neighbourhood term sets the window and it fires inside the walk; at
+//! the solve-complete and solve-deadline shapes the doubling term sets it.
+//!
+//! The answer survey measures what the rule costs: from greedy, on
+//! perfbench's catalogue instances of the four unrelated solve-complete
+//! families at 48×5×6 and the four unrelated solve-deadline families at
+//! 800×10×16, it prints per family how many answers differ from the
+//! reference run with the window the rule replaced (256 neighbourhoods, at
+//! most 80 000), the change of the mean makespan and the share of that
+//! run's iterations the rule leaves (both counted in the reference, so the
+//! frozen exit's savings are not in it); no family's mean makespan may
+//! rise by more than 0.1 %. It runs in release builds only.
 //!
 //! `cargo test --release -p sst-algos --test anneal_exit -- --nocapture`
 //! prints the proposals each long run used, where its plateau phase
-//! began, and which exit ended it.
+//! began, and which exit ended it, and the survey's rows.
 
 use std::ops::Range;
 
@@ -39,22 +50,48 @@ use sst_algos::local_search::improve;
 use sst_core::cancel::CancelToken;
 use sst_core::instance::{Job, UniformInstance, UnrelatedInstance, INF};
 use sst_core::model::{MachineModel, Splittable, Uniform, Unrelated};
-use sst_core::schedule::Schedule;
+use sst_core::schedule::{unrelated_makespan, Schedule};
 use sst_core::tracker::LoadTracker;
 use sst_gen::{scenarios, UnrelatedParams};
 
 const CANCEL_CHECK_MASK: usize = 0xFF;
 
-/// The stall stop's window, in neighbourhoods, and its cap in proposals.
+/// The stall stop's window at most, in neighbourhoods, and its doubling
+/// term's floor and cap in proposals.
 const STALL_SWEEPS: usize = 256;
+const STALL_MIN_PROPOSALS: usize = 20_000;
 const STALL_MAX_PROPOSALS: usize = 80_000;
 
-/// The stall stop's window on `inst`: 256 neighbourhoods, at most 80 000
-/// proposals.
-fn stall_window<M: MachineModel>(inst: &M::Instance) -> usize {
+/// 256 neighbourhoods of `inst`, in proposals.
+fn sweeps<M: MachineModel>(inst: &M::Instance) -> usize {
     let (n, m) = (M::n(inst), M::m(inst));
-    let neighbourhood = (m - 1) * (n + n.min(m * M::num_classes(inst)));
-    (STALL_SWEEPS * neighbourhood).min(STALL_MAX_PROPOSALS)
+    STALL_SWEEPS * (m - 1) * (n + n.min(m * M::num_classes(inst)))
+}
+
+/// The stall stop's window on `inst` after a new best at iteration `p`
+/// (`p = 0` at the start): 256 neighbourhoods, or twice `p` clamped to
+/// 20 000–80 000 proposals, whichever is smaller.
+fn stall_window<M: MachineModel>(inst: &M::Instance, p: usize) -> usize {
+    sweeps::<M>(inst).min((2 * p).clamp(STALL_MIN_PROPOSALS, STALL_MAX_PROPOSALS))
+}
+
+/// The window the doubling rule replaced, the answer survey's baseline:
+/// 256 neighbourhoods, at most 80 000 proposals, whenever the last new
+/// best came.
+fn fixed_stall_window<M: MachineModel>(inst: &M::Instance) -> usize {
+    sweeps::<M>(inst).min(STALL_MAX_PROPOSALS)
+}
+
+/// The iteration of the last new best of a walk that stalled at `stop`:
+/// the one `p` with `p + stall_window(p) == stop` (the sum grows strictly
+/// with `p`).
+fn last_best_of<M: MachineModel>(inst: &M::Instance, stop: usize) -> usize {
+    [sweeps::<M>(inst), STALL_MIN_PROPOSALS, STALL_MAX_PROPOSALS]
+        .map(|w| stop.saturating_sub(w))
+        .into_iter()
+        .chain([stop / 3])
+        .find(|&p| p + stall_window::<M>(inst, p) == stop)
+        .unwrap_or_else(|| panic!("no last new best ends a walk at {stop}"))
 }
 
 enum Proposal {
@@ -71,6 +108,19 @@ fn reference_anneal<M: MachineModel>(
     cfg: &AnnealConfig,
     cancel: &CancelToken,
 ) -> (Schedule, usize, usize, usize) {
+    reference_walk::<M>(inst, start, cfg, cancel, |p| stall_window::<M>(inst, p))
+}
+
+/// [`reference_anneal`] under any stall rule: the walk ends once
+/// `window(p)` iterations in a row after a new best at iteration `p`
+/// (`p = 0` at the start) found no other.
+fn reference_walk<M: MachineModel>(
+    inst: &M::Instance,
+    start: &Schedule,
+    cfg: &AnnealConfig,
+    cancel: &CancelToken,
+    window: impl Fn(usize) -> usize,
+) -> (Schedule, usize, usize, usize) {
     let mut tracker = LoadTracker::<M>::new(inst, start).expect("valid start schedule");
     let m = M::m(inst);
     let mut cur_ms = tracker.makespan();
@@ -83,11 +133,11 @@ fn reference_anneal<M: MachineModel>(
     if M::n(inst) == 0 || m < 2 {
         return (best, accepted, improvements, 0);
     }
-    let window = stall_window::<M>(inst);
     let mut last_best = 0usize;
+    let mut wait = window(0);
     let mut ran = cfg.iterations;
     for it in 0..cfg.iterations {
-        if it - last_best >= window {
+        if it - last_best >= wait {
             ran = it;
             break;
         }
@@ -131,6 +181,7 @@ fn reference_anneal<M: MachineModel>(
                 best = tracker.schedule();
                 improvements += 1;
                 last_best = it + 1;
+                wait = window(last_best);
             }
         }
         temp *= cfg.cooling;
@@ -322,16 +373,16 @@ proptest! {
 }
 
 /// Checks that the walk under `cfg` ended on its stall stop exactly one
-/// window after its last new best. The walk cut at the same proposal
-/// returns the same schedule, `accepted` and `improvements`; cut one
-/// window earlier, the same schedule and `improvements`; one proposal
-/// before that, one improvement fewer. Returns the stalled walk.
+/// window after its last new best, at the iteration [`last_best_of`]
+/// reads off its stop. The walk cut at the same proposal returns the same
+/// schedule, `accepted` and `improvements`; cut at the last new best, the
+/// same schedule and `improvements`; one proposal before that, one
+/// improvement fewer. Returns the stalled walk and its last new best.
 fn assert_stalls_one_window_after_its_last_best<M: MachineModel>(
     inst: &M::Instance,
     start: &Schedule,
     cfg: &AnnealConfig,
-) -> AnnealResult {
-    let window = stall_window::<M>(inst);
+) -> (AnnealResult, usize) {
     let res = anneal::<M>(inst, start, cfg);
     assert_eq!(res.exit, AnnealExit::Stalled);
     let cut = |iterations| anneal::<M>(inst, start, &AnnealConfig { iterations, ..*cfg });
@@ -340,7 +391,7 @@ fn assert_stalls_one_window_after_its_last_best<M: MachineModel>(
         (&same.schedule, same.accepted, same.improvements),
         (&res.schedule, res.accepted, res.improvements)
     );
-    let last_best = res.proposals - window;
+    let last_best = last_best_of::<M>(inst, res.proposals);
     let upto = cut(last_best);
     assert_eq!((&upto.schedule, upto.improvements), (&res.schedule, res.improvements));
     if last_best > 0 {
@@ -348,21 +399,36 @@ fn assert_stalls_one_window_after_its_last_best<M: MachineModel>(
     } else {
         assert_eq!((res.improvements, &res.schedule), (0, start));
     }
-    res
+    (res, last_best)
 }
 
 #[test]
 fn a_stalled_walk_stops_one_window_after_its_last_new_best() {
     // The served walk on a solve-complete family, from greedy as the race
     // warm-starts a sole annealer: the best improves early, then stalls.
-    let inst = scenarios::print_shop(48, 5, 6, 1);
+    // 256 neighbourhoods are 79 872 proposals at 48x5x6, so the doubling
+    // term sets the window. On this instance the last new best comes
+    // before proposal 10 000 and the walk waits the 20 000 floor ...
     let served = AnnealConfig { iterations: 400_000, seed: 41, ..AnnealConfig::default() };
-    let res = assert_stalls_one_window_after_its_last_best::<Unrelated>(
-        &inst,
-        &greedy_unrelated(&inst),
+    let early = scenarios::print_shop(48, 5, 6, 1);
+    let (res, p) = assert_stalls_one_window_after_its_last_best::<Unrelated>(
+        &early,
+        &greedy_unrelated(&early),
         &served,
     );
     assert!(res.improvements > 0, "greedy leaves room on print-shop");
+    assert!(p < STALL_MIN_PROPOSALS / 2, "last new best at {p}");
+    assert_eq!(res.proposals, p + STALL_MIN_PROPOSALS);
+    // ... and on this one it comes later, and the walk waits twice as long
+    // as it took to find it.
+    let late = scenarios::print_shop(48, 5, 6, 5);
+    let (res, p) = assert_stalls_one_window_after_its_last_best::<Unrelated>(
+        &late,
+        &greedy_unrelated(&late),
+        &served,
+    );
+    assert!((STALL_MIN_PROPOSALS / 2..STALL_MAX_PROPOSALS / 2).contains(&p), "last best at {p}");
+    assert_eq!(res.proposals, 3 * p);
     // A hot walk that never cools out of the Metropolis phase.
     let hot = AnnealConfig {
         iterations: 200_000,
@@ -372,7 +438,7 @@ fn a_stalled_walk_stops_one_window_after_its_last_new_best() {
         ..AnnealConfig::default()
     };
     let line = scenarios::production_line(12, 3, 3, 5);
-    let res = assert_stalls_one_window_after_its_last_best::<Uniform>(
+    let (res, _) = assert_stalls_one_window_after_its_last_best::<Uniform>(
         &line,
         &greedy_uniform(&line),
         &hot,
@@ -383,7 +449,8 @@ fn a_stalled_walk_stops_one_window_after_its_last_new_best() {
     // scan off) stops one window after its start.
     let descent = improve::<Uniform>(&line, &greedy_uniform(&line), usize::MAX).schedule;
     let cold = AnnealConfig { initial_temp_fraction: 0.0, cooling: 2.0, ..hot };
-    let res = assert_stalls_one_window_after_its_last_best::<Uniform>(&line, &descent, &cold);
+    let (res, _) = assert_stalls_one_window_after_its_last_best::<Uniform>(&line, &descent, &cold);
+    // On this small instance the 256-neighbourhood term sets the window.
     assert_eq!((res.proposals, res.improvements), (STALL_SWEEPS * 2 * (12 + 9), 0));
 }
 
@@ -444,8 +511,10 @@ fn long_runs_on_the_solve_complete_families_exit_exactly() {
 }
 
 /// `perfbench`'s instance catalogue seed and its seed mixer: entry `i` of
-/// the solve-deadline catalogue is family `i % 5` (print-shop at 2) with
-/// generator seed `derive(CATALOGUE_SEED, 1000 + i)`.
+/// a workload's catalogue is its family `i % families` with generator seed
+/// `derive(CATALOGUE_SEED, 1000 + i)` (solve-complete: six families,
+/// compute-cluster to unrelated-correlated at 1–4; solve-deadline: five,
+/// compute-cluster to unrelated at 1–4, print-shop at 2).
 const CATALOGUE_SEED: u64 = 0x5e7_2019;
 
 fn derive(seed: u64, salt: u64) -> u64 {
@@ -457,21 +526,157 @@ fn derive(seed: u64, salt: u64) -> u64 {
 
 #[test]
 fn a_long_run_at_the_solve_deadline_shape_is_exact() {
-    // 256 neighbourhoods are 2.2 M proposals at this shape, so the 80 000
-    // cap sets the window, and a 400 000-proposal walk from greedy stalls
-    // where the reference stalls.
+    // 256 neighbourhoods are 2.2 M proposals at this shape, so the
+    // doubling term sets the window, and a 400 000-proposal walk from
+    // greedy stalls where the reference stalls.
     let shop = scenarios::print_shop(800, 10, 16, 17);
-    assert_eq!(stall_window::<Unrelated>(&shop), STALL_MAX_PROPOSALS);
+    assert!(sweeps::<Unrelated>(&shop) > STALL_MAX_PROPOSALS);
     let run =
         long_runs::<Unrelated>("print-shop 800x10x16", &shop, &greedy_unrelated(&shop), 400_000);
     assert!(run.plateau_entry.is_some(), "the walk must reach the plateau phase");
     assert_eq!(run.exit, AnnealExit::Stalled);
     // Catalogue entry 12, a print-shop instance whose walk from greedy
-    // finds its last new best after 20 000 proposals.
+    // finds its last new best after 20 000 proposals and waits twice that.
     let late = scenarios::print_shop(800, 10, 16, derive(CATALOGUE_SEED, 1000 + 12));
     let run =
         long_runs::<Unrelated>("print-shop catalogue 12", &late, &greedy_unrelated(&late), 400_000);
     assert_eq!(run.exit, AnnealExit::Stalled);
     assert!(run.improvements > 0);
-    assert!(run.proposals - STALL_MAX_PROPOSALS > 20_000, "last new best at {}", run.proposals);
+    let p = last_best_of::<Unrelated>(&late, run.proposals);
+    assert!((STALL_MIN_PROPOSALS..STALL_MAX_PROPOSALS / 2).contains(&p), "last new best at {p}");
+    assert_eq!(run.proposals, 3 * p);
+}
+
+/// Solver seeds of the answer survey's walks, per catalogue instance.
+const SURVEY_SEEDS: std::ops::RangeInclusive<u64> = 41..=44;
+
+/// Catalogue instances per family in the answer survey (perfbench's
+/// `COMPLETE_PER_FAMILY` and `DEADLINE_PER_FAMILY`).
+const SURVEY_INSTANCES: usize = 16;
+
+/// The most a family's mean makespan may rise under the stall rule,
+/// against the fixed window, in percent.
+const SURVEY_MAX_RISE_PCT: f64 = 0.1;
+
+/// One family's row of the answer survey.
+struct SurveyRow {
+    walks: usize,
+    changed: usize,
+    /// Sum of the answers' makespans under the rule and under the fixed
+    /// window.
+    makespans: (u64, u64),
+    /// Iterations the reference ran under the rule and under the fixed
+    /// window.
+    iterations: (usize, usize),
+}
+
+impl SurveyRow {
+    fn mean_change_pct(&self) -> f64 {
+        (self.makespans.0 as f64 / self.makespans.1 as f64 - 1.0) * 100.0
+    }
+}
+
+/// Anneals each instance from greedy with the served configuration under
+/// every survey seed, and compares the answer with the reference run under
+/// the fixed window. The annealer must return what the reference returns
+/// under the rule.
+fn survey(instances: &[UnrelatedInstance]) -> SurveyRow {
+    let mut row = SurveyRow { walks: 0, changed: 0, makespans: (0, 0), iterations: (0, 0) };
+    let cancel = CancelToken::new();
+    for inst in instances {
+        let greedy = greedy_unrelated(inst);
+        let fixed_window = fixed_stall_window::<Unrelated>(inst);
+        for seed in SURVEY_SEEDS {
+            let cfg = AnnealConfig { iterations: 400_000, seed, ..AnnealConfig::default() };
+            let got = anneal::<Unrelated>(inst, &greedy, &cfg);
+            let (schedule, accepted, improvements, ran) =
+                reference_anneal::<Unrelated>(inst, &greedy, &cfg, &cancel);
+            assert_eq!(
+                (&got.schedule, got.accepted, got.improvements),
+                (&schedule, accepted, improvements)
+            );
+            let (fixed, _, _, fixed_ran) =
+                reference_walk::<Unrelated>(inst, &greedy, &cfg, &cancel, |_| fixed_window);
+            let makespan = |s: &Schedule| unrelated_makespan(inst, s).expect("valid schedule");
+            row.walks += 1;
+            row.changed += usize::from(got.schedule != fixed);
+            row.makespans.0 += makespan(&got.schedule);
+            row.makespans.1 += makespan(&fixed);
+            row.iterations.0 += ran;
+            row.iterations.1 += fixed_ran;
+        }
+    }
+    row
+}
+
+/// perfbench's first [`SURVEY_INSTANCES`] catalogue instances of the family
+/// at `position` among `families`, generated by `generate`.
+fn catalogue(
+    families: usize,
+    position: usize,
+    generate: impl Fn(u64) -> UnrelatedInstance,
+) -> Vec<UnrelatedInstance> {
+    (0..SURVEY_INSTANCES)
+        .map(|r| generate(derive(CATALOGUE_SEED, 1000 + (r * families + position) as u64)))
+        .collect()
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "512 walks of up to 400 000 proposals, each run three times; release only"
+)]
+fn answer_survey_against_the_fixed_window() {
+    // The four unrelated families sit at catalogue positions 1-4 in both
+    // workloads; solve-complete has six families, solve-deadline five.
+    let generators: [fn(usize, usize, usize, u64) -> UnrelatedInstance; 4] = [
+        scenarios::compute_cluster,
+        scenarios::print_shop,
+        scenarios::ci_build_farm,
+        |n, m, k, seed| {
+            sst_gen::unrelated(&UnrelatedParams { n, m, k, seed, ..Default::default() })
+        },
+    ];
+    let workloads = [
+        (
+            "48x5x6",
+            (48, 5, 6),
+            6,
+            ["compute-cluster", "print-shop", "ci-build-farm", "unrelated-correlated"],
+        ),
+        (
+            "800x10x16",
+            (800, 10, 16),
+            5,
+            ["compute-cluster", "print-shop", "ci-build-farm", "unrelated"],
+        ),
+    ];
+    let mut rows = Vec::new();
+    for (shape, (n, m, k), families, names) in workloads {
+        for (position, (family, generate)) in (1..).zip(names.into_iter().zip(generators)) {
+            let instances = catalogue(families, position, |seed| generate(n, m, k, seed));
+            rows.push((shape, family, survey(&instances)));
+        }
+    }
+    println!(
+        "answer survey: greedy starts, {SURVEY_INSTANCES} catalogue instances x solver seeds \
+         {SURVEY_SEEDS:?}, 400 000 proposals; the stall rule against the fixed window"
+    );
+    for (shape, family, row) in &rows {
+        println!(
+            "survey {shape:<9} {family:<20} answers changed {:>2}/{}  mean makespan {:+.3} %  \
+             proposals {:.1} % of the fixed window's",
+            row.changed,
+            row.walks,
+            row.mean_change_pct(),
+            100.0 * row.iterations.0 as f64 / row.iterations.1 as f64,
+        );
+    }
+    for (shape, family, row) in &rows {
+        assert!(
+            row.mean_change_pct() <= SURVEY_MAX_RISE_PCT,
+            "{shape} {family}: mean makespan {:+.3} % under the stall rule",
+            row.mean_change_pct()
+        );
+    }
 }

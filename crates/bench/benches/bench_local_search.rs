@@ -21,9 +21,10 @@
 //! The deadline anneal row runs the same configuration from greedy, the
 //! served start at that shape, on the four unrelated solve-deadline
 //! families at 800×10×16, 16 instances each, where the stall stop's
-//! window is its 80 000-proposal cap. It prints per family the mean µs per
-//! anneal, the proposals run, how many walks the stall stop ended, the
-//! mean makespan of the answers and their digest (same digest rule).
+//! window is twice the time to the walk's last new best, 20 000 to 80 000
+//! proposals. It prints per family the mean µs per anneal, the proposals
+//! run, how many walks the stall stop ended, the mean makespan of the
+//! answers and their digest (same digest rule).
 //!
 //! The race-prologue row times the serial work before a served race's
 //! members start — feature extraction and the model's greedy floor — on

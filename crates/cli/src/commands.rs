@@ -124,8 +124,8 @@ USAGE
   sst info <instance.json>
   sst bound <instance.json> [--max-t T]
       separately certified lower bounds, one per line: combinatorial,
-      assignment-LP, configuration-LP (the last is weaker when a guess
-      hits a column or round limit)
+      area, assignment-LP, configuration-LP (the last is weaker when a
+      guess hits a column or round limit)
   sst compare <instance.json> [--seed S] [--q Q] [--nodes N]
   sst sweep --family uniform|identical|unrelated|ra|cupt --algo ALGO
             [--n-list 20,40,80] [--m M] [--k K] [--seeds S] [--setups W]
@@ -1120,14 +1120,16 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `sst bound` — prints three lower bounds for an unrelated instance: the
-/// combinatorial bound, the assignment-LP `T*` (Section 3.1) and the
+/// `sst bound` — prints four lower bounds for an unrelated instance: the
+/// combinatorial (max-job) bound, the area bound that `sst info`, `solve`
+/// and `compare` print ([`unrelated_area_lower_bound`], which grows with
+/// the total work), the assignment-LP `T*` (Section 3.1) and the
 /// configuration-LP bound (the configuration IP of Jansen, Klein, Maack
 /// and Rau, arXiv 1801.06460). Each line is a separately certified lower
 /// bound, not a chain: a configuration guess that hits the column or
 /// round limit counts as feasible, so under `ConfigLpLimits::default()`
 /// that line is often below the assignment LP. The configuration LP needs
-/// `n ≤ 64`; larger instances report the first two.
+/// `n ≤ 64`; larger instances report the first three.
 pub fn bound(args: &Args) -> Result<String, CliError> {
     args.reject_unknown_flags(&["max-t"])?;
     let path = args.pos(0, "instance.json")?;
@@ -1141,9 +1143,11 @@ pub fn bound(args: &Args) -> Result<String, CliError> {
         )),
         ProblemInstance::Unrelated(inst) | ProblemInstance::Splittable(SplittableInstance(inst)) => {
             let comb = unrelated_lower_bound(&inst);
+            let area = unrelated_area_lower_bound(&inst);
             let assign = sst_algos::lp_relax::lp_makespan_lower_bound(&inst);
             let mut out = format!(
-                "{header}combinatorial lower bound: {comb}\nassignment-LP T* (Sec 3.1): {assign}\n"
+                "{header}combinatorial lower bound: {comb}\narea lower bound:          {area}\n\
+                 assignment-LP T* (Sec 3.1): {assign}\n"
             );
             if inst.n() <= 64 {
                 let limits = sst_algos::configlp::ConfigLpLimits {
@@ -1541,6 +1545,7 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing {tag} in {b}"))
         };
         let comb = grab("combinatorial");
+        let area = grab("area lower bound");
         let assign = grab("assignment-LP");
         let config = grab("configuration-LP");
         let ProblemInstance::Unrelated(inst) = load_instance(&inst_path).unwrap() else {
@@ -1549,13 +1554,14 @@ mod tests {
         let opt = sst_algos::exact::exact_unrelated(&inst, 1 << 24);
         assert!(opt.complete, "9 jobs on 3 machines solve to optimality");
         for (line, value) in
-            [("combinatorial", comb), ("assignment-LP", assign), ("config", config)]
+            [("combinatorial", comb), ("area", area), ("assignment-LP", assign), ("config", config)]
         {
             assert!(value <= opt.makespan, "{line} {value} > optimum {}: {b}", opt.makespan);
         }
-        // The LP bisection starts at the combinatorial bound, so it never
-        // reports less.
+        // The LP bisection starts at the combinatorial bound, and the
+        // area bound bisects up from it, so neither reports less.
         assert!(comb <= assign, "{b}");
+        assert!(comb <= area, "{b}");
     }
 
     #[test]

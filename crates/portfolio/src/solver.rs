@@ -448,12 +448,14 @@ impl Solver for LocalSearchSolver {
 /// Seeded Metropolis annealer (integral models), warm-started from the
 /// race incumbent; it stops at the deadline, after 400 000 proposals,
 /// once its state is provably frozen (no later proposal could be
-/// accepted, so the answer is the same as running on), or once 256
-/// neighbourhoods' worth of proposals in a row, at most 80 000, found no
-/// new best (the stall stop of [`sst_algos::annealing`], which returns the
-/// best seen so far). At n=48, m=5, K=6 that window is 79 872 proposals;
-/// at n=800, m=10, K=16 the 80 000 cap sets it, so a deadline walk that
-/// has stopped improving ends before its budget does.
+/// accepted, so the answer is the same as running on), or once a window
+/// of proposals in a row found no new best (the stall stop of
+/// [`sst_algos::annealing`], which returns the best seen so far): after a
+/// new best at proposal `p`, twice `p` clamped to 20 000–80 000, or 256
+/// neighbourhoods when that is less. At n=48, m=5, K=6 and at n=800,
+/// m=10, K=16 the doubling term sets it, so a walk that never beats its
+/// start ends after 20 000 proposals and one whose last new best came at
+/// proposal 8 000 ends at 28 000.
 pub struct AnnealSolver;
 
 impl Solver for AnnealSolver {
